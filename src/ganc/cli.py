@@ -135,9 +135,9 @@ def _load_theta(cfg: RunConfig):
     return pv
 
 
-def _build_arec(cfg: RunConfig, split, stats):
+def _build_arec(cfg: RunConfig, split, stats, n: int):
     if cfg.arec == "pop":
-        return recommenders.pop_scorer(split, stats, cfg.pop_n or cfg.n)
+        return recommenders.pop_scorer(split, stats, cfg.pop_n or n)
     if cfg.arec == "rsvd":
         if not cfg.mf:
             raise ValueError("--mf is required with arec=rsvd")
@@ -211,6 +211,7 @@ def cmd_train_rsvd(cfg: RunConfig) -> int:
         "split_sha256": split_hash(cfg.split),
         "lam": cfg.lam, "eta": cfg.eta, "epochs": cfg.epochs,
         "seed": cfg.mf_seed, "rmse_train": rmse_train, "rmse_test": rmse_test,
+        "epoch_rmse": list(model.epoch_rmse),
     })
     print(f"g={cfg.g} epochs={cfg.epochs} rmse_train={rmse_train:.4f} "
           f"rmse_test={'n/a' if rmse_test is None else f'{rmse_test:.4f}'}")
@@ -221,9 +222,9 @@ def cmd_recommend(cfg: RunConfig) -> int:
     split, _ = dataset.load_split(cfg.split)
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(cfg)
-    arec = _build_arec(cfg, split, stats)
-    protocol = cfg.protocol or "all_unrated"
     n = 5 if cfg.n is None else cfg.n
+    arec = _build_arec(cfg, split, stats, n)
+    protocol = cfg.protocol or "all_unrated"
     phase_seconds = None
     sampled = None
     if cfg.crec == "dyn":
@@ -286,9 +287,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     split, _ = dataset.load_split(cfg.split)
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(cfg)
-    arec = _build_arec(cfg, split, stats)
-    protocol = cfg.protocol or "all_unrated"
     n = 5 if cfg.n is None else cfg.n
+    arec = _build_arec(cfg, split, stats, n)
+    protocol = cfg.protocol or "all_unrated"
     s_values = [int(v) for v in str(cfg.s_values).split(",") if v.strip()]
     if not s_values:
         raise ValueError("s_values must name at least one sample size")

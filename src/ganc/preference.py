@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ItemStats, SplitDataset, min_max_normalize
 from .errors import NumericalDegeneracyError
-from .io_utils import read_json, write_json
+from .io_utils import canonical_ids, read_json, write_json
 
 MODELS = ("activity", "normalized_longtail", "tfidf", "generalized", "constant", "random")
 
@@ -195,28 +195,19 @@ def save_prefs(pv: PreferenceVector, directory, manifest: dict | None = None) ->
 def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     d = Path(directory)
     manifest = read_json(d / "prefs.json")
-    theta = {}
-    with open(d / "theta.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for user, value in reader:
-            theta[_maybe_int(user)] = float(value)
+    theta = _read_id_column_map(d / "theta.csv")
     weights = None
     if (d / "weights.csv").exists():
-        weights = {}
-        with open(d / "weights.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for item, value in reader:
-                weights[_maybe_int(item)] = float(value)
+        weights = _read_id_column_map(d / "weights.csv")
     return PreferenceVector(
         manifest["model"], theta, weights,
         manifest.get("iterations"), manifest.get("converged"),
     ), manifest
 
 
-def _maybe_int(s: str):
-    try:
-        return int(s)
-    except ValueError:
-        return s
+def _read_id_column_map(path) -> dict:
+    """Read a two-column ``id,value`` CSV, canonicalizing the id column as a whole."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ids = canonical_ids([k for k, _ in rows])
+    return {k: float(v) for k, (_, v) in zip(ids, rows)}

@@ -187,11 +187,39 @@ class TestRecommendEvaluate:
                      "--out", str(mf)]) == 0
         manifest = read_json(mf / "mf.json")
         assert manifest["rmse_test"] is not None
+        assert len(manifest["epoch_rmse"]) == 4
+        assert all(v > 0 for v in manifest["epoch_rmse"])
         out = tmp_path / "rec"
         assert main(["recommend", "--split", str(split_dir), "--prefs",
                      str(prefs_dir), "--arec", "rsvd", "--mf", str(mf),
                      "--crec", "rand", "--n", "5", "--out", str(out)]) == 0
         assert read_json(out / "run.json")["template"] == "GANC(RSVD, theta^G, Rand)"
+
+    def test_pop_without_n_uses_default(self, split_dir, prefs_dir, tmp_path):
+        out = tmp_path / "rec"
+        assert main(["recommend", "--split", str(split_dir), "--prefs",
+                     str(prefs_dir), "--arec", "pop", "--crec", "dyn",
+                     "--s", "30", "--out", str(out)]) == 0
+        assert read_json(out / "run.json")["n"] == 5
+
+    def test_ids_with_leading_zeros_and_letters(self, tmp_path):
+        # "007" must reload as "007", not 7, in every artifact
+        data = tmp_path / "ratings.csv"
+        users = ["007", "abc", "010", "u9"]
+        items = ["001", "002", "x3", "04", "5", "i6"]
+        rows = [f"{u},{i},{1 + (k + j) % 5}"
+                for k, u in enumerate(users) for j, i in enumerate(items)]
+        data.write_text("user,item,rating\n" + "\n".join(rows) + "\n")
+        split, prefs, rec = tmp_path / "split", tmp_path / "prefs", tmp_path / "rec"
+        assert main(["split", "--dataset", str(data), "--format", "csv",
+                     "--tau", "2", "--out", str(split)]) == 0
+        assert main(["prefs", "--split", str(split), "--out", str(prefs)]) == 0
+        assert main(["recommend", "--split", str(split), "--prefs", str(prefs),
+                     "--arec", "pop", "--n", "1", "--s", "2",
+                     "--out", str(rec)]) == 0
+        with open(rec / "topn.csv") as fh:
+            listed = {row[0] for row in list(csv.reader(fh))[1:]}
+        assert listed == set(users)
 
     def test_external_scores_pipeline(self, split_dir, prefs_dir, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -223,6 +251,13 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["s", "f_measure", "coverage", "gini", "lt_accuracy"]
         assert [r[0] for r in rows[1:]] == ["10", "40", "5000"]
+
+    def test_pop_without_n_uses_default(self, split_dir, prefs_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--s-values", "10", "--reps", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "sweep.csv").exists()
 
     def test_single_value_matches_manual_average(self, split_dir, prefs_dir, tmp_path):
         out = tmp_path / "sweep1"

@@ -1,7 +1,11 @@
 """Accuracy and coverage scorer tests, including SGD training behavior."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganc.core import RecFrequency
 from ganc.dataset import Rating, compute_item_stats
@@ -18,9 +22,63 @@ from ganc.recommenders import (
     rsvd_train,
     save_mf_model,
     stat_coverage,
+    wavefront_schedule,
 )
 
 from conftest import build_split
+
+
+def _rsvd_reference(split, g, lam, eta, epochs, seed):
+    """The per-rating SGD loop that ``rsvd_train`` must reproduce bit for bit.
+
+    Returns (P, Q, per-epoch online training RMSE).
+    """
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-0.05, 0.05, size=(len(split.users), g))
+    Q = rng.uniform(-0.05, 0.05, size=(len(split.items), g))
+    uidx = np.array([split.user_index[r.user_id] for r in split.train])
+    iidx = np.array([split.item_index[r.item_id] for r in split.train])
+    vals = np.array([r.value for r in split.train], dtype=float)
+    epoch_rmse = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            sq_err = 0.0
+            for k in rng.permutation(len(vals)):
+                u, i = uidx[k], iidx[k]
+                pu = P[u].copy()
+                qi = Q[i]
+                e = vals[k] - pu @ qi
+                P[u] += eta * (e * qi - lam * pu)
+                Q[i] += eta * (e * pu - lam * qi)
+                sq_err += e * e
+            if not (np.isfinite(P).all() and np.isfinite(Q).all()):
+                raise TrainingDivergenceError(f"non-finite factors at epoch {epoch + 1}")
+            epoch_rmse.append(math.sqrt(sq_err / len(vals)))
+    return P, Q, epoch_rmse
+
+
+def _rmse_reference(model, ratings):
+    total = 0.0
+    for r in ratings:
+        try:
+            pred = model.predict_raw(r.user_id, r.item_id)
+        except UnknownIdError:
+            pred = model.global_mean
+        total += (r.value - pred) ** 2
+    return math.sqrt(total / len(ratings))
+
+
+@st.composite
+def small_splits(draw):
+    """Train splits of up to 12 users x 10 items with 1-5 star ratings."""
+    n_users = draw(st.integers(1, 12))
+    n_items = draw(st.integers(1, 10))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n_users - 1),
+                                   st.integers(0, n_items - 1)),
+                         min_size=1, max_size=60))
+    stars = draw(st.lists(st.integers(1, 5), min_size=len(pairs),
+                          max_size=len(pairs)))
+    return build_split([(u, f"i{i}", r) for (u, i), r in zip(sorted(pairs), stars)])
 
 
 class TestPopScorer:
@@ -95,6 +153,62 @@ class TestRsvdTrain:
             [(r.value - model.global_mean) ** 2 for r in synth_split.test]))
         assert rmse(model, synth_split.test) < baseline
 
+    @pytest.mark.parametrize("g,eta", [(1, 50.0), (4, 50.0), (4, 0.21)])
+    def test_divergence_names_reference_epoch(self, synth_split, g, eta):
+        # eta=0.21 first overflows in a later epoch (epoch 4 on this split)
+        with pytest.raises(TrainingDivergenceError) as expected:
+            _rsvd_reference(synth_split, g, 0.0, eta, 8, 0)
+        with pytest.raises(TrainingDivergenceError) as got:
+            rsvd_train(synth_split, g=g, lam=0.0, eta=eta, epochs=8, seed=0)
+        assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(split=small_splits(), g=st.integers(1, 16),
+           lam_eta=st.sampled_from([(0.05, 0.03), (0.0, 0.1), (0.2, 0.01)]),
+           epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_per_rating_loop(self, split, g, lam_eta, epochs, seed):
+        lam, eta = lam_eta
+        P, Q, _ = _rsvd_reference(split, g, lam, eta, epochs, seed)
+        model = rsvd_train(split, g=g, lam=lam, eta=eta, epochs=epochs, seed=seed)
+        assert np.array_equal(model.user_factors, P)
+        assert np.array_equal(model.item_factors, Q)
+
+    def test_bit_identical_on_synthetic_split(self, synth_split):
+        P, Q, _ = _rsvd_reference(synth_split, 16, 0.05, 0.03, 3, 4)
+        model = rsvd_train(synth_split, g=16, lam=0.05, eta=0.03, epochs=3, seed=4)
+        assert np.array_equal(model.user_factors, P)
+        assert np.array_equal(model.item_factors, Q)
+
+    def test_epoch_rmse_is_online_training_error(self, synth_split):
+        _, _, expected = _rsvd_reference(synth_split, 8, 0.05, 0.03, 4, 2)
+        model = rsvd_train(synth_split, g=8, lam=0.05, eta=0.03, epochs=4, seed=2)
+        assert model.epoch_rmse == pytest.approx(expected, rel=1e-12)
+        assert model.epoch_rmse[-1] < model.epoch_rmse[0]
+
+
+class TestWavefrontSchedule:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)),
+                    min_size=1, max_size=80))
+    def test_levels_are_conflict_free_and_earliest(self, seq):
+        uidx = np.array([u for u, _ in seq])
+        iidx = np.array([i for _, i in seq])
+        levels = wavefront_schedule(uidx, iidx)
+        assert sum(len(positions) for positions in levels) == len(seq)
+        level_of = np.full(len(seq), -1)
+        for lv, positions in enumerate(levels):
+            assert np.all(np.diff(positions) > 0)
+            assert len(set(uidx[positions].tolist())) == len(positions)
+            assert len(set(iidx[positions].tolist())) == len(positions)
+            level_of[positions] = lv
+        # each rating sits one level past the latest earlier rating sharing
+        # its user or item, so each user and item keeps its sequence order
+        expected = []
+        for k, (u, i) in enumerate(seq):
+            deps = [expected[j] for j in range(k) if seq[j][0] == u or seq[j][1] == i]
+            expected.append(max(deps, default=-1) + 1)
+        assert level_of.tolist() == expected
+
 
 class TestRmse:
     def test_perfect_predictions(self):
@@ -112,6 +226,14 @@ class TestRmse:
         model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=1, seed=0)
         out = rmse(model, [Rating("nobody", "nothing", model.global_mean)])
         assert out == pytest.approx(0.0)
+
+    def test_matches_per_rating_sum(self, synth_split):
+        model = rsvd_train(synth_split, g=8, lam=0.05, eta=0.03, epochs=2, seed=0)
+        mixed = list(synth_split.test) + [Rating("nobody", synth_split.items[0], 4.0),
+                                          Rating(synth_split.users[0], "nothing", 1.0)]
+        for ratings in (synth_split.train, mixed):
+            assert rmse(model, ratings) == pytest.approx(
+                _rmse_reference(model, ratings), rel=1e-12)
 
     def test_empty_list_rejected(self, synth_split):
         model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=1, seed=0)
