@@ -226,14 +226,17 @@ def cmd_recommend(cfg: RunConfig) -> int:
     arec = _build_arec(cfg, split, stats, n)
     protocol = cfg.protocol or "all_unrated"
     phase_seconds = None
-    sampled = None
+    sampled = phase2_users = snapshots_used = None
     if cfg.crec == "dyn":
-        s = min(cfg.s, len(split.users))
+        # the sample is drawn from the users the protocol keeps
+        s = min(cfg.s, len(core.eligible_users(split, n, protocol)))
         run = core.oslg(split, pv, arec, n, s, cfg.run_seed,
                         workers=cfg.workers, protocol=protocol)
         coll = run.collection
         phase_seconds = run.phase_seconds
         sampled = len(run.sampled_users)
+        phase2_users = run.phase2_users
+        snapshots_used = run.snapshots_used
     elif cfg.crec in ("stat", "rand"):
         crec = (recommenders.stat_coverage(stats, split) if cfg.crec == "stat"
                 else recommenders.rand_coverage(cfg.run_seed, split))
@@ -249,6 +252,8 @@ def cmd_recommend(cfg: RunConfig) -> int:
         "template": template,
         "n": n, "s": cfg.s if cfg.crec == "dyn" else None,
         "sampled": sampled,
+        "phase2_users": phase2_users,
+        "snapshots_used": snapshots_used,
         "seed": cfg.run_seed, "theta_model": pv.model,
         "arec": cfg.arec, "crec": cfg.crec, "protocol": protocol,
         "workers": cfg.workers,
@@ -293,9 +298,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     s_values = [int(v) for v in str(cfg.s_values).split(",") if v.strip()]
     if not s_values:
         raise ValueError("s_values must name at least one sample size")
+    eligible = len(core.eligible_users(split, n, protocol))
     rows = []
     for s in s_values:
-        effective = min(s, len(split.users))  # sample cannot exceed the user count
+        effective = min(s, eligible)  # sample cannot exceed the eligible user count
         agg = {"f_measure": [], "coverage": [], "gini": [], "lt_accuracy": []}
         for rep in range(cfg.reps):
             run = core.oslg(split, pv, arec, n, effective,

@@ -4,7 +4,7 @@ The value of a set for a user is (1-theta)*sum(a) + theta*sum(c). With the
 dynamic coverage scorer the assignment couples users, so collections are
 built by a locally greedy pass over users; the sampling variant runs the
 sequential pass over a KDE-drawn subset sorted by rising theta, snapshots
-the frequency state per sampled user, and finishes the remaining users in
+the coverage state per sampled user, and finishes the remaining users in
 parallel against their nearest snapshot. Exhaustive and property-style
 oracles for the greedy guarantees live here too.
 """
@@ -26,7 +26,6 @@ from .dataset import SplitDataset
 from .errors import ContractViolationError, InfeasibleError, InstanceTooLargeError
 from .io_utils import canonical_ids
 from .preference import PreferenceVector
-from .recommenders import DynCoverage
 
 PROTOCOLS = ("all_unrated", "rated_test_items")
 
@@ -45,9 +44,6 @@ class RecFrequency:
         idx = self.split.item_index
         for i in item_ids:
             self.counts[idx[i]] += 1
-
-    def copy(self) -> "RecFrequency":
-        return RecFrequency(self.split, self.counts.copy())
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -83,23 +79,30 @@ class TopNCollection:
 
 
 class SnapshotStore:
-    """Frequency snapshots keyed by the sampled user's theta, in rising order."""
+    """Snapshots keyed by the sampled user's theta, added in rising order.
+
+    OSLG stores the dynamic coverage vector after each sampled user.
+    """
 
     def __init__(self):
         self._thetas: list = []
-        self._freqs: list = []
+        self._snapshots: list = []
+        self._theta_array = None  # built on the first lookup after an add
 
-    def add(self, theta: float, freq: RecFrequency) -> None:
+    def add(self, theta: float, snapshot) -> None:
         self._thetas.append(theta)
-        self._freqs.append(freq)
+        self._snapshots.append(snapshot)
+        self._theta_array = None
 
     def __len__(self) -> int:
         return len(self._thetas)
 
-    def nearest(self, theta: float) -> RecFrequency:
-        """Snapshot whose theta is closest; equidistant picks the lower theta."""
-        gaps = np.abs(np.asarray(self._thetas) - theta)
-        return self._freqs[int(np.argmin(gaps))]
+    def nearest(self, theta: float):
+        """Snapshot whose theta is closest; equidistant picks the one added
+        first (the lower theta, or the earlier of equal thetas)."""
+        if self._theta_array is None:
+            self._theta_array = np.asarray(self._thetas)
+        return self._snapshots[int(np.argmin(np.abs(self._theta_array - theta)))]
 
 
 def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> float:
@@ -113,24 +116,26 @@ def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> fl
     return (1.0 - theta) * a_sum + theta * c_sum
 
 
-def _greedy_idx(split, user, theta, arec, crec, n, cand_idx) -> list:
-    """n greedy steps over candidate universe indices; returns picked indices.
+def _greedy_idx(user, theta, acc, cov, n, cand_mask) -> list:
+    """n greedy steps over the candidates in ``cand_mask``; returns picked
+    universe indices.
 
-    Candidate indices must be ascending so argmax tie-breaks resolve to the
-    lowest item id.
+    ``acc`` and ``cov`` are the user's accuracy and the coverage vectors over
+    the item universe. Neither changes while one list is built (dynamic
+    coverage counts a list only once it is complete), so each candidate's
+    marginal gain is the same at every step: the gains are computed once and
+    the n steps are successive argmaxes, which resolve ties to the lowest
+    item index.
     """
-    if len(cand_idx) < n:
-        raise InfeasibleError(
-            f"user {user!r}: {len(cand_idx)} candidates for top-{n}")
-    acc = (1.0 - theta) * arec.score_vector(user)[cand_idx]
-    avail = np.ones(len(cand_idx), dtype=bool)
+    available = int(np.count_nonzero(cand_mask))
+    if available < n:
+        raise InfeasibleError(f"user {user!r}: {available} candidates for top-{n}")
+    gains = np.where(cand_mask, (1.0 - theta) * acc + theta * cov, -np.inf)
     picked = []
     for _ in range(n):
-        gains = acc + theta * crec.score_vector()[cand_idx]
-        gains[~avail] = -np.inf
-        k = int(np.argmax(gains))
-        picked.append(int(cand_idx[k]))
-        avail[k] = False
+        k = int(gains.argmax())
+        picked.append(k)
+        gains[k] = -np.inf
     return picked
 
 
@@ -142,40 +147,80 @@ def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec,
     unseen by the user); by default every unseen train item is eligible.
     """
     if candidates is None:
-        cand_idx = split.candidate_indices(user)
+        cand_mask = split.candidate_mask(user)
     else:
         seen = split.per_user_train_index[user]
         bad = [i for i in candidates if i in seen]
         if bad:
             raise ContractViolationError(f"user {user!r}: candidates {bad!r} already rated")
-        cand_idx = np.array(sorted(split.item_index[i] for i in candidates), dtype=np.int64)
-    picked = _greedy_idx(split, user, theta, arec, crec, n, cand_idx)
-    return tuple(split.items[k] for k in picked)
+        cand_mask = _mask(split, candidates)
+    picked = _greedy_idx(user, theta, arec.score_vector(user), crec.score_vector(),
+                         n, cand_mask)
+    return _ids(split, picked)
 
 
-def _eligible(split: SplitDataset, n: int, protocol: str):
-    """(users, candidate-index map) for a ranking protocol.
+def eligible_users(split: SplitDataset, n: int, protocol: str) -> list:
+    """Users that get a top-n list under a ranking protocol.
 
-    all_unrated ranks every unseen train item; rated_test_items ranks only a
-    user's own test items and drops users with fewer than n of them.
+    all_unrated keeps every user; rated_test_items drops users with fewer
+    than n test items, and raises InfeasibleError when that leaves none.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "all_unrated":
-        return list(split.users), {u: split.candidate_indices(u) for u in split.users}
-    users = []
-    cands = {}
-    for u in split.users:
-        test_items = split.per_user_test_index[u]
-        if len(test_items) >= n:
-            users.append(u)
-            cands[u] = np.array(sorted(split.item_index[i] for i in test_items),
-                                dtype=np.int64)
-    return users, cands
+        return list(split.users)
+    users = [u for u in split.users if len(split.per_user_test_index[u]) >= n]
+    if not users:
+        raise InfeasibleError(
+            f"no user has at least n={n} test items under protocol {protocol!r}")
+    return users
+
+
+def _mask(split: SplitDataset, item_ids) -> np.ndarray:
+    mask = np.zeros(len(split.items), dtype=bool)
+    idx = split.item_index
+    mask[[idx[i] for i in item_ids]] = True
+    return mask
+
+
+def _eligible(split: SplitDataset, n: int, protocol: str):
+    """(users, candidates) for a ranking protocol; ``candidates(user)`` builds
+    the user's candidate mask when the user is scored.
+
+    all_unrated ranks every unseen train item; rated_test_items ranks only a
+    user's own test items.
+    """
+    users = eligible_users(split, n, protocol)
+    if protocol == "all_unrated":
+        return users, split.candidate_mask
+    return users, lambda user: _mask(split, split.per_user_test_index[user])
 
 
 def _ids(split, picked_idx) -> tuple:
     return tuple(split.items[k] for k in picked_idx)
+
+
+def _coverage(counts: np.ndarray) -> np.ndarray:
+    """Dynamic coverage 1/sqrt(f + 1) of recommendation counts."""
+    return 1.0 / np.sqrt(counts + 1.0)
+
+
+def _sequential_greedy(split: SplitDataset, users, theta: PreferenceVector, arec,
+                       n: int, cands):
+    """Locally greedy pass with dynamic coverage, one user after another.
+
+    Yields (user, picked indices, live coverage vector after counting the
+    list). Only the n counted entries of the coverage vector are recomputed;
+    elementwise sqrt and divide give the same bits on a subset as on the
+    whole vector.
+    """
+    counts = np.zeros(len(split.items), dtype=np.int64)
+    cov = _coverage(counts)
+    for u in users:
+        picked = _greedy_idx(u, theta.theta[u], arec.score_vector(u), cov, n, cands(u))
+        counts[picked] += 1
+        cov[picked] = _coverage(counts[picked])
+        yield u, picked, cov
 
 
 def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
@@ -192,13 +237,8 @@ def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
         users = sorted(users, key=lambda u: (theta.theta[u], u))
     elif user_order != "arbitrary":
         raise ValueError(f"unknown user_order {user_order!r}")
-    freq = RecFrequency(split)
-    dyn = DynCoverage(freq)
-    lists = {}
-    for u in users:
-        picked = _ids(split, _greedy_idx(split, u, theta.theta[u], arec, dyn, n, cands[u]))
-        freq.increment(picked)
-        lists[u] = picked
+    lists = {u: _ids(split, picked)
+             for u, picked, _ in _sequential_greedy(split, users, theta, arec, n, cands)}
     return TopNCollection(n, lists)
 
 
@@ -230,11 +270,17 @@ def kde_sample(theta: PreferenceVector, s: int, seed: int, users=None) -> list:
 
 @dataclass(frozen=True)
 class OslgRun:
-    """An OSLG result: the collection plus sample and per-phase wall clock."""
+    """An OSLG result: the collection, the sample, per-phase wall clock, and
+    how many distinct snapshots phase two read."""
 
     collection: TopNCollection
     sampled_users: tuple
     phase_seconds: dict
+    snapshots_used: int
+
+    @property
+    def phase2_users(self) -> int:
+        return len(self.collection.lists) - len(self.sampled_users)
 
 
 def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
@@ -243,26 +289,21 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     """Ordered sampling-based locally greedy assignment with dynamic coverage.
 
     Phase one runs the sequential greedy over a KDE sample sorted by rising
-    theta, storing a full frequency snapshot after each sampled user. Phase
-    two assigns every remaining user independently against the snapshot
-    whose theta is nearest, so its outcome does not depend on execution
-    order or worker count (``phase4_order`` exists to exercise exactly that
-    contract).
+    theta, storing the coverage vector after each sampled user. Phase two
+    assigns every remaining user independently against the snapshot whose
+    theta is nearest, so its outcome does not depend on execution order or
+    worker count (``phase4_order`` exists to exercise exactly that contract).
     """
     users, cands = _eligible(split, n, protocol)
     sample = kde_sample(theta, s, seed, users=users)
     in_sample = set(sample)
 
     t0 = time.perf_counter()
-    freq = RecFrequency(split)
-    dyn = DynCoverage(freq)
     store = SnapshotStore()
     lists = {}
-    for u in sample:
-        picked = _ids(split, _greedy_idx(split, u, theta.theta[u], arec, dyn, n, cands[u]))
-        freq.increment(picked)
-        store.add(theta.theta[u], freq.copy())
-        lists[u] = picked
+    for u, picked, cov in _sequential_greedy(split, sample, theta, arec, n, cands):
+        store.add(theta.theta[u], cov.copy())
+        lists[u] = _ids(split, picked)
     t1 = time.perf_counter()
 
     rest = [u for u in users if u not in in_sample]
@@ -272,21 +313,24 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
         rest = list(phase4_order)
 
     def assign(u):
-        snapshot = DynCoverage(store.nearest(theta.theta[u]))
-        return u, _ids(split, _greedy_idx(split, u, theta.theta[u], arec, snapshot, n, cands[u]))
+        th = theta.theta[u]
+        cov = store.nearest(th)
+        picked = _greedy_idx(u, th, arec.score_vector(u), cov, n, cands(u))
+        return u, _ids(split, picked), id(cov)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(assign, rest))
     else:
         results = [assign(u) for u in rest]
-    lists.update(dict(results))
+    lists.update((u, items) for u, items, _ in results)
     t2 = time.perf_counter()
 
     return OslgRun(
         TopNCollection(n, lists),
         tuple(sample),
         {"sequential": t1 - t0, "parallel": t2 - t1},
+        snapshots_used=len({snapshot for _, _, snapshot in results}),
     )
 
 
@@ -295,9 +339,11 @@ def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
                        protocol: str = "all_unrated") -> TopNCollection:
     """Per-user greedy with a static coverage scorer; users are independent."""
     users, cands = _eligible(split, n, protocol)
+    cov = crec.score_vector()
 
     def assign(u):
-        return u, _ids(split, _greedy_idx(split, u, theta.theta[u], arec, crec, n, cands[u]))
+        th = theta.theta[u]
+        return u, _ids(split, _greedy_idx(u, th, arec.score_vector(u), cov, n, cands(u)))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -41,6 +41,8 @@ class SplitDataset:
     per_user_train_index: dict
     per_user_test_index: dict
     per_item_train_index: dict
+    # relevant_by_user results per threshold
+    _relevant: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_ratings(train, test) -> "SplitDataset":
@@ -82,20 +84,45 @@ class SplitDataset:
         return {u: k for k, u in enumerate(self.users)}
 
     @cached_property
-    def _test_ratings_by_user(self) -> dict:
-        out: dict = {u: [] for u in self.users}
-        for r in self.test:
-            out[r.user_id].append(r)
-        return out
+    def _train_codes(self) -> tuple:
+        """(indptr, codes): ``codes[indptr[k]:indptr[k + 1]]`` are the item
+        indices that ``users[k]`` rated in train."""
+        idx = self.item_index
+        seen = [self.per_user_train_index[u] for u in self.users]
+        indptr = np.zeros(len(seen) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in seen], out=indptr[1:])
+        codes = np.fromiter((idx[i] for s in seen for i in s), dtype=np.int64,
+                            count=int(indptr[-1]))
+        return indptr, codes
+
+    def train_item_indices(self, user) -> np.ndarray:
+        """Indices into ``items`` of the user's train items (unordered)."""
+        indptr, codes = self._train_codes
+        k = self.user_index[user]
+        return codes[indptr[k]:indptr[k + 1]]
+
+    def candidate_mask(self, user) -> np.ndarray:
+        """Boolean mask over ``items``: True where the user has not rated in train."""
+        mask = np.ones(len(self.items), dtype=bool)
+        mask[self.train_item_indices(user)] = False
+        return mask
 
     def candidate_indices(self, user) -> np.ndarray:
         """Indices into ``items`` of everything the user has not rated in train."""
-        seen = self.per_user_train_index[user]
-        idx = self.item_index
-        mask = np.ones(len(self.items), dtype=bool)
-        for i in seen:
-            mask[idx[i]] = False
-        return np.flatnonzero(mask)
+        return np.flatnonzero(self.candidate_mask(user))
+
+    def relevant_by_user(self, threshold: float = 4.0) -> dict:
+        """Per user, the test items rated at or above ``threshold``; built once
+        per threshold."""
+        relevant = self._relevant.get(threshold)
+        if relevant is None:
+            items: dict = {u: [] for u in self.users}
+            for r in self.test:
+                if r.value >= threshold:
+                    items[r.user_id].append(r.item_id)
+            relevant = self._relevant[threshold] = {
+                u: frozenset(i) for u, i in items.items()}
+        return relevant
 
 
 @dataclass(frozen=True)
@@ -245,11 +272,10 @@ def min_max_normalize(x) -> np.ndarray:
 
 def relevant_test_items(split: SplitDataset, user, threshold: float = 4.0) -> frozenset:
     """Test items the user rated at or above ``threshold``."""
-    if user not in split.per_user_train_index:
+    relevant = split.relevant_by_user(threshold).get(user)
+    if relevant is None:
         raise UnknownIdError(f"unknown user {user!r}")
-    return frozenset(
-        r.item_id for r in split._test_ratings_by_user[user] if r.value >= threshold
-    )
+    return relevant
 
 
 def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:

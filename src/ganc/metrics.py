@@ -111,18 +111,15 @@ def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-
-    def weight(item) -> float:
-        pop = len(split.per_item_train_index.get(item, ())) or 1
-        return pop ** (-beta)
-
+    relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
+    weight = {i: (len(split.per_item_train_index.get(i, ())) or 1) ** (-beta)
+              for i in frozenset().union(*relevant.values())}
     num = 0.0
     den = 0.0
-    for u in coll.lists:
-        relevant = relevant_test_items(split, u, threshold)
-        retrieved = relevant & set(coll.lists[u])
-        num += sum(weight(i) for i in retrieved)
-        den += sum(weight(i) for i in relevant)
+    for u, items in coll.lists.items():
+        retrieved = relevant[u] & set(items)
+        num += sum(map(weight.__getitem__, retrieved))
+        den += sum(map(weight.__getitem__, relevant[u]))
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return num / den
@@ -179,10 +176,9 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
     if not work.lists:
         raise UndefinedMetricError("no users to evaluate")
     precision, recall, f_measure = precision_recall_at_n(work, split, threshold)
-    freq = np.zeros(len(split.items), dtype=np.int64)
-    for items in work.lists.values():
-        for i in items:
-            freq[split.item_index[i]] += 1
+    idx = split.item_index
+    freq = np.bincount([idx[i] for items in work.lists.values() for i in items],
+                       minlength=len(split.items))
     breakdown = None
     if per_user:
         breakdown = {}

@@ -199,14 +199,14 @@ class MFScorer:
                 raise UnknownIdError(f"item {i!r} not in model")
         urows = np.array([model.user_index[u] for u in split.users])
         irows = np.array([model.item_index[i] for i in split.items])
-        raw = model.user_factors[urows] @ model.item_factors[irows].T
-        self._scores = np.zeros_like(raw)
-        for k, user in enumerate(split.users):
+        scores = model.user_factors[urows] @ model.item_factors[irows].T
+        for k, user in enumerate(split.users):  # normalized in place, row by row
             cand = split.candidate_indices(user)
-            row = raw[k, cand]
+            row = scores[k, cand]
             lo, hi = row.min(), row.max()
-            if hi > lo:
-                self._scores[k, cand] = (row - lo) / (hi - lo)
+            scores[k, cand] = (row - lo) / (hi - lo) if hi > lo else 0.0
+            scores[k, split.train_item_indices(user)] = 0.0
+        self._scores = scores
 
     def score(self, user, item) -> float:
         try:

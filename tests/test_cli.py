@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ganc.cli import main
+from ganc.dataset import load_split
 from ganc.io_utils import read_json
 from ganc.synthetic import generate_ratings
 
@@ -109,12 +110,25 @@ def rec_dir(split_dir, prefs_dir, tmp_path_factory):
     return out
 
 
+def _rated_cutoffs(split_dir):
+    """(n keeping some but not all users, n keeping none) under rated_test_items."""
+    split, _ = load_split(split_dir)
+    counts = sorted(len(split.per_user_test_index[u]) for u in split.users)
+    n_some = counts[len(counts) // 2]
+    eligible = sum(c >= n_some for c in counts)
+    assert 0 < eligible < len(counts)
+    return n_some, eligible, counts[-1] + 1
+
+
 class TestRecommendEvaluate:
     def test_manifest_records_template(self, rec_dir):
         manifest = read_json(rec_dir / "run.json")
         assert manifest["template"] == "GANC(Pop, theta^G, Dyn)"
         assert manifest["phase_seconds"] is not None
         assert manifest["split_sha256"]
+        assert manifest["sampled"] == 30
+        assert manifest["phase2_users"] == 80 - 30  # every user is eligible
+        assert 1 <= manifest["snapshots_used"] <= 30
 
     def test_determinism_across_reruns_and_worker_counts(self, split_dir,
                                                          prefs_dir, rec_dir,
@@ -195,6 +209,28 @@ class TestRecommendEvaluate:
                      "--crec", "rand", "--n", "5", "--out", str(out)]) == 0
         assert read_json(out / "run.json")["template"] == "GANC(RSVD, theta^G, Rand)"
 
+    def test_rated_protocol_clips_sample_to_eligible_users(self, split_dir, prefs_dir,
+                                                            tmp_path):
+        n, eligible, _ = _rated_cutoffs(split_dir)
+        out = tmp_path / "rec"
+        assert main(["recommend", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--n", str(n), "--s", "5000",
+                     "--protocol", "rated_test_items", "--out", str(out)]) == 0
+        manifest = read_json(out / "run.json")
+        assert manifest["sampled"] == eligible
+        assert manifest["phase2_users"] == 0
+        with open(out / "topn.csv") as fh:
+            assert len({row[0] for row in list(csv.reader(fh))[1:]}) == eligible
+
+    def test_rated_protocol_without_eligible_users_exits_3(self, split_dir, prefs_dir,
+                                                           tmp_path, capsys):
+        _, _, n_none = _rated_cutoffs(split_dir)
+        assert main(["recommend", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--n", str(n_none), "--pop-n", "5",
+                     "--protocol", "rated_test_items", "--out", str(tmp_path / "rec")]) == 3
+        err = capsys.readouterr().err
+        assert f"n={n_none}" in err and "rated_test_items" in err
+
     def test_pop_without_n_uses_default(self, split_dir, prefs_dir, tmp_path):
         out = tmp_path / "rec"
         assert main(["recommend", "--split", str(split_dir), "--prefs",
@@ -251,6 +287,23 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["s", "f_measure", "coverage", "gini", "lt_accuracy"]
         assert [r[0] for r in rows[1:]] == ["10", "40", "5000"]
+
+    def test_rated_protocol_clips_sample_to_eligible_users(self, split_dir, prefs_dir,
+                                                            tmp_path):
+        n, eligible, n_none = _rated_cutoffs(split_dir)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--n", str(n), "--s-values", f"{eligible},5000",
+                     "--reps", "1", "--protocol", "rated_test_items",
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == [str(eligible), "5000"]
+        assert rows[0][1:] == rows[1][1:]  # both run the full eligible sample
+        assert main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--n", str(n_none), "--pop-n", "5",
+                     "--s-values", "10", "--reps", "1", "--protocol", "rated_test_items",
+                     "--out", str(tmp_path / "none")]) == 3
 
     def test_pop_without_n_uses_default(self, split_dir, prefs_dir, tmp_path):
         out = tmp_path / "sweep"

@@ -218,11 +218,38 @@ class TestMinMaxNormalize:
             assert out[int(np.argmin(xs))] == out.min() == 0.0
 
 
+class TestItemIndices:
+    def test_train_and_candidate_indices_partition_the_universe(self, synth_split):
+        for user in synth_split.users:
+            seen = synth_split.per_user_train_index[user]
+            train = synth_split.train_item_indices(user)
+            assert sorted(synth_split.items[k] for k in train) == sorted(seen)
+            cand = synth_split.candidate_indices(user)
+            assert list(cand) == [k for k, i in enumerate(synth_split.items) if i not in seen]
+            assert np.array_equal(synth_split.candidate_mask(user),
+                                  np.isin(np.arange(len(synth_split.items)), cand))
+
+    def test_string_ids(self):
+        split = build_split([("u2", "b", 3), ("u1", "c", 3), ("u1", "a", 3)])
+        assert list(split.candidate_indices("u1")) == [1]  # items are a, b, c
+        assert sorted(split.train_item_indices("u1")) == [0, 2]
+        assert list(split.candidate_indices("u2")) == [0, 2]
+
+
 class TestRelevantTestItems:
     def test_threshold_filter(self):
         split = build_split([(1, "a", 3), (2, "i1", 1), (2, "i2", 1), (2, "i3", 1)],
                             [(1, "i1", 5), (1, "i2", 3), (1, "i3", 4)])
         assert relevant_test_items(split, 1, 4.0) == {"i1", "i3"}
+
+    def test_each_threshold_answered_on_the_same_split(self):
+        # results are kept per threshold; asking again must not mix them up
+        split = build_split([(1, "a", 3), (2, "i1", 1), (2, "i2", 1), (2, "i3", 1)],
+                            [(1, "i1", 5), (1, "i2", 3), (1, "i3", 4)])
+        for threshold, expected in ((4.0, {"i1", "i3"}), (5.0, {"i1"}),
+                                    (0.0, {"i1", "i2", "i3"}), (4.0, {"i1", "i3"})):
+            assert relevant_test_items(split, 1, threshold) == expected
+        assert relevant_test_items(split, 2, 0.0) == frozenset()
 
     def test_all_below_threshold(self):
         split = build_split([(1, "a", 3), (2, "i1", 2)], [(1, "i1", 2)])

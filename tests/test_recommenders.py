@@ -260,6 +260,25 @@ class TestMFScorer:
         assert np.array_equal(np.argsort(raw, kind="stable"),
                               np.argsort(norm, kind="stable"))
 
+    def test_bit_identical_to_separate_score_matrix(self, synth_split):
+        # reference: normalize each row of the raw predictions into a second,
+        # zero-initialized matrix, as the scorer did before it worked in place
+        model = rsvd_train(synth_split, g=6, lam=0.05, eta=0.03, epochs=2, seed=3)
+        urows = [model.user_index[u] for u in synth_split.users]
+        irows = [model.item_index[i] for i in synth_split.items]
+        raw = model.user_factors[urows] @ model.item_factors[irows].T
+        expected = np.zeros_like(raw)
+        for k, user in enumerate(synth_split.users):
+            cand = np.array([j for j, i in enumerate(synth_split.items)
+                             if i not in synth_split.per_user_train_index[user]])
+            row = raw[k, cand]
+            lo, hi = row.min(), row.max()
+            if hi > lo:
+                expected[k, cand] = (row - lo) / (hi - lo)
+        scorer = mf_accuracy_scorer(model, synth_split)
+        got = np.array([scorer.score_vector(u) for u in synth_split.users])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_unknown_user_rejected(self, synth_split):
         model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=1, seed=0)
         scorer = mf_accuracy_scorer(model, synth_split)
