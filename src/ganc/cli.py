@@ -154,9 +154,8 @@ def _build_arec(cfg: RunConfig, split, stats, n: int):
 def cmd_split(cfg: RunConfig) -> int:
     if not cfg.dataset:
         raise ValueError("--dataset is required")
-    ratings = dataset.load_ratings(cfg.dataset, cfg.format)
-    n_users = len({r.user_id for r in ratings})
-    n_items = len({r.item_id for r in ratings})
+    ratings = dataset.load_columns(cfg.dataset, cfg.format)
+    n_users, n_items = len(ratings.users), len(ratings.items)
     split = dataset.split_per_user(ratings, cfg.kappa, cfg.tau, cfg.seed)
     stats = dataset.compute_item_stats(split)
     dataset.save_split(split, cfg.out, manifest={
@@ -167,7 +166,7 @@ def cmd_split(cfg: RunConfig) -> int:
     lt_share = 100.0 * len(stats.long_tail) / len(split.items)
     print(f"|D|={len(ratings)} |U|={n_users} |I|={n_items} "
           f"density={density:.2f}% longtail={lt_share:.2f}% "
-          f"(train: {len(split.train)} ratings, {len(split.users)} users, "
+          f"(train: {len(split.train_columns)} ratings, {len(split.users)} users, "
           f"{len(split.items)} items)")
     return 0
 
@@ -205,8 +204,8 @@ def cmd_train_rsvd(cfg: RunConfig) -> int:
     split, _ = dataset.load_split(cfg.split)
     model = recommenders.rsvd_train(split, cfg.g, cfg.lam, cfg.eta,
                                     cfg.epochs, cfg.mf_seed)
-    rmse_train = recommenders.rmse(model, split.train)
-    rmse_test = recommenders.rmse(model, split.test) if split.test else None
+    rmse_train = recommenders.rmse(model, split.train_columns)
+    rmse_test = recommenders.rmse(model, split.test_columns) if len(split.test_columns) else None
     recommenders.save_mf_model(model, cfg.out, manifest={
         "split_sha256": split_hash(cfg.split),
         "lam": cfg.lam, "eta": cfg.eta, "epochs": cfg.epochs,
@@ -339,7 +338,7 @@ def cmd_stats(cfg: RunConfig) -> int:
         for center, mean_pop in profile:
             w.writerow([repr(center), repr(mean_pop)])
     lt_share = 100.0 * len(stats.long_tail) / len(split.items)
-    print(f"train: {len(split.train)} ratings, {len(split.users)} users, "
+    print(f"train: {len(split.train_columns)} ratings, {len(split.users)} users, "
           f"{len(split.items)} items, longtail={lt_share:.2f}% "
           f"(profile: {len(profile)} occupied bins)")
     return 0

@@ -153,7 +153,7 @@ def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec,
         bad = [i for i in candidates if i in seen]
         if bad:
             raise ContractViolationError(f"user {user!r}: candidates {bad!r} already rated")
-        cand_mask = _mask(split, candidates)
+        cand_mask = _mask(split, [split.item_index[i] for i in candidates])
     picked = _greedy_idx(user, theta, arec.score_vector(user), crec.score_vector(),
                          n, cand_mask)
     return _ids(split, picked)
@@ -169,17 +169,16 @@ def eligible_users(split: SplitDataset, n: int, protocol: str) -> list:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "all_unrated":
         return list(split.users)
-    users = [u for u in split.users if len(split.per_user_test_index[u]) >= n]
+    users = [split.users[k] for k in np.flatnonzero(split.user_test_counts >= n).tolist()]
     if not users:
         raise InfeasibleError(
             f"no user has at least n={n} test items under protocol {protocol!r}")
     return users
 
 
-def _mask(split: SplitDataset, item_ids) -> np.ndarray:
+def _mask(split: SplitDataset, indices) -> np.ndarray:
     mask = np.zeros(len(split.items), dtype=bool)
-    idx = split.item_index
-    mask[[idx[i] for i in item_ids]] = True
+    mask[indices] = True
     return mask
 
 
@@ -193,7 +192,7 @@ def _eligible(split: SplitDataset, n: int, protocol: str):
     users = eligible_users(split, n, protocol)
     if protocol == "all_unrated":
         return users, split.candidate_mask
-    return users, lambda user: _mask(split, split.per_user_test_index[user])
+    return users, lambda user: _mask(split, split.test_item_indices(user))
 
 
 def _ids(split, picked_idx) -> tuple:

@@ -4,14 +4,22 @@ Supported input layouts: MovieLens-100K style tab-separated files, the
 ``user::item::rating::timestamp`` layout, and generic CSV with a
 ``user,item,rating[,timestamp]`` header. Splits persist as two generic CSV
 files plus a JSON manifest.
+
+Ratings are held as columns (:class:`RatingColumns`): id tables plus int64
+user and item codes, float64 values, and timestamps, one entry per rating.
+A :class:`SplitDataset` keeps its train and test ratings that way and
+indexes them by user in compressed sparse row (CSR) form; ``Rating``
+objects and id-keyed set indices are built only when something asks for
+them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +28,9 @@ from .errors import EmptyDatasetError, ParseError, UnknownIdError
 from .io_utils import canonical_ids, id_int, read_json, sha256_file, write_json
 
 FORMATS = ("tab_separated", "double_colon", "csv")
+
+# Records parsed per batch; bounds the transient per-row lists of a large file.
+CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -30,49 +41,162 @@ class Rating:
     timestamp: int | None = None
 
 
-@dataclass(frozen=True)
-class SplitDataset:
-    """Immutable train/test partition with per-user and per-item indices."""
+def _codes(column, index: dict) -> np.ndarray:
+    """Codes of ``column``'s values in ``index`` (value -> code); values not
+    yet in ``index`` are added in order of first appearance."""
+    for v in dict.fromkeys(column):
+        index.setdefault(v, len(index))
+    return np.fromiter(map(index.__getitem__, column), dtype=np.int64, count=len(column))
 
-    train: tuple
-    test: tuple
+
+@dataclass(frozen=True, eq=False)
+class RatingColumns:
+    """Ratings as parallel arrays: row k is ``users[user_codes[k]]`` rating
+    ``items[item_codes[k]]`` with ``values[k]`` at ``timestamps[k]`` (an int,
+    or None where the source had none)."""
+
     users: tuple
     items: tuple
-    per_user_train_index: dict
-    per_user_test_index: dict
-    per_item_train_index: dict
+    user_codes: np.ndarray  # int64
+    item_codes: np.ndarray  # int64
+    values: np.ndarray  # float64
+    timestamps: np.ndarray  # object
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @staticmethod
+    def from_ratings(ratings) -> "RatingColumns":
+        """Columns of a :class:`Rating` sequence, rows in the same order; the
+        id tables list ids in order of first appearance."""
+        ratings = list(ratings)
+        users: dict = {}
+        items: dict = {}
+        user_codes = _codes([r.user_id for r in ratings], users)
+        item_codes = _codes([r.item_id for r in ratings], items)
+        return RatingColumns(
+            tuple(users), tuple(items), user_codes, item_codes,
+            np.fromiter((r.value for r in ratings), dtype=float, count=len(ratings)),
+            _object_array([r.timestamp for r in ratings]))
+
+    def _with_ids(self, users, items) -> "RatingColumns":
+        return replace(self, users=tuple(users), items=tuple(items))
+
+    def take(self, rows) -> "RatingColumns":
+        """The given rows, in the given order, over the same id tables."""
+        return RatingColumns(self.users, self.items, self.user_codes[rows],
+                             self.item_codes[rows], self.values[rows], self.timestamps[rows])
+
+    def deduplicated(self) -> "RatingColumns":
+        """One row per (user, item) pair: the last occurrence's value and
+        timestamp, at the position of the first occurrence."""
+        key = self.user_codes * len(self.items) + self.item_codes
+        _, first = np.unique(key, return_index=True)
+        if len(first) == len(key):
+            return self
+        _, last = np.unique(key[::-1], return_index=True)
+        return self.take((len(key) - 1 - last)[np.argsort(first)])
+
+    def recode(self, user_index: dict, item_index: dict) -> tuple:
+        """(user positions, item positions): per row, where its user sits in
+        ``user_index`` and its item in ``item_index`` (id -> position); -1
+        where absent."""
+        def positions(index, table, codes):
+            return np.fromiter((index.get(x, -1) for x in table), dtype=np.int64,
+                               count=len(table))[codes]
+        return (positions(user_index, self.users, self.user_codes),
+                positions(item_index, self.items, self.item_codes))
+
+    def user_ids(self) -> list:
+        return _object_array(self.users)[self.user_codes].tolist()
+
+    def item_ids(self) -> list:
+        return _object_array(self.items)[self.item_codes].tolist()
+
+    def ratings(self) -> list:
+        """The rows as :class:`Rating` objects."""
+        return list(map(Rating, self.user_ids(), self.item_ids(),
+                        self.values.tolist(), self.timestamps.tolist()))
+
+
+def _object_array(values) -> np.ndarray:
+    """A 1-D object array of ``values`` (ints stay Python ints, None stays None)."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _csr(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple:
+    """(indptr, grouped): ``grouped[indptr[k]:indptr[k + 1]]`` are the
+    ``values`` whose key is k, in their original order."""
+    indptr = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
+    return indptr, values[np.argsort(keys, kind="stable")]
+
+
+def _sets(keys: tuple, indptr: np.ndarray, codes: np.ndarray, values: tuple) -> dict:
+    """key -> frozenset of the ``values`` its CSR row lists."""
+    bounds, flat = indptr.tolist(), _object_array(values)[codes].tolist()
+    return {key: frozenset(flat[bounds[k]:bounds[k + 1]]) for k, key in enumerate(keys)}
+
+
+def _sorted_table(table: tuple, codes: np.ndarray) -> tuple:
+    """(sorted ids that ``codes`` use, map from old code to new code)."""
+    present = np.flatnonzero(np.bincount(codes, minlength=len(table)))
+    ids = [table[c] for c in present.tolist()]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    new_code = np.full(len(table), -1, dtype=np.int64)
+    new_code[present[order]] = np.arange(len(order))
+    return tuple(ids[k] for k in order), new_code
+
+
+@dataclass(frozen=True, eq=False)
+class SplitDataset:
+    """Immutable train/test partition over sorted user and item tables.
+
+    ``train_columns`` and ``test_columns`` code their ratings against
+    ``users`` and ``items``, the train universe. ``train``/``test`` (tuples of
+    :class:`Rating`) and the ``per_*_index`` set views are built on first
+    use; the algorithms read the columns and the CSR views instead.
+    """
+
+    users: tuple
+    items: tuple
+    train_columns: RatingColumns
+    test_columns: RatingColumns
     # relevant_by_user results per threshold
-    _relevant: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _relevant: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_ratings(train, test) -> "SplitDataset":
         """Build a split from explicit train/test rating lists.
 
-        Test ratings whose user or item never occurs in train are dropped;
-        the recommendable universe is the train item set.
+        Duplicate (user, item) pairs keep the last occurrence, as in the
+        loaders. Test ratings whose user or item never occurs in train are
+        dropped; the recommendable universe is the train item set.
         """
-        if not train:
+        return SplitDataset.from_columns(RatingColumns.from_ratings(train).deduplicated(),
+                                         RatingColumns.from_ratings(test).deduplicated())
+
+    @staticmethod
+    def from_columns(train: RatingColumns, test: RatingColumns) -> "SplitDataset":
+        """Build a split from train/test columns, each free of duplicate pairs.
+
+        Test ratings whose user or item never occurs in train are dropped.
+        """
+        if not len(train):
             raise EmptyDatasetError("train set is empty")
-        user_train: dict = {}
-        item_train: dict = {}
-        for r in train:
-            user_train.setdefault(r.user_id, set()).add(r.item_id)
-            item_train.setdefault(r.item_id, set()).add(r.user_id)
-        kept_test = [
-            r for r in test
-            if r.user_id in user_train and r.item_id in item_train
-        ]
-        user_test: dict = {u: set() for u in user_train}
-        for r in kept_test:
-            user_test[r.user_id].add(r.item_id)
+        users, user_code = _sorted_table(train.users, train.user_codes)
+        items, item_code = _sorted_table(train.items, train.item_codes)
+        test_users, test_items = test.recode({u: k for k, u in enumerate(users)},
+                                             {i: k for k, i in enumerate(items)})
+        kept = np.flatnonzero((test_users >= 0) & (test_items >= 0))
         return SplitDataset(
-            train=tuple(train),
-            test=tuple(kept_test),
-            users=tuple(sorted(user_train)),
-            items=tuple(sorted(item_train)),
-            per_user_train_index={u: frozenset(s) for u, s in user_train.items()},
-            per_user_test_index={u: frozenset(s) for u, s in user_test.items()},
-            per_item_train_index={i: frozenset(s) for i, s in item_train.items()},
+            users, items,
+            RatingColumns(users, items, user_code[train.user_codes],
+                          item_code[train.item_codes], train.values, train.timestamps),
+            RatingColumns(users, items, test_users[kept], test_items[kept],
+                          test.values[kept], test.timestamps[kept]),
         )
 
     @cached_property
@@ -84,20 +208,39 @@ class SplitDataset:
         return {u: k for k, u in enumerate(self.users)}
 
     @cached_property
-    def _train_codes(self) -> tuple:
-        """(indptr, codes): ``codes[indptr[k]:indptr[k + 1]]`` are the item
-        indices that ``users[k]`` rated in train."""
-        idx = self.item_index
-        seen = [self.per_user_train_index[u] for u in self.users]
-        indptr = np.zeros(len(seen) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in seen], out=indptr[1:])
-        codes = np.fromiter((idx[i] for s in seen for i in s), dtype=np.int64,
-                            count=int(indptr[-1]))
-        return indptr, codes
+    def _train_by_user(self) -> tuple:
+        t = self.train_columns
+        return _csr(t.user_codes, t.item_codes, len(self.users))
+
+    @cached_property
+    def _test_by_user(self) -> tuple:
+        t = self.test_columns
+        return _csr(t.user_codes, t.item_codes, len(self.users))
+
+    @cached_property
+    def item_train_counts(self) -> np.ndarray:
+        """Train ratings per item (its popularity), aligned with ``items``."""
+        return np.bincount(self.train_columns.item_codes, minlength=len(self.items))
+
+    @cached_property
+    def user_train_counts(self) -> np.ndarray:
+        """Train ratings per user, aligned with ``users``."""
+        return np.diff(self._train_by_user[0])
+
+    @cached_property
+    def user_test_counts(self) -> np.ndarray:
+        """Test ratings per user, aligned with ``users``."""
+        return np.diff(self._test_by_user[0])
 
     def train_item_indices(self, user) -> np.ndarray:
-        """Indices into ``items`` of the user's train items (unordered)."""
-        indptr, codes = self._train_codes
+        """Indices into ``items`` of the user's train items, in file order."""
+        indptr, codes = self._train_by_user
+        k = self.user_index[user]
+        return codes[indptr[k]:indptr[k + 1]]
+
+    def test_item_indices(self, user) -> np.ndarray:
+        """Indices into ``items`` of the user's test items, in file order."""
+        indptr, codes = self._test_by_user
         k = self.user_index[user]
         return codes[indptr[k]:indptr[k + 1]]
 
@@ -116,13 +259,38 @@ class SplitDataset:
         per threshold."""
         relevant = self._relevant.get(threshold)
         if relevant is None:
-            items: dict = {u: [] for u in self.users}
-            for r in self.test:
-                if r.value >= threshold:
-                    items[r.user_id].append(r.item_id)
-            relevant = self._relevant[threshold] = {
-                u: frozenset(i) for u, i in items.items()}
+            t = self.test_columns
+            sel = np.flatnonzero(t.values >= threshold)
+            relevant = self._relevant[threshold] = _sets(
+                self.users, *_csr(t.user_codes[sel], t.item_codes[sel], len(self.users)),
+                self.items)
         return relevant
+
+    # Views for callers that want Rating objects or id-keyed sets.
+
+    @cached_property
+    def train(self) -> tuple:
+        return tuple(self.train_columns.ratings())
+
+    @cached_property
+    def test(self) -> tuple:
+        return tuple(self.test_columns.ratings())
+
+    @cached_property
+    def per_user_train_index(self) -> dict:
+        """user -> frozenset of the user's train items."""
+        return _sets(self.users, *self._train_by_user, self.items)
+
+    @cached_property
+    def per_user_test_index(self) -> dict:
+        """user -> frozenset of the user's test items (empty for users without any)."""
+        return _sets(self.users, *self._test_by_user, self.items)
+
+    @cached_property
+    def per_item_train_index(self) -> dict:
+        """item -> frozenset of the users who rated it in train."""
+        t = self.train_columns
+        return _sets(self.items, *_csr(t.item_codes, t.user_codes, len(self.items)), self.users)
 
 
 @dataclass(frozen=True)
@@ -139,98 +307,185 @@ class ItemStats:
         return tuple(sorted(self.popularity, key=lambda i: (-self.popularity[i], i)))
 
 
-def _parse_fields(fields, line_no, path):
-    if len(fields) not in (3, 4):
-        raise ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}")
-    user, item = fields[0].strip(), fields[1].strip()
-    if not user or not item:
-        raise ParseError(f"{path}:{line_no}: empty user or item id")
+def _records(fh, format: str, path):
+    """Batches of (line numbers, field lists) of the non-blank records."""
+    if format == "csv":
+        source = csv.reader(fh)
+        header = next(source, None)
+        if header is None:
+            raise EmptyDatasetError(f"{path}: empty file")
+        header = [h.strip().lower() for h in header]
+        if header[:3] != ["user", "item", "rating"]:
+            raise ParseError(f"{path}:1: expected header user,item,rating[,timestamp]")
+        line_no = 2
+    else:
+        source = fh
+        delim = "\t" if format == "tab_separated" else "::"
+        line_no = 1
+    while chunk := list(islice(source, CHUNK_ROWS)):
+        n = len(chunk)
+        if format == "csv":  # a blank record has at most one field
+            blank = np.zeros(n, dtype=bool)
+            for k in np.flatnonzero(np.fromiter(map(len, chunk), np.int64, n) < 2).tolist():
+                blank[k] = not chunk[k] or not chunk[k][0].strip()
+        else:  # a line is blank if it is blank without its line ending
+            blank = np.fromiter(map(str.isspace, chunk), bool, n)
+        kept = np.flatnonzero(~blank)
+        if len(kept) < n:
+            chunk = [chunk[k] for k in kept.tolist()]
+        if format != "csv":
+            chunk = [line.rstrip("\n").rstrip("\r").split(delim) for line in chunk]
+        yield kept + line_no, chunk
+        line_no += n
+
+
+def _strip_ids(raw: list, codes: np.ndarray) -> tuple:
+    """Strip every raw id, merging ids that become equal; (ids, new codes)."""
+    index: dict = {}
+    merged = np.fromiter((index.setdefault(s.strip(), len(index)) for s in raw),
+                         dtype=np.int64, count=len(raw))
+    return list(index), merged[codes]
+
+
+def _empty_id(ids: list, codes: np.ndarray) -> np.ndarray:
+    return np.array([not s for s in ids], dtype=bool)[codes]
+
+
+_UNREADABLE = object()
+
+
+def _parse_timestamp(s: str):
+    """int(float(s)), None for a blank field, _UNREADABLE when it cannot be read."""
+    if not s.strip():
+        return None
     try:
-        value = float(fields[2])
-    except ValueError:
-        raise ParseError(f"{path}:{line_no}: bad rating {fields[2]!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise ParseError(f"{path}:{line_no}: rating must be finite and >= 0")
-    ts = None
-    if len(fields) == 4 and fields[3].strip():
-        try:
-            ts = int(float(fields[3]))
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: bad timestamp {fields[3]!r}") from None
-    return user, item, value, ts
+        return int(float(s))
+    except (ValueError, OverflowError):  # non-numeric, NaN, infinite
+        return _UNREADABLE
 
 
-def load_ratings(path, format: str = "tab_separated") -> list:
-    """Parse a rating file into a list of :class:`Rating`.
-
-    Duplicate (user, item) pairs keep the last occurrence. Ids become ints
-    when every id in the column is int-like, otherwise they stay strings.
-    """
+def _parse(path, format: str) -> RatingColumns:
+    """Parse a rating file into columns whose id tables hold the stripped id
+    strings in order of first appearance; duplicate pairs keep the last
+    occurrence. Errors name the first bad line, checked in file order."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     path = Path(path)
-    rows = []
+    tables = ({}, {}, {}, {})  # user, item, rating, timestamp strings -> code
+    batches = []
+    bad_count = None  # (line, field count) of the first record without 3 or 4 fields
     with open(path, newline="") as fh:
-        if format == "csv":
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyDatasetError(f"{path}: empty file")
-            header = [h.strip().lower() for h in header]
-            if header[:3] != ["user", "item", "rating"]:
-                raise ParseError(f"{path}:1: expected header user,item,rating[,timestamp]")
-            for line_no, fields in enumerate(reader, start=2):
-                if not fields or (len(fields) == 1 and not fields[0].strip()):
-                    continue
-                rows.append(_parse_fields(fields, line_no, path))
-        else:
-            delim = "\t" if format == "tab_separated" else "::"
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                rows.append(_parse_fields(line.split(delim), line_no, path))
-    if not rows:
+        for line_nos, records in _records(fh, format, path):
+            lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+            ok = (lengths == 3) | (lengths == 4)
+            if not ok.all():
+                cut = int(np.argmin(ok))
+                bad_count = int(line_nos[cut]), int(lengths[cut])
+                records, line_nos = records[:cut], line_nos[:cut]
+            if (lengths == 3).all():
+                stamps = [""] * len(records)
+            elif (lengths == 4).all():
+                stamps = [f[3] for f in records]
+            else:
+                stamps = [f[3] if len(f) == 4 else "" for f in records]
+            columns = ([f[0] for f in records], [f[1] for f in records],
+                       [f[2] for f in records], stamps)
+            batches.append((line_nos, *(_codes(c, t) for c, t in zip(columns, tables))))
+            if bad_count:
+                break
+    if not batches:  # nothing but blank lines
+        batches.append([np.zeros(0, dtype=np.int64)] * 5)
+    line_nos, user_codes, item_codes, value_codes, ts_codes = map(np.concatenate, zip(*batches))
+
+    users, user_codes = _strip_ids(list(tables[0]), user_codes)
+    items, item_codes = _strip_ids(list(tables[1]), item_codes)
+    raw_values, raw_ts = list(tables[2]), list(tables[3])
+    value_table = np.zeros(len(raw_values))
+    unreadable = np.zeros(len(raw_values), dtype=bool)
+    for k, s in enumerate(raw_values):
+        try:
+            value_table[k] = float(s)
+        except ValueError:
+            unreadable[k] = True
+    ts_table = [_parse_timestamp(s) for s in raw_ts]
+    values = value_table[value_codes]
+    checks = (  # per-row failures in the order a row is checked
+        (_empty_id(users, user_codes) | _empty_id(items, item_codes),
+         lambda k: "empty user or item id"),
+        (unreadable[value_codes], lambda k: f"bad rating {raw_values[value_codes[k]]!r}"),
+        (~np.isfinite(values) | (values < 0), lambda k: "rating must be finite and >= 0"),
+        (np.array([t is _UNREADABLE for t in ts_table], dtype=bool)[ts_codes],
+         lambda k: f"bad timestamp {raw_ts[ts_codes[k]]!r}"),
+    )
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(describe(k) for failed, describe in checks if failed[k])
+        raise ParseError(f"{path}:{line_nos[k]}: {message}")
+    if bad_count:
+        line, n = bad_count
+        raise ParseError(f"{path}:{line}: expected 3 or 4 fields, got {n}")
+    if not len(values):
         raise EmptyDatasetError(f"{path}: no ratings parsed")
-    users = canonical_ids([r[0] for r in rows])
-    items = canonical_ids([r[1] for r in rows])
-    dedup: dict = {}
-    for (u, i), (_, _, value, ts) in zip(zip(users, items), rows):
-        dedup[(u, i)] = Rating(u, i, value, ts)
-    return list(dedup.values())
+    return RatingColumns(tuple(users), tuple(items), user_codes, item_codes, values,
+                         _object_array(ts_table)[ts_codes]).deduplicated()
+
+
+def load_columns(path, format: str = "tab_separated") -> RatingColumns:
+    """Parse a rating file into :class:`RatingColumns`.
+
+    Duplicate (user, item) pairs keep the last occurrence's value and
+    timestamp, at the first occurrence's position. Ids become ints when
+    every id in the column is written as one (``str(int(v)) == v``),
+    otherwise they stay strings. The id tables are in order of first
+    appearance.
+    """
+    cols = _parse(path, format)
+    return cols._with_ids(canonical_ids(cols.users), canonical_ids(cols.items))
+
+
+def load_ratings(path, format: str = "tab_separated") -> list:
+    """Parse a rating file into a list of :class:`Rating` (see :func:`load_columns`)."""
+    return load_columns(path, format).ratings()
 
 
 def split_per_user(ratings, kappa: float, tau: int, seed: int) -> SplitDataset:
     """Random per-user split keeping a ceil(kappa * n_u) share in train.
 
+    ``ratings`` is a :class:`RatingColumns` or a sequence of :class:`Rating`.
     Users with fewer than ``tau`` ratings are dropped. Each surviving user's
     ratings are shuffled by an rng seeded with ``seed XOR user id``, so adding
-    or removing other users never perturbs an existing user's split.
+    or removing other users never perturbs an existing user's split. Train
+    and test list users in order of first appearance and each user's
+    ratings in input order.
     """
     if not 0 < kappa < 1:
         raise ValueError(f"kappa must be in (0, 1), got {kappa}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    by_user: dict = {}
-    for r in ratings:  # duplicate (user, item) pairs keep the last occurrence
-        by_user.setdefault(r.user_id, {})[r.item_id] = r
-    train: list = []
-    test: list = []
-    for user, by_item in by_user.items():
-        rows = list(by_item.values())
-        n = len(rows)
+    if not isinstance(ratings, RatingColumns):
+        ratings = RatingColumns.from_ratings(ratings)
+    cols = ratings.deduplicated()  # duplicate (user, item) pairs keep the last occurrence
+    present, first = np.unique(cols.user_codes, return_index=True)
+    by_appearance = present[np.argsort(first)]
+    rank = np.zeros(len(cols.users), dtype=np.int64)
+    rank[by_appearance] = np.arange(len(by_appearance))
+    grouped = np.argsort(rank[cols.user_codes], kind="stable")
+    counts = np.bincount(cols.user_codes, minlength=len(cols.users))[by_appearance]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    in_train = np.zeros(len(cols), dtype=bool)
+    kept = np.zeros(len(cols), dtype=bool)
+    for user, start, n in zip(by_appearance.tolist(), starts.tolist(), counts.tolist()):
         if n < tau:
             continue
-        n_train = math.ceil(kappa * n)
-        rng = np.random.default_rng((seed ^ id_int(user)) & 0xFFFFFFFFFFFFFFFF)
+        rng = np.random.default_rng((seed ^ id_int(cols.users[user])) & 0xFFFFFFFFFFFFFFFF)
         perm = rng.permutation(n)
-        chosen = np.zeros(n, dtype=bool)
-        chosen[perm[:n_train]] = True
-        for k, row in enumerate(rows):
-            (train if chosen[k] else test).append(row)
-    if not train:
+        in_train[start + perm[:math.ceil(kappa * n)]] = True
+        kept[start:start + n] = True
+    if not in_train.any():
         raise EmptyDatasetError(f"no users with at least tau={tau} ratings")
-    return SplitDataset.from_ratings(train, test)
+    return SplitDataset.from_columns(cols.take(grouped[in_train]),
+                                     cols.take(grouped[kept & ~in_train]))
 
 
 def compute_item_stats(split: SplitDataset) -> ItemStats:
@@ -240,19 +495,14 @@ def compute_item_stats(split: SplitDataset) -> ItemStats:
     prefix whose cumulative popularity reaches 80% of all train ratings and
     the long tail is everything after it.
     """
-    popularity = {i: len(us) for i, us in split.per_item_train_index.items()}
-    total = len(split.train)
-    ranked = sorted(popularity, key=lambda i: (-popularity[i], i))
-    cum = 0
-    boundary = 0
-    for k, item in enumerate(ranked):
-        cum += popularity[item]
-        if 5 * cum >= 4 * total:  # cum >= 0.80 * total, exact in integers
-            boundary = k + 1
-            break
+    counts = split.item_train_counts
+    total = len(split.train_columns)
+    ranked = np.argsort(-counts, kind="stable")  # items are sorted, so ties go by id
+    cum = np.cumsum(counts[ranked])
+    boundary = int(np.argmax(5 * cum >= 4 * total)) + 1  # cum >= 0.80 * total, exact
     return ItemStats(
-        popularity=popularity,
-        long_tail=frozenset(ranked[boundary:]),
+        popularity=dict(zip(split.items, counts.tolist())),
+        long_tail=frozenset(map(split.items.__getitem__, ranked[boundary:].tolist())),
         total_train_ratings=total,
     )
 
@@ -286,14 +536,11 @@ def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    popularity = {i: len(us) for i, us in split.per_item_train_index.items()}
-    users = split.users
-    activity = np.array([len(split.per_user_train_index[u]) for u in users], dtype=float)
-    avg_pop = np.array([
-        sum(popularity[i] for i in split.per_user_train_index[u])
-        / len(split.per_user_train_index[u])
-        for u in users
-    ])
+    t = split.train_columns
+    activity = split.user_train_counts.astype(float)
+    popularity = split.item_train_counts.astype(float)
+    avg_pop = np.bincount(t.user_codes, weights=popularity[t.item_codes],
+                          minlength=len(split.users)) / activity
     norm = min_max_normalize(activity)
     which = np.minimum((norm * bins).astype(int), bins - 1)
     out = []
@@ -304,25 +551,27 @@ def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:
     return out
 
 
-def _write_ratings_csv(path, ratings) -> None:
+def _write_ratings_csv(path, cols: RatingColumns) -> None:
+    # repr once per distinct value, told apart by bits so -0.0 stays "-0.0"
+    bits, inverse = np.unique(cols.values.view(np.int64), return_inverse=True)
+    values = _object_array([repr(v) for v in bits.view(np.float64).tolist()])[inverse]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "item", "rating", "timestamp"])
-        for r in ratings:
-            w.writerow([r.user_id, r.item_id, repr(float(r.value)),
-                        "" if r.timestamp is None else r.timestamp])
+        w.writerows(zip(cols.user_ids(), cols.item_ids(), values.tolist(),
+                        ["" if t is None else t for t in cols.timestamps.tolist()]))
 
 
 def save_split(split: SplitDataset, directory, manifest: dict | None = None) -> None:
     """Persist train.csv, test.csv and a split.json manifest."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    _write_ratings_csv(d / "train.csv", split.train)
-    _write_ratings_csv(d / "test.csv", split.test)
+    _write_ratings_csv(d / "train.csv", split.train_columns)
+    _write_ratings_csv(d / "test.csv", split.test_columns)
     payload = dict(manifest or {})
     payload.update(
-        n_train=len(split.train),
-        n_test=len(split.test),
+        n_train=len(split.train_columns),
+        n_test=len(split.test_columns),
         n_users=len(split.users),
         n_items_train=len(split.items),
         train_sha256=sha256_file(d / "train.csv"),
@@ -332,13 +581,21 @@ def save_split(split: SplitDataset, directory, manifest: dict | None = None) -> 
 
 
 def load_split(directory) -> tuple[SplitDataset, dict]:
-    """Load a persisted split; returns (split, manifest)."""
+    """Load a persisted split; returns (split, manifest).
+
+    Ids are canonicalized over train.csv and test.csv together, so an id
+    reads the same in both files.
+    """
     d = Path(directory)
-    train = load_ratings(d / "train.csv", "csv")
-    test_path = d / "test.csv"
+    train = _parse(d / "train.csv", "csv")
     try:
-        test = load_ratings(test_path, "csv")
+        test = _parse(d / "test.csv", "csv")
     except EmptyDatasetError:
-        test = []
+        test = RatingColumns.from_ratings(())
     manifest = read_json(d / "split.json")
-    return SplitDataset.from_ratings(train, test), manifest
+    users = canonical_ids(train.users + test.users)
+    items = canonical_ids(train.items + test.items)
+    n_users, n_items = len(train.users), len(train.items)
+    return SplitDataset.from_columns(
+        train._with_ids(users[:n_users], items[:n_items]),
+        test._with_ids(users[n_users:], items[n_items:])), manifest

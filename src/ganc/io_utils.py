@@ -16,16 +16,21 @@ def id_int(x) -> int:
 
 
 def canonical_ids(values):
-    """Convert a homogeneous id column to ints when every value is int-like."""
+    """Convert an id column to ints when every value is an int or a string
+    that reads back unchanged (``str(int(v)) == v``); otherwise every value
+    becomes a string. ``007`` and ``7`` thus stay two distinct ids."""
     out = []
-    all_int = True
     for v in values:
         try:
-            out.append(int(v))
+            k = int(v)
         except (TypeError, ValueError):
-            all_int = False
             break
-    return out if all_int else [str(v) for v in values]
+        if isinstance(v, str) and str(k) != v:
+            break
+        out.append(k)
+    else:
+        return out
+    return [str(v) for v in values]
 
 
 def sha256_file(path) -> str:

@@ -112,7 +112,8 @@ def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
-    weight = {i: (len(split.per_item_train_index.get(i, ())) or 1) ** (-beta)
+    idx, counts = split.item_index, split.item_train_counts.tolist()
+    weight = {i: ((counts[idx[i]] if i in idx else 0) or 1) ** (-beta)
               for i in frozenset().union(*relevant.values())}
     num = 0.0
     den = 0.0
@@ -167,11 +168,11 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
     work = coll.truncated(n)
     if protocol == "rated_test_items":
         for u in work.lists:
-            if u not in split.per_user_test_index:
+            if u not in split.user_index:
                 raise UnknownIdError(f"unknown user {u!r}")
+        uidx, test_counts = split.user_index, split.user_test_counts
         work = TopNCollection(n, {
-            u: items for u, items in work.lists.items()
-            if len(split.per_user_test_index[u]) >= n
+            u: items for u, items in work.lists.items() if test_counts[uidx[u]] >= n
         })
     if not work.lists:
         raise UndefinedMetricError("no users to evaluate")

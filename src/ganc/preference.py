@@ -37,55 +37,44 @@ class PreferenceVector:
     converged: bool | None = None
 
 
-def _pair_arrays(split: SplitDataset):
-    """Train triples as aligned index arrays (user idx, item idx, rating)."""
-    uidx = np.fromiter((split.user_index[r.user_id] for r in split.train),
-                       dtype=np.int64, count=len(split.train))
-    iidx = np.fromiter((split.item_index[r.item_id] for r in split.train),
-                       dtype=np.int64, count=len(split.train))
-    vals = np.fromiter((r.value for r in split.train), dtype=float, count=len(split.train))
-    return uidx, iidx, vals
-
-
 def _raw_theta_ui(split: SplitDataset) -> np.ndarray:
-    """Unprojected per-pair values r_ui * ln(|U| / |U_i|), aligned with split.train."""
-    _, iidx, vals = _pair_arrays(split)
-    n_users = len(split.users)
-    raters = np.array([len(split.per_item_train_index[i]) for i in split.items], dtype=float)
-    return vals * np.log(n_users / raters[iidx])
+    """Unprojected per-pair values r_ui * ln(|U| / |U_i|), aligned with the train columns."""
+    t = split.train_columns
+    raters = split.item_train_counts.astype(float)
+    return t.values * np.log(len(split.users) / raters[t.item_codes])
 
 
 def compute_theta_ui(split: SplitDataset) -> PerUserItemPreference:
     """Per-pair preference values, min-max projected jointly onto [0, 1]."""
+    t = split.train_columns
     projected = min_max_normalize(_raw_theta_ui(split))
-    values = {(r.user_id, r.item_id): float(t) for r, t in zip(split.train, projected)}
-    return PerUserItemPreference(values)
+    return PerUserItemPreference(
+        dict(zip(zip(t.user_ids(), t.item_ids()), projected.tolist())))
 
 
 def _weighted_user_means(split, theta_ui: np.ndarray, w_item: np.ndarray) -> np.ndarray:
     """Per-user weighted average of pair values with per-item weights."""
-    uidx, iidx, _ = _pair_arrays(split)
-    wi = w_item[iidx]
-    num = np.bincount(uidx, weights=wi * theta_ui, minlength=len(split.users))
-    den = np.bincount(uidx, weights=wi, minlength=len(split.users))
+    t = split.train_columns
+    wi = w_item[t.item_codes]
+    num = np.bincount(t.user_codes, weights=wi * theta_ui, minlength=len(split.users))
+    den = np.bincount(t.user_codes, weights=wi, minlength=len(split.users))
     return num / den
 
 
 def theta_activity(split: SplitDataset) -> PreferenceVector:
     """Rated-item counts, min-max normalized across users."""
-    counts = [len(split.per_user_train_index[u]) for u in split.users]
-    norm = min_max_normalize(counts)
-    return PreferenceVector("activity", dict(zip(split.users, map(float, norm))))
+    norm = min_max_normalize(split.user_train_counts)
+    return PreferenceVector("activity", dict(zip(split.users, norm.tolist())))
 
 
 def theta_normalized_longtail(split: SplitDataset, stats: ItemStats) -> PreferenceVector:
     """Fraction of each user's rated items that fall in the long tail."""
-    lt = stats.long_tail
-    theta = {
-        u: len(split.per_user_train_index[u] & lt) / len(split.per_user_train_index[u])
-        for u in split.users
-    }
-    return PreferenceVector("normalized_longtail", theta)
+    t = split.train_columns
+    in_tail = np.array([i in stats.long_tail for i in split.items], dtype=float)
+    tail_counts = np.bincount(t.user_codes, weights=in_tail[t.item_codes],
+                              minlength=len(split.users))
+    theta = tail_counts / split.user_train_counts
+    return PreferenceVector("normalized_longtail", dict(zip(split.users, theta.tolist())))
 
 
 def theta_tfidf(split: SplitDataset) -> PreferenceVector:
@@ -116,21 +105,16 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    uidx, iidx, _ = _pair_arrays(split)
-    n_users, n_items = len(split.users), len(split.items)
+    t = split.train_columns
+    uidx, iidx = t.user_codes, t.item_codes
+    n_items = len(split.items)
     if theta_ui is None:
         t_ui = min_max_normalize(_raw_theta_ui(split))
     else:
-        t_ui = np.array([theta_ui.values[(r.user_id, r.item_id)] for r in split.train])
-
-    def user_means(w_item):
-        wi = w_item[iidx]
-        num = np.bincount(uidx, weights=wi * t_ui, minlength=n_users)
-        den = np.bincount(uidx, weights=wi, minlength=n_users)
-        return num / den
+        t_ui = np.array([theta_ui.values[pair] for pair in zip(t.user_ids(), t.item_ids())])
 
     w = np.ones(n_items)
-    theta = user_means(w)
+    theta = _weighted_user_means(split, t_ui, w)
     iterations = 0
     converged = False
     for k in range(1, max_iters + 1):
@@ -141,7 +125,7 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
             raise NumericalDegeneracyError(
                 f"item {bad!r}: mediocrity coefficient is not positive")
         w = lambda1 / eps
-        new_theta = user_means(w)
+        new_theta = _weighted_user_means(split, t_ui, w)
         delta = float(np.max(np.abs(new_theta - theta)))
         theta = new_theta
         iterations = k

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SplitDataset, ItemStats
+from .dataset import ItemStats, RatingColumns, SplitDataset
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
 from .io_utils import canonical_ids, read_json, write_json
 
@@ -31,30 +31,33 @@ class PopScorer:
         self.split = split
         self.n = n
         self.kind = f"pop[{n}]"
-        self._ranking = stats.ranking
+        # item indices, most popular first
+        self._ranking = np.array([split.item_index[i] for i in stats.ranking], dtype=np.int64)
+        self._top_idx: dict = {}
         self._top: dict = {}
 
+    def _top_indices(self, user) -> np.ndarray:
+        """Indices into ``items`` of the user's top-n unseen items."""
+        top = self._top_idx.get(user)
+        if top is None:
+            unseen = self.split.candidate_mask(user)[self._ranking]
+            top = self._top_idx[user] = self._ranking[unseen][:self.n]
+        return top
+
     def top_items(self, user) -> frozenset:
-        cached = self._top.get(user)
-        if cached is None:
-            seen = self.split.per_user_train_index[user]
-            picked = []
-            for item in self._ranking:
-                if item not in seen:
-                    picked.append(item)
-                    if len(picked) == self.n:
-                        break
-            cached = self._top[user] = frozenset(picked)
-        return cached
+        top = self._top.get(user)
+        if top is None:
+            items = self.split.items
+            top = self._top[user] = frozenset(
+                map(items.__getitem__, self._top_indices(user).tolist()))
+        return top
 
     def score(self, user, item) -> float:
         return 1.0 if item in self.top_items(user) else 0.0
 
     def score_vector(self, user) -> np.ndarray:
         out = np.zeros(len(self.split.items))
-        idx = self.split.item_index
-        for item in self.top_items(user):
-            out[idx[item]] = 1.0
+        out[self._top_indices(user)] = 1.0
         return out
 
 
@@ -128,18 +131,14 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     [-0.05, 0.05]. Records the online training RMSE of each epoch from the
     update errors. Raises on non-finite factors, reporting the epoch.
     """
-    if not split.train:
+    t = split.train_columns
+    if not len(t):
         raise ValueError("cannot train on an empty split")
     rng = np.random.default_rng(seed)
     n_users, n_items = len(split.users), len(split.items)
     P = rng.uniform(-0.05, 0.05, size=(n_users, g))
     Q = rng.uniform(-0.05, 0.05, size=(n_items, g))
-    uidx = np.fromiter((split.user_index[r.user_id] for r in split.train),
-                       dtype=np.int64, count=len(split.train))
-    iidx = np.fromiter((split.item_index[r.item_id] for r in split.train),
-                       dtype=np.int64, count=len(split.train))
-    vals = np.fromiter((r.value for r in split.train), dtype=float,
-                       count=len(split.train))
+    uidx, iidx, vals = t.user_codes, t.item_codes, t.values
     epoch_rmse = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
         for epoch in range(epochs):
@@ -164,23 +163,33 @@ _RMSE_BLOCK = 2048
 
 
 def rmse(model: MFModel, ratings) -> float:
-    """Root mean squared error of raw predictions over a rating list.
+    """Root mean squared error of raw predictions over :class:`RatingColumns`
+    or a sequence of ratings.
 
     Pairs with a user or item unknown to the model predict the global train
     mean.
     """
-    if not ratings:
-        raise ValueError("rmse over an empty rating list")
+    if not isinstance(ratings, RatingColumns):
+        ratings = RatingColumns.from_ratings(ratings)
     n = len(ratings)
-    user_row, item_row = model.user_index, model.item_index
-    u = np.fromiter((user_row.get(r.user_id, -1) for r in ratings), dtype=np.int64, count=n)
-    i = np.fromiter((item_row.get(r.item_id, -1) for r in ratings), dtype=np.int64, count=n)
-    vals = np.fromiter((r.value for r in ratings), dtype=float, count=n)
+    if not n:
+        raise ValueError("rmse over an empty rating list")
+    u, i = ratings.recode(model.user_index, model.item_index)
+    vals = ratings.values
     pred = np.full(n, model.global_mean)
     known = np.flatnonzero((u >= 0) & (i >= 0))
-    for lo in range(0, len(known), _RMSE_BLOCK):  # keeps gathered rows cache-sized, off peak RSS
-        k = known[lo:lo + _RMSE_BLOCK]
-        pred[k] = _row_dots(model.user_factors[u[k]], model.item_factors[i[k]])
+    # Rows are gathered block by block into two reused buffers: cache-sized,
+    # off peak RSS, and not a fresh MB-sized allocation per block, which
+    # malloc may serve by mmap, faulting in every page. The indices are valid,
+    # and take's default mode="raise" would copy through a temporary.
+    block = max(1, min(_RMSE_BLOCK, len(known)))
+    pu, qi = np.empty((block, model.g)), np.empty((block, model.g))
+    for lo in range(0, len(known), block):
+        k = known[lo:lo + block]
+        m = len(k)
+        np.take(model.user_factors, u[k], axis=0, out=pu[:m], mode="clip")
+        np.take(model.item_factors, i[k], axis=0, out=qi[:m], mode="clip")
+        pred[k] = _row_dots(pu[:m], qi[:m])
     # not err @ err: a BLAS dot this long starts threads that keep spinning after it returns
     return math.sqrt(float(np.square(vals - pred).sum()) / n)
 

@@ -257,6 +257,31 @@ class TestRecommendEvaluate:
             listed = {row[0] for row in list(csv.reader(fh))[1:]}
         assert listed == set(users)
 
+    def test_zero_padded_and_plain_ids_stay_distinct(self, tmp_path):
+        # "007" and "7" are two users through split, prefs, recommend and
+        # evaluate; no rating of either is merged away
+        data = tmp_path / "ratings.csv"
+        users, items = ["007", "7", "8"], [str(i) for i in range(1, 9)]
+        rows = [f"{u},{i},{1 + (k + j) % 5}"
+                for k, u in enumerate(users) for j, i in enumerate(items)]
+        data.write_text("user,item,rating\n" + "\n".join(rows) + "\n")
+        split, prefs, rec = tmp_path / "split", tmp_path / "prefs", tmp_path / "rec"
+        assert main(["split", "--dataset", str(data), "--format", "csv",
+                     "--tau", "2", "--out", str(split)]) == 0
+        manifest = read_json(split / "split.json")
+        assert manifest["n_users"] == 3
+        assert manifest["n_train"] + manifest["n_test"] == len(rows)
+        assert main(["prefs", "--split", str(split), "--out", str(prefs)]) == 0
+        with open(prefs / "theta.csv") as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == set(users)
+        assert main(["recommend", "--split", str(split), "--prefs", str(prefs),
+                     "--arec", "pop", "--n", "1", "--s", "2",
+                     "--out", str(rec)]) == 0
+        with open(rec / "topn.csv") as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == set(users)
+        assert main(["evaluate", "--split", str(split), "--topn", str(rec),
+                     "--out", str(tmp_path / "eval")]) == 0
+
     def test_external_scores_pipeline(self, split_dir, prefs_dir, tmp_path):
         scores = tmp_path / "scores.csv"
         with open(split_dir / "train.csv") as fh:
@@ -330,6 +355,48 @@ class TestSweep:
             row = list(csv.reader(fh))[1]
         assert float(row[2]) == pytest.approx(report["coverage"])
         assert float(row[1]) == pytest.approx(report["f_measure"])
+
+
+def _truncate_last_line(path):
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1][:lines[-1].index(",") + 2]  # "user,i": two fields
+    path.write_text("\n".join(lines))
+    return len(lines)
+
+
+def _header_only(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return None
+
+
+def _bad_rating(path):
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:2] + ["four", ""])
+    path.write_text("\n".join(lines) + "\n")
+    return 2
+
+
+class TestDamagedSplitFiles:
+    @pytest.mark.parametrize("file, damage, message", [
+        ("train.csv", _truncate_last_line, "expected 3 or 4 fields, got 2"),
+        ("train.csv", _header_only, "no ratings parsed"),
+        ("test.csv", _bad_rating, "bad rating 'four'"),
+    ])
+    @pytest.mark.parametrize("command", ["prefs", "train-rsvd", "stats"])
+    def test_exit_2_naming_the_line(self, split_dir, tmp_path, capsys, file, damage,
+                                    message, command):
+        split = tmp_path / "split"
+        split.mkdir()
+        for name in ("train.csv", "test.csv", "split.json"):
+            (split / name).write_bytes((split_dir / name).read_bytes())
+        line = damage(split / file)
+        argv = [command, "--split", str(split), "--out", str(tmp_path / "out")]
+        if command == "train-rsvd":
+            argv += ["--g", "2", "--epochs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        where = f"{split / file}:{line}:" if line else f"{split / file}:"
+        assert err == f"error: {where} {message}\n"
 
 
 class TestStatsCommand:

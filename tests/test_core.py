@@ -391,6 +391,11 @@ class TestCollectionPersistence:
         assert loaded.n == coll.n
         assert loaded.lists == coll.lists
 
+    def test_zero_padded_and_plain_ids_stay_distinct(self, tmp_path):
+        coll = TopNCollection(2, {"007": ("01", "1"), "7": ("1", "x")})
+        save_collection(coll, tmp_path)
+        assert load_collection(tmp_path).lists == coll.lists
+
     def test_validate_rejects_bad_lists(self, synth_split):
         user = synth_split.users[0]
         seen_item = next(iter(synth_split.per_user_train_index[user]))

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from ganc.dataset import (
     Rating,
+    RatingColumns,
+    SplitDataset,
     activity_popularity_profile,
     compute_item_stats,
+    load_columns,
     load_ratings,
     load_split,
     min_max_normalize,
@@ -19,6 +22,7 @@ from ganc.dataset import (
     split_per_user,
 )
 from ganc.errors import EmptyDatasetError, ParseError, UnknownIdError
+from ganc.io_utils import canonical_ids
 
 from conftest import build_split
 
@@ -81,6 +85,115 @@ class TestLoadRatings:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_ratings(tmp_path / "x", "pipe")
+
+    def test_infinite_timestamp_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "u.data"
+        p.write_text("1\t2\t3\t0\n1\t3\t3\tinf\n")
+        with pytest.raises(ParseError, match=r"u\.data:2: bad timestamp 'inf'"):
+            load_ratings(p, "tab_separated")
+
+    def test_first_bad_line_wins_across_kinds_of_error(self, tmp_path):
+        p = tmp_path / "u.data"
+        p.write_text("1\t2\t3\t0\n1\t3\t3\tx\n1\t4\t-2\t0\n1\t5\n")
+        with pytest.raises(ParseError, match=":2: bad timestamp"):
+            load_ratings(p, "tab_separated")
+
+    def test_columns_match_the_rating_list(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("user,item,rating,timestamp\nb,10,4,5\na,2,3,\nb,2,1,7\nb,10,2,9\n")
+        cols = load_columns(p, "csv")
+        assert cols.users == ("b", "a") and cols.items == (10, 2)
+        assert cols.ratings() == load_ratings(p, "csv") == [
+            Rating("b", 10, 2.0, 9), Rating("a", 2, 3.0, None), Rating("b", 2, 1.0, 7)]
+        assert cols.user_codes.dtype == cols.item_codes.dtype == np.int64
+        assert cols.values.dtype == np.float64
+
+
+class TestIdColumns:
+    def test_zero_padded_and_plain_ids_stay_distinct(self, tmp_path):
+        # both ratings survive: "007" and "7" are two users, not one
+        p = tmp_path / "u.data"
+        p.write_text("007\t1\t3\t0\n7\t1\t5\t1\n")
+        assert load_ratings(p, "tab_separated") == [
+            Rating("007", 1, 3.0, 0), Rating("7", 1, 5.0, 1)]
+
+    def test_int_only_when_every_value_reads_back(self):
+        assert canonical_ids(["7", "-3", "0", "12345678901234567890"]) == \
+            [7, -3, 0, 12345678901234567890]
+        for odd in ("007", "+7", "1_0", "7.0", "\u0667"):
+            assert canonical_ids(["7", odd]) == ["7", odd]
+
+    def test_ints_pass_unchanged(self):
+        out = canonical_ids([np.int64(5), 6])
+        assert out == [5, 6] and all(type(v) is int for v in out)
+        assert canonical_ids(list(np.array(["1", "2"]))) == [1, 2]  # as load_mf_model reads
+
+    def test_split_files_read_ids_alike(self, tmp_path):
+        # test.csv alone holds only "7"; read on its own it would turn into the
+        # int 7 and no longer match train's "7"
+        split = build_split([("007", "a", 3), ("007", "b", 3), ("7", "a", 4)],
+                            [("7", "b", 5)])
+        save_split(split, tmp_path / "s")
+        loaded, _ = load_split(tmp_path / "s")
+        assert loaded.users == ("007", "7")
+        assert loaded.test == (Rating("7", "b", 5.0),)
+
+
+class TestRatingColumns:
+    def test_from_ratings_keeps_rows_and_first_appearance(self):
+        rows = [Rating("b", 2, 3.0), Rating("a", 1, 4.5, 17), Rating("b", 1, 1.0)]
+        cols = RatingColumns.from_ratings(rows)
+        assert cols.users == ("b", "a") and cols.items == (2, 1)
+        assert cols.user_codes.tolist() == [0, 1, 0]
+        assert cols.ratings() == rows
+
+    def test_deduplicated_keeps_last_value_at_first_position(self):
+        rows = [Rating(1, "x", 1.0), Rating(2, "y", 2.0), Rating(1, "x", 5.0, 9),
+                Rating(3, "z", 3.0), Rating(1, "x", 4.0, 8)]
+        assert RatingColumns.from_ratings(rows).deduplicated().ratings() == [
+            Rating(1, "x", 4.0, 8), Rating(2, "y", 2.0), Rating(3, "z", 3.0)]
+
+    def test_from_ratings_split_drops_duplicate_pairs(self):
+        split = build_split([(1, "a", 3), (1, "a", 5), (2, "a", 1)])
+        assert split.train == (Rating(1, "a", 5.0), Rating(2, "a", 1.0))
+        assert split.item_train_counts.tolist() == [2]
+
+    def test_counts_and_csr_views(self):
+        split = build_split([(2, "b", 3), (1, "c", 3), (1, "a", 4), (2, "a", 1)],
+                            [(1, "b", 5), (2, "zzz", 4)])
+        assert split.users == (1, 2) and split.items == ("a", "b", "c")
+        assert split.item_train_counts.tolist() == [2, 1, 1]
+        assert split.user_train_counts.tolist() == [2, 2]
+        assert split.user_test_counts.tolist() == [1, 0]  # "zzz" is not a train item
+        assert split.train_item_indices(1).tolist() == [2, 0]  # file order
+        assert split.test_item_indices(1).tolist() == [1]
+        assert dict(split.per_item_train_index) == {"a": {1, 2}, "b": {2}, "c": {1}}
+        assert dict(split.per_user_test_index) == {1: {"b"}, 2: frozenset()}
+        assert 3 not in split.per_user_train_index
+        assert split.per_user_train_index.get(3) is None
+
+    def test_algorithms_do_not_build_rating_or_set_views(self, synth_ratings):
+        from ganc.core import oslg
+        from ganc.metrics import evaluate
+        from ganc.preference import (theta_activity, theta_generalized,
+                                     theta_normalized_longtail, theta_tfidf)
+        from ganc.recommenders import pop_scorer, rmse, rsvd_train
+
+        split = split_per_user(synth_ratings, kappa=0.5, tau=20, seed=5)
+        stats = compute_item_stats(split)
+        theta_activity(split)
+        theta_normalized_longtail(split, stats)
+        theta_tfidf(split)
+        pv = theta_generalized(split)
+        model = rsvd_train(split, g=2, lam=0.05, eta=0.01, epochs=1, seed=0)
+        rmse(model, split.train_columns)
+        activity_popularity_profile(split)
+        for protocol in ("all_unrated", "rated_test_items"):
+            run = oslg(split, pv, pop_scorer(split, stats, 5), 5, 10, 0, protocol=protocol)
+            evaluate(run.collection, split, stats, protocol=protocol, per_user=True)
+        views = {"train", "test", "per_user_train_index", "per_user_test_index",
+                 "per_item_train_index"}
+        assert not views & set(vars(split))
 
 
 def _ratings(counts, seed=0):

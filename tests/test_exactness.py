@@ -1,17 +1,29 @@
-"""The one-pass assignment engine and evaluation against the code they replaced.
+"""Fast paths against the code they replaced.
 
 The references below are the implementations the fast paths replaced:
 ``_greedy_idx_reference`` rebuilds the blended gains (and the coverage
 vector) at each of the n steps, ``_SnapshotStoreReference`` keeps full
-frequency copies and rebuilds its theta array on every lookup, and
+frequency copies and rebuilds its theta array on every lookup,
 ``_evaluate_reference`` recomputes relevant items per call and popularity
-weights per relevant pair. Outputs must be equal, not close.
+weights per relevant pair, ``_load_ratings_reference`` and
+``_split_per_user_reference`` parse and split one ``Rating`` per row into
+dict-of-set indices, and ``_PopScorerReference`` scans the popularity
+ranking per user. Outputs must be equal, not close.
 """
+
+import csv
+import io
+import math
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+
+from ganc import dataset
 
 from ganc.core import (
     PROTOCOLS,
@@ -23,8 +35,18 @@ from ganc.core import (
     locally_greedy_full,
     oslg,
 )
-from ganc.dataset import compute_item_stats
-from ganc.errors import InfeasibleError, UndefinedMetricError
+from ganc.dataset import (
+    Rating,
+    RatingColumns,
+    compute_item_stats,
+    load_columns,
+    load_ratings,
+    load_split,
+    save_split,
+    split_per_user,
+)
+from ganc.errors import EmptyDatasetError, InfeasibleError, ParseError, UndefinedMetricError
+from ganc.io_utils import canonical_ids, id_int
 from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n
 from ganc.preference import PreferenceVector, theta_generalized
 from ganc.recommenders import DynCoverage, pop_scorer, stat_coverage
@@ -408,3 +430,283 @@ def test_no_eligible_user_is_infeasible():
     arec = DictAccuracy({}, split)
     with pytest.raises(InfeasibleError, match="n=2.*rated_test_items"):
         oslg(split, theta, arec, 2, 1, 0, protocol="rated_test_items")
+
+
+# ------------------------------------------- columnar parser, split and Pop
+#
+# The row-by-row loader, splitter and split builder that the columnar ones
+# replaced: one Rating per row, dict-of-set indices. ``canonical_ids`` is the
+# current one, so both sides apply the same id rule.
+
+def _parse_fields_reference(fields, line_no, path):
+    if len(fields) not in (3, 4):
+        raise ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}")
+    user, item = fields[0].strip(), fields[1].strip()
+    if not user or not item:
+        raise ParseError(f"{path}:{line_no}: empty user or item id")
+    try:
+        value = float(fields[2])
+    except ValueError:
+        raise ParseError(f"{path}:{line_no}: bad rating {fields[2]!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise ParseError(f"{path}:{line_no}: rating must be finite and >= 0")
+    ts = None
+    if len(fields) == 4 and fields[3].strip():
+        try:
+            ts = int(float(fields[3]))
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: bad timestamp {fields[3]!r}") from None
+    return user, item, value, ts
+
+
+def _load_ratings_reference(path, format):
+    path = Path(path)
+    rows = []
+    with open(path, newline="") as fh:
+        if format == "csv":
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: empty file")
+            header = [h.strip().lower() for h in header]
+            if header[:3] != ["user", "item", "rating"]:
+                raise ParseError(f"{path}:1: expected header user,item,rating[,timestamp]")
+            for line_no, fields in enumerate(reader, start=2):
+                if not fields or (len(fields) == 1 and not fields[0].strip()):
+                    continue
+                rows.append(_parse_fields_reference(fields, line_no, path))
+        else:
+            delim = "\t" if format == "tab_separated" else "::"
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                rows.append(_parse_fields_reference(line.split(delim), line_no, path))
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no ratings parsed")
+    users = canonical_ids([r[0] for r in rows])
+    items = canonical_ids([r[1] for r in rows])
+    dedup = {}
+    for (u, i), (_, _, value, ts) in zip(zip(users, items), rows):
+        dedup[(u, i)] = Rating(u, i, value, ts)
+    return list(dedup.values())
+
+
+def _from_ratings_reference(train, test):
+    user_train, item_train = {}, {}
+    for r in train:
+        user_train.setdefault(r.user_id, set()).add(r.item_id)
+        item_train.setdefault(r.item_id, set()).add(r.user_id)
+    kept_test = [r for r in test if r.user_id in user_train and r.item_id in item_train]
+    user_test = {u: set() for u in user_train}
+    for r in kept_test:
+        user_test[r.user_id].add(r.item_id)
+    return SimpleNamespace(
+        train=tuple(train), test=tuple(kept_test),
+        users=tuple(sorted(user_train)), items=tuple(sorted(item_train)),
+        per_user_train_index={u: frozenset(s) for u, s in user_train.items()},
+        per_user_test_index={u: frozenset(s) for u, s in user_test.items()},
+        per_item_train_index={i: frozenset(s) for i, s in item_train.items()},
+    )
+
+
+def _split_per_user_reference(ratings, kappa, tau, seed):
+    by_user = {}
+    for r in ratings:
+        by_user.setdefault(r.user_id, {})[r.item_id] = r
+    train, test = [], []
+    for user, by_item in by_user.items():
+        rows = list(by_item.values())
+        n = len(rows)
+        if n < tau:
+            continue
+        rng = np.random.default_rng((seed ^ id_int(user)) & 0xFFFFFFFFFFFFFFFF)
+        perm = rng.permutation(n)
+        chosen = np.zeros(n, dtype=bool)
+        chosen[perm[:math.ceil(kappa * n)]] = True
+        for k, row in enumerate(rows):
+            (train if chosen[k] else test).append(row)
+    if not train:
+        raise EmptyDatasetError(f"no users with at least tau={tau} ratings")
+    return _from_ratings_reference(train, test)
+
+
+def _write_ratings_csv_reference(path, ratings):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["user", "item", "rating", "timestamp"])
+        for r in ratings:
+            w.writerow([r.user_id, r.item_id, repr(float(r.value)),
+                        "" if r.timestamp is None else r.timestamp])
+
+
+class _PopScorerReference:
+    def __init__(self, split, stats, n):
+        self.split, self.n, self._ranking = split, n, stats.ranking
+
+    def top_items(self, user):
+        seen = self.split.per_user_train_index[user]
+        picked = []
+        for item in self._ranking:
+            if item not in seen:
+                picked.append(item)
+                if len(picked) == self.n:
+                    break
+        return frozenset(picked)
+
+    def score_vector(self, user):
+        out = np.zeros(len(self.split.items))
+        for item in self.top_items(user):
+            out[self.split.item_index[item]] = 1.0
+        return out
+
+
+def _outcome(load, *args):
+    """A loader's result, or the type and message of what it raised."""
+    try:
+        return load(*args)
+    except (ParseError, EmptyDatasetError) as exc:
+        return type(exc), str(exc)
+
+
+# Id pools: ints that read back unchanged, strings, and int-like strings that
+# do not (``007``, ``+7``, padded); drawing from small pools makes duplicates.
+INT_IDS = ["1", "2", "7", "10", "-3", "0", "123456789012"]
+STR_IDS = ["u1", "a", "item x", "é", "7a", "A"]
+ODD_IDS = ["007", "+7", " 7", "7 ", "1_0", "٧"]
+GOOD_RATINGS = ["1", "2", "3", "4", "5", "4.5", "0", "-0", "3.0", "2.25", " 3 ", "1e0"]
+BAD_RATINGS = ["", "x", "nan", "inf", "-inf", "-1", "-0.5", "1e999", "4..0"]
+GOOD_STAMPS = ["", " ", "881250949", "0", "-12", "1.5e9", "12.7", "978300760.0"]
+BAD_STAMPS = ["x", "nan", "1.2.3"]
+
+
+@st.composite
+def rating_files(draw):
+    """(format, file text) with blank lines, CRLF endings, duplicate pairs,
+    optional timestamps, int/str/mixed id columns and, now and then, a
+    malformed row."""
+    fmt = draw(st.sampled_from(["tab_separated", "double_colon", "csv"]))
+    pools = {"int": INT_IDS, "str": STR_IDS, "mixed": INT_IDS + STR_IDS, "odd": INT_IDS + ODD_IDS}
+    user_pool = pools[draw(st.sampled_from(sorted(pools)))]
+    item_pool = pools[draw(st.sampled_from(sorted(pools)))]
+    stamped = draw(st.sampled_from(["none", "some", "all"]))
+    corrupt = draw(st.integers(0, 3)) == 0  # about one file in four has bad rows
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 24)) if corrupt else 99
+        if kind == 0:
+            rows.append(None)  # blank line
+            continue
+        fields = [draw(st.sampled_from(user_pool)), draw(st.sampled_from(item_pool)),
+                  draw(st.sampled_from(BAD_RATINGS if kind == 1 else GOOD_RATINGS))]
+        if stamped == "all" or (stamped == "some" and draw(st.booleans())):
+            fields.append(draw(st.sampled_from(BAD_STAMPS if kind == 2 else GOOD_STAMPS)))
+        if kind == 3:
+            fields = fields[:2]
+        elif kind == 4:
+            fields = fields + ["extra", "more"]
+        elif kind == 5:
+            fields[draw(st.integers(0, 1))] = " "
+        rows.append(fields)
+    blank = draw(st.sampled_from(["", "  ", "\t"]))
+    for _ in range(draw(st.integers(0, 3))):  # blank lines anywhere
+        rows.insert(draw(st.integers(0, len(rows))), None)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if fmt == "csv":
+        out = io.StringIO()
+        w = csv.writer(out, lineterminator=end)
+        header = ["user", "item", "rating"] + (["timestamp"] if stamped != "none" else [])
+        w.writerow(draw(st.sampled_from([header] * 4 + [[h.upper() for h in header],
+                                                       ["uid", "iid", "r"]])))
+        for fields in rows:
+            if fields is None:
+                out.write(blank + end)
+            else:
+                w.writerow(fields)
+        text = out.getvalue()
+    else:
+        delim = "\t" if fmt == "tab_separated" else "::"
+        text = "".join((blank if f is None else delim.join(f)) + end for f in rows)
+    if text and draw(st.booleans()):
+        text = text[:-len(end)]  # no line ending after the last line
+    return fmt, text
+
+
+class TestColumnarParserMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=rating_files(), chunk=st.sampled_from([2, 3, 1 << 16]),
+           kappa=st.sampled_from([0.3, 0.5, 0.8]), tau=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_ratings_errors_and_split(self, tmp_path_factory, case, chunk, kappa,
+                                           tau, seed):
+        fmt, text = case
+        path = tmp_path_factory.mktemp("parse") / "ratings.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_load_ratings_reference, path, fmt)
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
+            got = _outcome(load_ratings, path, fmt)
+            columns = _outcome(load_columns, path, fmt)
+        assert got == expected
+        if not isinstance(expected, list):
+            assert columns == expected
+            return
+        assert columns.ratings() == expected
+
+        ref = _outcome(_split_per_user_reference, expected, kappa, tau, seed)
+        new = _outcome(split_per_user, columns, kappa, tau, seed)
+        if isinstance(ref, tuple):
+            assert new == ref
+            return
+        assert new.train == ref.train and new.test == ref.test
+        assert (new.users, new.items) == (ref.users, ref.items)
+        for name in ("per_user_train_index", "per_user_test_index", "per_item_train_index"):
+            assert dict(getattr(new, name)) == getattr(ref, name)
+        t = new.train_columns  # the arrays agree with the reference rows
+        assert [(new.users[u], new.items[i], v) for u, i, v in
+                zip(t.user_codes, t.item_codes, t.values)] == \
+            [(r.user_id, r.item_id, r.value) for r in ref.train]
+        assert np.array_equal(new.item_train_counts,
+                              [len(ref.per_item_train_index[i]) for i in ref.items])
+        assert np.array_equal(new.user_test_counts,
+                              [len(ref.per_user_test_index[u]) for u in ref.users])
+
+        out = tmp_path_factory.mktemp("split")
+        save_split(new, out)
+        for name, rows in (("train", ref.train), ("test", ref.test)):
+            _write_ratings_csv_reference(out / "reference.csv", rows)
+            assert (out / f"{name}.csv").read_bytes() == (out / "reference.csv").read_bytes()
+        again = tmp_path_factory.mktemp("again")
+        save_split(load_split(out)[0], again)  # a reloaded split writes the same files
+        for name in ("train.csv", "test.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_split_of_columns_whose_tables_are_in_another_order(synth_ratings):
+    # the id tables list users in the order the unreversed rows meet them
+    cols = RatingColumns.from_ratings(synth_ratings).take(np.arange(len(synth_ratings))[::-1])
+    ref = _split_per_user_reference(synth_ratings[::-1], 0.5, 20, 5)
+    new = split_per_user(cols, 0.5, 20, 5)
+    assert new.train == ref.train and new.test == ref.test
+
+
+class TestPopScorerMatchesReference:
+    @EXACT
+    @given(inst=instances(), n=st.integers(1, 16))
+    def test_small_instances(self, inst, n):
+        split = inst[0]
+        assume(n <= len(split.items))
+        self._check(split, n)
+
+    def test_synthetic_split(self, synth_split):
+        for n in (1, 5, 40):
+            self._check(synth_split, n)
+
+    @staticmethod
+    def _check(split, n):
+        stats = compute_item_stats(split)
+        fast, ref = pop_scorer(split, stats, n), _PopScorerReference(split, stats, n)
+        for user in split.users:
+            for _ in range(2):  # a cached answer must equal the first one
+                assert fast.top_items(user) == ref.top_items(user)
+                got, want = fast.score_vector(user), ref.score_vector(user)
+                assert got.dtype == want.dtype and np.array_equal(got, want)

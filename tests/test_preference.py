@@ -304,6 +304,13 @@ class TestPersistence:
         assert loaded.iterations == pv.iterations
         assert loaded.converged == pv.converged
 
+    def test_zero_padded_and_plain_ids_stay_distinct(self, tmp_path):
+        from ganc.preference import PreferenceVector
+
+        pv = PreferenceVector("constant", {"007": 0.25, "7": 0.75})
+        save_prefs(pv, tmp_path / "p")
+        assert load_prefs(tmp_path / "p")[0].theta == pv.theta
+
     def test_round_trip_without_weights(self, tmp_path, synth_split):
         pv = theta_tfidf(synth_split)
         save_prefs(pv, tmp_path / "p")
