@@ -23,7 +23,6 @@ from .preference import (
 )
 from .recommenders import (
     MFModel,
-    dyn_coverage,
     load_external_scores,
     mf_accuracy_scorer,
     pop_scorer,
@@ -34,7 +33,6 @@ from .recommenders import (
 )
 from .core import (
     OslgRun,
-    RecFrequency,
     SnapshotStore,
     TopNCollection,
     brute_force_optimal,

@@ -18,16 +18,10 @@ import numpy as np
 
 from . import core, dataset, metrics, preference, recommenders
 from .errors import (
-    ContractViolationError,
     EmptyDatasetError,
     GancError,
-    InfeasibleError,
-    InstanceTooLargeError,
-    NumericalDegeneracyError,
     ParseError,
     StaleArtifactError,
-    TrainingDivergenceError,
-    UndefinedMetricError,
     UnknownIdError,
 )
 from .io_utils import read_json, sha256_file, split_hash, write_json
@@ -81,7 +75,6 @@ class RunConfig:
     n: int | None = None
     s: int = 500
     run_seed: int = 0
-    workers: int = 1
     protocol: str | None = None  # None lets evaluate inherit the run manifest
     # evaluation and sweeps
     beta: float = 0.5
@@ -137,7 +130,7 @@ def _load_theta(cfg: RunConfig):
 
 def _build_arec(cfg: RunConfig, split, stats, n: int):
     if cfg.arec == "pop":
-        return recommenders.pop_scorer(split, stats, cfg.pop_n or n)
+        return recommenders.pop_scorer(split, stats, n if cfg.pop_n is None else cfg.pop_n)
     if cfg.arec == "rsvd":
         if not cfg.mf:
             raise ValueError("--mf is required with arec=rsvd")
@@ -229,8 +222,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
     if cfg.crec == "dyn":
         # the sample is drawn from the users the protocol keeps
         s = min(cfg.s, len(core.eligible_users(split, n, protocol)))
-        run = core.oslg(split, pv, arec, n, s, cfg.run_seed,
-                        workers=cfg.workers, protocol=protocol)
+        run = core.oslg(split, pv, arec, n, s, cfg.run_seed, protocol=protocol)
         coll = run.collection
         phase_seconds = run.phase_seconds
         sampled = len(run.sampled_users)
@@ -239,8 +231,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
     elif cfg.crec in ("stat", "rand"):
         crec = (recommenders.stat_coverage(stats, split) if cfg.crec == "stat"
                 else recommenders.rand_coverage(cfg.run_seed, split))
-        coll = core.independent_greedy(split, pv, arec, crec, n,
-                                       workers=cfg.workers, protocol=protocol)
+        coll = core.independent_greedy(split, pv, arec, crec, n, protocol=protocol)
     else:
         raise ValueError(f"unknown crec {cfg.crec!r}")
     coll.validate(split)
@@ -255,7 +246,6 @@ def cmd_recommend(cfg: RunConfig) -> int:
         "snapshots_used": snapshots_used,
         "seed": cfg.run_seed, "theta_model": pv.model,
         "arec": cfg.arec, "crec": cfg.crec, "protocol": protocol,
-        "workers": cfg.workers,
         "phase_seconds": phase_seconds,
         "split_sha256": split_hash(cfg.split),
         "theta_sha256": sha256_file(Path(cfg.prefs) / "theta.csv"),
@@ -269,7 +259,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     stats = dataset.compute_item_stats(split)
     run_manifest = read_json(Path(cfg.topn) / "run.json")
     _check_split_hash(run_manifest, cfg.split, f"collection at {cfg.topn}")
-    coll = core.load_collection(cfg.topn)
+    coll = core.load_collection(cfg.topn, split)
     coll.validate(split)
     protocol = cfg.protocol or run_manifest.get("protocol", "all_unrated")
     report = metrics.evaluate(
@@ -297,14 +287,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     s_values = [int(v) for v in str(cfg.s_values).split(",") if v.strip()]
     if not s_values:
         raise ValueError("s_values must name at least one sample size")
+    if cfg.reps < 1:
+        raise ValueError(f"reps must be at least 1, got {cfg.reps}")
     eligible = len(core.eligible_users(split, n, protocol))
     rows = []
     for s in s_values:
         effective = min(s, eligible)  # sample cannot exceed the eligible user count
         agg = {"f_measure": [], "coverage": [], "gini": [], "lt_accuracy": []}
         for rep in range(cfg.reps):
-            run = core.oslg(split, pv, arec, n, effective,
-                            cfg.run_seed + rep, workers=cfg.workers,
+            run = core.oslg(split, pv, arec, n, effective, cfg.run_seed + rep,
                             protocol=protocol)
             report = metrics.evaluate(run.collection, split, stats,
                                       protocol=protocol,
@@ -394,7 +385,6 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--run-seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--protocol", choices=core.PROTOCOLS)
     p.add_argument("--out", required=True)
 
@@ -419,7 +409,6 @@ def build_parser():
     p.add_argument("--s-values")
     p.add_argument("--reps", type=int)
     p.add_argument("--run-seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--protocol", choices=core.PROTOCOLS)
     p.add_argument("--beta", type=float)
     p.add_argument("--threshold", type=float)
@@ -469,9 +458,7 @@ def main(argv=None) -> int:
             UnknownIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except (NumericalDegeneracyError, TrainingDivergenceError, InfeasibleError,
-            ContractViolationError, UndefinedMetricError,
-            InstanceTooLargeError, GancError) as exc:
+    except GancError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_EXIT
 

@@ -4,8 +4,8 @@ The value of a set for a user is (1-theta)*sum(a) + theta*sum(c). With the
 dynamic coverage scorer the assignment couples users, so collections are
 built by a locally greedy pass over users; the sampling variant runs the
 sequential pass over a KDE-drawn subset sorted by rising theta, snapshots
-the coverage state per sampled user, and finishes the remaining users in
-parallel against their nearest snapshot. Exhaustive and property-style
+the coverage state per sampled user, and finishes each remaining user on
+its own against the nearest snapshot. Exhaustive and property-style
 oracles for the greedy guarantees live here too.
 """
 
@@ -16,37 +16,17 @@ import itertools
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SplitDataset
+from .dataset import SplitDataset, resolve_ids
 from .errors import ContractViolationError, InfeasibleError, InstanceTooLargeError
 from .io_utils import canonical_ids
 from .preference import PreferenceVector
 
 PROTOCOLS = ("all_unrated", "rated_test_items")
-
-
-class RecFrequency:
-    """Mutable per-item counts of recommendations assigned so far."""
-
-    def __init__(self, split: SplitDataset, counts: np.ndarray | None = None):
-        self.split = split
-        self.counts = np.zeros(len(split.items), dtype=np.int64) if counts is None else counts
-
-    def count(self, item) -> int:
-        return int(self.counts[self.split.item_index[item]])
-
-    def increment(self, item_ids) -> None:
-        idx = self.split.item_index
-        for i in item_ids:
-            self.counts[idx[i]] += 1
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -71,10 +51,11 @@ class TopNCollection:
                     raise ContractViolationError(f"user {user!r}: item {i!r} already rated in train")
 
     def truncated(self, n: int) -> "TopNCollection":
-        if n > self.n:
-            raise ValueError(f"cannot truncate to {n} > {self.n}")
-        if n == self.n:
+        """The first n items of every list, for n in [1, self.n]."""
+        if n == self.n:  # an empty collection (n = 0) reaches its evaluator unchanged
             return self
+        if not 1 <= n < self.n:
+            raise ValueError(f"n must be in [1, {self.n}], got {n}")
         return TopNCollection(n, {u: items[:n] for u, items in self.lists.items()})
 
 
@@ -290,8 +271,10 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     Phase one runs the sequential greedy over a KDE sample sorted by rising
     theta, storing the coverage vector after each sampled user. Phase two
     assigns every remaining user independently against the snapshot whose
-    theta is nearest, so its outcome does not depend on execution order or
-    worker count (``phase4_order`` exists to exercise exactly that contract).
+    theta is nearest, so its outcome does not depend on the order the users
+    are visited in (``phase4_order`` exists to exercise exactly that
+    contract). ``workers`` is accepted for compatibility and ignored: phase
+    two runs in the calling thread, and the output never depended on it.
     """
     users, cands = _eligible(split, n, protocol)
     sample = kde_sample(theta, s, seed, users=users)
@@ -311,45 +294,30 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
             raise ValueError("phase4_order must permute the non-sampled users")
         rest = list(phase4_order)
 
-    def assign(u):
+    used = set()  # ids of the snapshots read; the store keeps each one alive
+    for u in rest:
         th = theta.theta[u]
         cov = store.nearest(th)
-        picked = _greedy_idx(u, th, arec.score_vector(u), cov, n, cands(u))
-        return u, _ids(split, picked), id(cov)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(assign, rest))
-    else:
-        results = [assign(u) for u in rest]
-    lists.update((u, items) for u, items, _ in results)
+        used.add(id(cov))
+        lists[u] = _ids(split, _greedy_idx(u, th, arec.score_vector(u), cov, n, cands(u)))
     t2 = time.perf_counter()
 
     return OslgRun(
         TopNCollection(n, lists),
         tuple(sample),
-        {"sequential": t1 - t0, "parallel": t2 - t1},
-        snapshots_used=len({snapshot for _, _, snapshot in results}),
+        {"sequential": t1 - t0, "parallel": t2 - t1},  # key names kept for readers of run.json
+        snapshots_used=len(used),
     )
 
 
 def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
-                       n: int, workers: int = 1,
-                       protocol: str = "all_unrated") -> TopNCollection:
+                       n: int, protocol: str = "all_unrated") -> TopNCollection:
     """Per-user greedy with a static coverage scorer; users are independent."""
     users, cands = _eligible(split, n, protocol)
     cov = crec.score_vector()
-
-    def assign(u):
-        th = theta.theta[u]
-        return u, _ids(split, _greedy_idx(u, th, arec.score_vector(u), cov, n, cands(u)))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(assign, users))
-    else:
-        results = [assign(u) for u in users]
-    return TopNCollection(n, dict(results))
+    return TopNCollection(n, {
+        u: _ids(split, _greedy_idx(u, theta.theta[u], arec.score_vector(u), cov, n, cands(u)))
+        for u in users})
 
 
 def collection_value(split: SplitDataset, theta: PreferenceVector, arec,
@@ -441,7 +409,13 @@ def save_collection(coll: TopNCollection, directory) -> None:
                 w.writerow([user, rank, item])
 
 
-def load_collection(directory) -> TopNCollection:
+def load_collection(directory, split: SplitDataset | None = None) -> TopNCollection:
+    """Read ``topn.csv`` back into a collection.
+
+    Given the split, ids are read against its id tables (see
+    :func:`~ganc.dataset.resolve_ids`); without it each id column is
+    canonicalized on its own.
+    """
     d = Path(directory)
     rows = []
     with open(d / "topn.csv", newline="") as fh:
@@ -449,8 +423,11 @@ def load_collection(directory) -> TopNCollection:
         next(reader)
         for user, rank, item in reader:
             rows.append((user, int(rank), item))
-    users = canonical_ids([r[0] for r in rows])
-    items = canonical_ids([r[2] for r in rows])
+    users, items = [r[0] for r in rows], [r[2] for r in rows]
+    if split is None:
+        users, items = canonical_ids(users), canonical_ids(items)
+    else:
+        users, items = resolve_ids(users, split.users), resolve_ids(items, split.items)
     lists: dict = {}
     for u, i, (_, rank, _) in zip(users, items, rows):
         lists.setdefault(u, []).append((rank, i))

@@ -599,3 +599,14 @@ def load_split(directory) -> tuple[SplitDataset, dict]:
     return SplitDataset.from_columns(
         train._with_ids(users[:n_users], items[:n_items]),
         test._with_ids(users[n_users:], items[n_items:])), manifest
+
+
+def resolve_ids(values, table: tuple) -> list:
+    """Read id strings against a split's id table (``users`` or ``items``).
+
+    A string becomes the table's id written the same way (``str(id) ==
+    value``), so a file that lists only some ids of a mixed column reads
+    them as the split does. Strings the table lacks stay as read.
+    """
+    named = {str(x): x for x in table}
+    return [named.get(v, v) for v in values]

@@ -1,10 +1,11 @@
 """Accuracy and coverage scorers.
 
-Accuracy side: a most-popular scorer, an SGD-trained matrix factorization
-model, and an importer for externally computed score files. Coverage side:
-random, static popularity-based, and dynamic frequency-based scorers. Every
-scorer emits values in [0, 1] and exposes both a scalar lookup and a vector
-aligned with the split's item universe.
+Accuracy side: a most-popular scorer, and one dense score matrix built
+from an SGD-trained matrix factorization model or from an externally
+computed score file. Coverage side: random and static popularity-based
+scores; dynamic frequency-based coverage is kept by OSLG itself
+(:mod:`ganc.core`). Every scorer emits values in [0, 1] and exposes both a
+scalar lookup and a vector aligned with the split's item universe.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ItemStats, RatingColumns, SplitDataset
+from .dataset import ItemStats, RatingColumns, SplitDataset, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
 from .io_utils import canonical_ids, read_json, write_json
 
@@ -30,7 +31,6 @@ class PopScorer:
             raise ValueError(f"n must be in [1, {len(split.items)}], got {n}")
         self.split = split
         self.n = n
-        self.kind = f"pop[{n}]"
         # item indices, most popular first
         self._ranking = np.array([split.item_index[i] for i in stats.ranking], dtype=np.int64)
         self._top_idx: dict = {}
@@ -131,6 +131,10 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     [-0.05, 0.05]. Records the online training RMSE of each epoch from the
     update errors. Raises on non-finite factors, reporting the epoch.
     """
+    if g < 1:
+        raise ValueError(f"g must be at least 1, got {g}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     t = split.train_columns
     if not len(t):
         raise ValueError("cannot train on an empty split")
@@ -194,27 +198,11 @@ def rmse(model: MFModel, ratings) -> float:
     return math.sqrt(float(np.square(vals - pred).sum()) / n)
 
 
-class MFScorer:
-    """Per-user min-max normalized raw predictions over unseen train items."""
+class MatrixScorer:
+    """Accuracy scores held as one matrix over the split's users and items."""
 
-    def __init__(self, model: MFModel, split: SplitDataset):
+    def __init__(self, split: SplitDataset, scores: np.ndarray):
         self.split = split
-        self.kind = "rsvd"
-        for u in split.users:
-            if u not in model.user_index:
-                raise UnknownIdError(f"user {u!r} not in model")
-        for i in split.items:
-            if i not in model.item_index:
-                raise UnknownIdError(f"item {i!r} not in model")
-        urows = np.array([model.user_index[u] for u in split.users])
-        irows = np.array([model.item_index[i] for i in split.items])
-        scores = model.user_factors[urows] @ model.item_factors[irows].T
-        for k, user in enumerate(split.users):  # normalized in place, row by row
-            cand = split.candidate_indices(user)
-            row = scores[k, cand]
-            lo, hi = row.min(), row.max()
-            scores[k, cand] = (row - lo) / (hi - lo) if hi > lo else 0.0
-            scores[k, split.train_item_indices(user)] = 0.0
         self._scores = scores
 
     def score(self, user, item) -> float:
@@ -229,43 +217,34 @@ class MFScorer:
         return self._scores[self.split.user_index[user]]
 
 
-class ExternalScorer:
-    """Accuracy scores imported from a per-pair table, normalized per user.
+def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
+    """Per-user min-max normalized raw predictions over unseen train items;
+    train items score 0."""
+    for u in split.users:
+        if u not in model.user_index:
+            raise UnknownIdError(f"user {u!r} not in model")
+    for i in split.items:
+        if i not in model.item_index:
+            raise UnknownIdError(f"item {i!r} not in model")
+    urows = np.array([model.user_index[u] for u in split.users])
+    irows = np.array([model.item_index[i] for i in split.items])
+    scores = model.user_factors[urows] @ model.item_factors[irows].T
+    for k, user in enumerate(split.users):  # normalized in place, row by row
+        cand = split.candidate_indices(user)
+        row = scores[k, cand]
+        lo, hi = row.min(), row.max()
+        scores[k, cand] = (row - lo) / (hi - lo) if hi > lo else 0.0
+        scores[k, split.train_item_indices(user)] = 0.0
+    return MatrixScorer(split, scores)
 
-    Pairs absent from the table score 0; rows for users or items outside the
-    split universe are ignored.
+
+def load_external_scores(path, split: SplitDataset) -> MatrixScorer:
+    """Read a ``user,item,score`` CSV into an accuracy scorer, normalized per user.
+
+    Ids are read against the split's id tables. Pairs absent from the file
+    score 0; rows for users or items outside the split are ignored;
+    duplicate pairs keep the last occurrence.
     """
-
-    def __init__(self, scores: dict, split: SplitDataset):
-        self.split = split
-        self.kind = "external"
-        self._scores = np.zeros((len(split.users), len(split.items)))
-        per_user: dict = {}
-        for (user, item), value in scores.items():
-            if user in split.user_index and item in split.item_index:
-                per_user.setdefault(user, []).append((item, value))
-        for user, pairs in per_user.items():
-            vals = np.array([v for _, v in pairs], dtype=float)
-            lo, hi = vals.min(), vals.max()
-            norm = (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
-            u = split.user_index[user]
-            for (item, _), nv in zip(pairs, norm):
-                self._scores[u, split.item_index[item]] = nv
-
-    def score(self, user, item) -> float:
-        try:
-            u = self.split.user_index[user]
-            i = self.split.item_index[item]
-        except KeyError:
-            raise UnknownIdError(f"({user!r}, {item!r}) not in split") from None
-        return float(self._scores[u, i])
-
-    def score_vector(self, user) -> np.ndarray:
-        return self._scores[self.split.user_index[user]]
-
-
-def load_external_scores(path, split: SplitDataset) -> ExternalScorer:
-    """Read a ``user,item,score`` CSV into an accuracy scorer."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -281,82 +260,50 @@ def load_external_scores(path, split: SplitDataset) -> ExternalScorer:
                 rows.append((fields[0].strip(), fields[1].strip(), float(fields[2])))
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: bad score {fields[2]!r}") from None
-    users = canonical_ids([r[0] for r in rows])
-    items = canonical_ids([r[1] for r in rows])
-    scores: dict = {}
+    users = resolve_ids([r[0] for r in rows], split.users)
+    items = resolve_ids([r[1] for r in rows], split.items)
+    per_user: dict = {}
     for u, i, (_, _, v) in zip(users, items, rows):
-        scores[(u, i)] = v  # duplicate pairs keep the last occurrence
-    return ExternalScorer(scores, split)
+        if u in split.user_index and i in split.item_index:
+            per_user.setdefault(u, {})[i] = v
+    scores = np.zeros((len(split.users), len(split.items)))
+    for user, pairs in per_user.items():
+        vals = np.array(list(pairs.values()), dtype=float)
+        lo, hi = vals.min(), vals.max()
+        norm = (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
+        u = split.user_index[user]
+        for item, nv in zip(pairs, norm):
+            scores[u, split.item_index[item]] = nv
+    return MatrixScorer(split, scores)
 
 
-class StatCoverage:
+class StaticCoverage:
+    """Coverage scores fixed for a whole run, one per item of the split."""
+
+    def __init__(self, split: SplitDataset, scores: np.ndarray):
+        self.split = split
+        self._scores = scores
+
+    def score(self, item) -> float:
+        return float(self._scores[self.split.item_index[item]])
+
+    def score_vector(self) -> np.ndarray:
+        return self._scores
+
+
+def stat_coverage(stats: ItemStats, split: SplitDataset) -> StaticCoverage:
     """Constant coverage scores 1/sqrt(train popularity + 1)."""
-
-    def __init__(self, stats: ItemStats, split: SplitDataset):
-        self.split = split
-        self.kind = "stat"
-        pops = np.array([stats.popularity[i] for i in split.items], dtype=float)
-        self._scores = 1.0 / np.sqrt(pops + 1.0)
-
-    def score(self, item) -> float:
-        return float(self._scores[self.split.item_index[item]])
-
-    def score_vector(self) -> np.ndarray:
-        return self._scores
+    pops = np.array([stats.popularity[i] for i in split.items], dtype=float)
+    return StaticCoverage(split, 1.0 / np.sqrt(pops + 1.0))
 
 
-class DynCoverage:
-    """Coverage scores 1/sqrt(f + 1) over live recommendation frequencies.
-
-    Reads the frequency state at call time; holding a reference to a frozen
-    copy yields a static snapshot scorer.
-    """
-
-    def __init__(self, freq):
-        self.freq = freq
-        self.kind = "dyn"
-
-    def score(self, item) -> float:
-        return 1.0 / math.sqrt(self.freq.count(item) + 1.0)
-
-    def score_vector(self) -> np.ndarray:
-        return 1.0 / np.sqrt(self.freq.counts + 1.0)
-
-
-class RandCoverage:
+def rand_coverage(seed: int, split: SplitDataset) -> StaticCoverage:
     """Uniform [0, 1) coverage scores, drawn once per item and stable in a run."""
-
-    def __init__(self, seed: int, split: SplitDataset):
-        self.split = split
-        self.kind = "rand"
-        rng = np.random.default_rng(seed)
-        self._scores = rng.random(len(split.items))
-
-    def score(self, item) -> float:
-        return float(self._scores[self.split.item_index[item]])
-
-    def score_vector(self) -> np.ndarray:
-        return self._scores
+    return StaticCoverage(split, np.random.default_rng(seed).random(len(split.items)))
 
 
 def pop_scorer(split: SplitDataset, stats: ItemStats, n: int) -> PopScorer:
     return PopScorer(split, stats, n)
-
-
-def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MFScorer:
-    return MFScorer(model, split)
-
-
-def stat_coverage(stats: ItemStats, split: SplitDataset) -> StatCoverage:
-    return StatCoverage(stats, split)
-
-
-def dyn_coverage(freq) -> DynCoverage:
-    return DynCoverage(freq)
-
-
-def rand_coverage(seed: int, split: SplitDataset) -> RandCoverage:
-    return RandCoverage(seed, split)
 
 
 def save_mf_model(model: MFModel, directory, manifest: dict | None = None) -> None:

@@ -18,8 +18,6 @@ def build_split(train_pairs, test_pairs=()):
 class DictAccuracy:
     """Accuracy scorer backed by a raw (user, item) -> score dict."""
 
-    kind = "dict"
-
     def __init__(self, scores, split):
         self.scores = scores
         self.split = split
@@ -33,8 +31,6 @@ class DictAccuracy:
 
 class DictCoverage:
     """Static coverage scorer backed by an item -> score dict."""
-
-    kind = "dict"
 
     def __init__(self, scores, split):
         self.scores = scores

@@ -2,13 +2,21 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from ganc.cli import main
-from ganc.dataset import load_split
+import ganc
+from ganc.cli import RunConfig, build_parser, main
+from ganc.dataset import load_split, save_split
 from ganc.io_utils import read_json
 from ganc.synthetic import generate_ratings
+
+from conftest import build_split
 
 
 @pytest.fixture(scope="module")
@@ -130,15 +138,14 @@ class TestRecommendEvaluate:
         assert manifest["phase2_users"] == 80 - 30  # every user is eligible
         assert 1 <= manifest["snapshots_used"] <= 30
 
-    def test_determinism_across_reruns_and_worker_counts(self, split_dir,
-                                                         prefs_dir, rec_dir,
-                                                         tmp_path):
+    def test_determinism_across_reruns(self, split_dir, prefs_dir, rec_dir, tmp_path):
         out = tmp_path / "again"
         assert main(["recommend", "--split", str(split_dir), "--prefs",
                      str(prefs_dir), "--arec", "pop", "--crec", "dyn",
                      "--n", "5", "--s", "30", "--run-seed", "0",
-                     "--workers", "4", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         assert (out / "topn.csv").read_bytes() == (rec_dir / "topn.csv").read_bytes()
+        assert "workers" not in read_json(out / "run.json")
 
     def test_rsvd_without_model_dir_exits_1(self, split_dir, prefs_dir, tmp_path):
         assert main(["recommend", "--split", str(split_dir), "--prefs",
@@ -282,6 +289,25 @@ class TestRecommendEvaluate:
         assert main(["evaluate", "--split", str(split), "--topn", str(rec),
                      "--out", str(tmp_path / "eval")]) == 0
 
+    def test_evaluate_reads_int_like_items_of_a_mixed_column(self, tmp_path):
+        # items "x0", "1" ... "39" are all string ids; every user rated "x0"
+        # in train, so the valid topn.csv lists only int-like items
+        train = [(u, "x0", 3) for u in range(1, 11)]
+        train += [(u, str(i), 1 + (u + i) % 5)
+                  for u in range(1, 11) for i in range(1, 40) if (u + i) % 3 == 0]
+        test = [(u, str(i), 1 + (u * i) % 5)
+                for u in range(1, 11) for i in range(1, 40) if (u + i) % 3 == 1]
+        split, prefs, rec = tmp_path / "split", tmp_path / "prefs", tmp_path / "rec"
+        save_split(build_split(train, test), split)
+        assert main(["prefs", "--split", str(split), "--out", str(prefs)]) == 0
+        assert main(["recommend", "--split", str(split), "--prefs", str(prefs),
+                     "--arec", "pop", "--crec", "stat", "--n", "2",
+                     "--out", str(rec)]) == 0
+        with open(rec / "topn.csv") as fh:
+            assert all(row[2].isdigit() for row in list(csv.reader(fh))[1:])
+        assert main(["evaluate", "--split", str(split), "--topn", str(rec),
+                     "--out", str(tmp_path / "eval")]) == 0
+
     def test_external_scores_pipeline(self, split_dir, prefs_dir, tmp_path):
         scores = tmp_path / "scores.csv"
         with open(split_dir / "train.csv") as fh:
@@ -355,6 +381,49 @@ class TestSweep:
             row = list(csv.reader(fh))[1]
         assert float(row[2]) == pytest.approx(report["coverage"])
         assert float(row[1]) == pytest.approx(report["f_measure"])
+
+
+def _run_cli(argv):
+    """Run ``python -m ganc.cli`` in a child process, as a user would."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ganc.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "ganc.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("command, extra", [
+        ("evaluate", ["--n", "0"]),
+        ("evaluate", ["--n", "-1"]),
+        ("evaluate", ["--n", "6"]),
+        ("sweep", ["--reps", "0"]),
+        ("train-rsvd", ["--epochs", "-1"]),
+        ("train-rsvd", ["--g", "0"]),
+        ("recommend", ["--pop-n", "0"]),
+        ("recommend", ["--workers", "4"]),
+        ("sweep", ["--workers", "4"]),
+    ], ids=["evaluate-n0", "evaluate-n-1", "evaluate-n-above-list", "sweep-reps0",
+            "train-rsvd-epochs-1", "train-rsvd-g0", "recommend-pop-n0", "recommend-workers",
+            "sweep-workers"])
+    def test_exit_1_without_traceback(self, split_dir, prefs_dir, rec_dir, tmp_path,
+                                      command, extra):
+        inputs = {
+            "evaluate": ["--topn", str(rec_dir)],
+            "sweep": ["--prefs", str(prefs_dir), "--s-values", "10"],
+            "recommend": ["--prefs", str(prefs_dir)],
+        }
+        argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "out"),
+                *inputs.get(command, []), *extra]
+        proc = _run_cli(argv)
+        assert proc.returncode == 1
+        assert proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+def test_every_config_field_has_a_flag():
+    # a RunConfig field no flag sets, or a flag with no field, fails here
+    _, subparsers = build_parser()
+    dests = {a.dest for p in subparsers.values() for a in p._actions}
+    assert dests - {"config", "help"} == {f.name for f in fields(RunConfig)}
 
 
 def _truncate_last_line(path):
@@ -432,6 +501,12 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dataset = x\nwibble = 3\n")
         assert main(["split", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+    def test_workers_key_exits_1(self, split_dir, prefs_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 4\n")
+        assert main(["recommend", "--config", str(cfg), "--split", str(split_dir),
+                     "--prefs", str(prefs_dir), "--out", str(tmp_path / "x")]) == 1
 
     def test_usage_error_exit_code(self):
         assert main(["split"]) == 1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ganc.core import (
-    RecFrequency,
     SnapshotStore,
     TopNCollection,
     brute_force_optimal,
@@ -28,7 +27,7 @@ from ganc.errors import (
     InstanceTooLargeError,
 )
 from ganc.preference import PreferenceVector, theta_baseline, theta_generalized
-from ganc.recommenders import dyn_coverage, pop_scorer, rand_coverage, stat_coverage
+from ganc.recommenders import pop_scorer, rand_coverage, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, build_split, random_instance
 
@@ -252,12 +251,16 @@ class TestOslg:
                          phase4_order=perm)
             assert again.collection.lists == base.collection.lists
 
-    def test_worker_count_is_irrelevant(self, synth_split, synth_stats):
+    def test_reversed_phase4_order_is_irrelevant(self, synth_split, synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)
         theta = theta_generalized(synth_split)
-        one = oslg(synth_split, theta, arec, 5, s=25, seed=2, workers=1)
-        eight = oslg(synth_split, theta, arec, 5, s=25, seed=2, workers=8)
-        assert one.collection.lists == eight.collection.lists
+        base = oslg(synth_split, theta, arec, 5, s=25, seed=2)
+        rest = [u for u in synth_split.users if u not in base.sampled_users]
+        assert base.phase2_users == len(rest) > 1
+        # the ignored workers keyword is still accepted
+        again = oslg(synth_split, theta, arec, 5, s=25, seed=2, workers=8,
+                     phase4_order=rest[::-1])
+        assert again.collection.lists == base.collection.lists
 
     def test_invalid_phase4_order_rejected(self):
         rng = np.random.default_rng(7)
@@ -297,13 +300,15 @@ class TestIndependentGreedy:
                                         arec, crec, 5)
             assert coll.lists[user] == expected
 
-    def test_workers_do_not_change_output(self, synth_split, synth_stats):
+    def test_stat_coverage_matches_per_user_greedy(self, synth_split, synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)
         crec = stat_coverage(synth_stats, synth_split)
         theta = theta_generalized(synth_split)
-        one = independent_greedy(synth_split, theta, arec, crec, 5, workers=1)
-        four = independent_greedy(synth_split, theta, arec, crec, 5, workers=4)
-        assert one.lists == four.lists
+        coll = independent_greedy(synth_split, theta, arec, crec, 5)
+        assert list(coll.lists) == list(synth_split.users)
+        for user in synth_split.users:
+            assert coll.lists[user] == greedy_topn_user(
+                synth_split, user, theta.theta[user], arec, crec, 5)
 
 
 class TestBruteForce:
@@ -369,12 +374,9 @@ class TestSubmodularityCheck:
 
 
 class TestSnapshotStore:
-    def test_nearest_prefers_lower_theta_on_exact_tie(self, synth_split):
+    def test_nearest_prefers_lower_theta_on_exact_tie(self):
         store = SnapshotStore()
-        low = RecFrequency(synth_split)
-        low.increment([synth_split.items[0]])
-        high = RecFrequency(synth_split)
-        high.increment([synth_split.items[1]])
+        low, high = object(), object()
         store.add(0.25, low)
         store.add(0.75, high)
         assert store.nearest(0.5) is low
@@ -395,6 +397,32 @@ class TestCollectionPersistence:
         coll = TopNCollection(2, {"007": ("01", "1"), "7": ("1", "x")})
         save_collection(coll, tmp_path)
         assert load_collection(tmp_path).lists == coll.lists
+
+    def test_ids_are_read_against_the_split(self, tmp_path):
+        # "x0" makes the split's item ids strings; a file listing only the
+        # int-like ones must still name the split's items, not ints
+        split = build_split([(1, "x0", 3), (2, "x0", 3), (3, "x0", 3),
+                             (1, "1", 3), (2, "2", 3), (3, "3", 3)])
+        coll = TopNCollection(1, {1: ("2",), 2: ("3",), 3: ("1",)})
+        save_collection(coll, tmp_path)
+        assert load_collection(tmp_path).lists == {1: (2,), 2: (3,), 3: (1,)}
+        loaded = load_collection(tmp_path, split)
+        assert loaded.lists == coll.lists
+        loaded.validate(split)
+        # an id the split lacks stays as read, and validate reports it
+        (tmp_path / "topn.csv").write_text("user,rank,item\n1,1,9\nu7,1,2\n")
+        odd = load_collection(tmp_path, split)
+        assert odd.lists == {1: ("9",), "u7": ("2",)}
+        with pytest.raises(ContractViolationError, match="'9' outside"):
+            odd.validate(split)
+
+    def test_truncation(self):
+        coll = TopNCollection(3, {1: ("a", "b", "c"), 2: ("d", "e", "f")})
+        assert coll.truncated(3) is coll
+        assert coll.truncated(1).lists == {1: ("a",), 2: ("d",)}
+        for n in (0, -1, 4):
+            with pytest.raises(ValueError, match=r"n must be in \[1, 3\]"):
+                coll.truncated(n)
 
     def test_validate_rejects_bad_lists(self, synth_split):
         user = synth_split.users[0]

@@ -2,8 +2,10 @@
 
 The references below are the implementations the fast paths replaced:
 ``_greedy_idx_reference`` rebuilds the blended gains (and the coverage
-vector) at each of the n steps, ``_SnapshotStoreReference`` keeps full
-frequency copies and rebuilds its theta array on every lookup,
+vector) at each of the n steps, ``_RecFrequency`` and ``_DynCoverage`` keep
+OSLG's recommendation counts and read coverage from them at call time,
+``_SnapshotStoreReference`` keeps full frequency copies and rebuilds its
+theta array on every lookup,
 ``_evaluate_reference`` recomputes relevant items per call and popularity
 weights per relevant pair, ``_load_ratings_reference`` and
 ``_split_per_user_reference`` parse and split one ``Rating`` per row into
@@ -27,7 +29,6 @@ from ganc import dataset
 
 from ganc.core import (
     PROTOCOLS,
-    RecFrequency,
     SnapshotStore,
     TopNCollection,
     independent_greedy,
@@ -49,7 +50,7 @@ from ganc.errors import EmptyDatasetError, InfeasibleError, ParseError, Undefine
 from ganc.io_utils import canonical_ids, id_int
 from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n
 from ganc.preference import PreferenceVector, theta_generalized
-from ganc.recommenders import DynCoverage, pop_scorer, stat_coverage
+from ganc.recommenders import pop_scorer, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, build_split
 
@@ -69,6 +70,29 @@ def _greedy_idx_reference(user, theta, arec, crec, n, cand_idx):
         picked.append(int(cand_idx[k]))
         avail[k] = False
     return picked
+
+
+class _RecFrequency:
+    """Mutable per-item counts of recommendations assigned so far."""
+
+    def __init__(self, split, counts=None):
+        self.split = split
+        self.counts = np.zeros(len(split.items), dtype=np.int64) if counts is None else counts
+
+    def increment(self, item_ids):
+        idx = self.split.item_index
+        for i in item_ids:
+            self.counts[idx[i]] += 1
+
+
+class _DynCoverage:
+    """Coverage scores 1/sqrt(f + 1) over the live counts of a _RecFrequency."""
+
+    def __init__(self, freq):
+        self.freq = freq
+
+    def score_vector(self):
+        return 1.0 / np.sqrt(self.freq.counts + 1.0)
 
 
 class _SnapshotStoreReference:
@@ -107,18 +131,18 @@ def _ids(split, picked):
 def _oslg_reference(split, theta, arec, n, s, seed, protocol):
     users, cands = _eligible_reference(split, n, protocol)
     sample = kde_sample(theta, s, seed, users=users)
-    freq = RecFrequency(split)
-    dyn = DynCoverage(freq)
+    freq = _RecFrequency(split)
+    dyn = _DynCoverage(freq)
     store = _SnapshotStoreReference()
     lists = {}
     for u in sample:
         picked = _ids(split, _greedy_idx_reference(u, theta.theta[u], arec, dyn, n, cands[u]))
         freq.increment(picked)
-        store.add(theta.theta[u], RecFrequency(split, freq.counts.copy()))
+        store.add(theta.theta[u], _RecFrequency(split, freq.counts.copy()))
         lists[u] = picked
     for u in users:
         if u not in lists:
-            snapshot = DynCoverage(store.nearest(theta.theta[u]))
+            snapshot = _DynCoverage(store.nearest(theta.theta[u]))
             lists[u] = _ids(split, _greedy_idx_reference(
                 u, theta.theta[u], arec, snapshot, n, cands[u]))
     return tuple(sample), lists
@@ -128,8 +152,8 @@ def _locally_greedy_reference(split, theta, arec, n, user_order, protocol):
     users, cands = _eligible_reference(split, n, protocol)
     if user_order == "increasing_theta":
         users = sorted(users, key=lambda u: (theta.theta[u], u))
-    freq = RecFrequency(split)
-    dyn = DynCoverage(freq)
+    freq = _RecFrequency(split)
+    dyn = _DynCoverage(freq)
     lists = {}
     for u in users:
         picked = _ids(split, _greedy_idx_reference(u, theta.theta[u], arec, dyn, n, cands[u]))

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganc.core import RecFrequency
+from ganc.core import _coverage, _sequential_greedy
 from ganc.dataset import Rating, compute_item_stats
 from ganc.errors import ParseError, TrainingDivergenceError, UnknownIdError
+from ganc.preference import theta_baseline
 from ganc.recommenders import (
     MFModel,
-    dyn_coverage,
     load_external_scores,
     load_mf_model,
     mf_accuracy_scorer,
@@ -345,6 +345,17 @@ class TestExternalScores:
         with pytest.raises(ParseError, match=":2"):
             load_external_scores(p, split)
 
+    def test_ids_are_read_against_the_split(self, tmp_path):
+        # "x0" makes the split's item ids strings; a file listing only the
+        # int-like ones must still score the split's items
+        split = build_split([(1, "x0", 3), (1, "1", 3), (1, "2", 3), (2, "3", 3)])
+        p = tmp_path / "scores.csv"
+        p.write_text("user,item,score\n2,1,0.9\n2,2,0.1\n2,99,0.5\n")
+        scorer = load_external_scores(p, split)
+        assert scorer.score(2, "1") == 1.0
+        assert scorer.score(2, "2") == 0.0
+        assert scorer.score_vector(2).tolist() == [1.0, 0.0, 0.0, 0.0]  # "99" is ignored
+
     def test_bad_header(self, tmp_path):
         split = build_split([("u1", "i1", 3)])
         p = tmp_path / "scores.csv"
@@ -365,27 +376,28 @@ class TestCoverageScorers:
         assert scorer.score("pop99") == pytest.approx(0.1)        # 1/sqrt(100)
         assert scorer.score("fresh") == pytest.approx(1 / np.sqrt(2))
 
-    def test_dyn_tracks_live_frequency(self, synth_split):
-        freq = RecFrequency(synth_split)
-        scorer = dyn_coverage(freq)
-        item = synth_split.items[0]
-        assert scorer.score(item) == 1.0
-        freq.increment([item])
-        assert scorer.score(item) == pytest.approx(1 / np.sqrt(2))
-        seen = [scorer.score(item)]
-        for _ in range(5):
-            freq.increment([item])
-            seen.append(scorer.score(item))
+    def test_dyn_tracks_live_frequency(self, synth_split, synth_stats):
+        # dynamic coverage (kept inside OSLG) is 1/sqrt(f + 1): 1 before any
+        # recommendation, falling with each one
+        seen = _coverage(np.arange(6))
+        assert seen[0] == 1.0
+        assert seen[1] == pytest.approx(1 / np.sqrt(2))
         assert all(a > b for a, b in zip(seen, seen[1:]))
+        # the sequential pass keeps its live vector equal to that of the
+        # lists counted so far
+        arec = pop_scorer(synth_split, synth_stats, 5)
+        theta = theta_baseline(synth_split.users, "constant", c=0.5)
+        counts = np.zeros(len(synth_split.items), dtype=np.int64)
+        for _, picked, cov in _sequential_greedy(synth_split, synth_split.users[:30], theta,
+                                                 arec, 5, synth_split.candidate_mask):
+            counts[picked] += 1
+            assert np.array_equal(cov, _coverage(counts))
+        assert counts.max() > 1
 
     def test_stat_equals_dyn_when_frequencies_match(self, synth_split, synth_stats):
-        freq = RecFrequency(synth_split)
-        for item in synth_split.items:
-            for _ in range(synth_stats.popularity[item]):
-                freq.increment([item])
+        counts = np.array([synth_stats.popularity[i] for i in synth_split.items])
         stat = stat_coverage(synth_stats, synth_split)
-        dyn = dyn_coverage(freq)
-        assert np.allclose(stat.score_vector(), dyn.score_vector())
+        assert np.array_equal(stat.score_vector(), _coverage(counts))
 
     def test_rand_stable_within_run(self, synth_split):
         a = rand_coverage(9, synth_split)
