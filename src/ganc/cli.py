@@ -24,7 +24,7 @@ from .errors import (
     StaleArtifactError,
     UnknownIdError,
 )
-from .io_utils import read_json, sha256_file, split_hash, write_json
+from .io_utils import read_json, sha256_file, write_json
 
 THETA_SYMBOL = {
     "activity": "theta^A",
@@ -115,27 +115,35 @@ def parse_config(path) -> dict:
     return out
 
 
-def _check_split_hash(manifest: dict, split_dir, what: str) -> None:
+def _check_split_hash(manifest: dict, split_sha256: str, split_dir, what: str) -> None:
+    """Refuse an artifact whose recorded split hash is not ``split_sha256``,
+    the hash of the split loaded from ``split_dir``."""
     recorded = manifest.get("split_sha256")
-    if recorded is not None and recorded != split_hash(split_dir):
+    if recorded is not None and recorded != split_sha256:
         raise StaleArtifactError(
             f"{what} was produced from a different split than {split_dir}")
 
 
-def _load_theta(cfg: RunConfig):
+def _load_split(cfg: RunConfig):
+    """(split, its split hash) of ``--split``."""
+    split, manifest = dataset.load_split(cfg.split)
+    return split, manifest["split_sha256"]
+
+
+def _load_theta(cfg: RunConfig, split_sha256: str):
     pv, manifest = preference.load_prefs(cfg.prefs)
-    _check_split_hash(manifest, cfg.split, f"prefs at {cfg.prefs}")
+    _check_split_hash(manifest, split_sha256, cfg.split, f"prefs at {cfg.prefs}")
     return pv
 
 
-def _build_arec(cfg: RunConfig, split, stats, n: int):
+def _build_arec(cfg: RunConfig, split, split_sha256: str, stats, n: int):
     if cfg.arec == "pop":
         return recommenders.pop_scorer(split, stats, n if cfg.pop_n is None else cfg.pop_n)
     if cfg.arec == "rsvd":
         if not cfg.mf:
             raise ValueError("--mf is required with arec=rsvd")
         model, manifest = recommenders.load_mf_model(cfg.mf)
-        _check_split_hash(manifest, cfg.split, f"model at {cfg.mf}")
+        _check_split_hash(manifest, split_sha256, cfg.split, f"model at {cfg.mf}")
         return recommenders.mf_accuracy_scorer(model, split)
     if cfg.arec == "external":
         if not cfg.external_scores:
@@ -165,7 +173,7 @@ def cmd_split(cfg: RunConfig) -> int:
 
 
 def cmd_prefs(cfg: RunConfig) -> int:
-    split, _ = dataset.load_split(cfg.split)
+    split, split_sha256 = _load_split(cfg)
     if cfg.model == "activity":
         pv = preference.theta_activity(split)
     elif cfg.model == "normalized_longtail":
@@ -181,7 +189,7 @@ def cmd_prefs(cfg: RunConfig) -> int:
     else:
         raise ValueError(f"unknown preference model {cfg.model!r}")
     preference.save_prefs(pv, cfg.out, manifest={
-        "split_sha256": split_hash(cfg.split),
+        "split_sha256": split_sha256,
         "lambda1": cfg.lambda1, "tol": cfg.tol, "max_iters": cfg.max_iters,
         "constant": cfg.constant, "theta_seed": cfg.theta_seed,
     })
@@ -194,13 +202,13 @@ def cmd_prefs(cfg: RunConfig) -> int:
 
 
 def cmd_train_rsvd(cfg: RunConfig) -> int:
-    split, _ = dataset.load_split(cfg.split)
+    split, split_sha256 = _load_split(cfg)
     model = recommenders.rsvd_train(split, cfg.g, cfg.lam, cfg.eta,
                                     cfg.epochs, cfg.mf_seed)
     rmse_train = recommenders.rmse(model, split.train_columns)
     rmse_test = recommenders.rmse(model, split.test_columns) if len(split.test_columns) else None
     recommenders.save_mf_model(model, cfg.out, manifest={
-        "split_sha256": split_hash(cfg.split),
+        "split_sha256": split_sha256,
         "lam": cfg.lam, "eta": cfg.eta, "epochs": cfg.epochs,
         "seed": cfg.mf_seed, "rmse_train": rmse_train, "rmse_test": rmse_test,
         "epoch_rmse": list(model.epoch_rmse),
@@ -211,11 +219,11 @@ def cmd_train_rsvd(cfg: RunConfig) -> int:
 
 
 def cmd_recommend(cfg: RunConfig) -> int:
-    split, _ = dataset.load_split(cfg.split)
+    split, split_sha256 = _load_split(cfg)
     stats = dataset.compute_item_stats(split)
-    pv = _load_theta(cfg)
+    pv = _load_theta(cfg, split_sha256)
     n = 5 if cfg.n is None else cfg.n
-    arec = _build_arec(cfg, split, stats, n)
+    arec = _build_arec(cfg, split, split_sha256, stats, n)
     protocol = cfg.protocol or "all_unrated"
     phase_seconds = None
     sampled = phase2_users = snapshots_used = None
@@ -247,7 +255,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
         "seed": cfg.run_seed, "theta_model": pv.model,
         "arec": cfg.arec, "crec": cfg.crec, "protocol": protocol,
         "phase_seconds": phase_seconds,
-        "split_sha256": split_hash(cfg.split),
+        "split_sha256": split_sha256,
         "theta_sha256": sha256_file(Path(cfg.prefs) / "theta.csv"),
     })
     print(f"{template} n={n} users={len(coll.lists)} -> {cfg.out}/topn.csv")
@@ -255,10 +263,10 @@ def cmd_recommend(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    split, _ = dataset.load_split(cfg.split)
+    split, split_sha256 = _load_split(cfg)
     stats = dataset.compute_item_stats(split)
     run_manifest = read_json(Path(cfg.topn) / "run.json")
-    _check_split_hash(run_manifest, cfg.split, f"collection at {cfg.topn}")
+    _check_split_hash(run_manifest, split_sha256, cfg.split, f"collection at {cfg.topn}")
     coll = core.load_collection(cfg.topn, split)
     coll.validate(split)
     protocol = cfg.protocol or run_manifest.get("protocol", "all_unrated")
@@ -278,11 +286,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    split, _ = dataset.load_split(cfg.split)
+    split, split_sha256 = _load_split(cfg)
     stats = dataset.compute_item_stats(split)
-    pv = _load_theta(cfg)
+    pv = _load_theta(cfg, split_sha256)
     n = 5 if cfg.n is None else cfg.n
-    arec = _build_arec(cfg, split, stats, n)
+    arec = _build_arec(cfg, split, split_sha256, stats, n)
     protocol = cfg.protocol or "all_unrated"
     s_values = [int(v) for v in str(cfg.s_values).split(",") if v.strip()]
     if not s_values:

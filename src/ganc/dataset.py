@@ -3,7 +3,8 @@
 Supported input layouts: MovieLens-100K style tab-separated files, the
 ``user::item::rating::timestamp`` layout, and generic CSV with a
 ``user,item,rating[,timestamp]`` header. Splits persist as two generic CSV
-files plus a JSON manifest.
+files plus a JSON manifest, with a binary sidecar that caches the parsed
+split (see :func:`load_split`).
 
 Ratings are held as columns (:class:`RatingColumns`): id tables plus int64
 user and item codes, float64 values, and timestamps, one entry per rating.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
@@ -25,7 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDatasetError, ParseError, UnknownIdError
-from .io_utils import canonical_ids, id_int, read_json, sha256_file, write_json
+from .io_utils import (
+    canonical_ids,
+    id_int,
+    read_json,
+    sha256_file,
+    split_digest,
+    write_json,
+)
 
 FORMATS = ("tab_separated", "double_colon", "csv")
 
@@ -563,42 +572,201 @@ def _write_ratings_csv(path, cols: RatingColumns) -> None:
 
 
 def save_split(split: SplitDataset, directory, manifest: dict | None = None) -> None:
-    """Persist train.csv, test.csv and a split.json manifest."""
+    """Persist train.csv, test.csv, a split.json manifest and the split.npz
+    sidecar (see :func:`load_split`)."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     _write_ratings_csv(d / "train.csv", split.train_columns)
     _write_ratings_csv(d / "test.csv", split.test_columns)
+    digests = sha256_file(d / "train.csv"), sha256_file(d / "test.csv")
     payload = dict(manifest or {})
     payload.update(
         n_train=len(split.train_columns),
         n_test=len(split.test_columns),
         n_users=len(split.users),
         n_items_train=len(split.items),
-        train_sha256=sha256_file(d / "train.csv"),
-        test_sha256=sha256_file(d / "test.csv"),
+        train_sha256=digests[0],
+        test_sha256=digests[1],
     )
     write_json(d / "split.json", payload)
+    arrays = _sidecar_arrays(split)
+    if arrays is None:
+        (d / SIDECAR).unlink(missing_ok=True)
+    else:
+        np.savez(d / SIDECAR, train_sha256=digests[0], test_sha256=digests[1], **arrays)
 
 
 def load_split(directory) -> tuple[SplitDataset, dict]:
     """Load a persisted split; returns (split, manifest).
 
     Ids are canonicalized over train.csv and test.csv together, so an id
-    reads the same in both files.
+    reads the same in both files. The manifest is split.json plus
+    ``split_sha256``, the :func:`~ganc.io_utils.split_hash` of the two files
+    as read here. The split comes from the split.npz sidecar when it was
+    built from these exact bytes and passes its checks, and from parsing the
+    CSVs otherwise; both give the same split.
     """
     d = Path(directory)
+    digests = sha256_file(d / "train.csv"), sha256_file(d / "test.csv")
+    split = _read_sidecar(d / SIDECAR, *digests)
+    if split is None:
+        split = _parse_split(d)
+    manifest = read_json(d / "split.json")
+    manifest["split_sha256"] = split_digest(*digests)
+    return split, manifest
+
+
+def _parse_split(d: Path) -> SplitDataset:
     train = _parse(d / "train.csv", "csv")
     try:
         test = _parse(d / "test.csv", "csv")
     except EmptyDatasetError:
         test = RatingColumns.from_ratings(())
-    manifest = read_json(d / "split.json")
     users = canonical_ids(train.users + test.users)
     items = canonical_ids(train.items + test.items)
     n_users, n_items = len(train.users), len(train.items)
     return SplitDataset.from_columns(
         train._with_ids(users[:n_users], items[:n_items]),
-        test._with_ids(users[n_users:], items[n_items:])), manifest
+        test._with_ids(users[n_users:], items[n_items:]))
+
+
+# The split.npz sidecar: a cache of the split that load_split parses from
+# train.csv and test.csv, with the SHA-256 of the two files it stands for.
+# Id tables are int64 arrays or UTF-8 bytes plus offsets; timestamps are an
+# int64 array plus a mask of the missing ones.
+
+SIDECAR = "split.npz"
+# the arrays stored per part ("train_user_codes", ...) and their dtypes
+_SIDECAR_COLUMNS = {"user_codes": np.int64, "item_codes": np.int64, "values": np.float64,
+                    "timestamps": np.int64, "missing": np.bool_}
+
+
+def _written_ids(table: tuple) -> tuple | None:
+    """The ids of ``table`` as load_split reads back their written form;
+    None when reading it back would alter them (an id other than an int or
+    a str, an empty or padded one, two written alike, or one past the csv
+    field limit)."""
+    if not all(type(x) in (int, str) for x in table):
+        return None
+    written = [x if type(x) is str else str(x) for x in table]
+    limit = csv.field_size_limit()
+    if len(set(written)) < len(written) or any(
+            not s or s != s.strip() or len(s) > limit for s in written):
+        return None
+    return tuple(canonical_ids(written))
+
+
+def _reread_stamps(stamps: np.ndarray) -> tuple | None:
+    """(int64 values, missing mask) of timestamps as the CSV parse reads back
+    their written form, ``int(float(t))``; None when one is not an int or
+    None, or does not fit int64."""
+    if not set(map(type, stamps.tolist())) <= {int, type(None)}:
+        return None
+    missing = np.equal(stamps, None)
+    values = np.zeros(len(stamps), dtype=np.int64)
+    try:
+        values[~missing] = stamps[~missing]
+        rounded = (values > 2**53) | (values < -2**53)  # float() rounds these
+        values[rounded] = [int(float(t)) for t in values[rounded].tolist()]
+    except OverflowError:
+        return None
+    return values, missing
+
+
+def _table_arrays(name: str, table: tuple) -> dict:
+    if type(table[0]) is int:  # canonical tables are all ints or all strs
+        return {name: np.array(table, dtype=np.int64)}  # OverflowError past int64
+    encoded = [s.encode("utf-8") for s in table]
+    return {f"{name}_utf8": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            f"{name}_offsets": np.cumsum([0, *map(len, encoded)], dtype=np.int64)}
+
+
+def _sidecar_arrays(split: SplitDataset) -> dict | None:
+    """The sidecar arrays of the split load_split parses back from the CSVs
+    save_split writes for ``split``; None when a value would not come back
+    as written or does not fit the sidecar.
+
+    Ids are canonicalized over their written strings, so a split of ids
+    ``"1"``, ``"2"`` comes back as the ints 1, 2 and may sort differently.
+    """
+    users, items = _written_ids(split.users), _written_ids(split.items)
+    if users is None or items is None:
+        return None
+    columns, stamps = [], []
+    for cols in (split.train_columns, split.test_columns):
+        reread = _reread_stamps(cols.timestamps)
+        if reread is None or not (np.isfinite(cols.values) & (cols.values >= 0)).all():
+            return None  # the parse would refuse the file
+        stamps.append(reread)
+        # the row numbers ride in the timestamps column to find each row's stamp
+        columns.append(RatingColumns(users, items, cols.user_codes, cols.item_codes,
+                                     cols.values, np.arange(len(cols))).deduplicated())
+    back = SplitDataset.from_columns(*columns)
+    try:
+        arrays = {**_table_arrays("users", back.users), **_table_arrays("items", back.items)}
+    except OverflowError:
+        return None
+    for part, cols, (values, missing) in zip(
+            ("train", "test"), (back.train_columns, back.test_columns), stamps):
+        rows = cols.timestamps
+        arrays.update(zip((f"{part}_{k}" for k in _SIDECAR_COLUMNS), (
+            cols.user_codes, cols.item_codes, cols.values, values[rows], missing[rows])))
+    return arrays
+
+
+def _require(ok) -> None:
+    if not ok:
+        raise ValueError("split.npz fails a check")
+
+
+def _sidecar_table(z, name: str) -> tuple:
+    if name in z.files:
+        ids = z[name]
+        _require(ids.dtype == np.int64 and ids.ndim == 1 and (ids[1:] > ids[:-1]).all())
+        return tuple(ids.tolist())
+    data, offsets = z[f"{name}_utf8"], z[f"{name}_offsets"]
+    _require(data.dtype == np.uint8 and offsets.dtype == np.int64
+             and data.ndim == offsets.ndim == 1 and len(offsets) > 0 and offsets[0] == 0
+             and offsets[-1] == len(data) and (offsets[1:] >= offsets[:-1]).all())
+    raw, bounds = data.tobytes(), offsets.tolist()
+    table = tuple(raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
+    _require(all(a < b for a, b in zip(table, table[1:])))
+    return table
+
+
+def _sidecar_columns(z, part: str, users: tuple, items: tuple) -> RatingColumns:
+    arrays = [z[f"{part}_{k}"] for k in _SIDECAR_COLUMNS]
+    _require(all(a.dtype == t and a.ndim == 1 and len(a) == len(arrays[0])
+                 for a, t in zip(arrays, _SIDECAR_COLUMNS.values())))
+    user_codes, item_codes, values, stamps, missing = arrays
+    _require(not len(values) or (
+        0 <= user_codes.min() and user_codes.max() < len(users)
+        and 0 <= item_codes.min() and item_codes.max() < len(items)
+        and (np.isfinite(values) & (values >= 0)).all()))
+    timestamps = _object_array(stamps.tolist())
+    timestamps[missing] = None
+    return RatingColumns(users, items, user_codes, item_codes, values, timestamps)
+
+
+def _read_sidecar(path: Path, train_sha256: str, test_sha256: str) -> SplitDataset | None:
+    """The split a sidecar holds for CSVs with these digests; None when it
+    is missing, unreadable, built from other bytes or fails its checks."""
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):  # a bare .npy array
+            return None
+        with z:
+            if (str(z["train_sha256"]), str(z["test_sha256"])) != (train_sha256, test_sha256):
+                return None
+            users, items = _sidecar_table(z, "users"), _sidecar_table(z, "items")
+            train = _sidecar_columns(z, "train", users, items)
+            test = _sidecar_columns(z, "test", users, items)
+        # every table entry occurs in train, as in a split built from columns
+        _require(len(train) and np.bincount(train.user_codes, minlength=len(users)).all()
+                 and np.bincount(train.item_codes, minlength=len(items)).all())
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    return SplitDataset(users, items, train, test)
 
 
 def resolve_ids(values, table: tuple) -> list:

@@ -41,13 +41,15 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def split_digest(train_sha256: str, test_sha256: str) -> str:
+    """Combined content hash of a split from its two files' SHA-256 digests."""
+    return hashlib.sha256((train_sha256 + test_sha256).encode()).hexdigest()
+
+
 def split_hash(directory) -> str:
     """Combined content hash of a split's train and test files."""
     d = Path(directory)
-    h = hashlib.sha256()
-    for name in ("train.csv", "test.csv"):
-        h.update(sha256_file(d / name).encode())
-    return h.hexdigest()
+    return split_digest(sha256_file(d / "train.csv"), sha256_file(d / "test.csv"))
 
 
 def write_json(path, payload: dict) -> None:

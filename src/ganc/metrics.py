@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,6 +103,13 @@ def lt_accuracy_at_n(coll: TopNCollection, stats: ItemStats) -> float:
     return total / (coll.n * len(coll.lists))
 
 
+def _check_beta_threshold(beta: float, threshold: float) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
                       beta: float = 0.5, threshold: float = 4.0) -> float:
     """Recall with every relevant item down-weighted by popularity^beta.
@@ -109,8 +117,7 @@ def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
     Items with zero train popularity (possible only for hand-built inputs)
     weigh as popularity one.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    _check_beta_threshold(beta, threshold)
     relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
     idx, counts = split.item_index, split.item_train_counts.tolist()
     weight = {i: ((counts[idx[i]] if i in idx else 0) or 1) ** (-beta)
@@ -160,6 +167,7 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    _check_beta_threshold(beta, threshold)
     if declared_protocol is not None and declared_protocol != protocol:
         raise ContractViolationError(
             f"collection was generated under {declared_protocol!r}, "

@@ -9,6 +9,7 @@ minimax updates over per-item importance weights.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,7 @@ class PreferenceVector:
     weights: dict | None = None
     iterations: int | None = None
     converged: bool | None = None
+    theta_deltas: tuple | None = None  # max |change of theta| per iteration
 
 
 def _raw_theta_ui(split: SplitDataset) -> np.ndarray:
@@ -93,16 +95,17 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
     w_i = lambda1 / eps_i from the item mediocrity coefficient
     eps_i = sum over raters of 1 - (theta_ui - theta_u)^2, then refreshes
     every theta_u as the w-weighted average of its pair values. Stops when
-    the largest per-user change drops below ``tol``. With ``max_iters=0``
-    the result equals :func:`theta_tfidf` and weights stay at one.
+    the largest per-user change drops below ``tol``; ``theta_deltas``
+    records that change for every iteration. With ``max_iters=0`` the
+    result equals :func:`theta_tfidf` and weights stay at one.
 
     ``theta_ui`` overrides the internally computed pair values; entries must
     already lie in [0, 1] or the mediocrity coefficient can degenerate.
     """
-    if lambda1 <= 0:
-        raise ValueError(f"lambda1 must be positive, got {lambda1}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(lambda1) and lambda1 > 0):
+        raise ValueError(f"lambda1 must be positive and finite, got {lambda1}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     t = split.train_columns
@@ -115,7 +118,7 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
 
     w = np.ones(n_items)
     theta = _weighted_user_means(split, t_ui, w)
-    iterations = 0
+    deltas = []
     converged = False
     for k in range(1, max_iters + 1):
         sq_dev = (t_ui - theta[uidx]) ** 2
@@ -128,7 +131,7 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
         new_theta = _weighted_user_means(split, t_ui, w)
         delta = float(np.max(np.abs(new_theta - theta)))
         theta = new_theta
-        iterations = k
+        deltas.append(delta)
         if delta < tol:
             converged = True
             break
@@ -137,8 +140,9 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
         "generalized",
         dict(zip(split.users, map(float, theta))),
         weights=dict(zip(split.items, map(float, w))),
-        iterations=iterations,
+        iterations=len(deltas),
         converged=converged,
+        theta_deltas=tuple(deltas),
     )
 
 
@@ -172,7 +176,8 @@ def save_prefs(pv: PreferenceVector, directory, manifest: dict | None = None) ->
             for i in sorted(pv.weights):
                 w.writerow([i, repr(pv.weights[i])])
     payload = dict(manifest or {})
-    payload.update(model=pv.model, iterations=pv.iterations, converged=pv.converged)
+    payload.update(model=pv.model, iterations=pv.iterations, converged=pv.converged,
+                   theta_deltas=None if pv.theta_deltas is None else list(pv.theta_deltas))
     write_json(d / "prefs.json", payload)
 
 
@@ -183,9 +188,11 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     weights = None
     if (d / "weights.csv").exists():
         weights = _read_id_column_map(d / "weights.csv")
+    deltas = manifest.get("theta_deltas")
     return PreferenceVector(
         manifest["model"], theta, weights,
         manifest.get("iterations"), manifest.get("converged"),
+        None if deltas is None else tuple(deltas),
     ), manifest
 
 

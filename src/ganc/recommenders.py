@@ -135,6 +135,10 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
         raise ValueError(f"g must be at least 1, got {g}")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     t = split.train_columns
     if not len(t):
         raise ValueError("cannot train on an empty split")
@@ -143,18 +147,36 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     P = rng.uniform(-0.05, 0.05, size=(n_users, g))
     Q = rng.uniform(-0.05, 0.05, size=(n_items, g))
     uidx, iidx, vals = t.user_codes, t.item_codes, t.values
+    # A level holds each user and item at most once, so no level is longer
+    # than the smaller table. Each level's rows are gathered into these
+    # buffers and its updates computed in place, with the operations of
+    # pu + eta*(e*qi - lam*pu) in the same order, so every bit is unchanged.
+    rows = min(n_users, n_items)
+    pu, qi, step, decay = (np.empty((rows, g)) for _ in range(4))
     epoch_rmse = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
         for epoch in range(epochs):
             order = rng.permutation(len(vals))
-            uo, io, vo = uidx[order], iidx[order], vals[order]
+            uo, io = uidx[order], iidx[order]
+            levels = wavefront_schedule(uo, io)
+            by_level = order[np.concatenate(levels)]  # each level is now a slice
+            uo, io, vo = uidx[by_level], iidx[by_level], vals[by_level]
+            bounds = np.cumsum([0, *map(len, levels)]).tolist()
             sq_err = 0.0
-            for level in wavefront_schedule(uo, io):
-                u, i = uo[level], io[level]
-                pu, qi = P[u], Q[i]
-                e = vo[level] - _row_dots(pu, qi)
-                P[u] = pu + eta * (e[:, None] * qi - lam * pu)
-                Q[i] = qi + eta * (e[:, None] * pu - lam * qi)
+            for lo, hi in zip(bounds, bounds[1:]):
+                m = hi - lo
+                u, i, p, q, d, w = uo[lo:hi], io[lo:hi], pu[:m], qi[:m], step[:m], decay[:m]
+                np.take(P, u, axis=0, out=p, mode="clip")
+                np.take(Q, i, axis=0, out=q, mode="clip")
+                e = vo[lo:hi] - _row_dots(p, q)
+                ec = e[:, None]
+                for src, other, factors, idx in ((p, q, P, u), (q, p, Q, i)):
+                    np.multiply(ec, other, out=d)
+                    np.multiply(lam, src, out=w)
+                    np.subtract(d, w, out=d)
+                    np.multiply(eta, d, out=d)
+                    np.add(src, d, out=d)
+                    factors[idx] = d
                 sq_err += float(e @ e)
             if not (np.isfinite(P).all() and np.isfinite(Q).all()):
                 raise TrainingDivergenceError(f"non-finite factors at epoch {epoch + 1}")

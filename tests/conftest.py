@@ -15,6 +15,28 @@ def build_split(train_pairs, test_pairs=()):
     return SplitDataset.from_ratings(train, test)
 
 
+def assert_same_split(got, want):
+    """Equal id tables (types included), code arrays, values bit for bit,
+    timestamps and set views."""
+    for name in ("users", "items"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b and list(map(type, a)) == list(map(type, b))
+    for part in ("train_columns", "test_columns"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert (a.users, a.items) == (got.users, got.items)
+        for name in ("user_codes", "item_codes"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        assert a.values.dtype == b.values.dtype == np.float64
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+        assert a.timestamps.dtype == b.timestamps.dtype == object
+        assert [(type(t), t) for t in a.timestamps.tolist()] == \
+            [(type(t), t) for t in b.timestamps.tolist()]
+    assert got.train == want.train and got.test == want.test
+    for name in ("per_user_train_index", "per_user_test_index", "per_item_train_index"):
+        assert getattr(got, name) == getattr(want, name)
+
+
 class DictAccuracy:
     """Accuracy scorer backed by a raw (user, item) -> score dict."""
 

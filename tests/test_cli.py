@@ -7,10 +7,12 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import ganc
+import ganc.io_utils
 from ganc.cli import RunConfig, build_parser, main
 from ganc.dataset import load_split, save_split
 from ganc.io_utils import read_json
@@ -101,6 +103,13 @@ class TestPrefs:
         assert main(["prefs", "--split", str(split_dir), "--model", "generalized",
                      "--max-iters", "0", "--out", str(b)]) == 0
         assert (a / "theta.csv").read_bytes() == (b / "theta.csv").read_bytes()
+
+    def test_manifest_records_theta_deltas(self, prefs_dir):
+        manifest = read_json(prefs_dir / "prefs.json")
+        deltas = manifest["theta_deltas"]
+        assert len(deltas) == manifest["iterations"] > 0
+        assert manifest["converged"] and deltas[-1] < manifest["tol"]
+        assert all(d >= 0 for d in deltas)
 
     def test_unknown_model_exits_1(self, split_dir, tmp_path):
         assert main(["prefs", "--split", str(split_dir), "--model", "psychic",
@@ -401,9 +410,26 @@ class TestRejectedValues:
         ("recommend", ["--pop-n", "0"]),
         ("recommend", ["--workers", "4"]),
         ("sweep", ["--workers", "4"]),
+        ("prefs", ["--lambda1", "nan"]),
+        ("prefs", ["--lambda1", "inf"]),
+        ("prefs", ["--tol", "nan"]),
+        ("prefs", ["--tol", "-inf"]),
+        ("evaluate", ["--beta", "nan"]),
+        ("evaluate", ["--beta", "inf"]),
+        ("evaluate", ["--threshold", "nan"]),
+        ("sweep", ["--beta", "nan"]),
+        ("sweep", ["--threshold", "inf"]),
+        ("train-rsvd", ["--eta", "nan"]),
+        ("train-rsvd", ["--eta", "0"]),
+        ("train-rsvd", ["--lam", "inf"]),
+        ("train-rsvd", ["--lam", "-0.1"]),
     ], ids=["evaluate-n0", "evaluate-n-1", "evaluate-n-above-list", "sweep-reps0",
             "train-rsvd-epochs-1", "train-rsvd-g0", "recommend-pop-n0", "recommend-workers",
-            "sweep-workers"])
+            "sweep-workers", "prefs-lambda1-nan", "prefs-lambda1-inf", "prefs-tol-nan",
+            "prefs-tol-minus-inf", "evaluate-beta-nan", "evaluate-beta-inf",
+            "evaluate-threshold-nan", "sweep-beta-nan", "sweep-threshold-inf",
+            "train-rsvd-eta-nan", "train-rsvd-eta0", "train-rsvd-lam-inf",
+            "train-rsvd-lam-negative"])
     def test_exit_1_without_traceback(self, split_dir, prefs_dir, rec_dir, tmp_path,
                                       command, extra):
         inputs = {
@@ -466,6 +492,63 @@ class TestDamagedSplitFiles:
         err = capsys.readouterr().err
         where = f"{split / file}:{line}:" if line else f"{split / file}:"
         assert err == f"error: {where} {message}\n"
+
+
+class TestSplitSidecar:
+    def test_split_writes_the_sidecar(self, split_dir):
+        assert (split_dir / "split.npz").is_file()
+
+    @pytest.mark.parametrize("command", ["prefs", "train-rsvd", "recommend", "evaluate"])
+    def test_each_split_file_is_hashed_once(self, split_dir, prefs_dir, rec_dir, tmp_path,
+                                            command):
+        argv = {
+            "prefs": [],
+            "train-rsvd": ["--g", "2", "--epochs", "1"],
+            "recommend": ["--prefs", str(prefs_dir), "--s", "10"],
+            "evaluate": ["--topn", str(rec_dir)],
+        }[command]
+        hashed = []
+
+        def sha256_file(path):
+            hashed.append(Path(path).name)
+            return real(path)
+
+        real = ganc.io_utils.sha256_file
+        with mock.patch.object(ganc.dataset, "sha256_file", sha256_file), \
+                mock.patch.object(ganc.io_utils, "sha256_file", sha256_file), \
+                mock.patch.object(ganc.dataset, "_parse", side_effect=AssertionError("parsed")):
+            assert main([command, "--split", str(split_dir), "--out", str(tmp_path / "out"),
+                         *argv]) == 0
+        assert sorted(n for n in hashed if n.endswith(".csv") and n != "theta.csv") == \
+            ["test.csv", "train.csv"]
+
+    @pytest.mark.parametrize("file, damage, message", [
+        ("train.csv", _truncate_last_line, "expected 3 or 4 fields, got 2"),
+        ("test.csv", _bad_rating, "bad rating 'four'"),
+    ])
+    def test_damaged_csv_beside_a_valid_sidecar_exits_2(self, split_dir, tmp_path, capsys,
+                                                        file, damage, message):
+        split = tmp_path / "split"
+        split.mkdir()
+        for name in ("train.csv", "test.csv", "split.json", "split.npz"):
+            (split / name).write_bytes((split_dir / name).read_bytes())
+        line = damage(split / file)
+        assert main(["prefs", "--split", str(split), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {split / file}:{line}: {message}\n"
+
+    def test_garbage_sidecar_does_not_change_the_outputs(self, split_dir, prefs_dir,
+                                                         tmp_path):
+        split = tmp_path / "split"
+        split.mkdir()
+        for name in ("train.csv", "test.csv", "split.json"):
+            (split / name).write_bytes((split_dir / name).read_bytes())
+        (split / "split.npz").write_bytes(b"PK\x03\x04 damaged")
+        assert main(["prefs", "--split", str(split), "--model", "generalized",
+                     "--out", str(tmp_path / "prefs")]) == 0
+        for name in ("theta.csv", "weights.csv"):
+            assert (tmp_path / "prefs" / name).read_bytes() == (prefs_dir / name).read_bytes()
+        assert read_json(tmp_path / "prefs" / "prefs.json")["split_sha256"] == \
+            read_json(prefs_dir / "prefs.json")["split_sha256"]
 
 
 class TestStatsCommand:

@@ -1,12 +1,14 @@
 """Dataset ingestion, splitting, popularity statistics, and normalization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ganc import dataset
 from ganc.dataset import (
     Rating,
     RatingColumns,
@@ -22,9 +24,9 @@ from ganc.dataset import (
     split_per_user,
 )
 from ganc.errors import EmptyDatasetError, ParseError, UnknownIdError
-from ganc.io_utils import canonical_ids
+from ganc.io_utils import canonical_ids, split_hash
 
-from conftest import build_split
+from conftest import assert_same_split, build_split
 
 
 class TestLoadRatings:
@@ -423,3 +425,166 @@ class TestPersistence:
             (tmp_path / "b" / "train.csv").read_bytes()
         assert (tmp_path / "a" / "test.csv").read_bytes() == \
             (tmp_path / "b" / "test.csv").read_bytes()
+
+
+def _write_npy(path, array):
+    with open(path, "wb") as fh:
+        np.save(fh, array)
+
+
+def _tamper(path, **changes):
+    """Rewrite a sidecar with some arrays replaced (None drops one); its
+    recorded CSV digests stay as they were."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(changes)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+
+class TestSplitSidecar:
+    @pytest.fixture
+    def saved(self, tmp_path, synth_split):
+        save_split(synth_split, tmp_path / "s")
+        return tmp_path / "s"
+
+    def test_valid_sidecar_is_read_without_parsing(self, saved, synth_split):
+        with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
+            loaded, manifest = load_split(saved)
+        assert_same_split(loaded, dataset._parse_split(saved))
+        assert_same_split(loaded, synth_split)
+        assert manifest["split_sha256"] == split_hash(saved)
+
+    def test_rewrites_are_byte_identical(self, tmp_path, synth_split):
+        save_split(synth_split, tmp_path / "a")
+        save_split(synth_split, tmp_path / "b")
+        assert (tmp_path / "a" / "split.npz").read_bytes() == \
+            (tmp_path / "b" / "split.npz").read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.unlink(),
+        lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]),
+        lambda p: p.write_bytes(p.read_bytes()[:100]),
+        lambda p: p.write_bytes(b""),
+        lambda p: p.write_bytes(b"not a zip file at all"),
+        lambda p: p.write_bytes(bytes(range(256)) * 50),
+        lambda p: _write_npy(p, np.arange(5)),  # a bare .npy array
+        lambda p: np.savez(p, x=np.arange(3)),
+    ], ids=["missing", "truncated-half", "truncated-100", "empty", "text", "garbage",
+            "npy", "other-arrays"])
+    def test_damaged_sidecar_falls_back_to_the_csv_parse(self, saved, damage):
+        damage(saved / "split.npz")
+        loaded, _ = load_split(saved)
+        assert_same_split(loaded, dataset._parse_split(saved))
+
+    @pytest.mark.parametrize("changes", [
+        {"train_user_codes": None},
+        {"train_user_codes": np.zeros(3, dtype=np.int64)},
+        {"train_item_codes": lambda a: a + 10_000},
+        {"test_user_codes": lambda a: a - 10_000},
+        {"train_values": lambda a: a.astype(np.float32)},
+        {"train_values": lambda a: np.where(np.arange(len(a)) == 0, np.nan, a)},
+        {"train_missing": lambda a: a.astype(np.int64)},
+        {"users": lambda a: a[::-1]},
+        {"users": lambda a: a[1:]},
+        {"items": lambda a: a.astype(str)},
+        {"users": lambda a: np.array([[1, 2]])},
+        {"train_sha256": np.array("0" * 64)},
+        {"test_sha256": None},
+    ], ids=["train-codes-gone", "short-codes", "item-codes-out-of-range",
+            "test-codes-negative", "float32-values", "nan-value", "int-mask",
+            "unsorted-users", "user-never-in-train", "str-array-items", "2d-users",
+            "other-train-hash", "no-test-hash"])
+    def test_tampered_arrays_fall_back_to_the_csv_parse(self, saved, changes):
+        path = saved / "split.npz"
+        with np.load(path) as z:
+            changes = {k: v(z[k]) if callable(v) else v for k, v in changes.items()}
+        _tamper(path, **changes)
+        loaded, _ = load_split(saved)
+        assert_same_split(loaded, dataset._parse_split(saved))
+
+    def test_tampered_string_table_falls_back(self, tmp_path):
+        split = build_split([("a", "x", 3), ("b", "y", 4)], [("a", "y", 5)])
+        save_split(split, tmp_path / "s")
+        path = tmp_path / "s" / "split.npz"
+        for changes in ({"users_offsets": np.array([0, 1, 5], dtype=np.int64)},
+                        {"users_utf8": np.frombuffer(b"\xff\xfe", dtype=np.uint8)},
+                        {"users_utf8": np.frombuffer(b"ba", dtype=np.uint8)}):
+            save_split(split, tmp_path / "s")
+            _tamper(path, **changes)
+            loaded, _ = load_split(tmp_path / "s")
+            assert_same_split(loaded, dataset._parse_split(tmp_path / "s"))
+
+    def test_edited_csv_is_parsed_not_read_from_the_stale_sidecar(self, saved):
+        train = saved / "train.csv"
+        lines = train.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "1.0" if fields[2] != "1.0" else "2.0"  # one rating changes
+        lines[1] = ",".join(fields)
+        train.write_text("\n".join(lines) + "\n")
+        loaded, manifest = load_split(saved)
+        assert loaded.train_columns.values[0] == float(fields[2])
+        assert_same_split(loaded, dataset._parse_split(saved))
+        assert manifest["split_sha256"] == split_hash(saved)
+
+    def test_edited_csv_that_no_longer_parses_raises_the_parse_error(self, saved):
+        train = saved / "train.csv"
+        data = bytearray(train.read_bytes())
+        data[data.index(b"\n") + 1] = ord(",")  # line 2 loses its user id
+        train.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=r"train.csv:2: "):
+            load_split(saved)
+
+    def test_sidecar_of_another_split_is_ignored(self, saved, tmp_path, synth_ratings):
+        other = split_per_user(synth_ratings, kappa=0.6, tau=20, seed=9)
+        save_split(other, tmp_path / "other")
+        (saved / "split.npz").write_bytes((tmp_path / "other" / "split.npz").read_bytes())
+        loaded, _ = load_split(saved)
+        assert_same_split(loaded, dataset._parse_split(saved))
+
+    def test_reloaded_ids_are_canonicalized_over_their_written_form(self, tmp_path):
+        # user "a" falls under tau, so the rest keep the raw column's strings
+        # "1", "10", "2"; the files read back as the ints 1, 2, 10
+        rows = [Rating(u, i, 4.0) for u in ("1", "2", "10") for i in range(1, 5)]
+        cols = RatingColumns.from_ratings(rows + [Rating("a", 1, 3.0)])
+        split = split_per_user(cols, kappa=0.5, tau=2, seed=0)
+        assert split.users == ("1", "10", "2")
+        save_split(split, tmp_path / "s")
+        assert (tmp_path / "s" / "split.npz").exists()
+        loaded, _ = load_split(tmp_path / "s")
+        assert loaded.users == (1, 2, 10)
+        assert_same_split(loaded, dataset._parse_split(tmp_path / "s"))
+
+    def test_empty_test_set_and_missing_timestamps(self, tmp_path):
+        split = SplitDataset.from_ratings(
+            [Rating(1, "x", 4.0, 17), Rating(2, "y", -0.0), Rating(2, "x", 3.5, -4)], [])
+        save_split(split, tmp_path / "s")
+        with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
+            loaded, _ = load_split(tmp_path / "s")
+        assert_same_split(loaded, dataset._parse_split(tmp_path / "s"))
+        assert not len(loaded.test_columns)
+        assert loaded.train_columns.timestamps.tolist() == [17, None, -4]
+
+    def test_duplicate_pairs_come_back_as_the_parse_keeps_them(self, tmp_path):
+        # from_columns expects columns free of duplicate pairs; the reload
+        # keeps the last value of each pair
+        cols = RatingColumns.from_ratings(
+            [Rating(1, "x", 4.0), Rating(2, "x", 3.0), Rating(1, "x", 5.0)])
+        save_split(SplitDataset.from_columns(cols, cols.take([])), tmp_path / "s")
+        loaded, _ = load_split(tmp_path / "s")
+        assert_same_split(loaded, dataset._parse_split(tmp_path / "s"))
+        assert loaded.train == (Rating(1, "x", 5.0), Rating(2, "x", 3.0))
+
+    @pytest.mark.parametrize("train", [
+        [Rating(2**64, "x", 4.0), Rating(1, "x", 3.0)],  # id past int64
+        [Rating(1, "x", 4.0, 10**19)],  # timestamp past int64
+        [Rating(1, "x", 4.0, 2**63 - 1)],  # reads back as 2**63
+        [Rating(1, " x", 4.0), Rating(1, "y", 3.0)],  # the reload strips the id
+        [Rating(1, "x", float("nan"))],  # the reload refuses the value
+        [Rating(1, "x", 4.0, 1.5)],  # a float timestamp
+    ], ids=["id-past-int64", "stamp-past-int64", "stamp-rounds-past-int64", "padded-id",
+            "nan-value", "float-stamp"])
+    def test_no_sidecar_where_it_cannot_hold_the_reload(self, tmp_path, train):
+        out = tmp_path / "s"
+        save_split(build_split([(1, "z", 1.0)]), out)  # a sidecar to be replaced
+        save_split(SplitDataset.from_ratings(train, []), out)
+        assert not (out / "split.npz").exists()

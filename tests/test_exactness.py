@@ -10,7 +10,9 @@ theta array on every lookup,
 weights per relevant pair, ``_load_ratings_reference`` and
 ``_split_per_user_reference`` parse and split one ``Rating`` per row into
 dict-of-set indices, and ``_PopScorerReference`` scans the popularity
-ranking per user. Outputs must be equal, not close.
+ranking per user. A split read from the split.npz sidecar must equal the
+one ``dataset._parse_split`` parses from the CSVs. Outputs must be equal,
+not close.
 """
 
 import csv
@@ -39,6 +41,7 @@ from ganc.core import (
 from ganc.dataset import (
     Rating,
     RatingColumns,
+    SplitDataset,
     compute_item_stats,
     load_columns,
     load_ratings,
@@ -52,7 +55,7 @@ from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n
 from ganc.preference import PreferenceVector, theta_generalized
 from ganc.recommenders import pop_scorer, stat_coverage
 
-from conftest import DictAccuracy, DictCoverage, build_split
+from conftest import DictAccuracy, DictCoverage, assert_same_split, build_split
 
 
 # ---------------------------------------------------------------- references
@@ -734,3 +737,64 @@ class TestPopScorerMatchesReference:
                 assert fast.top_items(user) == ref.top_items(user)
                 got, want = fast.score_vector(user), ref.score_vector(user)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ------------------------------------------------------ split.npz sidecar
+#
+# A saved split loads from its sidecar when there is one; it must equal the
+# split parsed from train.csv and test.csv. An id column of the split is all
+# ints or all strs (the tables are sorted).
+
+SPLIT_ID_POOLS = {
+    "int": [1, 2, 7, 10, -3, 0, 123456789012],
+    "int64-edge": [1, 2**63 - 1, -2**63, 2**63, 10**20],  # the last two leave int64
+    "str": ["u1", "a", "item x", "é", "7a", "x,y", 'q"t', "l\nf", "c\rr", "n\x00l", "z\x00"],
+    # ints on reload unless "007" or "-0" is among them; past int64 for the last
+    "int-like": ["1", "2", "10", "-3", "007", "7", "-0", "18446744073709551616"],
+    "padded": ["7", " 7", "a", "a "],  # the reload strips, and merges, these
+}
+SPLIT_VALUES = [0.0, -0.0, 1.0, 4.5, 3.25, 5.0, 1e-300]
+# None is a missing stamp; 2**53 + 1 reads back rounded; the last two leave int64
+SPLIT_STAMPS = [None, 0, 881250949, -12, 2**53 + 1, -2**63, 2**63 - 1, 10**19]
+
+
+@st.composite
+def split_cases(draw):
+    """(train, test) Rating lists over drawn id pools, values and stamps."""
+    user_pool = SPLIT_ID_POOLS[draw(st.sampled_from(sorted(SPLIT_ID_POOLS)))]
+    item_pool = SPLIT_ID_POOLS[draw(st.sampled_from(sorted(SPLIT_ID_POOLS)))]
+    row = st.builds(Rating, st.sampled_from(user_pool), st.sampled_from(item_pool),
+                    st.sampled_from(SPLIT_VALUES), st.sampled_from(SPLIT_STAMPS))
+    return draw(st.lists(row, min_size=1, max_size=25)), draw(st.lists(row, max_size=25))
+
+
+def _sidecar_expected(split) -> bool:
+    """Whether the split's reload fits the sidecar: no padded or colliding
+    written id, and every id and re-read stamp within int64."""
+    for table in (split.users, split.items):
+        written = [str(x) for x in table]
+        if len(set(written)) < len(written) or any(w != w.strip() for w in written):
+            return False
+        if any(isinstance(x, int) and not -2**63 <= x < 2**63 for x in canonical_ids(written)):
+            return False
+    stamps = [t for part in (split.train_columns, split.test_columns)
+              for t in part.timestamps.tolist() if t is not None]
+    return all(-2**63 <= int(float(t)) < 2**63 for t in stamps)
+
+
+class TestSplitSidecarMatchesCsvParse:
+    @settings(max_examples=200, deadline=None)
+    @given(case=split_cases())
+    def test_round_trip(self, tmp_path_factory, case):
+        split = SplitDataset.from_ratings(*case)
+        out = tmp_path_factory.mktemp("split")
+        save_split(split, out)
+        want = dataset._parse_split(out)
+        has_sidecar = (out / dataset.SIDECAR).exists()
+        assert has_sidecar == _sidecar_expected(split)
+        if has_sidecar:
+            with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
+                got, _ = load_split(out)
+        else:
+            got, _ = load_split(out)
+        assert_same_split(got, want)

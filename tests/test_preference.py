@@ -254,6 +254,30 @@ class TestThetaGeneralized:
         with pytest.raises(ValueError):
             theta_generalized(synth_split, max_iters=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda1": math.nan}, {"lambda1": math.inf}, {"tol": math.nan}, {"tol": math.inf},
+    ])
+    def test_non_finite_arguments(self, synth_split, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            theta_generalized(synth_split, **kwargs)
+
+    @pytest.mark.parametrize("tol, max_iters", [(1e-6, 100), (1e-12, 3), (1e-3, 0)])
+    def test_theta_deltas_trace_every_iteration(self, synth_split, tol, max_iters):
+        pv = theta_generalized(synth_split, tol=tol, max_iters=max_iters)
+        assert len(pv.theta_deltas) == pv.iterations <= max_iters
+        assert all(d >= 0 for d in pv.theta_deltas)
+        if pv.converged:
+            assert pv.theta_deltas[-1] < tol
+            assert all(d >= tol for d in pv.theta_deltas[:-1])
+        else:
+            assert pv.iterations == max_iters
+            assert all(d >= tol for d in pv.theta_deltas)
+        # each entry is the largest change of theta over one more sweep
+        thetas = [theta_generalized(synth_split, tol=1e-300, max_iters=k).theta
+                  for k in range(pv.iterations + 1)]
+        assert list(pv.theta_deltas) == [
+            max(abs(b[u] - a[u]) for u in a) for a, b in zip(thetas, thetas[1:])]
+
 
 class TestThetaBaseline:
     def test_constant(self):
@@ -303,6 +327,7 @@ class TestPersistence:
         assert loaded.weights == pv.weights
         assert loaded.iterations == pv.iterations
         assert loaded.converged == pv.converged
+        assert loaded.theta_deltas == pv.theta_deltas and len(pv.theta_deltas) > 0
 
     def test_zero_padded_and_plain_ids_stay_distinct(self, tmp_path):
         from ganc.preference import PreferenceVector

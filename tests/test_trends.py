@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from ganc.core import independent_greedy, oslg
+from ganc.dataset import compute_item_stats, split_per_user
 from ganc.metrics import evaluate
 from ganc.preference import theta_baseline, theta_generalized, theta_normalized_longtail
 from ganc.recommenders import pop_scorer, rand_coverage, stat_coverage
+from ganc.synthetic import generate_ratings
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +81,20 @@ def test_random_coverage_spreads_recommendations_widest(
         synth_split, theta_g, pop_arec, rand_coverage(1, synth_split), 5)
     rand_report = evaluate(rand_coll, synth_split, synth_stats)
     assert rand_report.coverage > pop_report.coverage
+
+
+def test_phase4_order_invariance_at_ml100k_shape():
+    # c06 on a synthetic split of MovieLens-100K's shape: phase two assigns
+    # hundreds of users against many snapshots, in any order
+    split = split_per_user(generate_ratings(943, 1682, seed=0, mean_activity=106),
+                           kappa=0.5, tau=20, seed=0)
+    theta = theta_generalized(split)
+    arec = pop_scorer(split, compute_item_stats(split), 5)
+    base = oslg(split, theta, arec, 5, s=500, seed=0)
+    assert base.phase2_users > 0 and base.snapshots_used > 1
+    sampled = set(base.sampled_users)
+    rest = [u for u in split.users if u not in sampled]
+    for perm_seed in (1, 2):
+        order = np.random.default_rng(perm_seed).permutation(rest).tolist()
+        again = oslg(split, theta, arec, 5, s=500, seed=0, phase4_order=order)
+        assert again.collection.lists == base.collection.lists
