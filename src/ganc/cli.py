@@ -244,6 +244,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
         raise ValueError(f"unknown crec {cfg.crec!r}")
     coll.validate(split)
     core.save_collection(coll, cfg.out)
+    pools = core.candidate_pool_sizes(split, n, protocol)
     template = (f"GANC({AREC_NAME[cfg.arec]}, {THETA_SYMBOL[pv.model]}, "
                 f"{CREC_NAME[cfg.crec]})")
     write_json(Path(cfg.out) / "run.json", {
@@ -252,6 +253,8 @@ def cmd_recommend(cfg: RunConfig) -> int:
         "sampled": sampled,
         "phase2_users": phase2_users,
         "snapshots_used": snapshots_used,
+        "candidate_pool": {"total": int(pools.sum()), "min": int(pools.min()),
+                           "max": int(pools.max())},
         "seed": cfg.run_seed, "theta_model": pv.model,
         "arec": cfg.arec, "crec": cfg.crec, "protocol": protocol,
         "phase_seconds": phase_seconds,
@@ -299,17 +302,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError(f"reps must be at least 1, got {cfg.reps}")
     eligible = len(core.eligible_users(split, n, protocol))
     rows = []
+    # A sample of every eligible user is the whole pool in theta order,
+    # whatever the seed, so that run is made once and its report reused.
+    reports: dict = {}
     for s in s_values:
         effective = min(s, eligible)  # sample cannot exceed the eligible user count
         agg = {"f_measure": [], "coverage": [], "gini": [], "lt_accuracy": []}
         for rep in range(cfg.reps):
-            run = core.oslg(split, pv, arec, n, effective, cfg.run_seed + rep,
-                            protocol=protocol)
-            report = metrics.evaluate(run.collection, split, stats,
-                                      protocol=protocol,
-                                      beta=cfg.beta, threshold=cfg.threshold)
-            for key in agg:
-                agg[key].append(getattr(report, key))
+            seed = cfg.run_seed + rep
+            key = (effective,) if effective == eligible else (effective, seed)
+            if key not in reports:
+                run = core.oslg(split, pv, arec, n, effective, seed, protocol=protocol)
+                reports[key] = metrics.evaluate(run.collection, split, stats,
+                                                protocol=protocol,
+                                                beta=cfg.beta, threshold=cfg.threshold)
+            for name in agg:
+                agg[name].append(getattr(reports[key], name))
         rows.append((s, *(float(np.mean(agg[k])) for k in
                           ("f_measure", "coverage", "gini", "lt_accuracy"))))
     out = Path(cfg.out)
@@ -322,6 +330,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for row in rows:
         print(f"s={row[0]} f_measure={row[1]:.4f} coverage={row[2]:.4f} "
               f"gini={row[3]:.4f} lt_accuracy={row[4]:.4f}")
+    total = len(s_values) * cfg.reps
+    print(f"oslg runs: {len(reports)} made, {total - len(reports)} reused, "
+          f"of {total} (eligible users: {eligible})")
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import SplitDataset, resolve_ids
 from .errors import ContractViolationError, InfeasibleError, InstanceTooLargeError
-from .io_utils import canonical_ids
+from .io_utils import canonical_ids, csv_parse_error
 from .preference import PreferenceVector
 
 PROTOCOLS = ("all_unrated", "rated_test_items")
@@ -146,15 +146,30 @@ def eligible_users(split: SplitDataset, n: int, protocol: str) -> list:
     all_unrated keeps every user; rated_test_items drops users with fewer
     than n test items, and raises InfeasibleError when that leaves none.
     """
+    return [split.users[k] for k in _eligible_codes(split, n, protocol).tolist()]
+
+
+def _eligible_codes(split: SplitDataset, n: int, protocol: str) -> np.ndarray:
+    """Indices into ``split.users`` of :func:`eligible_users`."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "all_unrated":
-        return list(split.users)
-    users = [split.users[k] for k in np.flatnonzero(split.user_test_counts >= n).tolist()]
-    if not users:
+        return np.arange(len(split.users))
+    codes = np.flatnonzero(split.user_test_counts >= n)
+    if not len(codes):
         raise InfeasibleError(
             f"no user has at least n={n} test items under protocol {protocol!r}")
-    return users
+    return codes
+
+
+def candidate_pool_sizes(split: SplitDataset, n: int, protocol: str) -> np.ndarray:
+    """Candidate count of each eligible user, in :func:`eligible_users` order:
+    the unseen train items under all_unrated, the user's test items under
+    rated_test_items."""
+    codes = _eligible_codes(split, n, protocol)
+    if protocol == "all_unrated":
+        return len(split.items) - split.user_train_counts[codes]
+    return split.user_test_counts[codes]
 
 
 def _mask(split: SplitDataset, indices) -> np.ndarray:
@@ -190,16 +205,17 @@ def _sequential_greedy(split: SplitDataset, users, theta: PreferenceVector, arec
     """Locally greedy pass with dynamic coverage, one user after another.
 
     Yields (user, picked indices, live coverage vector after counting the
-    list). Only the n counted entries of the coverage vector are recomputed;
-    elementwise sqrt and divide give the same bits on a subset as on the
-    whole vector.
+    list). Only the n counted entries of the coverage vector are recomputed,
+    through one index array; elementwise sqrt and divide give the same bits
+    on a subset as on the whole vector.
     """
     counts = np.zeros(len(split.items), dtype=np.int64)
     cov = _coverage(counts)
     for u in users:
         picked = _greedy_idx(u, theta.theta[u], arec.score_vector(u), cov, n, cands(u))
-        counts[picked] += 1
-        cov[picked] = _coverage(counts[picked])
+        idx = np.array(picked, dtype=np.int64)
+        counts[idx] += 1
+        cov[idx] = _coverage(counts[idx])
         yield u, picked, cov
 
 
@@ -227,13 +243,16 @@ def kde_sample(theta: PreferenceVector, s: int, seed: int, users=None) -> list:
 
     Bandwidth is Silverman's 1.06 * std * n^(-1/5), floored at 1e-3. Each
     draw maps to the closest not-yet-selected user by |theta_u - draw|.
-    Returns the sample sorted by non-decreasing theta.
+    Returns the sample sorted by non-decreasing theta (ties by id), so a
+    sample of the whole pool is the sorted pool, whatever the seed.
     """
     pool = sorted(theta.theta if users is None else users,
                   key=lambda u: (theta.theta[u], u))
     n = len(pool)
     if not 0 < s <= n:
         raise ValueError(f"sample size must be in [1, {n}], got {s}")
+    if s == n:
+        return pool
     th = np.array([theta.theta[u] for u in pool])
     sd = float(np.std(th, ddof=1)) if n > 1 else 0.0
     h = max(1.06 * sd * n ** (-0.2), 1e-3)
@@ -273,18 +292,22 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     assigns every remaining user independently against the snapshot whose
     theta is nearest, so its outcome does not depend on the order the users
     are visited in (``phase4_order`` exists to exercise exactly that
-    contract). ``workers`` is accepted for compatibility and ignored: phase
-    two runs in the calling thread, and the output never depended on it.
+    contract). No snapshot is kept when the sample holds every eligible
+    user, as nobody is left for phase two. ``workers`` is accepted for
+    compatibility and ignored: phase two runs in the calling thread, and the
+    output never depended on it.
     """
     users, cands = _eligible(split, n, protocol)
     sample = kde_sample(theta, s, seed, users=users)
     in_sample = set(sample)
+    keep_snapshots = len(sample) < len(users)
 
     t0 = time.perf_counter()
     store = SnapshotStore()
     lists = {}
     for u, picked, cov in _sequential_greedy(split, sample, theta, arec, n, cands):
-        store.add(theta.theta[u], cov.copy())
+        if keep_snapshots:
+            store.add(theta.theta[u], cov.copy())
         lists[u] = _ids(split, picked)
     t1 = time.perf_counter()
 
@@ -420,9 +443,12 @@ def load_collection(directory, split: SplitDataset | None = None) -> TopNCollect
     rows = []
     with open(d / "topn.csv", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for user, rank, item in reader:
-            rows.append((user, int(rank), item))
+        try:
+            next(reader)
+            for user, rank, item in reader:
+                rows.append((user, int(rank), item))
+        except csv.Error as exc:
+            raise csv_parse_error(reader, d / "topn.csv", exc) from None
     users, items = [r[0] for r in rows], [r[2] for r in rows]
     if split is None:
         users, items = canonical_ids(users), canonical_ids(items)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import EmptyDatasetError, ParseError, UnknownIdError
 from .io_utils import (
     canonical_ids,
+    csv_parse_error,
     id_int,
     read_json,
     sha256_file,
@@ -320,7 +321,10 @@ def _records(fh, format: str, path):
     """Batches of (line numbers, field lists) of the non-blank records."""
     if format == "csv":
         source = csv.reader(fh)
-        header = next(source, None)
+        try:
+            header = next(source, None)
+        except csv.Error as exc:
+            raise csv_parse_error(source, path, exc) from None
         if header is None:
             raise EmptyDatasetError(f"{path}: empty file")
         header = [h.strip().lower() for h in header]
@@ -331,7 +335,13 @@ def _records(fh, format: str, path):
         source = fh
         delim = "\t" if format == "tab_separated" else "::"
         line_no = 1
-    while chunk := list(islice(source, CHUNK_ROWS)):
+    while True:
+        try:
+            chunk = list(islice(source, CHUNK_ROWS))
+        except csv.Error as exc:  # only a csv.reader source raises it
+            raise csv_parse_error(source, path, exc) from None
+        if not chunk:
+            break
         n = len(chunk)
         if format == "csv":  # a blank record has at most one field
             blank = np.zeros(n, dtype=bool)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import zlib
 from pathlib import Path
+
+from .errors import ParseError
 
 
 def id_int(x) -> int:
@@ -31,6 +34,12 @@ def canonical_ids(values):
     else:
         return out
     return [str(v) for v in values]
+
+
+def csv_parse_error(reader, path, exc: csv.Error) -> ParseError:
+    """ParseError naming the line at which ``reader`` raised ``exc`` (a field
+    longer than ``csv.field_size_limit()``, say)."""
+    return ParseError(f"{path}:{reader.line_num}: {exc}")
 
 
 def sha256_file(path) -> str:

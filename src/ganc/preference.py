@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import ItemStats, SplitDataset, min_max_normalize
 from .errors import NumericalDegeneracyError
-from .io_utils import canonical_ids, read_json, write_json
+from .io_utils import canonical_ids, csv_parse_error, read_json, write_json
 
 MODELS = ("activity", "normalized_longtail", "tfidf", "generalized", "constant", "random")
 
@@ -199,6 +199,10 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
 def _read_id_column_map(path) -> dict:
     """Read a two-column ``id,value`` CSV, canonicalizing the id column as a whole."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)[1:]
+        except csv.Error as exc:
+            raise csv_parse_error(reader, path, exc) from None
     ids = canonical_ids([k for k, _ in rows])
     return {k: float(v) for k, (_, v) in zip(ids, rows)}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import ItemStats, RatingColumns, SplitDataset, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
-from .io_utils import canonical_ids, read_json, write_json
+from .io_utils import canonical_ids, csv_parse_error, read_json, write_json
 
 
 class PopScorer:
@@ -270,18 +270,21 @@ def load_external_scores(path, split: SplitDataset) -> MatrixScorer:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["user", "item", "score"]:
-            raise ParseError(f"{path}:1: expected header user,item,score")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields or (len(fields) == 1 and not fields[0].strip()):
-                continue
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{line_no}: expected 3 fields")
-            try:
-                rows.append((fields[0].strip(), fields[1].strip(), float(fields[2])))
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: bad score {fields[2]!r}") from None
+        try:
+            header = [h.strip().lower() for h in next(reader, None) or ()]
+            if header[:3] != ["user", "item", "score"]:
+                raise ParseError(f"{path}:1: expected header user,item,score")
+            for line_no, fields in enumerate(reader, start=2):
+                if not fields or (len(fields) == 1 and not fields[0].strip()):
+                    continue
+                if len(fields) != 3:
+                    raise ParseError(f"{path}:{line_no}: expected 3 fields")
+                try:
+                    rows.append((fields[0].strip(), fields[1].strip(), float(fields[2])))
+                except ValueError:
+                    raise ParseError(f"{path}:{line_no}: bad score {fields[2]!r}") from None
+        except csv.Error as exc:
+            raise csv_parse_error(reader, path, exc) from None
     users = resolve_ids([r[0] for r in rows], split.users)
     items = resolve_ids([r[1] for r in rows], split.items)
     per_user: dict = {}

@@ -65,10 +65,12 @@ class DictCoverage:
         return np.array([self.scores.get(i, 0.0) for i in self.split.items])
 
 
-def random_instance(rng, n_users=3, n_items=6, train_per_user=(0, 2)):
+def random_instance(rng, n_users=3, n_items=6, train_per_user=(0, 2), test_per_user=(0, 0)):
     """Small random instance: split with random train sets, theta and accuracy.
 
-    Every user also gets one test rating so the split retains all items.
+    Anchor ratings keep every item in the train universe. Each user gets a
+    number of test ratings drawn from ``test_per_user`` on items it did not
+    rate in train; the default draws none and leaves ``rng`` as it was.
     """
     users = list(range(1, n_users + 1))
     items = list(range(101, 101 + n_items))
@@ -84,7 +86,14 @@ def random_instance(rng, n_users=3, n_items=6, train_per_user=(0, 2)):
     dedup = {}
     for u, i, r in train:
         dedup[(u, i)] = (u, i, r)
-    split = build_split(list(dedup.values()))
+    test = []
+    if test_per_user[1]:
+        for u in users:
+            unseen = [i for i in items if (u, i) not in dedup]
+            k = min(int(rng.integers(test_per_user[0], test_per_user[1] + 1)), len(unseen))
+            for i in rng.choice(unseen, size=k, replace=False):
+                test.append((u, int(i), float(rng.integers(1, 6))))
+    split = build_split(list(dedup.values()), test)
     theta = PreferenceVector(
         "random", {u: float(rng.random()) for u in split.users})
     arec = DictAccuracy(

@@ -9,13 +9,18 @@ from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import ganc
 import ganc.io_utils
 from ganc.cli import RunConfig, build_parser, main
-from ganc.dataset import load_split, save_split
+from ganc.core import PROTOCOLS, eligible_users, oslg
+from ganc.dataset import compute_item_stats, load_split, save_split
 from ganc.io_utils import read_json
+from ganc.metrics import evaluate
+from ganc.preference import load_prefs
+from ganc.recommenders import pop_scorer
 from ganc.synthetic import generate_ratings
 
 from conftest import build_split
@@ -138,7 +143,7 @@ def _rated_cutoffs(split_dir):
 
 
 class TestRecommendEvaluate:
-    def test_manifest_records_template(self, rec_dir):
+    def test_manifest_records_template(self, split_dir, rec_dir):
         manifest = read_json(rec_dir / "run.json")
         assert manifest["template"] == "GANC(Pop, theta^G, Dyn)"
         assert manifest["phase_seconds"] is not None
@@ -146,6 +151,10 @@ class TestRecommendEvaluate:
         assert manifest["sampled"] == 30
         assert manifest["phase2_users"] == 80 - 30  # every user is eligible
         assert 1 <= manifest["snapshots_used"] <= 30
+        split, _ = load_split(split_dir)
+        pools = [int(split.candidate_mask(u).sum()) for u in split.users]
+        assert manifest["candidate_pool"] == {
+            "total": sum(pools), "min": min(pools), "max": max(pools)}
 
     def test_determinism_across_reruns(self, split_dir, prefs_dir, rec_dir, tmp_path):
         out = tmp_path / "again"
@@ -235,6 +244,11 @@ class TestRecommendEvaluate:
         manifest = read_json(out / "run.json")
         assert manifest["sampled"] == eligible
         assert manifest["phase2_users"] == 0
+        split, _ = load_split(split_dir)
+        pools = [len(split.per_user_test_index[u]) for u in split.users
+                 if len(split.per_user_test_index[u]) >= n]
+        assert manifest["candidate_pool"] == {
+            "total": sum(pools), "min": min(pools), "max": max(pools)}
         with open(out / "topn.csv") as fh:
             assert len({row[0] for row in list(csv.reader(fh))[1:]}) == eligible
 
@@ -365,6 +379,40 @@ class TestSweep:
                      "--s-values", "10", "--reps", "1", "--protocol", "rated_test_items",
                      "--out", str(tmp_path / "none")]) == 3
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_matches_one_run_per_sample_size_and_rep(self, split_dir, prefs_dir, tmp_path,
+                                                     capsys, protocol):
+        # s below, equal to and above the eligible count; the last two clip
+        # to the same full sample, which sweep makes once and reuses
+        n = 5 if protocol == "all_unrated" else _rated_cutoffs(split_dir)[0]
+        split, _ = load_split(split_dir)
+        stats = compute_item_stats(split)
+        theta, _ = load_prefs(prefs_dir)
+        arec = pop_scorer(split, stats, n)
+        eligible = len(eligible_users(split, n, protocol))
+        s_values, reps, run_seed = [eligible // 2, eligible, eligible + 7], 3, 4
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["s", "f_measure", "coverage", "gini", "lt_accuracy"])
+            for s in s_values:
+                reports = [evaluate(oslg(split, theta, arec, n, min(s, eligible),
+                                         run_seed + rep, protocol=protocol).collection,
+                                    split, stats, protocol=protocol)
+                           for rep in range(reps)]
+                w.writerow([s] + [repr(float(np.mean([getattr(r, k) for r in reports])))
+                                  for k in ("f_measure", "coverage", "gini", "lt_accuracy")])
+        capsys.readouterr()
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--n", str(n),
+                     "--s-values", ",".join(map(str, s_values)), "--reps", str(reps),
+                     "--run-seed", str(run_seed), "--protocol", protocol,
+                     "--out", str(out)]) == 0
+        assert (out / "sweep.csv").read_bytes() == want.read_bytes()
+        assert (f"oslg runs: {reps + 1} made, {2 * reps - 1} reused, of {3 * reps} "
+                f"(eligible users: {eligible})") in capsys.readouterr().out
+
     def test_pop_without_n_uses_default(self, split_dir, prefs_dir, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
@@ -492,6 +540,74 @@ class TestDamagedSplitFiles:
         err = capsys.readouterr().err
         where = f"{split / file}:{line}:" if line else f"{split / file}:"
         assert err == f"error: {where} {message}\n"
+
+
+LONG_ID = "x" * 140_000  # longer than csv.field_size_limit() allows by default
+
+
+def _overlong_field(path, line: int) -> int:
+    """Replace the first field of ``line`` (1-based) with LONG_ID."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = LONG_ID + "," + lines[line - 1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    return line
+
+
+class TestOverlongCsvField:
+    """A field past csv.field_size_limit() exits 2 naming its file and line."""
+
+    @staticmethod
+    def _error(path, line):
+        return f"error: {path}:{line}: field larger than field limit ({csv.field_size_limit()})\n"
+
+    def test_split(self, tmp_path, capsys):
+        data = tmp_path / "ratings.csv"
+        data.write_text("user,item,rating\n1,a,3\n2,b,4\n3,c,5\n")
+        line = _overlong_field(data, 3)
+        out = tmp_path / "split"
+        assert main(["split", "--dataset", str(data), "--format", "csv",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self._error(data, line)
+        assert not out.exists()
+
+    def test_split_files(self, split_dir, tmp_path, capsys):
+        split = tmp_path / "split"
+        split.mkdir()
+        for name in ("train.csv", "test.csv", "split.json", "split.npz"):
+            (split / name).write_bytes((split_dir / name).read_bytes())
+        line = _overlong_field(split / "test.csv", 4)
+        assert main(["stats", "--split", str(split), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == self._error(split / "test.csv", line)
+
+    def test_evaluate_on_a_tampered_topn(self, split_dir, rec_dir, tmp_path, capsys):
+        bad = tmp_path / "bad-rec"
+        bad.mkdir()
+        (bad / "run.json").write_text((rec_dir / "run.json").read_text())
+        (bad / "topn.csv").write_text((rec_dir / "topn.csv").read_text())
+        line = _overlong_field(bad / "topn.csv", 3)
+        assert main(["evaluate", "--split", str(split_dir), "--topn", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == self._error(bad / "topn.csv", line)
+
+    def test_recommend_on_a_tampered_theta(self, split_dir, prefs_dir, tmp_path, capsys):
+        prefs = tmp_path / "prefs"
+        prefs.mkdir()
+        for name in ("theta.csv", "weights.csv", "prefs.json"):
+            (prefs / name).write_bytes((prefs_dir / name).read_bytes())
+        line = _overlong_field(prefs / "theta.csv", 2)
+        assert main(["recommend", "--split", str(split_dir), "--prefs", str(prefs),
+                     "--arec", "pop", "--crec", "stat", "--n", "3",
+                     "--out", str(tmp_path / "rec")]) == 2
+        assert capsys.readouterr().err == self._error(prefs / "theta.csv", line)
+
+    def test_recommend_on_external_scores(self, split_dir, prefs_dir, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("user,item,score\n1,1,0.5\n1,2,0.25\n")
+        line = _overlong_field(scores, 3)
+        assert main(["recommend", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "external", "--external-scores", str(scores),
+                     "--crec", "stat", "--n", "3", "--out", str(tmp_path / "rec")]) == 2
+        assert capsys.readouterr().err == self._error(scores, line)
 
 
 class TestSplitSidecar:

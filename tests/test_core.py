@@ -2,14 +2,22 @@
 
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganc.core import (
+    PROTOCOLS,
     SnapshotStore,
     TopNCollection,
+    _eligible,
     brute_force_optimal,
+    candidate_pool_sizes,
     collection_value,
+    eligible_users,
     greedy_topn_user,
     independent_greedy,
     kde_sample,
@@ -275,6 +283,34 @@ class TestOslg:
         run.collection.validate(synth_split)
         assert set(run.collection.lists) == set(synth_split.users)
 
+    @settings(max_examples=60, deadline=None)
+    @given(instance_seed=st.integers(0, 2**32 - 1), protocol=st.sampled_from(PROTOCOLS),
+           n=st.integers(1, 3), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2,
+                                                max_size=2, unique=True))
+    def test_sample_of_every_eligible_user_ignores_the_seed(self, instance_seed, protocol,
+                                                            n, seeds):
+        # the rule that lets sweep reuse one run for every clipped (s, rep)
+        split, theta, arec = random_instance(np.random.default_rng(instance_seed),
+                                             n_users=5, n_items=10, test_per_user=(0, 6))
+        try:
+            s = len(eligible_users(split, n, protocol))
+        except InfeasibleError:
+            return
+        a, b = (oslg(split, theta, arec, n, s, seed, protocol=protocol) for seed in seeds)
+        assert a.sampled_users == b.sampled_users
+        assert list(a.collection.lists.items()) == list(b.collection.lists.items())
+        assert a.phase2_users == a.snapshots_used == 0
+
+    def test_snapshots_are_kept_only_for_a_phase_two(self, synth_split, synth_stats):
+        arec = pop_scorer(synth_split, synth_stats, 5)
+        theta = theta_generalized(synth_split)
+        with mock.patch.object(SnapshotStore, "add", autospec=True,
+                               side_effect=SnapshotStore.add) as add:
+            oslg(synth_split, theta, arec, 5, s=len(synth_split.users), seed=0)
+            assert add.call_count == 0
+            oslg(synth_split, theta, arec, 5, s=20, seed=0)
+            assert add.call_count == 20
+
     def test_rated_protocol_restricts_users_and_candidates(self, synth_split,
                                                            synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)
@@ -286,6 +322,15 @@ class TestOslg:
         assert set(run.collection.lists) == eligible
         for user, items in run.collection.lists.items():
             assert set(items) <= synth_split.per_user_test_index[user]
+
+
+class TestCandidatePoolSizes:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_match_the_masks_oslg_scores(self, synth_split, protocol):
+        for n in (1, 5, 12):
+            users, cands = _eligible(synth_split, n, protocol)
+            assert candidate_pool_sizes(synth_split, n, protocol).tolist() == \
+                [int(np.count_nonzero(cands(u))) for u in users]
 
 
 class TestIndependentGreedy:

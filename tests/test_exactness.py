@@ -450,6 +450,18 @@ class TestKdeSampleTieRules:
             assert kde_sample(theta, 7, seed, users=pool) == _kde_sample_oracle(
                 theta, 7, seed, pool)
 
+    def test_whole_pool_matches_oracle(self):
+        # s == len(pool) skips the draws; the oracle still makes them
+        rng = np.random.default_rng(8)
+        theta = PreferenceVector("random", {
+            u: THETA_GRID[int(rng.integers(5))] if u % 2 else float(rng.random())
+            for u in range(30)})
+        for pool in (None, [u for u in range(30) if u % 3], [29, 4, 17], [11]):
+            users = theta.theta if pool is None else pool
+            for seed in range(6):
+                assert kde_sample(theta, len(users), seed, users=pool) == \
+                    _kde_sample_oracle(theta, len(users), seed, users)
+
 
 def test_no_eligible_user_is_infeasible():
     split = build_split([(1, "a", 3), (2, "b", 3), (1, "c", 3)], [(2, "a", 5)])
