@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import SplitDataset, resolve_ids
-from .errors import ContractViolationError, InfeasibleError, InstanceTooLargeError
+from .errors import (ContractViolationError, InfeasibleError, InstanceTooLargeError,
+                     ParseError)
 from .io_utils import canonical_ids, csv_parse_error
 from .preference import PreferenceVector
 
@@ -439,16 +440,23 @@ def load_collection(directory, split: SplitDataset | None = None) -> TopNCollect
     :func:`~ganc.dataset.resolve_ids`); without it each id column is
     canonicalized on its own.
     """
-    d = Path(directory)
+    path = Path(directory) / "topn.csv"
     rows = []
-    with open(d / "topn.csv", newline="") as fh:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            next(reader)
-            for user, rank, item in reader:
-                rows.append((user, int(rank), item))
+            if next(reader, None) is None:
+                raise ParseError(f"{path}: empty file")
+            for fields in reader:
+                if len(fields) != 3:
+                    raise ParseError(f"{path}:{reader.line_num}: expected 3 fields")
+                user, rank, item = fields
+                try:
+                    rows.append((user, int(rank), item))
+                except ValueError:
+                    raise ParseError(f"{path}:{reader.line_num}: bad rank {rank!r}") from None
         except csv.Error as exc:
-            raise csv_parse_error(reader, d / "topn.csv", exc) from None
+            raise csv_parse_error(reader, path, exc) from None
     users, items = [r[0] for r in rows], [r[2] for r in rows]
     if split is None:
         users, items = canonical_ids(users), canonical_ids(items)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ItemStats, SplitDataset, min_max_normalize
-from .errors import NumericalDegeneracyError
+from .errors import NumericalDegeneracyError, ParseError
 from .io_utils import canonical_ids, csv_parse_error, read_json, write_json
 
 MODELS = ("activity", "normalized_longtail", "tfidf", "generalized", "constant", "random")
@@ -198,11 +198,19 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
 
 def _read_id_column_map(path) -> dict:
     """Read a two-column ``id,value`` CSV, canonicalizing the id column as a whole."""
+    ids, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)[1:]
+            next(reader, None)
+            for fields in reader:
+                if len(fields) != 2:
+                    raise ParseError(f"{path}:{reader.line_num}: expected 2 fields")
+                try:
+                    values.append(float(fields[1]))
+                except ValueError:
+                    raise ParseError(f"{path}:{reader.line_num}: bad value {fields[1]!r}") from None
+                ids.append(fields[0])
         except csv.Error as exc:
             raise csv_parse_error(reader, path, exc) from None
-    ids = canonical_ids([k for k, _ in rows])
-    return {k: float(v) for k, (_, v) in zip(ids, rows)}
+    return dict(zip(canonical_ids(ids), values))

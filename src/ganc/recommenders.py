@@ -99,24 +99,25 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def wavefront_schedule(uidx: np.ndarray, iidx: np.ndarray) -> list:
+def wavefront_schedule(uidx: np.ndarray, iidx: np.ndarray) -> tuple:
     """Split a rating sequence into conflict-free levels, keeping its order.
 
     Rating k goes one level past the latest level holding its user or its
     item, so no user and no item repeats within a level, and every user and
-    item meets its ratings in sequence order. Returns one ascending array of
-    sequence positions per level, levels in order.
+    item meets its ratings in sequence order. Returns ``(order, bounds)``:
+    the sequence positions in level order, ascending within a level, and a
+    list of level boundaries, so level L is ``order[bounds[L]:bounds[L + 1]]``.
     """
-    user_level = [0] * (int(uidx.max()) + 1)
-    item_level = [0] * (int(iidx.max()) + 1)
+    n_users = int(uidx.max()) + 1
+    last = [0] * (n_users + int(iidx.max()) + 1)  # latest level of each user, then item
     level = []
-    for u, i in zip(uidx.tolist(), iidx.tolist()):
-        a, b = user_level[u], item_level[i]
-        lv = user_level[u] = item_level[i] = (a if a > b else b) + 1  # twice as fast as max()
+    for u, i in zip(uidx.tolist(), (iidx + n_users).tolist()):
+        a, b = last[u], last[i]
+        lv = last[u] = last[i] = (a if a > b else b) + 1  # twice as fast as max()
         level.append(lv)
-    level = np.array(level)
-    sizes = np.bincount(level)[1:]
-    return np.split(np.argsort(level, kind="stable"), np.cumsum(sizes)[:-1])
+    # a stable argsort of 16-bit keys is a radix sort, several times faster
+    level = np.array(level, dtype=np.uint16 if max(last) < 1 << 16 else np.int64)
+    return np.argsort(level, kind="stable"), np.cumsum(np.bincount(level)).tolist()
 
 
 def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
@@ -152,31 +153,37 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     # buffers and its updates computed in place, with the operations of
     # pu + eta*(e*qi - lam*pu) in the same order, so every bit is unchanged.
     rows = min(n_users, n_items)
-    pu, qi, step, decay = (np.empty((rows, g)) for _ in range(4))
+    pu, qi, err, step, decay = (np.empty((rows, g)) for _ in range(5))
     epoch_rmse = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
         for epoch in range(epochs):
             order = rng.permutation(len(vals))
             uo, io = uidx[order], iidx[order]
-            levels = wavefront_schedule(uo, io)
-            by_level = order[np.concatenate(levels)]  # each level is now a slice
-            uo, io, vo = uidx[by_level], iidx[by_level], vals[by_level]
-            bounds = np.cumsum([0, *map(len, levels)]).tolist()
+            by_level, bounds = wavefront_schedule(uo, io)  # each level is now a slice
+            uo, io, vo = uo[by_level], io[by_level], vals[order[by_level]]
             sq_err = 0.0
             for lo, hi in zip(bounds, bounds[1:]):
                 m = hi - lo
-                u, i, p, q, d, w = uo[lo:hi], io[lo:hi], pu[:m], qi[:m], step[:m], decay[:m]
-                np.take(P, u, axis=0, out=p, mode="clip")
-                np.take(Q, i, axis=0, out=q, mode="clip")
+                u, i = uo[lo:hi], io[lo:hi]
+                p, q, ec, d, w = pu[:m], qi[:m], err[:m], step[:m], decay[:m]
+                P.take(u, axis=0, out=p, mode="clip")
+                Q.take(i, axis=0, out=q, mode="clip")
                 e = vo[lo:hi] - _row_dots(p, q)
-                ec = e[:, None]
-                for src, other, factors, idx in ((p, q, P, u), (q, p, Q, i)):
-                    np.multiply(ec, other, out=d)
-                    np.multiply(lam, src, out=w)
-                    np.subtract(d, w, out=d)
-                    np.multiply(eta, d, out=d)
-                    np.add(src, d, out=d)
-                    factors[idx] = d
+                # e spread once over the row, so both e*q and e*p are plain
+                # multiplies, cheaper than two broadcasts and with the same bits
+                ec[...] = e[:, None]
+                np.multiply(ec, q, out=d)
+                np.multiply(lam, p, out=w)
+                np.subtract(d, w, out=d)
+                np.multiply(eta, d, out=d)
+                np.add(p, d, out=d)
+                P[u] = d
+                np.multiply(ec, p, out=d)
+                np.multiply(lam, q, out=w)
+                np.subtract(d, w, out=d)
+                np.multiply(eta, d, out=d)
+                np.add(q, d, out=d)
+                Q[i] = d
                 sq_err += float(e @ e)
             if not (np.isfinite(P).all() and np.isfinite(Q).all()):
                 raise TrainingDivergenceError(f"non-finite factors at epoch {epoch + 1}")
@@ -241,7 +248,8 @@ class MatrixScorer:
 
 def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
     """Per-user min-max normalized raw predictions over unseen train items;
-    train items score 0."""
+    train items score 0, and so does every item of a user whose unseen items
+    all predict alike or who has none."""
     for u in split.users:
         if u not in model.user_index:
             raise UnknownIdError(f"user {u!r} not in model")
@@ -251,12 +259,18 @@ def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
     urows = np.array([model.user_index[u] for u in split.users])
     irows = np.array([model.item_index[i] for i in split.items])
     scores = model.user_factors[urows] @ model.item_factors[irows].T
-    for k, user in enumerate(split.users):  # normalized in place, row by row
-        cand = split.candidate_indices(user)
-        row = scores[k, cand]
-        lo, hi = row.min(), row.max()
-        scores[k, cand] = (row - lo) / (hi - lo) if hi > lo else 0.0
-        scores[k, split.train_item_indices(user)] = 0.0
+    t = split.train_columns
+    cand = np.ones(scores.shape, dtype=bool)
+    cand[t.user_codes, t.item_codes] = False
+    lo = np.min(scores, axis=1, where=cand, initial=np.inf, keepdims=True)
+    hi = np.max(scores, axis=1, where=cand, initial=-np.inf, keepdims=True)
+    # (x - lo) / (hi - lo) in place; rows without hi > lo (constant, or with
+    # no candidate at all) divide by zero or inf, and are zeroed below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores -= lo
+        scores /= hi - lo
+    scores[t.user_codes, t.item_codes] = 0.0
+    scores[~(hi > lo)[:, 0]] = 0.0
     return MatrixScorer(split, scores)
 
 
@@ -332,10 +346,13 @@ def pop_scorer(split: SplitDataset, stats: ItemStats, n: int) -> PopScorer:
 
 
 def save_mf_model(model: MFModel, directory, manifest: dict | None = None) -> None:
-    """Persist factors as an npz dump plus a JSON manifest."""
+    """Persist factors as an uncompressed npz dump plus a JSON manifest.
+
+    Random doubles shrink by ~6 % under zlib, not worth ~25x the write time.
+    """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
+    np.savez(
         d / "mf_model.npz",
         users=np.array([str(u) for u in model.users]),
         items=np.array([str(i) for i in model.items]),

@@ -610,6 +610,108 @@ class TestOverlongCsvField:
         assert capsys.readouterr().err == self._error(scores, line)
 
 
+class TestMalformedRows:
+    """A row of the wrong width or with an unreadable number exits 2 naming
+    its file and line."""
+
+    @staticmethod
+    def _copy(src, dst, names):
+        dst.mkdir()
+        for name in names:
+            (dst / name).write_bytes((src / name).read_bytes())
+        return dst
+
+    @staticmethod
+    def _replace_line(path, line: int, text: str) -> None:
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+
+    def _evaluate(self, split_dir, rec_dir, tmp_path, line_text):
+        bad = self._copy(rec_dir, tmp_path / "bad-rec", ("run.json", "topn.csv"))
+        self._replace_line(bad / "topn.csv", 3, line_text)
+        code = main(["evaluate", "--split", str(split_dir), "--topn", str(bad),
+                     "--out", str(tmp_path / "eval")])
+        return code, bad / "topn.csv"
+
+    def test_topn_row_with_two_fields(self, split_dir, rec_dir, tmp_path, capsys):
+        code, path = self._evaluate(split_dir, rec_dir, tmp_path, "1,2")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:3: expected 3 fields\n"
+
+    def test_topn_rank_not_an_integer(self, split_dir, rec_dir, tmp_path, capsys):
+        code, path = self._evaluate(split_dir, rec_dir, tmp_path, "1,first,2")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:3: bad rank 'first'\n"
+
+    def test_empty_topn(self, split_dir, rec_dir, tmp_path, capsys):
+        bad = self._copy(rec_dir, tmp_path / "bad-rec", ("run.json", "topn.csv"))
+        (bad / "topn.csv").write_text("")
+        assert main(["evaluate", "--split", str(split_dir), "--topn", str(bad),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == f"error: {bad / 'topn.csv'}: empty file\n"
+
+    def _recommend(self, split_dir, prefs_dir, tmp_path, name, line_text):
+        prefs = self._copy(prefs_dir, tmp_path / "prefs",
+                           ("theta.csv", "weights.csv", "prefs.json"))
+        self._replace_line(prefs / name, 2, line_text)
+        code = main(["recommend", "--split", str(split_dir), "--prefs", str(prefs),
+                     "--arec", "pop", "--crec", "stat", "--n", "3",
+                     "--out", str(tmp_path / "rec")])
+        return code, prefs / name
+
+    def test_theta_value_not_a_number(self, split_dir, prefs_dir, tmp_path, capsys):
+        code, path = self._recommend(split_dir, prefs_dir, tmp_path, "theta.csv", "1,abc")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:2: bad value 'abc'\n"
+
+    def test_weights_row_with_three_fields(self, split_dir, prefs_dir, tmp_path, capsys):
+        code, path = self._recommend(split_dir, prefs_dir, tmp_path, "weights.csv",
+                                     "1,0.5,0.5")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:2: expected 2 fields\n"
+
+
+class TestUserWhoRatedEveryTrainItem:
+    """User 1 has rated every train item, so no candidate is left for them."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("full-user")
+        split = build_split([(1, "a", 4), (1, "b", 3), (2, "a", 5), (3, "b", 2)],
+                            [(2, "b", 5), (3, "a", 4)])
+        save_split(split, d / "split")
+        assert main(["prefs", "--split", str(d / "split"), "--model", "constant",
+                     "--constant", "0.5", "--out", str(d / "prefs")]) == 0
+        assert main(["train-rsvd", "--split", str(d / "split"), "--g", "2",
+                     "--epochs", "2", "--out", str(d / "mf")]) == 0
+        return d
+
+    # rated_test_items: user 1 has no test rating and is not eligible;
+    # all_unrated: user 1 is eligible and has 0 candidates, a contract error
+    @pytest.mark.parametrize("protocol,code", [("rated_test_items", 0), ("all_unrated", 3)])
+    def test_rsvd_exits_as_pop_does(self, run_dir, protocol, code, capsys):
+        got = {}
+        for arec, extra in (("pop", []), ("rsvd", ["--mf", str(run_dir / "mf")])):
+            out = run_dir / f"rec-{arec}-{protocol}"
+            capsys.readouterr()
+            exit_code = main(["recommend", "--split", str(run_dir / "split"),
+                              "--prefs", str(run_dir / "prefs"), "--arec", arec, *extra,
+                              "--crec", "stat", "--n", "1", "--s", "3",
+                              "--protocol", protocol, "--out", str(out)])
+            users = None
+            if exit_code == 0:
+                with open(out / "topn.csv", newline="") as fh:
+                    users = sorted(row[0] for row in list(csv.reader(fh))[1:])
+            got[arec] = (exit_code, capsys.readouterr().err, users)
+        assert got["rsvd"] == got["pop"]
+        assert got["pop"][0] == code
+        if code == 3:
+            assert got["pop"][1] == "error: user 1: 0 candidates for top-1\n"
+        else:
+            assert got["pop"][2] == ["2", "3"]
+
+
 class TestSplitSidecar:
     def test_split_writes_the_sidecar(self, split_dir):
         assert (split_dir / "split.npz").is_file()

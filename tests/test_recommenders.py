@@ -1,6 +1,7 @@
 """Accuracy and coverage scorer tests, including SGD training behavior."""
 
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -193,7 +194,10 @@ class TestWavefrontSchedule:
     def test_levels_are_conflict_free_and_earliest(self, seq):
         uidx = np.array([u for u, _ in seq])
         iidx = np.array([i for _, i in seq])
-        levels = wavefront_schedule(uidx, iidx)
+        order, bounds = wavefront_schedule(uidx, iidx)
+        assert sorted(order.tolist()) == list(range(len(seq)))
+        assert bounds[0] == 0 and bounds[-1] == len(seq)
+        levels = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         assert sum(len(positions) for positions in levels) == len(seq)
         level_of = np.full(len(seq), -1)
         for lv, positions in enumerate(levels):
@@ -208,6 +212,14 @@ class TestWavefrontSchedule:
             deps = [expected[j] for j in range(k) if seq[j][0] == u or seq[j][1] == i]
             expected.append(max(deps, default=-1) + 1)
         assert level_of.tolist() == expected
+
+    def test_chain_past_16_bit_levels(self):
+        # one user rating 70,000 items in turn: level k holds rating k alone,
+        # more levels than a 16-bit key can number
+        n = 70_000
+        order, bounds = wavefront_schedule(np.zeros(n, dtype=np.int64), np.arange(n))
+        assert np.array_equal(order, np.arange(n))
+        assert bounds == list(range(n + 1))
 
 
 class TestRmse:
@@ -294,6 +306,14 @@ class TestMFScorer:
         scorer = mf_accuracy_scorer(model, split)
         assert scorer.score(1, "a") == 0.0
         assert scorer.score(1, "b") == 0.0
+
+    def test_user_without_candidates_scores_zero(self):
+        # user 1 has rated every train item: an all-zero row, not a crash
+        split = build_split([(1, "a", 4), (1, "b", 3), (2, "a", 5), (3, "b", 2)])
+        model = rsvd_train(split, g=2, lam=0.05, eta=0.03, epochs=2, seed=0)
+        scorer = mf_accuracy_scorer(model, split)
+        assert np.array_equal(scorer.score_vector(1), [0.0, 0.0])
+        assert scorer.score(2, "b") == scorer.score(3, "a") == 0.0
 
     def test_model_missing_split_user_rejected(self, synth_split):
         small = build_split([(1, "a", 3), (1, "b", 4), (2, "a", 2)])
@@ -425,12 +445,35 @@ class TestCoverageScorers:
 
 
 class TestMFPersistence:
+    @staticmethod
+    def _assert_loads_back(directory, model):
+        """The saved model and its manifest load back, factors bit for bit."""
+        loaded, manifest = load_mf_model(directory)
+        assert manifest["split_sha256"] == "s"
+        assert loaded.users == model.users and loaded.items == model.items
+        for got, want in ((loaded.user_factors, model.user_factors),
+                          (loaded.item_factors, model.item_factors)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert loaded.global_mean == model.global_mean
+
     def test_round_trip(self, tmp_path, synth_split):
         model = rsvd_train(synth_split, g=3, lam=0.05, eta=0.03, epochs=2, seed=0)
         save_mf_model(model, tmp_path / "m", manifest={"split_sha256": "s"})
-        loaded, manifest = load_mf_model(tmp_path / "m")
-        assert manifest["split_sha256"] == "s"
-        assert loaded.users == model.users and loaded.items == model.items
-        assert np.array_equal(loaded.user_factors, model.user_factors)
-        assert np.array_equal(loaded.item_factors, model.item_factors)
-        assert loaded.global_mean == model.global_mean
+        self._assert_loads_back(tmp_path / "m", model)
+
+    def test_model_file_is_stored_uncompressed(self, tmp_path, synth_split):
+        model = rsvd_train(synth_split, g=3, lam=0.05, eta=0.03, epochs=1, seed=0)
+        save_mf_model(model, tmp_path / "m")
+        with zipfile.ZipFile(tmp_path / "m" / "mf_model.npz") as z:
+            assert {info.compress_type for info in z.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_reads_a_compressed_model_file(self, tmp_path, synth_split):
+        # models saved before the file was stored uncompressed still load
+        model = rsvd_train(synth_split, g=3, lam=0.05, eta=0.03, epochs=1, seed=0)
+        save_mf_model(model, tmp_path / "m", manifest={"split_sha256": "s"})
+        path = tmp_path / "m" / "mf_model.npz"
+        with np.load(path) as z:
+            arrays = dict(z)
+        np.savez_compressed(path, **arrays)
+        self._assert_loads_back(tmp_path / "m", model)
