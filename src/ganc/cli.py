@@ -130,9 +130,14 @@ def _load_split(cfg: RunConfig):
     return split, manifest["split_sha256"]
 
 
-def _load_theta(cfg: RunConfig, split_sha256: str):
+def _load_theta(cfg: RunConfig, split, split_sha256: str):
+    """Theta of ``--prefs``, which must hold a value for every user of the split."""
     pv, manifest = preference.load_prefs(cfg.prefs)
     _check_split_hash(manifest, split_sha256, cfg.split, f"prefs at {cfg.prefs}")
+    missing = next((u for u in split.users if u not in pv.theta), None)
+    if missing is not None:
+        raise UnknownIdError(
+            f"{Path(cfg.prefs) / 'theta.csv'}: no theta for user {missing!r} of the split")
     return pv
 
 
@@ -221,12 +226,12 @@ def cmd_train_rsvd(cfg: RunConfig) -> int:
 def cmd_recommend(cfg: RunConfig) -> int:
     split, split_sha256 = _load_split(cfg)
     stats = dataset.compute_item_stats(split)
-    pv = _load_theta(cfg, split_sha256)
+    pv = _load_theta(cfg, split, split_sha256)
     n = 5 if cfg.n is None else cfg.n
     arec = _build_arec(cfg, split, split_sha256, stats, n)
     protocol = cfg.protocol or "all_unrated"
     phase_seconds = None
-    sampled = phase2_users = snapshots_used = None
+    sampled = phase2_users = snapshots_used = snapshot_bytes = None
     if cfg.crec == "dyn":
         # the sample is drawn from the users the protocol keeps
         s = min(cfg.s, len(core.eligible_users(split, n, protocol)))
@@ -236,6 +241,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
         sampled = len(run.sampled_users)
         phase2_users = run.phase2_users
         snapshots_used = run.snapshots_used
+        snapshot_bytes = run.snapshot_bytes
     elif cfg.crec in ("stat", "rand"):
         crec = (recommenders.stat_coverage(stats, split) if cfg.crec == "stat"
                 else recommenders.rand_coverage(cfg.run_seed, split))
@@ -253,6 +259,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
         "sampled": sampled,
         "phase2_users": phase2_users,
         "snapshots_used": snapshots_used,
+        "snapshot_bytes": snapshot_bytes,
         "candidate_pool": {"total": int(pools.sum()), "min": int(pools.min()),
                            "max": int(pools.max())},
         "seed": cfg.run_seed, "theta_model": pv.model,
@@ -291,7 +298,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     split, split_sha256 = _load_split(cfg)
     stats = dataset.compute_item_stats(split)
-    pv = _load_theta(cfg, split_sha256)
+    pv = _load_theta(cfg, split, split_sha256)
     n = 5 if cfg.n is None else cfg.n
     arec = _build_arec(cfg, split, split_sha256, stats, n)
     protocol = cfg.protocol or "all_unrated"

@@ -4,9 +4,10 @@ The value of a set for a user is (1-theta)*sum(a) + theta*sum(c). With the
 dynamic coverage scorer the assignment couples users, so collections are
 built by a locally greedy pass over users; the sampling variant runs the
 sequential pass over a KDE-drawn subset sorted by rising theta, snapshots
-the coverage state per sampled user, and finishes each remaining user on
-its own against the nearest snapshot. Exhaustive and property-style
-oracles for the greedy guarantees live here too.
+the coverage state per sampled user into one matrix, and finishes the
+remaining users, a block at a time, each against its nearest snapshot.
+Exhaustive and property-style oracles for the greedy guarantees live here
+too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .io_utils import canonical_ids, csv_parse_error
 from .preference import PreferenceVector
 
 PROTOCOLS = ("all_unrated", "rated_test_items")
+
+# Users scored together by the blocked greedy; 32-64 rows scored fastest at
+# ML-100K shape, and a (BLOCK, |I|) float64 buffer stays small at ML-1M shape.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class TopNCollection:
 class SnapshotStore:
     """Snapshots keyed by the sampled user's theta, added in rising order.
 
-    OSLG stores the dynamic coverage vector after each sampled user.
+    OSLG stores a view of the snapshot matrix's row after each sampled user.
     """
 
     def __init__(self):
@@ -79,12 +84,28 @@ class SnapshotStore:
     def __len__(self) -> int:
         return len(self._thetas)
 
-    def nearest(self, theta: float):
-        """Snapshot whose theta is closest; equidistant picks the one added
-        first (the lower theta, or the earlier of equal thetas)."""
+    def nearest_rows(self, thetas) -> np.ndarray:
+        """Position, in add order, of the snapshot nearest each query theta.
+
+        Equidistant snapshots resolve to the one added first (the lower
+        theta, or the earlier of equal thetas). Queries are looked up BLOCK
+        at a time, so no more than a (BLOCK, len(self)) gap matrix exists.
+        """
         if self._theta_array is None:
-            self._theta_array = np.asarray(self._thetas)
-        return self._snapshots[int(np.argmin(np.abs(self._theta_array - theta)))]
+            self._theta_array = np.asarray(self._thetas, dtype=np.float64)
+        queries = np.asarray(thetas, dtype=np.float64)
+        rows = np.empty(len(queries), dtype=np.intp)
+        gaps = np.empty((min(BLOCK, len(queries)), len(self._theta_array)))
+        for b in range(0, len(queries), BLOCK):
+            g = gaps[:len(queries) - b]
+            np.subtract(self._theta_array, queries[b:b + BLOCK, None], out=g)
+            np.abs(g, out=g)
+            g.argmin(axis=1, out=rows[b:b + BLOCK])
+        return rows
+
+    def nearest(self, theta: float):
+        """Snapshot whose theta is closest, by the tie rule of :meth:`nearest_rows`."""
+        return self._snapshots[int(self.nearest_rows([theta])[0])]
 
 
 def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> float:
@@ -96,6 +117,17 @@ def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> fl
     a_sum = sum(arec.score(user, i) for i in items)
     c_sum = sum(crec.score(i) for i in items)
     return (1.0 - theta) * a_sum + theta * c_sum
+
+
+def _top_n(gains: np.ndarray, n: int) -> list:
+    """Indices of n successive argmaxes of ``gains``, each pick set to -inf;
+    ties resolve to the lowest index. Consumes ``gains``."""
+    picked = []
+    for _ in range(n):
+        k = int(gains.argmax())
+        picked.append(k)
+        gains[k] = -np.inf
+    return picked
 
 
 def _greedy_idx(user, theta, acc, cov, n, cand_mask) -> list:
@@ -112,13 +144,7 @@ def _greedy_idx(user, theta, acc, cov, n, cand_mask) -> list:
     available = int(np.count_nonzero(cand_mask))
     if available < n:
         raise InfeasibleError(f"user {user!r}: {available} candidates for top-{n}")
-    gains = np.where(cand_mask, (1.0 - theta) * acc + theta * cov, -np.inf)
-    picked = []
-    for _ in range(n):
-        k = int(gains.argmax())
-        picked.append(k)
-        gains[k] = -np.inf
-    return picked
+    return _top_n(np.where(cand_mask, (1.0 - theta) * acc + theta * cov, -np.inf), n)
 
 
 def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec,
@@ -167,29 +193,43 @@ def candidate_pool_sizes(split: SplitDataset, n: int, protocol: str) -> np.ndarr
     """Candidate count of each eligible user, in :func:`eligible_users` order:
     the unseen train items under all_unrated, the user's test items under
     rated_test_items."""
-    codes = _eligible_codes(split, n, protocol)
+    return _pool_sizes(split, _eligible_codes(split, n, protocol), protocol)
+
+
+def _pool_sizes(split: SplitDataset, codes: np.ndarray, protocol: str) -> np.ndarray:
     if protocol == "all_unrated":
         return len(split.items) - split.user_train_counts[codes]
     return split.user_test_counts[codes]
+
+
+def _feasible_codes(split: SplitDataset, users, n: int, protocol: str) -> np.ndarray:
+    """Indices into ``split.users`` of ``users``; raises InfeasibleError for
+    the first user with fewer than n candidates."""
+    codes = np.array([split.user_index[u] for u in users], dtype=np.int64)
+    pools = _pool_sizes(split, codes, protocol)
+    short = np.flatnonzero(pools < n)
+    if len(short):
+        k = int(short[0])
+        raise InfeasibleError(f"user {users[k]!r}: {int(pools[k])} candidates for top-{n}")
+    return codes
+
+
+def _exclude(gains: np.ndarray, at, protocol: str) -> None:
+    """Set the non-candidates of ``gains`` to -inf: the entries ``at`` (the
+    train items) under all_unrated, all but them (the test items) under
+    rated_test_items."""
+    if protocol == "all_unrated":
+        gains[at] = -np.inf
+    else:
+        kept = gains[at]
+        gains.fill(-np.inf)
+        gains[at] = kept
 
 
 def _mask(split: SplitDataset, indices) -> np.ndarray:
     mask = np.zeros(len(split.items), dtype=bool)
     mask[indices] = True
     return mask
-
-
-def _eligible(split: SplitDataset, n: int, protocol: str):
-    """(users, candidates) for a ranking protocol; ``candidates(user)`` builds
-    the user's candidate mask when the user is scored.
-
-    all_unrated ranks every unseen train item; rated_test_items ranks only a
-    user's own test items.
-    """
-    users = eligible_users(split, n, protocol)
-    if protocol == "all_unrated":
-        return users, split.candidate_mask
-    return users, lambda user: _mask(split, split.test_item_indices(user))
 
 
 def _ids(split, picked_idx) -> tuple:
@@ -202,22 +242,67 @@ def _coverage(counts: np.ndarray) -> np.ndarray:
 
 
 def _sequential_greedy(split: SplitDataset, users, theta: PreferenceVector, arec,
-                       n: int, cands):
+                       n: int, protocol: str):
     """Locally greedy pass with dynamic coverage, one user after another.
 
     Yields (user, picked indices, live coverage vector after counting the
-    list). Only the n counted entries of the coverage vector are recomputed,
-    through one index array; elementwise sqrt and divide give the same bits
-    on a subset as on the whole vector.
+    list). Each user's gains (1-theta)*a + theta*c go through two reused
+    buffers, non-candidates set to -inf from the CSR index. Only the n
+    counted entries of the coverage vector are recomputed, through one index
+    array; elementwise sqrt and divide give the same bits on a subset as on
+    the whole vector.
     """
-    counts = np.zeros(len(split.items), dtype=np.int64)
+    _feasible_codes(split, users, n, protocol)
+    m = len(split.items)
+    counts = np.zeros(m, dtype=np.int64)
     cov = _coverage(counts)
+    acc, gains = np.empty(m), np.empty(m)
+    rated = split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
     for u in users:
-        picked = _greedy_idx(u, theta.theta[u], arec.score_vector(u), cov, n, cands(u))
+        th = theta.theta[u]
+        np.multiply(1.0 - th, arec.score_vector(u), out=acc)
+        np.multiply(th, cov, out=gains)
+        np.add(acc, gains, out=gains)
+        _exclude(gains, rated(u), protocol)
+        picked = _top_n(gains, n)
         idx = np.array(picked, dtype=np.int64)
         counts[idx] += 1
         cov[idx] = _coverage(counts[idx])
         yield u, picked, cov
+
+
+def _greedy_blocks(split: SplitDataset, users, thetas: np.ndarray, arec, n: int,
+                   protocol: str, cov: np.ndarray, rows: np.ndarray, lists: dict) -> None:
+    """Greedy top-n of independent users, BLOCK users at a time.
+
+    User k is scored against coverage row ``cov[rows[k]]`` with theta
+    ``thetas[k]``; its list is added to ``lists`` in ``users`` order. The
+    gains (1-theta)*a + theta*c are elementwise, so each row has the bits of
+    the per-user vector, and n rounds of a row-wise argmax (the first
+    maximum wins) pick what the per-user steps pick.
+    """
+    codes = _feasible_codes(split, users, n, protocol)
+    pairs = split.train_pairs if protocol == "all_unrated" else split.test_pairs
+    m = len(split.items)
+    acc_buf, gains_buf = np.empty((BLOCK, m)), np.empty((BLOCK, m))
+    for b in range(0, len(users), BLOCK):
+        block = users[b:b + BLOCK]
+        acc, gains = acc_buf[:len(block)], gains_buf[:len(block)]
+        for r, u in enumerate(block):
+            acc[r] = arec.score_vector(u)
+        th = thetas[b:b + BLOCK, None]
+        np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
+        np.multiply(th, gains, out=gains)
+        np.multiply(1.0 - th, acc, out=acc)
+        np.add(acc, gains, out=gains)
+        _exclude(gains, pairs(codes[b:b + BLOCK]), protocol)
+        picks = np.empty((len(block), n), dtype=np.intp)
+        every = np.arange(len(block))
+        for j in range(n):
+            gains.argmax(axis=1, out=picks[:, j])
+            gains[every, picks[:, j]] = -np.inf
+        for u, picked in zip(block, picks.tolist()):
+            lists[u] = _ids(split, picked)
 
 
 def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
@@ -229,13 +314,13 @@ def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
     top-n greedily against the live frequency state, then counts the
     assignment into the state.
     """
-    users, cands = _eligible(split, n, protocol)
+    users = eligible_users(split, n, protocol)
     if user_order == "increasing_theta":
         users = sorted(users, key=lambda u: (theta.theta[u], u))
     elif user_order != "arbitrary":
         raise ValueError(f"unknown user_order {user_order!r}")
     lists = {u: _ids(split, picked)
-             for u, picked, _ in _sequential_greedy(split, users, theta, arec, n, cands)}
+             for u, picked, _ in _sequential_greedy(split, users, theta, arec, n, protocol)}
     return TopNCollection(n, lists)
 
 
@@ -259,24 +344,28 @@ def kde_sample(theta: PreferenceVector, s: int, seed: int, users=None) -> list:
     h = max(1.06 * sd * n ** (-0.2), 1e-3)
     rng = np.random.default_rng(seed)
     taken = np.zeros(n, dtype=bool)
+    free = th.copy()  # a taken user's theta becomes inf, so its gap is inf
     gaps = np.empty(n)
     for _ in range(s):
         draw = th[int(rng.integers(n))] + h * float(rng.standard_normal())
-        np.abs(th - draw, out=gaps)
-        gaps[taken] = np.inf
-        taken[int(np.argmin(gaps))] = True
+        np.subtract(free, draw, out=gaps)
+        k = int(np.abs(gaps, out=gaps).argmin())
+        free[k] = np.inf
+        taken[k] = True
     return [pool[k] for k in np.flatnonzero(taken)]
 
 
 @dataclass(frozen=True)
 class OslgRun:
-    """An OSLG result: the collection, the sample, per-phase wall clock, and
-    how many distinct snapshots phase two read."""
+    """An OSLG result: the collection, the sample, per-phase wall clock, how
+    many distinct snapshots phase two read, and the bytes of the snapshot
+    matrix (0 when none is kept)."""
 
     collection: TopNCollection
     sampled_users: tuple
     phase_seconds: dict
     snapshots_used: int
+    snapshot_bytes: int
 
     @property
     def phase2_users(self) -> int:
@@ -289,26 +378,29 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     """Ordered sampling-based locally greedy assignment with dynamic coverage.
 
     Phase one runs the sequential greedy over a KDE sample sorted by rising
-    theta, storing the coverage vector after each sampled user. Phase two
-    assigns every remaining user independently against the snapshot whose
-    theta is nearest, so its outcome does not depend on the order the users
-    are visited in (``phase4_order`` exists to exercise exactly that
-    contract). No snapshot is kept when the sample holds every eligible
-    user, as nobody is left for phase two. ``workers`` is accepted for
-    compatibility and ignored: phase two runs in the calling thread, and the
-    output never depended on it.
+    theta, writing the coverage vector after the k-th sampled user into row
+    k of one snapshot matrix. Phase two assigns every remaining user
+    independently against the row whose theta is nearest, scoring the users
+    in blocks, so its outcome does not depend on the order the users are
+    visited in (``phase4_order`` exists to exercise exactly that contract).
+    No snapshot is kept when the sample holds every eligible user, as nobody
+    is left for phase two. ``workers`` is accepted for compatibility and
+    ignored: phase two runs in the calling thread, and the output never
+    depended on it.
     """
-    users, cands = _eligible(split, n, protocol)
+    users = eligible_users(split, n, protocol)
     sample = kde_sample(theta, s, seed, users=users)
     in_sample = set(sample)
-    keep_snapshots = len(sample) < len(users)
 
     t0 = time.perf_counter()
     store = SnapshotStore()
+    snapshots = np.empty((len(sample) if len(sample) < len(users) else 0, len(split.items)))
     lists = {}
-    for u, picked, cov in _sequential_greedy(split, sample, theta, arec, n, cands):
-        if keep_snapshots:
-            store.add(theta.theta[u], cov.copy())
+    for k, (u, picked, cov) in enumerate(
+            _sequential_greedy(split, sample, theta, arec, n, protocol)):
+        if len(snapshots):
+            snapshots[k] = cov
+            store.add(theta.theta[u], snapshots[k])
         lists[u] = _ids(split, picked)
     t1 = time.perf_counter()
 
@@ -318,30 +410,30 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
             raise ValueError("phase4_order must permute the non-sampled users")
         rest = list(phase4_order)
 
-    used = set()  # ids of the snapshots read; the store keeps each one alive
-    for u in rest:
-        th = theta.theta[u]
-        cov = store.nearest(th)
-        used.add(id(cov))
-        lists[u] = _ids(split, _greedy_idx(u, th, arec.score_vector(u), cov, n, cands(u)))
+    thetas = np.array([theta.theta[u] for u in rest], dtype=np.float64)
+    rows = store.nearest_rows(thetas)
+    _greedy_blocks(split, rest, thetas, arec, n, protocol, snapshots, rows, lists)
     t2 = time.perf_counter()
 
     return OslgRun(
         TopNCollection(n, lists),
         tuple(sample),
         {"sequential": t1 - t0, "parallel": t2 - t1},  # key names kept for readers of run.json
-        snapshots_used=len(used),
+        snapshots_used=len(np.unique(rows)),
+        snapshot_bytes=snapshots.nbytes,
     )
 
 
 def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
                        n: int, protocol: str = "all_unrated") -> TopNCollection:
     """Per-user greedy with a static coverage scorer; users are independent."""
-    users, cands = _eligible(split, n, protocol)
-    cov = crec.score_vector()
-    return TopNCollection(n, {
-        u: _ids(split, _greedy_idx(u, theta.theta[u], arec.score_vector(u), cov, n, cands(u)))
-        for u in users})
+    users = eligible_users(split, n, protocol)
+    thetas = np.array([theta.theta[u] for u in users], dtype=np.float64)
+    cov = np.asarray(crec.score_vector(), dtype=np.float64)[None, :]
+    lists = {}
+    _greedy_blocks(split, users, thetas, arec, n, protocol, cov,
+                   np.zeros(len(users), dtype=np.intp), lists)
+    return TopNCollection(n, lists)
 
 
 def collection_value(split: SplitDataset, theta: PreferenceVector, arec,

@@ -16,6 +16,8 @@ class EmptyDatasetError(GancError):
 class UnknownIdError(GancError, KeyError):
     """A user or item id is not present where it is required."""
 
+    __str__ = Exception.__str__  # the message as written, not KeyError's repr of it
+
 
 class StaleArtifactError(GancError):
     """An artifact's recorded input hash does not match the inputs provided."""

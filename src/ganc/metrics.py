@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PROTOCOLS, TopNCollection
-from .dataset import ItemStats, SplitDataset, relevant_test_items
+from .dataset import ItemStats, SplitDataset
 from .errors import ContractViolationError, UndefinedMetricError, UnknownIdError
 
 
@@ -73,25 +73,39 @@ class EvalReport:
         return EvalReport.from_dict(json.loads((Path(directory) / "report.json").read_text()))
 
 
+def _relevant(coll: TopNCollection, split: SplitDataset, threshold: float) -> dict:
+    """user -> relevant test items, for every user of the collection."""
+    by_user = split.relevant_by_user(threshold)
+    relevant = {}
+    for u in coll.lists:
+        items = by_user.get(u)
+        if items is None:
+            raise UnknownIdError(f"unknown user {u!r}")
+        relevant[u] = items
+    return relevant
+
+
 def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
-                          threshold: float = 4.0):
+                          threshold: float = 4.0, relevant: dict | None = None):
     """Mean precision, recall and F-measure against highly rated test items.
 
     Users without any relevant test item contribute zero recall and stay in
-    the denominator.
+    the denominator. ``relevant`` maps each user of the collection to its
+    relevant test items; it is looked up in the split when omitted.
     """
-    users = list(coll.lists)
+    if relevant is None:
+        relevant = _relevant(coll, split, threshold)
     n = coll.n
     hit_share = 0.0
     recall_sum = 0.0
-    for u in users:
-        relevant = relevant_test_items(split, u, threshold)
-        hits = len(relevant & set(coll.lists[u]))
+    for u, items in coll.lists.items():
+        rel = relevant[u]
+        hits = len(rel & set(items))
         hit_share += hits
-        if relevant:
-            recall_sum += hits / len(relevant)
-    precision = hit_share / (n * len(users))
-    recall = recall_sum / len(users)
+        if rel:
+            recall_sum += hits / len(rel)
+    precision = hit_share / (n * len(coll.lists))
+    recall = recall_sum / len(coll.lists)
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
 
@@ -111,14 +125,17 @@ def _check_beta_threshold(beta: float, threshold: float) -> None:
 
 
 def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
-                      beta: float = 0.5, threshold: float = 4.0) -> float:
+                      beta: float = 0.5, threshold: float = 4.0,
+                      relevant: dict | None = None) -> float:
     """Recall with every relevant item down-weighted by popularity^beta.
 
     Items with zero train popularity (possible only for hand-built inputs)
-    weigh as popularity one.
+    weigh as popularity one. ``relevant`` is as in
+    :func:`precision_recall_at_n`.
     """
     _check_beta_threshold(beta, threshold)
-    relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
+    if relevant is None:
+        relevant = _relevant(coll, split, threshold)
     idx, counts = split.item_index, split.item_train_counts.tolist()
     weight = {i: ((counts[idx[i]] if i in idx else 0) or 1) ** (-beta)
               for i in frozenset().union(*relevant.values())}
@@ -184,17 +201,18 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         })
     if not work.lists:
         raise UndefinedMetricError("no users to evaluate")
-    precision, recall, f_measure = precision_recall_at_n(work, split, threshold)
+    relevant = _relevant(work, split, threshold)
+    precision, recall, f_measure = precision_recall_at_n(work, split, threshold, relevant)
     idx = split.item_index
     freq = np.bincount([idx[i] for items in work.lists.values() for i in items],
                        minlength=len(split.items))
     breakdown = None
     if per_user:
         breakdown = {}
-        for u in work.lists:
-            relevant = relevant_test_items(split, u, threshold)
-            hits = len(relevant & set(work.lists[u]))
-            breakdown[u] = (hits / n, hits / len(relevant) if relevant else 0.0)
+        for u, items in work.lists.items():
+            rel = relevant[u]
+            hits = len(rel & set(items))
+            breakdown[u] = (hits / n, hits / len(rel) if rel else 0.0)
     return EvalReport(
         n=n,
         protocol=protocol,
@@ -202,7 +220,7 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         recall=recall,
         f_measure=f_measure,
         lt_accuracy=lt_accuracy_at_n(work, stats),
-        strat_recall=strat_recall_at_n(work, split, beta, threshold),
+        strat_recall=strat_recall_at_n(work, split, beta, threshold, relevant),
         coverage=coverage_at_n(work, split),
         gini=gini(freq),
         per_user=breakdown,

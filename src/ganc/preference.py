@@ -184,7 +184,7 @@ def save_prefs(pv: PreferenceVector, directory, manifest: dict | None = None) ->
 def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     d = Path(directory)
     manifest = read_json(d / "prefs.json")
-    theta = _read_id_column_map(d / "theta.csv")
+    theta = _read_id_column_map(d / "theta.csv", unit_interval=True)
     weights = None
     if (d / "weights.csv").exists():
         weights = _read_id_column_map(d / "weights.csv")
@@ -196,8 +196,12 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     ), manifest
 
 
-def _read_id_column_map(path) -> dict:
-    """Read a two-column ``id,value`` CSV, canonicalizing the id column as a whole."""
+def _read_id_column_map(path, unit_interval: bool = False) -> dict:
+    """Read a two-column ``id,value`` CSV, canonicalizing the id column as a whole.
+
+    With ``unit_interval`` a value outside [0, 1] (NaN included) is a
+    ParseError.
+    """
     ids, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -207,9 +211,13 @@ def _read_id_column_map(path) -> dict:
                 if len(fields) != 2:
                     raise ParseError(f"{path}:{reader.line_num}: expected 2 fields")
                 try:
-                    values.append(float(fields[1]))
+                    value = float(fields[1])
                 except ValueError:
                     raise ParseError(f"{path}:{reader.line_num}: bad value {fields[1]!r}") from None
+                if unit_interval and not 0.0 <= value <= 1.0:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: value {fields[1]!r} outside [0, 1]")
+                values.append(value)
                 ids.append(fields[0])
         except csv.Error as exc:
             raise csv_parse_error(reader, path, exc) from None

@@ -152,6 +152,7 @@ class TestRecommendEvaluate:
         assert manifest["phase2_users"] == 80 - 30  # every user is eligible
         assert 1 <= manifest["snapshots_used"] <= 30
         split, _ = load_split(split_dir)
+        assert manifest["snapshot_bytes"] == 30 * len(split.items) * 8  # one row per sample
         pools = [int(split.candidate_mask(u).sum()) for u in split.users]
         assert manifest["candidate_pool"] == {
             "total": sum(pools), "min": min(pools), "max": max(pools)}
@@ -232,7 +233,9 @@ class TestRecommendEvaluate:
         assert main(["recommend", "--split", str(split_dir), "--prefs",
                      str(prefs_dir), "--arec", "rsvd", "--mf", str(mf),
                      "--crec", "rand", "--n", "5", "--out", str(out)]) == 0
-        assert read_json(out / "run.json")["template"] == "GANC(RSVD, theta^G, Rand)"
+        manifest = read_json(out / "run.json")
+        assert manifest["template"] == "GANC(RSVD, theta^G, Rand)"
+        assert manifest["snapshot_bytes"] is None  # static coverage keeps no snapshot
 
     def test_rated_protocol_clips_sample_to_eligible_users(self, split_dir, prefs_dir,
                                                             tmp_path):
@@ -244,6 +247,7 @@ class TestRecommendEvaluate:
         manifest = read_json(out / "run.json")
         assert manifest["sampled"] == eligible
         assert manifest["phase2_users"] == 0
+        assert manifest["snapshot_bytes"] == 0  # nobody is left to read a snapshot
         split, _ = load_split(split_dir)
         pools = [len(split.per_user_test_index[u]) for u in split.users
                  if len(split.per_user_test_index[u]) >= n]
@@ -664,6 +668,31 @@ class TestMalformedRows:
         code, path = self._recommend(split_dir, prefs_dir, tmp_path, "theta.csv", "1,abc")
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:2: bad value 'abc'\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "7.5", "-0.25"])
+    def test_theta_outside_the_unit_interval(self, split_dir, prefs_dir, tmp_path, capsys,
+                                             value):
+        code, path = self._recommend(split_dir, prefs_dir, tmp_path, "theta.csv",
+                                     f"1,{value}")
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}:2: value {value!r} outside [0, 1]\n"
+
+    @pytest.mark.parametrize("command", ["recommend", "sweep"])
+    def test_theta_missing_a_user_of_the_split(self, split_dir, prefs_dir, tmp_path, capsys,
+                                               command):
+        prefs = self._copy(prefs_dir, tmp_path / "prefs",
+                           ("theta.csv", "weights.csv", "prefs.json"))
+        lines = (prefs / "theta.csv").read_text().splitlines()
+        missing = lines.pop(3).split(",")[0]
+        (prefs / "theta.csv").write_text("\n".join(lines) + "\n")
+        extra = (["--crec", "dyn", "--s", "10"] if command == "recommend"
+                 else ["--s-values", "10", "--reps", "1"])
+        assert main([command, "--split", str(split_dir), "--prefs", str(prefs),
+                     "--arec", "pop", "--n", "3", *extra,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prefs / 'theta.csv'}: no theta for user {int(missing)!r} of the split\n")
 
     def test_weights_row_with_three_fields(self, split_dir, prefs_dir, tmp_path, capsys):
         code, path = self._recommend(split_dir, prefs_dir, tmp_path, "weights.csv",

@@ -13,7 +13,6 @@ from ganc.core import (
     PROTOCOLS,
     SnapshotStore,
     TopNCollection,
-    _eligible,
     brute_force_optimal,
     candidate_pool_sizes,
     collection_value,
@@ -328,9 +327,13 @@ class TestCandidatePoolSizes:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_match_the_masks_oslg_scores(self, synth_split, protocol):
         for n in (1, 5, 12):
-            users, cands = _eligible(synth_split, n, protocol)
-            assert candidate_pool_sizes(synth_split, n, protocol).tolist() == \
-                [int(np.count_nonzero(cands(u))) for u in users]
+            if protocol == "all_unrated":
+                pool = [int(np.count_nonzero(synth_split.candidate_mask(u)))
+                        for u in eligible_users(synth_split, n, protocol)]
+            else:
+                pool = [len(synth_split.per_user_test_index[u])
+                        for u in eligible_users(synth_split, n, protocol)]
+            assert candidate_pool_sizes(synth_split, n, protocol).tolist() == pool
 
 
 class TestIndependentGreedy:

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from ganc import dataset
 
 from ganc.core import (
+    BLOCK,
     PROTOCOLS,
     SnapshotStore,
     TopNCollection,
@@ -53,7 +54,7 @@ from ganc.errors import EmptyDatasetError, InfeasibleError, ParseError, Undefine
 from ganc.io_utils import canonical_ids, id_int
 from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n
 from ganc.preference import PreferenceVector, theta_generalized
-from ganc.recommenders import pop_scorer, stat_coverage
+from ganc.recommenders import pop_scorer, rand_coverage, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, assert_same_split, build_split
 
@@ -366,6 +367,72 @@ class TestAssignmentMatchesReference:
                                 protocol=protocol) == expected
 
 
+class TestBlockedScoringMatchesReference:
+    """Phase two and independent_greedy score users BLOCK at a time; the
+    150-user synthetic split gives several full blocks and a partial last
+    one, which the hypothesis instances (at most 7 users) never reach."""
+
+    @pytest.fixture(scope="class")
+    def scorers(self, synth_split, synth_stats):
+        rng = np.random.default_rng(12)
+        dense = DictAccuracy({(u, i): float(rng.random())
+                              for u in synth_split.users for i in synth_split.items},
+                             synth_split)
+        return {"pop": pop_scorer(synth_split, synth_stats, 5), "dense": dense}
+
+    @pytest.fixture(scope="class")
+    def thetas(self, synth_split):
+        rng = np.random.default_rng(13)
+        grid = {u: THETA_GRID[int(rng.integers(len(THETA_GRID)))] for u in synth_split.users}
+        return {"generalized": theta_generalized(synth_split),
+                "grid": PreferenceVector("random", grid)}  # ties in the snapshot lookup
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("kind", ["pop", "dense"])
+    @pytest.mark.parametrize("theta_kind", ["generalized", "grid"])
+    def test_oslg(self, synth_split, scorers, thetas, protocol, kind, theta_kind):
+        assert len(synth_split.users) > 2 * BLOCK
+        theta, arec = thetas[theta_kind], scorers[kind]
+        for s in (1, 10, 149):
+            run = oslg(synth_split, theta, arec, 5, s, 7, protocol=protocol)
+            sample, lists = _oslg_reference(synth_split, theta, arec, 5, s, 7, protocol)
+            assert run.phase2_users == len(synth_split.users) - s
+            assert run.sampled_users == sample
+            assert list(run.collection.lists.items()) == list(lists.items())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("kind", ["pop", "dense"])
+    def test_independent_greedy(self, synth_split, synth_stats, scorers, thetas, protocol,
+                                kind):
+        for crec in (stat_coverage(synth_stats, synth_split), rand_coverage(4, synth_split)):
+            for theta in thetas.values():
+                got = independent_greedy(synth_split, theta, scorers[kind], crec, 5,
+                                         protocol=protocol)
+                expected = _independent_greedy_reference(synth_split, theta, scorers[kind],
+                                                         crec, 5, protocol)
+                assert list(got.lists.items()) == list(expected.items())
+
+    def test_first_infeasible_phase2_user_raises_the_same_error(self):
+        # users 66 and 69, both in the second block of phase two, rated 11
+        # of the 12 items; everyone else rated one
+        items = list(range(1, 13))
+        train = [(u, items[u % 12], 3) for u in range(1, 71) if u not in (66, 69)]
+        train += [(u, i, 3) for u in (66, 69) for i in items[:11]]
+        split = build_split(train)
+        theta = PreferenceVector("constant", {u: 0.5 for u in split.users})
+        arec = DictAccuracy({}, split)
+        with pytest.raises(InfeasibleError) as expected:
+            _oslg_reference(split, theta, arec, 2, 1, 0, "all_unrated")
+        assert str(expected.value) == "user 66: 1 candidates for top-2"
+        with pytest.raises(InfeasibleError) as got:
+            oslg(split, theta, arec, 2, 1, 0)
+        assert str(got.value) == str(expected.value)
+        crec = DictCoverage({}, split)
+        with pytest.raises(InfeasibleError) as got:
+            independent_greedy(split, theta, arec, crec, 2)
+        assert str(got.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------- tie rules
 
 class TestSnapshotTieRules:
@@ -411,6 +478,35 @@ class TestSnapshotTieRules:
         store.add(0.7, "b")
         assert store.nearest(0.8) == "b"
         assert len(store) == 2
+
+
+class TestSnapshotRowLookup:
+    """``nearest_rows`` answers many queries, a block at a time, by the rule
+    ``nearest`` follows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(thetas=st.lists(st.sampled_from(THETA_GRID) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=12),
+           queries=st.lists(st.floats(-2.0, 3.0) | st.sampled_from(THETA_GRID + (0.125, 0.375)),
+                            min_size=1, max_size=8))
+    def test_agrees_with_nearest(self, thetas, queries):
+        thetas = sorted(thetas)
+        store = SnapshotStore()
+        for k, th in enumerate(thetas):
+            store.add(th, k)
+        assert store.nearest_rows(queries).tolist() == [store.nearest(x) for x in queries]
+
+    def test_more_queries_than_a_block(self):
+        rng = np.random.default_rng(6)
+        thetas = np.sort(np.concatenate([rng.random(40), np.repeat(THETA_GRID, 3)]))
+        store = SnapshotStore()
+        for k, th in enumerate(thetas.tolist()):
+            store.add(th, k)
+        queries = np.concatenate([rng.random(2 * BLOCK + 9), THETA_GRID, [-1.0, 2.0]])
+        assert store.nearest_rows(queries).tolist() == [
+            min(range(len(thetas)), key=lambda k: (abs(thetas[k] - x), k))
+            for x in queries.tolist()]
+        assert store.nearest_rows([]).tolist() == []
 
 
 class TestKdeSampleTieRules:

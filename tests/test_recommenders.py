@@ -409,7 +409,7 @@ class TestCoverageScorers:
         theta = theta_baseline(synth_split.users, "constant", c=0.5)
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
         for _, picked, cov in _sequential_greedy(synth_split, synth_split.users[:30], theta,
-                                                 arec, 5, synth_split.candidate_mask):
+                                                 arec, 5, "all_unrated"):
             counts[picked] += 1
             assert np.array_equal(cov, _coverage(counts))
         assert counts.max() > 1
