@@ -66,20 +66,34 @@ class TopNCollection:
 
 
 class SnapshotStore:
-    """Snapshots keyed by the sampled user's theta, added in rising order.
+    """Snapshots keyed by the sampled user's theta, added in rising order,
+    held as the rows of one array.
 
-    OSLG stores a view of the snapshot matrix's row after each sampled user.
+    OSLG sizes the store for its whole sample (``capacity`` rows of
+    ``shape`` float64 coverage vectors), so phase two gathers straight from
+    :attr:`rows`. By default each row holds one object and the array grows
+    as snapshots are added.
     """
 
-    def __init__(self):
+    def __init__(self, capacity: int = 0, shape: tuple = (), dtype=object):
         self._thetas: list = []
-        self._snapshots: list = []
+        self._rows = np.empty((capacity, *shape), dtype=dtype)
         self._theta_array = None  # built on the first lookup after an add
 
     def add(self, theta: float, snapshot) -> None:
+        k = len(self._thetas)
+        if k == len(self._rows):
+            grown = np.empty((2 * k or 1, *self._rows.shape[1:]), dtype=self._rows.dtype)
+            grown[:k] = self._rows
+            self._rows = grown
+        self._rows[k] = snapshot
         self._thetas.append(theta)
-        self._snapshots.append(snapshot)
         self._theta_array = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The snapshots added so far, row k the k-th."""
+        return self._rows[:len(self._thetas)]
 
     def __len__(self) -> int:
         return len(self._thetas)
@@ -105,7 +119,7 @@ class SnapshotStore:
 
     def nearest(self, theta: float):
         """Snapshot whose theta is closest, by the tie rule of :meth:`nearest_rows`."""
-        return self._snapshots[int(self.nearest_rows([theta])[0])]
+        return self._rows[int(self.nearest_rows([theta])[0])]
 
 
 def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> float:
@@ -202,16 +216,15 @@ def _pool_sizes(split: SplitDataset, codes: np.ndarray, protocol: str) -> np.nda
     return split.user_test_counts[codes]
 
 
-def _feasible_codes(split: SplitDataset, users, n: int, protocol: str) -> np.ndarray:
-    """Indices into ``split.users`` of ``users``; raises InfeasibleError for
-    the first user with fewer than n candidates."""
+def _check_feasible(split: SplitDataset, users, n: int, protocol: str) -> None:
+    """Raise InfeasibleError for the first of ``users`` with fewer than n
+    candidates."""
     codes = np.array([split.user_index[u] for u in users], dtype=np.int64)
     pools = _pool_sizes(split, codes, protocol)
     short = np.flatnonzero(pools < n)
     if len(short):
         k = int(short[0])
         raise InfeasibleError(f"user {users[k]!r}: {int(pools[k])} candidates for top-{n}")
-    return codes
 
 
 def _exclude(gains: np.ndarray, at, protocol: str) -> None:
@@ -224,6 +237,12 @@ def _exclude(gains: np.ndarray, at, protocol: str) -> None:
         kept = gains[at]
         gains.fill(-np.inf)
         gains[at] = kept
+
+
+def _rated(split: SplitDataset, protocol: str):
+    """Per-user accessor of the item indices :func:`_exclude` reads: the
+    train items under all_unrated, the test items under rated_test_items."""
+    return split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
 
 
 def _mask(split: SplitDataset, indices) -> np.ndarray:
@@ -252,12 +271,12 @@ def _sequential_greedy(split: SplitDataset, users, theta: PreferenceVector, arec
     array; elementwise sqrt and divide give the same bits on a subset as on
     the whole vector.
     """
-    _feasible_codes(split, users, n, protocol)
+    _check_feasible(split, users, n, protocol)
     m = len(split.items)
     counts = np.zeros(m, dtype=np.int64)
     cov = _coverage(counts)
     acc, gains = np.empty(m), np.empty(m)
-    rated = split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
+    rated = _rated(split, protocol)
     for u in users:
         th = theta.theta[u]
         np.multiply(1.0 - th, arec.score_vector(u), out=acc)
@@ -281,8 +300,8 @@ def _greedy_blocks(split: SplitDataset, users, thetas: np.ndarray, arec, n: int,
     the per-user vector, and n rounds of a row-wise argmax (the first
     maximum wins) pick what the per-user steps pick.
     """
-    codes = _feasible_codes(split, users, n, protocol)
-    pairs = split.train_pairs if protocol == "all_unrated" else split.test_pairs
+    _check_feasible(split, users, n, protocol)
+    rated = _rated(split, protocol)
     m = len(split.items)
     acc_buf, gains_buf = np.empty((BLOCK, m)), np.empty((BLOCK, m))
     for b in range(0, len(users), BLOCK):
@@ -295,7 +314,9 @@ def _greedy_blocks(split: SplitDataset, users, thetas: np.ndarray, arec, n: int,
         np.multiply(th, gains, out=gains)
         np.multiply(1.0 - th, acc, out=acc)
         np.add(acc, gains, out=gains)
-        _exclude(gains, pairs(codes[b:b + BLOCK]), protocol)
+        spans = [rated(u) for u in block]
+        at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
+        _exclude(gains, at, protocol)
         picks = np.empty((len(block), n), dtype=np.intp)
         every = np.arange(len(block))
         for j in range(n):
@@ -393,14 +414,12 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     in_sample = set(sample)
 
     t0 = time.perf_counter()
-    store = SnapshotStore()
-    snapshots = np.empty((len(sample) if len(sample) < len(users) else 0, len(split.items)))
+    keep = len(sample) < len(users)
+    store = SnapshotStore(len(sample) if keep else 0, (len(split.items),), np.float64)
     lists = {}
-    for k, (u, picked, cov) in enumerate(
-            _sequential_greedy(split, sample, theta, arec, n, protocol)):
-        if len(snapshots):
-            snapshots[k] = cov
-            store.add(theta.theta[u], snapshots[k])
+    for u, picked, cov in _sequential_greedy(split, sample, theta, arec, n, protocol):
+        if keep:
+            store.add(theta.theta[u], cov)
         lists[u] = _ids(split, picked)
     t1 = time.perf_counter()
 
@@ -412,7 +431,7 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
 
     thetas = np.array([theta.theta[u] for u in rest], dtype=np.float64)
     rows = store.nearest_rows(thetas)
-    _greedy_blocks(split, rest, thetas, arec, n, protocol, snapshots, rows, lists)
+    _greedy_blocks(split, rest, thetas, arec, n, protocol, store.rows, rows, lists)
     t2 = time.perf_counter()
 
     return OslgRun(
@@ -420,7 +439,7 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
         tuple(sample),
         {"sequential": t1 - t0, "parallel": t2 - t1},  # key names kept for readers of run.json
         snapshots_used=len(np.unique(rows)),
-        snapshot_bytes=snapshots.nbytes,
+        snapshot_bytes=store.rows.nbytes,
     )
 
 

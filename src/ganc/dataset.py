@@ -144,15 +144,6 @@ def _csr(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple:
     return indptr, values[np.argsort(keys, kind="stable")]
 
 
-def _csr_pairs(indptr: np.ndarray, grouped: np.ndarray, keys: np.ndarray) -> tuple:
-    """(row, value) arrays over the groups of ``keys``: row r holds the
-    position in ``keys`` of each value of group ``keys[r]``."""
-    starts, ends = indptr[keys], indptr[keys + 1]
-    rows = np.repeat(np.arange(len(keys)), ends - starts)
-    spans = [grouped[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    return rows, np.concatenate(spans or [grouped[:0]])
-
-
 def _sets(keys: tuple, indptr: np.ndarray, codes: np.ndarray, values: tuple) -> dict:
     """key -> frozenset of the ``values`` its CSR row lists."""
     bounds, flat = indptr.tolist(), _object_array(values)[codes].tolist()
@@ -262,16 +253,6 @@ class SplitDataset:
         indptr, codes = self._test_by_user
         k = self.user_index[user]
         return codes[indptr[k]:indptr[k + 1]]
-
-    def train_pairs(self, user_codes: np.ndarray) -> tuple:
-        """(row, item index) of every train rating of the users
-        ``users[user_codes]``; row is the user's position in ``user_codes``."""
-        return _csr_pairs(*self._train_by_user, user_codes)
-
-    def test_pairs(self, user_codes: np.ndarray) -> tuple:
-        """(row, item index) of every test rating of the users
-        ``users[user_codes]``; row is the user's position in ``user_codes``."""
-        return _csr_pairs(*self._test_by_user, user_codes)
 
     def candidate_mask(self, user) -> np.ndarray:
         """Boolean mask over ``items``: True where the user has not rated in train."""

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PROTOCOLS, TopNCollection
-from .dataset import ItemStats, SplitDataset
+from .dataset import ItemStats, SplitDataset, relevant_test_items
 from .errors import ContractViolationError, UndefinedMetricError, UnknownIdError
 
 
@@ -73,28 +73,14 @@ class EvalReport:
         return EvalReport.from_dict(json.loads((Path(directory) / "report.json").read_text()))
 
 
-def _relevant(coll: TopNCollection, split: SplitDataset, threshold: float) -> dict:
-    """user -> relevant test items, for every user of the collection."""
-    by_user = split.relevant_by_user(threshold)
-    relevant = {}
-    for u in coll.lists:
-        items = by_user.get(u)
-        if items is None:
-            raise UnknownIdError(f"unknown user {u!r}")
-        relevant[u] = items
-    return relevant
-
-
 def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
-                          threshold: float = 4.0, relevant: dict | None = None):
+                          threshold: float = 4.0):
     """Mean precision, recall and F-measure against highly rated test items.
 
     Users without any relevant test item contribute zero recall and stay in
-    the denominator. ``relevant`` maps each user of the collection to its
-    relevant test items; it is looked up in the split when omitted.
+    the denominator.
     """
-    if relevant is None:
-        relevant = _relevant(coll, split, threshold)
+    relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
     n = coll.n
     hit_share = 0.0
     recall_sum = 0.0
@@ -125,17 +111,14 @@ def _check_beta_threshold(beta: float, threshold: float) -> None:
 
 
 def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
-                      beta: float = 0.5, threshold: float = 4.0,
-                      relevant: dict | None = None) -> float:
+                      beta: float = 0.5, threshold: float = 4.0) -> float:
     """Recall with every relevant item down-weighted by popularity^beta.
 
     Items with zero train popularity (possible only for hand-built inputs)
-    weigh as popularity one. ``relevant`` is as in
-    :func:`precision_recall_at_n`.
+    weigh as popularity one.
     """
     _check_beta_threshold(beta, threshold)
-    if relevant is None:
-        relevant = _relevant(coll, split, threshold)
+    relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
     idx, counts = split.item_index, split.item_train_counts.tolist()
     weight = {i: ((counts[idx[i]] if i in idx else 0) or 1) ** (-beta)
               for i in frozenset().union(*relevant.values())}
@@ -201,14 +184,14 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         })
     if not work.lists:
         raise UndefinedMetricError("no users to evaluate")
-    relevant = _relevant(work, split, threshold)
-    precision, recall, f_measure = precision_recall_at_n(work, split, threshold, relevant)
+    precision, recall, f_measure = precision_recall_at_n(work, split, threshold)
     idx = split.item_index
     freq = np.bincount([idx[i] for items in work.lists.values() for i in items],
                        minlength=len(split.items))
     breakdown = None
     if per_user:
         breakdown = {}
+        relevant = {u: relevant_test_items(split, u, threshold) for u in work.lists}
         for u, items in work.lists.items():
             rel = relevant[u]
             hits = len(rel & set(items))
@@ -220,7 +203,7 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         recall=recall,
         f_measure=f_measure,
         lt_accuracy=lt_accuracy_at_n(work, stats),
-        strat_recall=strat_recall_at_n(work, split, beta, threshold, relevant),
+        strat_recall=strat_recall_at_n(work, split, beta, threshold),
         coverage=coverage_at_n(work, split),
         gini=gini(freq),
         per_user=breakdown,

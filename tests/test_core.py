@@ -430,6 +430,17 @@ class TestSnapshotStore:
         assert store.nearest(0.5) is low
         assert store.nearest(0.74) is high
 
+    def test_sized_store_copies_snapshots_into_its_rows(self):
+        store = SnapshotStore(3, (4,), np.float64)
+        cov = np.zeros(4)
+        for k, th in enumerate((0.1, 0.5, 0.9)):
+            cov[k] = 1.0  # the caller keeps mutating its vector
+            store.add(th, cov)
+        assert store.rows.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]]
+        assert store.nearest(0.45).tolist() == [1, 1, 0, 0]
+        assert np.shares_memory(store.nearest(0.45), store.rows)
+        assert store.rows.nbytes == 3 * 4 * 8
+
 
 class TestCollectionPersistence:
     def test_round_trip(self, tmp_path, synth_split, synth_stats):
