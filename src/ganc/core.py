@@ -67,26 +67,21 @@ class TopNCollection:
 
 class SnapshotStore:
     """Snapshots keyed by the sampled user's theta, added in rising order,
-    held as the rows of one array.
+    held as the rows of one float64 array.
 
     OSLG sizes the store for its whole sample (``capacity`` rows of
-    ``shape`` float64 coverage vectors), so phase two gathers straight from
-    :attr:`rows`. By default each row holds one object and the array grows
-    as snapshots are added.
+    ``shape`` coverage vectors), so phase two gathers straight from
+    :attr:`rows`.
     """
 
-    def __init__(self, capacity: int = 0, shape: tuple = (), dtype=object):
+    def __init__(self, capacity: int, shape: tuple):
         self._thetas: list = []
-        self._rows = np.empty((capacity, *shape), dtype=dtype)
+        self._rows = np.empty((capacity, *shape), dtype=np.float64)
         self._theta_array = None  # built on the first lookup after an add
 
     def add(self, theta: float, snapshot) -> None:
-        k = len(self._thetas)
-        if k == len(self._rows):
-            grown = np.empty((2 * k or 1, *self._rows.shape[1:]), dtype=self._rows.dtype)
-            grown[:k] = self._rows
-            self._rows = grown
-        self._rows[k] = snapshot
+        """Copy ``snapshot`` into the next row; IndexError past ``capacity``."""
+        self._rows[len(self._thetas)] = snapshot
         self._thetas.append(theta)
         self._theta_array = None
 
@@ -415,7 +410,7 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
 
     t0 = time.perf_counter()
     keep = len(sample) < len(users)
-    store = SnapshotStore(len(sample) if keep else 0, (len(split.items),), np.float64)
+    store = SnapshotStore(len(sample) if keep else 0, (len(split.items),))
     lists = {}
     for u, picked, cov in _sequential_greedy(split, sample, theta, arec, n, protocol):
         if keep:

@@ -7,7 +7,10 @@ files plus a JSON manifest, with a binary sidecar that caches the parsed
 split (see :func:`load_split`).
 
 Ratings are held as columns (:class:`RatingColumns`): id tables plus int64
-user and item codes, float64 values, and timestamps, one entry per rating.
+user and item codes, float64 values, int64 timestamps and a mask of the
+missing ones, one entry per rating. A timestamp field reads as ``int(s)``
+when it is an integer literal, as ``int(float(s))`` otherwise, and must fit
+int64, so every stored timestamp reads back exactly as written.
 A :class:`SplitDataset` keeps its train and test ratings that way and
 indexes them by user in compressed sparse row (CSR) form; ``Rating``
 objects and id-keyed set indices are built only when something asks for
@@ -62,15 +65,17 @@ def _codes(column, index: dict) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RatingColumns:
     """Ratings as parallel arrays: row k is ``users[user_codes[k]]`` rating
-    ``items[item_codes[k]]`` with ``values[k]`` at ``timestamps[k]`` (an int,
-    or None where the source had none)."""
+    ``items[item_codes[k]]`` with ``values[k]`` at ``timestamps[k]``, unless
+    ``missing[k]`` says the source had no timestamp (``timestamps[k]`` is 0
+    then)."""
 
     users: tuple
     items: tuple
     user_codes: np.ndarray  # int64
     item_codes: np.ndarray  # int64
     values: np.ndarray  # float64
-    timestamps: np.ndarray  # object
+    timestamps: np.ndarray  # int64
+    missing: np.ndarray  # bool
 
     def __len__(self) -> int:
         return len(self.values)
@@ -78,24 +83,27 @@ class RatingColumns:
     @staticmethod
     def from_ratings(ratings) -> "RatingColumns":
         """Columns of a :class:`Rating` sequence, rows in the same order; the
-        id tables list ids in order of first appearance."""
+        id tables list ids in order of first appearance. ValueError when a
+        timestamp is neither None nor an int within int64."""
         ratings = list(ratings)
         users: dict = {}
         items: dict = {}
         user_codes = _codes([r.user_id for r in ratings], users)
         item_codes = _codes([r.item_id for r in ratings], items)
+        stamps = [r.timestamp for r in ratings]
         return RatingColumns(
             tuple(users), tuple(items), user_codes, item_codes,
             np.fromiter((r.value for r in ratings), dtype=float, count=len(ratings)),
-            _object_array([r.timestamp for r in ratings]))
+            np.fromiter(map(_stored_stamp, stamps), dtype=np.int64, count=len(stamps)),
+            np.fromiter((t is None for t in stamps), dtype=bool, count=len(stamps)))
 
     def _with_ids(self, users, items) -> "RatingColumns":
         return replace(self, users=tuple(users), items=tuple(items))
 
     def take(self, rows) -> "RatingColumns":
         """The given rows, in the given order, over the same id tables."""
-        return RatingColumns(self.users, self.items, self.user_codes[rows],
-                             self.item_codes[rows], self.values[rows], self.timestamps[rows])
+        return RatingColumns(self.users, self.items, self.user_codes[rows], self.item_codes[rows],
+                             self.values[rows], self.timestamps[rows], self.missing[rows])
 
     def deduplicated(self) -> "RatingColumns":
         """One row per (user, item) pair: the last occurrence's value and
@@ -126,7 +134,19 @@ class RatingColumns:
     def ratings(self) -> list:
         """The rows as :class:`Rating` objects."""
         return list(map(Rating, self.user_ids(), self.item_ids(),
-                        self.values.tolist(), self.timestamps.tolist()))
+                        self.values.tolist(), self._stamps(None).tolist()))
+
+    def _stamps(self, blank) -> np.ndarray:
+        """The timestamps as Python ints in an object array, ``blank`` where missing."""
+        out = _object_array(self.timestamps.tolist())
+        out[self.missing] = blank
+        return out
+
+
+def _stored_stamp(t) -> int:
+    if t is not None and (type(t) is not int or not -2**63 <= t < 2**63):
+        raise ValueError(f"timestamp {t!r} is neither None nor an int within int64")
+    return t or 0
 
 
 def _object_array(values) -> np.ndarray:
@@ -203,10 +223,10 @@ class SplitDataset:
         kept = np.flatnonzero((test_users >= 0) & (test_items >= 0))
         return SplitDataset(
             users, items,
-            RatingColumns(users, items, user_code[train.user_codes],
-                          item_code[train.item_codes], train.values, train.timestamps),
+            RatingColumns(users, items, user_code[train.user_codes], item_code[train.item_codes],
+                          train.values, train.timestamps, train.missing),
             RatingColumns(users, items, test_users[kept], test_items[kept],
-                          test.values[kept], test.timestamps[kept]),
+                          test.values[kept], test.timestamps[kept], test.missing[kept]),
         )
 
     @cached_property
@@ -370,17 +390,28 @@ def _empty_id(ids: list, codes: np.ndarray) -> np.ndarray:
     return np.array([not s for s in ids], dtype=bool)[codes]
 
 
-_UNREADABLE = object()
-
-
-def _parse_timestamp(s: str):
-    """int(float(s)), None for a blank field, _UNREADABLE when it cannot be read."""
+def _timestamp(s: str) -> int:
+    """An integer literal as int(s), any other number as int(float(s)); 0 for
+    a blank field."""
     if not s.strip():
-        return None
+        return 0
     try:
+        return int(s)
+    except ValueError:  # "1.5e9", "12.7"; NaN and the infinities stay unreadable
         return int(float(s))
-    except (ValueError, OverflowError):  # non-numeric, NaN, infinite
-        return _UNREADABLE
+
+
+def _read_table(raw: list, read, dtype) -> tuple:
+    """(``read(s)`` per string of ``raw`` as a ``dtype`` array, mask of the
+    strings that ``read`` refuses or ``dtype`` cannot hold)."""
+    table = np.zeros(len(raw), dtype=dtype)
+    bad = np.zeros(len(raw), dtype=bool)
+    for k, s in enumerate(raw):
+        try:
+            table[k] = read(s)
+        except (ValueError, OverflowError):  # OverflowError: an int past int64
+            bad[k] = True
+    return table, bad
 
 
 def _parse(path, format: str) -> RatingColumns:
@@ -419,22 +450,15 @@ def _parse(path, format: str) -> RatingColumns:
     users, user_codes = _strip_ids(list(tables[0]), user_codes)
     items, item_codes = _strip_ids(list(tables[1]), item_codes)
     raw_values, raw_ts = list(tables[2]), list(tables[3])
-    value_table = np.zeros(len(raw_values))
-    unreadable = np.zeros(len(raw_values), dtype=bool)
-    for k, s in enumerate(raw_values):
-        try:
-            value_table[k] = float(s)
-        except ValueError:
-            unreadable[k] = True
-    ts_table = [_parse_timestamp(s) for s in raw_ts]
+    value_table, bad_value = _read_table(raw_values, float, np.float64)
+    ts_table, bad_ts = _read_table(raw_ts, _timestamp, np.int64)
     values = value_table[value_codes]
     checks = (  # per-row failures in the order a row is checked
         (_empty_id(users, user_codes) | _empty_id(items, item_codes),
          lambda k: "empty user or item id"),
-        (unreadable[value_codes], lambda k: f"bad rating {raw_values[value_codes[k]]!r}"),
+        (bad_value[value_codes], lambda k: f"bad rating {raw_values[value_codes[k]]!r}"),
         (~np.isfinite(values) | (values < 0), lambda k: "rating must be finite and >= 0"),
-        (np.array([t is _UNREADABLE for t in ts_table], dtype=bool)[ts_codes],
-         lambda k: f"bad timestamp {raw_ts[ts_codes[k]]!r}"),
+        (bad_ts[ts_codes], lambda k: f"bad timestamp {raw_ts[ts_codes[k]]!r}"),
     )
     bad = np.logical_or.reduce([failed for failed, _ in checks])
     if bad.any():
@@ -446,8 +470,9 @@ def _parse(path, format: str) -> RatingColumns:
         raise ParseError(f"{path}:{line}: expected 3 or 4 fields, got {n}")
     if not len(values):
         raise EmptyDatasetError(f"{path}: no ratings parsed")
+    blank_ts = np.fromiter((not s.strip() for s in raw_ts), dtype=bool, count=len(raw_ts))
     return RatingColumns(tuple(users), tuple(items), user_codes, item_codes, values,
-                         _object_array(ts_table)[ts_codes]).deduplicated()
+                         ts_table[ts_codes], blank_ts[ts_codes]).deduplicated()
 
 
 def load_columns(path, format: str = "tab_separated") -> RatingColumns:
@@ -578,7 +603,7 @@ def _write_ratings_csv(path, cols: RatingColumns) -> None:
         w = csv.writer(fh)
         w.writerow(["user", "item", "rating", "timestamp"])
         w.writerows(zip(cols.user_ids(), cols.item_ids(), values.tolist(),
-                        ["" if t is None else t for t in cols.timestamps.tolist()]))
+                        cols._stamps("").tolist()))
 
 
 def save_split(split: SplitDataset, directory, manifest: dict | None = None) -> None:
@@ -646,7 +671,7 @@ def _parse_split(d: Path) -> SplitDataset:
 # int64 array plus a mask of the missing ones.
 
 SIDECAR = "split.npz"
-# the arrays stored per part ("train_user_codes", ...) and their dtypes
+# the RatingColumns arrays stored per part ("train_user_codes", ...) and their dtypes
 _SIDECAR_COLUMNS = {"user_codes": np.int64, "item_codes": np.int64, "values": np.float64,
                     "timestamps": np.int64, "missing": np.bool_}
 
@@ -666,23 +691,6 @@ def _written_ids(table: tuple) -> tuple | None:
     return tuple(canonical_ids(written))
 
 
-def _reread_stamps(stamps: np.ndarray) -> tuple | None:
-    """(int64 values, missing mask) of timestamps as the CSV parse reads back
-    their written form, ``int(float(t))``; None when one is not an int or
-    None, or does not fit int64."""
-    if not set(map(type, stamps.tolist())) <= {int, type(None)}:
-        return None
-    missing = np.equal(stamps, None)
-    values = np.zeros(len(stamps), dtype=np.int64)
-    try:
-        values[~missing] = stamps[~missing]
-        rounded = (values > 2**53) | (values < -2**53)  # float() rounds these
-        values[rounded] = [int(float(t)) for t in values[rounded].tolist()]
-    except OverflowError:
-        return None
-    return values, missing
-
-
 def _table_arrays(name: str, table: tuple) -> dict:
     if type(table[0]) is int:  # canonical tables are all ints or all strs
         return {name: np.array(table, dtype=np.int64)}  # OverflowError past int64
@@ -693,34 +701,24 @@ def _table_arrays(name: str, table: tuple) -> dict:
 
 def _sidecar_arrays(split: SplitDataset) -> dict | None:
     """The sidecar arrays of the split load_split parses back from the CSVs
-    save_split writes for ``split``; None when a value would not come back
-    as written or does not fit the sidecar.
+    save_split writes for ``split``; None when an id would not come back as
+    written or fit int64, or the parse would refuse a rating value.
 
     Ids are canonicalized over their written strings, so a split of ids
     ``"1"``, ``"2"`` comes back as the ints 1, 2 and may sort differently.
     """
     users, items = _written_ids(split.users), _written_ids(split.items)
-    if users is None or items is None:
-        return None
-    columns, stamps = [], []
-    for cols in (split.train_columns, split.test_columns):
-        reread = _reread_stamps(cols.timestamps)
-        if reread is None or not (np.isfinite(cols.values) & (cols.values >= 0)).all():
-            return None  # the parse would refuse the file
-        stamps.append(reread)
-        # the row numbers ride in the timestamps column to find each row's stamp
-        columns.append(RatingColumns(users, items, cols.user_codes, cols.item_codes,
-                                     cols.values, np.arange(len(cols))).deduplicated())
-    back = SplitDataset.from_columns(*columns)
+    parts = split.train_columns, split.test_columns
+    if users is None or items is None or not all(
+            (np.isfinite(c.values) & (c.values >= 0)).all() for c in parts):
+        return None  # the parse would refuse the file
+    back = SplitDataset.from_columns(*(c._with_ids(users, items).deduplicated() for c in parts))
     try:
         arrays = {**_table_arrays("users", back.users), **_table_arrays("items", back.items)}
     except OverflowError:
         return None
-    for part, cols, (values, missing) in zip(
-            ("train", "test"), (back.train_columns, back.test_columns), stamps):
-        rows = cols.timestamps
-        arrays.update(zip((f"{part}_{k}" for k in _SIDECAR_COLUMNS), (
-            cols.user_codes, cols.item_codes, cols.values, values[rows], missing[rows])))
+    for part, cols in (("train", back.train_columns), ("test", back.test_columns)):
+        arrays.update((f"{part}_{k}", getattr(cols, k)) for k in _SIDECAR_COLUMNS)
     return arrays
 
 
@@ -748,14 +746,12 @@ def _sidecar_columns(z, part: str, users: tuple, items: tuple) -> RatingColumns:
     arrays = [z[f"{part}_{k}"] for k in _SIDECAR_COLUMNS]
     _require(all(a.dtype == t and a.ndim == 1 and len(a) == len(arrays[0])
                  for a, t in zip(arrays, _SIDECAR_COLUMNS.values())))
-    user_codes, item_codes, values, stamps, missing = arrays
+    user_codes, item_codes, values, timestamps, missing = arrays
     _require(not len(values) or (
         0 <= user_codes.min() and user_codes.max() < len(users)
         and 0 <= item_codes.min() and item_codes.max() < len(items)
-        and (np.isfinite(values) & (values >= 0)).all()))
-    timestamps = _object_array(stamps.tolist())
-    timestamps[missing] = None
-    return RatingColumns(users, items, user_codes, item_codes, values, timestamps)
+        and (np.isfinite(values) & (values >= 0)).all() and not timestamps[missing].any()))
+    return RatingColumns(users, items, *arrays)
 
 
 def _read_sidecar(path: Path, train_sha256: str, test_sha256: str) -> SplitDataset | None:

@@ -66,4 +66,12 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON object a manifest file holds; ParseError naming the file when
+    it holds anything else."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload

@@ -184,11 +184,16 @@ def save_prefs(pv: PreferenceVector, directory, manifest: dict | None = None) ->
 def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     d = Path(directory)
     manifest = read_json(d / "prefs.json")
+    if manifest.get("model") not in MODELS:
+        raise ParseError(f"{d / 'prefs.json'}: model must be one of {', '.join(MODELS)}, "
+                         f"got {manifest.get('model')!r}")
+    deltas = manifest.get("theta_deltas")
+    if not isinstance(deltas, (list, type(None))):
+        raise ParseError(f"{d / 'prefs.json'}: theta_deltas must be a list, got {deltas!r}")
     theta = _read_id_column_map(d / "theta.csv", unit_interval=True)
     weights = None
     if (d / "weights.csv").exists():
         weights = _read_id_column_map(d / "weights.csv")
-    deltas = manifest.get("theta_deltas")
     return PreferenceVector(
         manifest["model"], theta, weights,
         manifest.get("iterations"), manifest.get("converged"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -345,6 +346,10 @@ def pop_scorer(split: SplitDataset, stats: ItemStats, n: int) -> PopScorer:
     return PopScorer(split, stats, n)
 
 
+# the arrays of mf_model.npz, in the order load_mf_model unpacks them
+_MF_ARRAYS = ("users", "items", "P", "Q", "global_mean")
+
+
 def save_mf_model(model: MFModel, directory, manifest: dict | None = None) -> None:
     """Persist factors as an uncompressed npz dump plus a JSON manifest.
 
@@ -366,11 +371,26 @@ def save_mf_model(model: MFModel, directory, manifest: dict | None = None) -> No
 
 
 def load_mf_model(directory) -> tuple[MFModel, dict]:
+    """The model and manifest :func:`save_mf_model` wrote; ParseError naming
+    mf_model.npz when it cannot be read or its arrays do not form a model."""
     d = Path(directory)
-    data = np.load(d / "mf_model.npz", allow_pickle=False)
+    path = d / "mf_model.npz"
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a bare array, not an npz archive")
+        with data:
+            arrays = [data[k] for k in _MF_ARRAYS]
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: not a readable model file ({exc})") from None
+    users, items, P, Q, global_mean = arrays
+    if not (users.ndim == items.ndim == 1 and P.ndim == Q.ndim == 2
+            and P.dtype == Q.dtype == global_mean.dtype == np.float64
+            and P.shape[0] == len(users) and Q.shape[0] == len(items)
+            and P.shape[1] == Q.shape[1] and global_mean.size == 1):
+        raise ParseError(f"{path}: arrays do not form a model: " + ", ".join(
+            f"{k} {a.dtype}{a.shape}" for k, a in zip(_MF_ARRAYS, arrays)))
     manifest = read_json(d / "mf.json")
-    users = tuple(canonical_ids(list(data["users"])))
-    items = tuple(canonical_ids(list(data["items"])))
-    model = MFModel(users, items, data["P"], data["Q"],
-                    int(data["P"].shape[1]), float(data["global_mean"][0]))
+    model = MFModel(tuple(canonical_ids(list(users))), tuple(canonical_ids(list(items))),
+                    P, Q, int(P.shape[1]), float(global_mean.item()))
     return model, manifest

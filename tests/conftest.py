@@ -17,7 +17,7 @@ def build_split(train_pairs, test_pairs=()):
 
 def assert_same_split(got, want):
     """Equal id tables (types included), code arrays, values bit for bit,
-    timestamps and set views."""
+    int64 timestamps and their missing masks, and set views."""
     for name in ("users", "items"):
         a, b = getattr(got, name), getattr(want, name)
         assert a == b and list(map(type, a)) == list(map(type, b))
@@ -29,9 +29,10 @@ def assert_same_split(got, want):
             assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
         assert a.values.dtype == b.values.dtype == np.float64
         assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
-        assert a.timestamps.dtype == b.timestamps.dtype == object
-        assert [(type(t), t) for t in a.timestamps.tolist()] == \
-            [(type(t), t) for t in b.timestamps.tolist()]
+        assert a.timestamps.dtype == b.timestamps.dtype == np.int64
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert a.missing.dtype == b.missing.dtype == bool
+        assert np.array_equal(a.missing, b.missing)
     assert got.train == want.train and got.test == want.test
     for name in ("per_user_train_index", "per_user_test_index", "per_item_train_index"):
         assert getattr(got, name) == getattr(want, name)

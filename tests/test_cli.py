@@ -84,6 +84,17 @@ class TestSplit:
                      "--kappa", "1.5", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_timestamp_outside_int64_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "ratings.csv"
+        data.write_text("user,item,rating,timestamp\n1,a,3,9223372036854775807\n"
+                        "2,b,4,9223372036854775808\n")
+        out = tmp_path / "split"
+        assert main(["split", "--dataset", str(data), "--format", "csv",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {data}:3: bad timestamp '9223372036854775808'\n"
+        assert not out.exists()
+
 
 class TestPrefs:
     def test_generalized_converges(self, prefs_dir):
@@ -699,6 +710,97 @@ class TestMalformedRows:
                                      "1,0.5,0.5")
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:2: expected 2 fields\n"
+
+
+@pytest.fixture(scope="module")
+def mf_dir(split_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "mf"
+    assert main(["train-rsvd", "--split", str(split_dir), "--g", "2", "--epochs", "1",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _copy_dir(src, dst):
+    dst.mkdir()
+    for path in src.iterdir():
+        (dst / path.name).write_bytes(path.read_bytes())
+    return dst
+
+
+def _rewrite_npz(path, **changes):
+    """Rewrite an npz file with some arrays replaced (None drops one)."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(changes)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+
+class TestDamagedArtifacts:
+    """A damaged model file or manifest exits 2 with one error line naming it."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p.write_bytes(p.read_bytes()[:5000]), "not a readable model file"),
+        (lambda p: _rewrite_npz(p, P=None), "not a readable model file"),
+        (lambda p: _rewrite_npz(p, P=np.load(p)["P"][:10]), "arrays do not form a model"),
+        (lambda p: _rewrite_npz(p, Q=np.load(p)["Q"][:, :1]), "arrays do not form a model"),
+        (lambda p: _rewrite_npz(p, P=np.load(p)["P"].astype(np.float32)),
+         "arrays do not form a model"),
+        (lambda p: _rewrite_npz(p, users=np.load(p)["users"][None]),
+         "arrays do not form a model"),
+        (lambda p: _rewrite_npz(p, global_mean=np.zeros(2)), "arrays do not form a model"),
+    ], ids=["truncated", "no-P", "P-short", "g-differs", "P-float32", "users-2d",
+            "two-means"])
+    def test_model_file(self, split_dir, prefs_dir, mf_dir, tmp_path, capsys, damage,
+                        message):
+        mf = _copy_dir(mf_dir, tmp_path / "mf")
+        damage(mf / "mf_model.npz")
+        assert main(["recommend", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "rsvd", "--mf", str(mf), "--crec", "stat", "--n", "3",
+                     "--out", str(tmp_path / "rec")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mf / 'mf_model.npz'}: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]\n", "expected a JSON object, got list"),
+        ('"split"\n', "expected a JSON object, got str"),
+        ("{not json\n", "not valid JSON"),
+        ("", "not valid JSON"),
+    ], ids=["list", "string", "bad-json", "empty"])
+    @pytest.mark.parametrize("name", ["split.json", "prefs.json", "run.json"])
+    def test_manifest_that_is_not_a_json_object(self, split_dir, prefs_dir, rec_dir,
+                                                tmp_path, capsys, name, text, message):
+        split = _copy_dir(split_dir, tmp_path / "split")
+        prefs = _copy_dir(prefs_dir, tmp_path / "prefs")
+        rec = _copy_dir(rec_dir, tmp_path / "rec")
+        path = {"split.json": split, "prefs.json": prefs, "run.json": rec}[name] / name
+        path.write_text(text)
+        argv = (["evaluate", "--topn", str(rec)] if name == "run.json" else
+                ["recommend", "--prefs", str(prefs), "--arec", "pop", "--crec", "stat",
+                 "--n", "3"])
+        assert main([*argv, "--split", str(split), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("model", None, "model must be one of activity, "),
+        ("model", "psychic", "model must be one of activity, "),
+        ("model", 3, "model must be one of activity, "),
+        ("theta_deltas", 5, "theta_deltas must be a list, got 5"),
+    ], ids=["no-model", "unknown-model", "int-model", "int-deltas"])
+    def test_prefs_manifest_with_a_bad_field(self, split_dir, prefs_dir, tmp_path, capsys,
+                                             key, value, message):
+        prefs = _copy_dir(prefs_dir, tmp_path / "prefs")
+        manifest = read_json(prefs / "prefs.json")
+        del manifest[key]
+        if value is not None:
+            manifest[key] = value
+        (prefs / "prefs.json").write_text(json.dumps(manifest))
+        assert main(["recommend", "--split", str(split_dir), "--prefs", str(prefs),
+                     "--arec", "pop", "--crec", "stat", "--n", "3",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {prefs / 'prefs.json'}: {message}")
 
 
 class TestUserWhoRatedEveryTrainItem:

@@ -423,15 +423,14 @@ class TestSubmodularityCheck:
 
 class TestSnapshotStore:
     def test_nearest_prefers_lower_theta_on_exact_tie(self):
-        store = SnapshotStore()
-        low, high = object(), object()
-        store.add(0.25, low)
-        store.add(0.75, high)
-        assert store.nearest(0.5) is low
-        assert store.nearest(0.74) is high
+        store = SnapshotStore(2, (1,))
+        store.add(0.25, [0.0])  # each row holds its own row number
+        store.add(0.75, [1.0])
+        assert store.nearest(0.5).tolist() == [0.0]
+        assert store.nearest(0.74).tolist() == [1.0]
 
     def test_sized_store_copies_snapshots_into_its_rows(self):
-        store = SnapshotStore(3, (4,), np.float64)
+        store = SnapshotStore(3, (4,))
         cov = np.zeros(4)
         for k, th in enumerate((0.1, 0.5, 0.9)):
             cov[k] = 1.0  # the caller keeps mutating its vector
@@ -440,6 +439,8 @@ class TestSnapshotStore:
         assert store.nearest(0.45).tolist() == [1, 1, 0, 0]
         assert np.shares_memory(store.nearest(0.45), store.rows)
         assert store.rows.nbytes == 3 * 4 * 8
+        with pytest.raises(IndexError):  # the store never grows past its capacity
+            store.add(1.0, cov)
 
 
 class TestCollectionPersistence:

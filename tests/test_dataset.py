@@ -94,6 +94,27 @@ class TestLoadRatings:
         with pytest.raises(ParseError, match=r"u\.data:2: bad timestamp 'inf'"):
             load_ratings(p, "tab_separated")
 
+    @pytest.mark.parametrize("text, stamp", [
+        ("9007199254740993", 2**53 + 1),  # float() would round it
+        ("9223372036854775807", 2**63 - 1),
+        ("-9223372036854775807", -2**63 + 1),
+        ("-9223372036854775808", -2**63),
+        ("1.5e9", 1_500_000_000),
+        ("12.7", 12),
+    ])
+    def test_timestamp_reads_exactly_when_an_integer_literal(self, tmp_path, text, stamp):
+        p = tmp_path / "u.data"
+        p.write_text(f"1\t2\t3\t{text}\n")
+        (r,) = load_ratings(p, "tab_separated")
+        assert type(r.timestamp) is int and r.timestamp == stamp
+
+    @pytest.mark.parametrize("text", ["9223372036854775808", "-9223372036854775809", "1e30"])
+    def test_timestamp_outside_int64_is_a_parse_error(self, tmp_path, text):
+        p = tmp_path / "u.data"
+        p.write_text(f"1\t2\t3\t0\n1\t3\t3\t{text}\n1\t4\t3\t0\n")
+        with pytest.raises(ParseError, match=rf"u\.data:2: bad timestamp '{text}'"):
+            load_ratings(p, "tab_separated")
+
     def test_first_bad_line_wins_across_kinds_of_error(self, tmp_path):
         p = tmp_path / "u.data"
         p.write_text("1\t2\t3\t0\n1\t3\t3\tx\n1\t4\t-2\t0\n1\t5\n")
@@ -562,7 +583,9 @@ class TestSplitSidecar:
             loaded, _ = load_split(tmp_path / "s")
         assert_same_split(loaded, dataset._parse_split(tmp_path / "s"))
         assert not len(loaded.test_columns)
-        assert loaded.train_columns.timestamps.tolist() == [17, None, -4]
+        assert loaded.train_columns.timestamps.tolist() == [17, 0, -4]
+        assert loaded.train_columns.missing.tolist() == [False, True, False]
+        assert [r.timestamp for r in loaded.train] == [17, None, -4]
 
     def test_duplicate_pairs_come_back_as_the_parse_keeps_them(self, tmp_path):
         # from_columns expects columns free of duplicate pairs; the reload
@@ -576,15 +599,30 @@ class TestSplitSidecar:
 
     @pytest.mark.parametrize("train", [
         [Rating(2**64, "x", 4.0), Rating(1, "x", 3.0)],  # id past int64
-        [Rating(1, "x", 4.0, 10**19)],  # timestamp past int64
-        [Rating(1, "x", 4.0, 2**63 - 1)],  # reads back as 2**63
         [Rating(1, " x", 4.0), Rating(1, "y", 3.0)],  # the reload strips the id
         [Rating(1, "x", float("nan"))],  # the reload refuses the value
-        [Rating(1, "x", 4.0, 1.5)],  # a float timestamp
-    ], ids=["id-past-int64", "stamp-past-int64", "stamp-rounds-past-int64", "padded-id",
-            "nan-value", "float-stamp"])
+    ], ids=["id-past-int64", "padded-id", "nan-value"])
     def test_no_sidecar_where_it_cannot_hold_the_reload(self, tmp_path, train):
         out = tmp_path / "s"
         save_split(build_split([(1, "z", 1.0)]), out)  # a sidecar to be replaced
         save_split(SplitDataset.from_ratings(train, []), out)
         assert not (out / "split.npz").exists()
+
+    @pytest.mark.parametrize("stamp", [10**19, -2**63 - 1, 1.5, "7", True],
+                             ids=["stamp-past-int64", "stamp-below-int64", "float-stamp",
+                                  "str-stamp", "bool-stamp"])
+    def test_columns_refuse_a_stamp_they_cannot_hold(self, stamp):
+        with pytest.raises(ValueError, match="timestamp"):
+            RatingColumns.from_ratings([Rating(1, "x", 4.0), Rating(2, "x", 3.0, stamp)])
+
+    def test_stamps_at_the_int64_ends_round_trip_through_the_sidecar(self, tmp_path):
+        stamps = [2**63 - 1, -2**63, 2**53 + 1, None]
+        split = SplitDataset.from_ratings(
+            [Rating(u, "x", 4.0, t) for u, t in enumerate(stamps)], [])
+        save_split(split, tmp_path / "s")
+        assert (tmp_path / "s" / "split.npz").exists()
+        with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
+            loaded, _ = load_split(tmp_path / "s")
+        assert_same_split(loaded, dataset._parse_split(tmp_path / "s"))
+        assert_same_split(loaded, split)
+        assert [r.timestamp for r in loaded.train] == stamps

@@ -18,6 +18,7 @@ not close.
 import csv
 import io
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -436,6 +437,8 @@ class TestBlockedScoringMatchesReference:
 # ---------------------------------------------------------------- tie rules
 
 class TestSnapshotTieRules:
+    """Each snapshot is its own row number, so ``nearest`` returns the row it found."""
+
     @settings(max_examples=200, deadline=None)
     @given(thetas=st.lists(st.sampled_from(THETA_GRID) | st.floats(0.0, 1.0),
                            min_size=1, max_size=12),
@@ -443,7 +446,7 @@ class TestSnapshotTieRules:
                             min_size=1, max_size=8))
     def test_nearest_is_first_added_among_smallest_gap(self, thetas, queries):
         thetas = sorted(thetas)
-        store = SnapshotStore()
+        store = SnapshotStore(len(thetas), ())
         for k, th in enumerate(thetas):
             store.add(th, k)
         for x in queries:
@@ -451,32 +454,32 @@ class TestSnapshotTieRules:
                                            key=lambda k: (abs(thetas[k] - x), k))
 
     def test_duplicate_thetas_resolve_to_the_first_added(self):
-        store = SnapshotStore()
-        for th, name in ((0.5, "a"), (0.5, "b"), (0.9, "c"), (0.9, "d")):
-            store.add(th, name)
-        assert store.nearest(0.5) == "a"
-        assert store.nearest(0.6) == "a"
-        assert store.nearest(0.9) == "c"
+        store = SnapshotStore(4, ())
+        for k, th in enumerate((0.5, 0.5, 0.9, 0.9)):
+            store.add(th, k)
+        assert store.nearest(0.5) == 0
+        assert store.nearest(0.6) == 0
+        assert store.nearest(0.9) == 2
 
     def test_equal_gaps_pick_the_lower_theta(self):
-        store = SnapshotStore()
-        store.add(0.25, "low")
-        store.add(0.75, "high")
-        assert store.nearest(0.5) == "low"  # both gaps are exactly 0.25
+        store = SnapshotStore(2, ())
+        store.add(0.25, 0)
+        store.add(0.75, 1)
+        assert store.nearest(0.5) == 0  # both gaps are exactly 0.25
 
     def test_queries_outside_the_range_map_to_the_ends(self):
-        store = SnapshotStore()
-        for th, name in ((0.1, "a"), (0.1, "b"), (0.4, "c"), (0.9, "d"), (0.9, "e")):
-            store.add(th, name)
-        assert store.nearest(-5.0) == "a"
-        assert store.nearest(7.0) == "d"
+        store = SnapshotStore(5, ())
+        for k, th in enumerate((0.1, 0.1, 0.4, 0.9, 0.9)):
+            store.add(th, k)
+        assert store.nearest(-5.0) == 0
+        assert store.nearest(7.0) == 3
 
     def test_lookup_sees_snapshots_added_after_a_lookup(self):
-        store = SnapshotStore()
-        store.add(0.2, "a")
-        assert store.nearest(0.8) == "a"
-        store.add(0.7, "b")
-        assert store.nearest(0.8) == "b"
+        store = SnapshotStore(2, ())
+        store.add(0.2, 0)
+        assert store.nearest(0.8) == 0
+        store.add(0.7, 1)
+        assert store.nearest(0.8) == 1
         assert len(store) == 2
 
 
@@ -491,7 +494,7 @@ class TestSnapshotRowLookup:
                             min_size=1, max_size=8))
     def test_agrees_with_nearest(self, thetas, queries):
         thetas = sorted(thetas)
-        store = SnapshotStore()
+        store = SnapshotStore(len(thetas), ())
         for k, th in enumerate(thetas):
             store.add(th, k)
         assert store.nearest_rows(queries).tolist() == [store.nearest(x) for x in queries]
@@ -499,7 +502,7 @@ class TestSnapshotRowLookup:
     def test_more_queries_than_a_block(self):
         rng = np.random.default_rng(6)
         thetas = np.sort(np.concatenate([rng.random(40), np.repeat(THETA_GRID, 3)]))
-        store = SnapshotStore()
+        store = SnapshotStore(len(thetas), ())
         for k, th in enumerate(thetas.tolist()):
             store.add(th, k)
         queries = np.concatenate([rng.random(2 * BLOCK + 9), THETA_GRID, [-1.0, 2.0]])
@@ -587,11 +590,21 @@ def _parse_fields_reference(fields, line_no, path):
         raise ParseError(f"{path}:{line_no}: rating must be finite and >= 0")
     ts = None
     if len(fields) == 4 and fields[3].strip():
-        try:
-            ts = int(float(fields[3]))
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: bad timestamp {fields[3]!r}") from None
+        ts = _timestamp_reference(fields[3])
+        if ts is None or not -2**63 <= ts < 2**63:
+            raise ParseError(f"{path}:{line_no}: bad timestamp {fields[3]!r}")
     return user, item, value, ts
+
+
+def _timestamp_reference(s):
+    """int(s) for an integer literal, int(float(s)) for any other number,
+    None when neither reads it."""
+    for read in (int, lambda s: int(float(s))):
+        try:
+            return read(s)
+        except (ValueError, OverflowError):
+            pass
+    return None
 
 
 def _load_ratings_reference(path, format):
@@ -711,8 +724,9 @@ STR_IDS = ["u1", "a", "item x", "é", "7a", "A"]
 ODD_IDS = ["007", "+7", " 7", "7 ", "1_0", "٧"]
 GOOD_RATINGS = ["1", "2", "3", "4", "5", "4.5", "0", "-0", "3.0", "2.25", " 3 ", "1e0"]
 BAD_RATINGS = ["", "x", "nan", "inf", "-inf", "-1", "-0.5", "1e999", "4..0"]
-GOOD_STAMPS = ["", " ", "881250949", "0", "-12", "1.5e9", "12.7", "978300760.0"]
-BAD_STAMPS = ["x", "nan", "1.2.3"]
+GOOD_STAMPS = ["", " ", "881250949", "0", "-12", "1.5e9", "12.7", "978300760.0",
+               "9007199254740993", "9223372036854775807", "-9223372036854775807"]
+BAD_STAMPS = ["x", "nan", "1.2.3", "9223372036854775808", "1e30"]
 
 
 @st.composite
@@ -862,8 +876,8 @@ SPLIT_ID_POOLS = {
     "padded": ["7", " 7", "a", "a "],  # the reload strips, and merges, these
 }
 SPLIT_VALUES = [0.0, -0.0, 1.0, 4.5, 3.25, 5.0, 1e-300]
-# None is a missing stamp; 2**53 + 1 reads back rounded; the last two leave int64
-SPLIT_STAMPS = [None, 0, 881250949, -12, 2**53 + 1, -2**63, 2**63 - 1, 10**19]
+# None is a missing stamp; float() would round 2**53 + 1 and 2**63 - 1
+SPLIT_STAMPS = [None, 0, 881250949, -12, 2**53 + 1, -2**63, 2**63 - 1]
 
 
 @st.composite
@@ -878,23 +892,24 @@ def split_cases(draw):
 
 def _sidecar_expected(split) -> bool:
     """Whether the split's reload fits the sidecar: no padded or colliding
-    written id, and every id and re-read stamp within int64."""
+    written id, and every id within int64."""
     for table in (split.users, split.items):
         written = [str(x) for x in table]
         if len(set(written)) < len(written) or any(w != w.strip() for w in written):
             return False
         if any(isinstance(x, int) and not -2**63 <= x < 2**63 for x in canonical_ids(written)):
             return False
-    stamps = [t for part in (split.train_columns, split.test_columns)
-              for t in part.timestamps.tolist() if t is not None]
-    return all(-2**63 <= int(float(t)) < 2**63 for t in stamps)
+    return True
 
 
 class TestSplitSidecarMatchesCsvParse:
     @settings(max_examples=200, deadline=None)
     @given(case=split_cases())
     def test_round_trip(self, tmp_path_factory, case):
-        split = SplitDataset.from_ratings(*case)
+        train, test = case
+        with pytest.raises(ValueError, match="timestamp"):  # a stamp past int64
+            SplitDataset.from_ratings([replace(train[0], timestamp=10**19), *train[1:]], test)
+        split = SplitDataset.from_ratings(train, test)
         out = tmp_path_factory.mktemp("split")
         save_split(split, out)
         want = dataset._parse_split(out)
