@@ -2,8 +2,8 @@
 """Write a synthetic popularity-skewed rating CSV for pipeline demos."""
 
 import argparse
-import csv
 
+from ganc.io_utils import write_table
 from ganc.synthetic import generate_ratings
 
 
@@ -15,11 +15,8 @@ def main() -> int:
     ap.add_argument("--out", default="data/synthetic.csv")
     args = ap.parse_args()
     ratings = generate_ratings(n_users=args.users, n_items=args.items, seed=args.seed)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "item", "rating"])
-        for r in ratings:
-            w.writerow([r.user_id, r.item_id, r.value])
+    write_table(args.out, ("user", "item", "rating"),
+                ((r.user_id, r.item_id, r.value) for r in ratings))
     print(f"wrote {len(ratings)} ratings to {args.out}")
     return 0
 

@@ -9,7 +9,6 @@ codes: 0 success, 1 usage, 2 data error, 3 numerical or contract error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -24,7 +23,7 @@ from .errors import (
     StaleArtifactError,
     UnknownIdError,
 )
-from .io_utils import read_json, sha256_file, write_json
+from .io_utils import read_json, sha256_file, write_json, write_table
 
 THETA_SYMBOL = {
     "activity": "theta^A",
@@ -277,13 +276,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     stats = dataset.compute_item_stats(split)
     run_manifest = read_json(Path(cfg.topn) / "run.json")
     _check_split_hash(run_manifest, split_sha256, cfg.split, f"collection at {cfg.topn}")
+    declared = run_manifest.get("protocol")
+    if declared is not None and declared not in core.PROTOCOLS:
+        raise ParseError(f"{Path(cfg.topn) / 'run.json'}: protocol must be one of "
+                         f"{', '.join(core.PROTOCOLS)}, got {declared!r}")
     coll = core.load_collection(cfg.topn, split)
     coll.validate(split)
-    protocol = cfg.protocol or run_manifest.get("protocol", "all_unrated")
     report = metrics.evaluate(
-        coll, split, stats, protocol=protocol, n=cfg.n,
-        beta=cfg.beta, threshold=cfg.threshold,
-        declared_protocol=run_manifest.get("protocol"),
+        coll, split, stats, protocol=cfg.protocol or declared or "all_unrated", n=cfg.n,
+        beta=cfg.beta, threshold=cfg.threshold, declared_protocol=declared,
         per_user=cfg.per_user,
     )
     report.save(cfg.out)
@@ -329,11 +330,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                           ("f_measure", "coverage", "gini", "lt_accuracy"))))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "f_measure", "coverage", "gini", "lt_accuracy"])
-        for row in rows:
-            w.writerow([row[0]] + [repr(v) for v in row[1:]])
+    write_table(out / "sweep.csv", ("s", "f_measure", "coverage", "gini", "lt_accuracy"),
+                ((s, *map(repr, values)) for s, *values in rows))
     for row in rows:
         print(f"s={row[0]} f_measure={row[1]:.4f} coverage={row[2]:.4f} "
               f"gini={row[3]:.4f} lt_accuracy={row[4]:.4f}")
@@ -349,11 +347,8 @@ def cmd_stats(cfg: RunConfig) -> int:
     profile = dataset.activity_popularity_profile(split, cfg.bins)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "profile.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_center", "mean_avg_popularity"])
-        for center, mean_pop in profile:
-            w.writerow([repr(center), repr(mean_pop)])
+    write_table(out / "profile.csv", ("bin_center", "mean_avg_popularity"),
+                (map(repr, row) for row in profile))
     lt_share = 100.0 * len(stats.long_tail) / len(split.items)
     print(f"train: {len(split.train_columns)} ratings, {len(split.users)} users, "
           f"{len(split.items)} items, longtail={lt_share:.2f}% "

@@ -12,7 +12,6 @@ too.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import time
@@ -25,10 +24,11 @@ import numpy as np
 from .dataset import SplitDataset, resolve_ids
 from .errors import (ContractViolationError, InfeasibleError, InstanceTooLargeError,
                      ParseError)
-from .io_utils import canonical_ids, csv_parse_error
+from .io_utils import canonical_ids, read_table, write_table
 from .preference import PreferenceVector
 
 PROTOCOLS = ("all_unrated", "rated_test_items")
+TOPN_HEADER = ("user", "rank", "item")
 
 # Users scored together by the blocked greedy; 32-64 rows scored fastest at
 # ML-100K shape, and a (BLOCK, |I|) float64 buffer stays small at ML-1M shape.
@@ -531,45 +531,38 @@ def save_collection(coll: TopNCollection, directory) -> None:
     """Persist a collection as ``user,rank,item`` rows (rank 1..n)."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / "topn.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "rank", "item"])
-        for user in sorted(coll.lists):
-            for rank, item in enumerate(coll.lists[user], start=1):
-                w.writerow([user, rank, item])
+    write_table(d / "topn.csv", TOPN_HEADER,
+                ((user, rank, item) for user in sorted(coll.lists)
+                 for rank, item in enumerate(coll.lists[user], start=1)))
 
 
 def load_collection(directory, split: SplitDataset | None = None) -> TopNCollection:
     """Read ``topn.csv`` back into a collection.
 
-    Given the split, ids are read against its id tables (see
+    Each user's ranks must be distinct integers of at least 1. Given the
+    split, ids are read against its id tables (see
     :func:`~ganc.dataset.resolve_ids`); without it each id column is
     canonicalized on its own.
     """
     path = Path(directory) / "topn.csv"
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows = {}  # (user, rank) -> item, in file order
+    for line, (user, rank, item) in read_table(path, TOPN_HEADER):
         try:
-            if next(reader, None) is None:
-                raise ParseError(f"{path}: empty file")
-            for fields in reader:
-                if len(fields) != 3:
-                    raise ParseError(f"{path}:{reader.line_num}: expected 3 fields")
-                user, rank, item = fields
-                try:
-                    rows.append((user, int(rank), item))
-                except ValueError:
-                    raise ParseError(f"{path}:{reader.line_num}: bad rank {rank!r}") from None
-        except csv.Error as exc:
-            raise csv_parse_error(reader, path, exc) from None
-    users, items = [r[0] for r in rows], [r[2] for r in rows]
+            r = int(rank)
+        except ValueError:
+            r = 0
+        if r < 1:
+            raise ParseError(f"{path}:{line}: bad rank {rank!r}")
+        if (user, r) in rows:
+            raise ParseError(f"{path}:{line}: bad rank {rank!r}: user {user!r} has rank {r} twice")
+        rows[user, r] = item
+    users, items = [u for u, _ in rows], list(rows.values())
     if split is None:
         users, items = canonical_ids(users), canonical_ids(items)
     else:
         users, items = resolve_ids(users, split.users), resolve_ids(items, split.items)
     lists: dict = {}
-    for u, i, (_, rank, _) in zip(users, items, rows):
+    for u, i, (_, rank) in zip(users, items, rows):
         lists.setdefault(u, []).append((rank, i))
     n = max((len(v) for v in lists.values()), default=0)
     return TopNCollection(

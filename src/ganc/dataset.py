@@ -38,6 +38,7 @@ from .io_utils import (
     sha256_file,
     split_digest,
     write_json,
+    write_table,
 )
 
 FORMATS = ("tab_separated", "double_colon", "csv")
@@ -109,9 +110,10 @@ class RatingColumns:
         """One row per (user, item) pair: the last occurrence's value and
         timestamp, at the position of the first occurrence."""
         key = self.user_codes * len(self.items) + self.item_codes
-        _, first = np.unique(key, return_index=True)
-        if len(first) == len(key):
+        ordered = np.sort(key)  # several times faster than np.unique's stable argsort
+        if not (ordered[1:] == ordered[:-1]).any():
             return self
+        _, first = np.unique(key, return_index=True)
         _, last = np.unique(key[::-1], return_index=True)
         return self.take((len(key) - 1 - last)[np.argsort(first)])
 
@@ -599,11 +601,8 @@ def _write_ratings_csv(path, cols: RatingColumns) -> None:
     # repr once per distinct value, told apart by bits so -0.0 stays "-0.0"
     bits, inverse = np.unique(cols.values.view(np.int64), return_inverse=True)
     values = _object_array([repr(v) for v in bits.view(np.float64).tolist()])[inverse]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "item", "rating", "timestamp"])
-        w.writerows(zip(cols.user_ids(), cols.item_ids(), values.tolist(),
-                        cols._stamps("").tolist()))
+    write_table(path, ("user", "item", "rating", "timestamp"),
+                zip(cols.user_ids(), cols.item_ids(), values.tolist(), cols._stamps("").tolist()))
 
 
 def save_split(split: SplitDataset, directory, manifest: dict | None = None) -> None:

@@ -1,4 +1,5 @@
-"""Small shared helpers for artifact files: hashing, JSON, and stable id handling."""
+"""Small shared helpers for artifact files: the CSV table format, hashing,
+JSON, and stable id handling."""
 
 from __future__ import annotations
 
@@ -40,6 +41,44 @@ def csv_parse_error(reader, path, exc: csv.Error) -> ParseError:
     """ParseError naming the line at which ``reader`` raised ``exc`` (a field
     longer than ``csv.field_size_limit()``, say)."""
     return ParseError(f"{path}:{reader.line_num}: {exc}")
+
+
+def read_table(path, header: tuple):
+    """Yield ``(line, fields)`` for each record of the CSV table at ``path``.
+
+    The first record must name the columns of ``header`` (after strip and
+    lower-case). Blank records are skipped; every other one must have one
+    field per column. ``line`` is the record's last line. A breach, a
+    ``csv.Error`` or undecodable text is a ParseError naming path[:line].
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader, None)
+            if names is None:
+                raise ParseError(f"{path}: empty file")
+            if [h.strip().lower() for h in names] != list(header):
+                raise ParseError(f"{path}:1: expected header {','.join(header)}")
+            for fields in reader:
+                if len(fields) != len(header):
+                    if not fields or (len(fields) == 1 and not fields[0].strip()):
+                        continue
+                    raise ParseError(f"{path}:{reader.line_num}: "
+                                     f"expected {len(header)} fields")
+                yield reader.line_num, fields
+        except csv.Error as exc:
+            raise csv_parse_error(reader, path, exc) from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not {fh.encoding} text") from None
+
+
+def write_table(path, header: tuple, rows) -> None:
+    """Write ``header`` and then ``rows`` as a CSV table (CRLF line ends,
+    fields quoted only where they must be), the form :func:`read_table` reads."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def sha256_file(path) -> str:

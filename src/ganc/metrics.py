@@ -8,10 +8,8 @@ item share and the Gini coefficient of recommendation frequencies).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +17,7 @@ import numpy as np
 from .core import PROTOCOLS, TopNCollection
 from .dataset import ItemStats, SplitDataset, relevant_test_items
 from .errors import ContractViolationError, UndefinedMetricError, UnknownIdError
+from .io_utils import read_json, write_json, write_table
 
 
 @dataclass(frozen=True)
@@ -35,17 +34,8 @@ class EvalReport:
     per_user: dict | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "protocol": self.protocol,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "lt_accuracy": self.lt_accuracy,
-            "strat_recall": self.strat_recall,
-            "coverage": self.coverage,
-            "gini": self.gini,
-        }
+        """The metrics in field order, without the per-user breakdown."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_user"}
 
     @staticmethod
     def from_dict(payload: dict) -> "EvalReport":
@@ -54,23 +44,22 @@ class EvalReport:
     def save(self, directory) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        (d / "report.json").write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        fields = list(self.to_dict())
-        with open(d / "report.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(fields)
-            w.writerow([self.to_dict()[k] for k in fields])
+        report = self.to_dict()
+        write_json(d / "report.json", report)
+        write_table(d / "report.csv", tuple(report), [report.values()])
         if self.per_user is not None:
-            with open(d / "per_user.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["user", "precision", "recall"])
-                for u in sorted(self.per_user):
-                    p, r = self.per_user[u]
-                    w.writerow([u, repr(p), repr(r)])
+            write_table(d / "per_user.csv", ("user", "precision", "recall"),
+                        ((u, *map(repr, self.per_user[u])) for u in sorted(self.per_user)))
 
     @staticmethod
     def load(directory) -> "EvalReport":
-        return EvalReport.from_dict(json.loads((Path(directory) / "report.json").read_text()))
+        return EvalReport.from_dict(read_json(Path(directory) / "report.json"))
+
+
+def _relevant_retrieved(coll: TopNCollection, split: SplitDataset, threshold: float) -> list:
+    """(relevant test items, those in the list) per user of ``coll``, in its order."""
+    relevant = [relevant_test_items(split, u, threshold) for u in coll.lists]
+    return [(rel, rel & set(items)) for rel, items in zip(relevant, coll.lists.values())]
 
 
 def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
@@ -80,18 +69,19 @@ def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
     Users without any relevant test item contribute zero recall and stay in
     the denominator.
     """
-    relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
-    n = coll.n
+    return _precision_recall(_relevant_retrieved(coll, split, threshold), coll.n)
+
+
+def _precision_recall(sets: list, n: int):
     hit_share = 0.0
     recall_sum = 0.0
-    for u, items in coll.lists.items():
-        rel = relevant[u]
-        hits = len(rel & set(items))
+    for rel, retrieved in sets:
+        hits = len(retrieved)
         hit_share += hits
         if rel:
             recall_sum += hits / len(rel)
-    precision = hit_share / (n * len(coll.lists))
-    recall = recall_sum / len(coll.lists)
+    precision = hit_share / (n * len(sets))
+    recall = recall_sum / len(sets)
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
 
@@ -118,16 +108,18 @@ def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
     weigh as popularity one.
     """
     _check_beta_threshold(beta, threshold)
-    relevant = {u: relevant_test_items(split, u, threshold) for u in coll.lists}
-    idx, counts = split.item_index, split.item_train_counts.tolist()
-    weight = {i: ((counts[idx[i]] if i in idx else 0) or 1) ** (-beta)
-              for i in frozenset().union(*relevant.values())}
+    return _strat_recall(_relevant_retrieved(coll, split, threshold), split, beta)
+
+
+def _strat_recall(sets: list, split: SplitDataset, beta: float) -> float:
+    # one weight per item of the split, which holds every relevant item
+    counts = split.item_train_counts.tolist()
+    weight = dict(zip(split.items, [(c or 1) ** (-beta) for c in counts])).__getitem__
     num = 0.0
     den = 0.0
-    for u, items in coll.lists.items():
-        retrieved = relevant[u] & set(items)
-        num += sum(map(weight.__getitem__, retrieved))
-        den += sum(map(weight.__getitem__, relevant[u]))
+    for rel, retrieved in sets:
+        num += sum(map(weight, retrieved))
+        den += sum(map(weight, rel))
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return num / den
@@ -184,18 +176,15 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         })
     if not work.lists:
         raise UndefinedMetricError("no users to evaluate")
-    precision, recall, f_measure = precision_recall_at_n(work, split, threshold)
+    sets = _relevant_retrieved(work, split, threshold)
+    precision, recall, f_measure = _precision_recall(sets, n)
     idx = split.item_index
     freq = np.bincount([idx[i] for items in work.lists.values() for i in items],
                        minlength=len(split.items))
     breakdown = None
     if per_user:
-        breakdown = {}
-        relevant = {u: relevant_test_items(split, u, threshold) for u in work.lists}
-        for u, items in work.lists.items():
-            rel = relevant[u]
-            hits = len(rel & set(items))
-            breakdown[u] = (hits / n, hits / len(rel) if rel else 0.0)
+        breakdown = {u: (len(hit) / n, len(hit) / len(rel) if rel else 0.0)
+                     for u, (rel, hit) in zip(work.lists, sets)}
     return EvalReport(
         n=n,
         protocol=protocol,
@@ -203,7 +192,7 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         recall=recall,
         f_measure=f_measure,
         lt_accuracy=lt_accuracy_at_n(work, stats),
-        strat_recall=strat_recall_at_n(work, split, beta, threshold),
+        strat_recall=_strat_recall(sets, split, beta),
         coverage=coverage_at_n(work, split),
         gini=gini(freq),
         per_user=breakdown,

@@ -8,7 +8,6 @@ minimax updates over per-item importance weights.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +16,10 @@ import numpy as np
 
 from .dataset import ItemStats, SplitDataset, min_max_normalize
 from .errors import NumericalDegeneracyError, ParseError
-from .io_utils import canonical_ids, csv_parse_error, read_json, write_json
+from .io_utils import canonical_ids, read_json, read_table, write_json, write_table
 
 MODELS = ("activity", "normalized_longtail", "tfidf", "generalized", "constant", "random")
+THETA_HEADER, WEIGHTS_HEADER = ("user", "theta"), ("item", "weight")
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,11 @@ def save_prefs(pv: PreferenceVector, directory, manifest: dict | None = None) ->
     """Persist theta.csv (plus weights.csv for the generalized model) and a manifest."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / "theta.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "theta"])
-        for u in sorted(pv.theta):
-            w.writerow([u, repr(pv.theta[u])])
+    write_table(d / "theta.csv", THETA_HEADER,
+                ((u, repr(pv.theta[u])) for u in sorted(pv.theta)))
     if pv.weights is not None:
-        with open(d / "weights.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["item", "weight"])
-            for i in sorted(pv.weights):
-                w.writerow([i, repr(pv.weights[i])])
+        write_table(d / "weights.csv", WEIGHTS_HEADER,
+                    ((i, repr(pv.weights[i])) for i in sorted(pv.weights)))
     payload = dict(manifest or {})
     payload.update(model=pv.model, iterations=pv.iterations, converged=pv.converged,
                    theta_deltas=None if pv.theta_deltas is None else list(pv.theta_deltas))
@@ -190,10 +184,10 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     deltas = manifest.get("theta_deltas")
     if not isinstance(deltas, (list, type(None))):
         raise ParseError(f"{d / 'prefs.json'}: theta_deltas must be a list, got {deltas!r}")
-    theta = _read_id_column_map(d / "theta.csv", unit_interval=True)
+    theta = _read_id_column_map(d / "theta.csv", THETA_HEADER, unit_interval=True)
     weights = None
     if (d / "weights.csv").exists():
-        weights = _read_id_column_map(d / "weights.csv")
+        weights = _read_id_column_map(d / "weights.csv", WEIGHTS_HEADER)
     return PreferenceVector(
         manifest["model"], theta, weights,
         manifest.get("iterations"), manifest.get("converged"),
@@ -201,29 +195,21 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     ), manifest
 
 
-def _read_id_column_map(path, unit_interval: bool = False) -> dict:
-    """Read a two-column ``id,value`` CSV, canonicalizing the id column as a whole.
+def _read_id_column_map(path, header: tuple, unit_interval: bool = False) -> dict:
+    """Read a two-column ``id,value`` table, canonicalizing the id column as a whole.
 
-    With ``unit_interval`` a value outside [0, 1] (NaN included) is a
-    ParseError.
+    An id listed twice is a ParseError, and with ``unit_interval`` so is a
+    value outside [0, 1] (NaN included).
     """
-    ids, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    values = {}  # id string -> value, in file order
+    for line, (key, raw) in read_table(path, header):
         try:
-            next(reader, None)
-            for fields in reader:
-                if len(fields) != 2:
-                    raise ParseError(f"{path}:{reader.line_num}: expected 2 fields")
-                try:
-                    value = float(fields[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{reader.line_num}: bad value {fields[1]!r}") from None
-                if unit_interval and not 0.0 <= value <= 1.0:
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: value {fields[1]!r} outside [0, 1]")
-                values.append(value)
-                ids.append(fields[0])
-        except csv.Error as exc:
-            raise csv_parse_error(reader, path, exc) from None
-    return dict(zip(canonical_ids(ids), values))
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}:{line}: bad value {raw!r}") from None
+        if unit_interval and not 0.0 <= value <= 1.0:
+            raise ParseError(f"{path}:{line}: value {raw!r} outside [0, 1]")
+        if key in values:
+            raise ParseError(f"{path}:{line}: {header[0]} {key!r} listed twice")
+        values[key] = value
+    return dict(zip(canonical_ids(list(values)), values.values()))

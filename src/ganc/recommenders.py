@@ -10,7 +10,6 @@ scalar lookup and a vector aligned with the split's item universe.
 
 from __future__ import annotations
 
-import csv
 import math
 import zipfile
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from .dataset import ItemStats, RatingColumns, SplitDataset, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
-from .io_utils import canonical_ids, csv_parse_error, read_json, write_json
+from .io_utils import canonical_ids, read_json, read_table, write_json
 
 
 class PopScorer:
@@ -278,28 +277,20 @@ def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
 def load_external_scores(path, split: SplitDataset) -> MatrixScorer:
     """Read a ``user,item,score`` CSV into an accuracy scorer, normalized per user.
 
-    Ids are read against the split's id tables. Pairs absent from the file
-    score 0; rows for users or items outside the split are ignored;
-    duplicate pairs keep the last occurrence.
+    Ids are read against the split's id tables. Every score must be a
+    finite number. Pairs absent from the file score 0; rows for users or
+    items outside the split are ignored; duplicate pairs keep the last
+    occurrence.
     """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line, (user, item, raw) in read_table(path, ("user", "item", "score")):
         try:
-            header = [h.strip().lower() for h in next(reader, None) or ()]
-            if header[:3] != ["user", "item", "score"]:
-                raise ParseError(f"{path}:1: expected header user,item,score")
-            for line_no, fields in enumerate(reader, start=2):
-                if not fields or (len(fields) == 1 and not fields[0].strip()):
-                    continue
-                if len(fields) != 3:
-                    raise ParseError(f"{path}:{line_no}: expected 3 fields")
-                try:
-                    rows.append((fields[0].strip(), fields[1].strip(), float(fields[2])))
-                except ValueError:
-                    raise ParseError(f"{path}:{line_no}: bad score {fields[2]!r}") from None
-        except csv.Error as exc:
-            raise csv_parse_error(reader, path, exc) from None
+            score = float(raw)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ParseError(f"{path}:{line}: bad score {raw!r}")
+        rows.append((user.strip(), item.strip(), score))
     users = resolve_ids([r[0] for r in rows], split.users)
     items = resolve_ids([r[1] for r in rows], split.items)
     per_user: dict = {}

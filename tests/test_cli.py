@@ -1,6 +1,8 @@
 """End-to-end CLI runs over a small synthetic dataset."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ganc
 import ganc.io_utils
@@ -801,6 +805,198 @@ class TestDamagedArtifacts:
                      "--arec", "pop", "--crec", "stat", "--n", "3",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {prefs / 'prefs.json'}: {message}")
+
+
+def _edit_lines(path, edit) -> None:
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+class TestTableRules:
+    """theta.csv, weights.csv, topn.csv and external score files share one
+    table rule (header, blank records, record width), and each adds its own
+    value rule; a breach exits 2 with one error line naming path[:line]."""
+
+    @staticmethod
+    def _evaluate(split_dir, rec_dir, tmp_path, edit):
+        rec = _copy_dir(rec_dir, tmp_path / "rec")
+        _edit_lines(rec / "topn.csv", edit)
+        code = main(["evaluate", "--split", str(split_dir), "--topn", str(rec),
+                     "--out", str(tmp_path / "eval")])
+        return code, rec / "topn.csv"
+
+    @staticmethod
+    def _recommend(split_dir, prefs, tmp_path, extra=()):
+        return main(["recommend", "--split", str(split_dir), "--prefs", str(prefs),
+                     "--arec", "pop", "--crec", "stat", "--n", "3", *extra,
+                     "--out", str(tmp_path / "rec")])
+
+    def _recommend_edited(self, split_dir, prefs_dir, tmp_path, name, edit):
+        prefs = _copy_dir(prefs_dir, tmp_path / "prefs")
+        _edit_lines(prefs / name, edit)
+        return self._recommend(split_dir, prefs, tmp_path), prefs / name
+
+    @staticmethod
+    def _scores(tmp_path, text):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        return scores, ["--arec", "external", "--external-scores", str(scores)]
+
+    def test_topn_header(self, split_dir, rec_dir, tmp_path, capsys):
+        code, path = self._evaluate(split_dir, rec_dir, tmp_path,
+                                    lambda lines: lines.__setitem__(0, "user,position,item"))
+        assert code == 2
+        assert _one_error_line(capsys) == f"error: {path}:1: expected header user,rank,item\n"
+
+    @pytest.mark.parametrize("name, header, want", [
+        ("theta.csv", "id,theta", "user,theta"),
+        ("weights.csv", "item,weight,x", "item,weight"),
+    ])
+    def test_prefs_header(self, split_dir, prefs_dir, tmp_path, capsys, name, header, want):
+        code, path = self._recommend_edited(split_dir, prefs_dir, tmp_path, name,
+                                            lambda lines: lines.__setitem__(0, header))
+        assert code == 2
+        assert _one_error_line(capsys) == f"error: {path}:1: expected header {want}\n"
+
+    def test_external_scores_header(self, split_dir, prefs_dir, tmp_path, capsys):
+        # a fourth header column used to pass unseen
+        scores, extra = self._scores(tmp_path, "user,item,score,x\n1,1,0.5\n")
+        assert self._recommend(split_dir, prefs_dir, tmp_path, extra) == 2
+        assert _one_error_line(capsys) == \
+            f"error: {scores}:1: expected header user,item,score\n"
+
+    def test_blank_records_in_topn_are_skipped(self, split_dir, rec_dir, tmp_path):
+        assert main(["evaluate", "--split", str(split_dir), "--topn", str(rec_dir),
+                     "--out", str(tmp_path / "want")]) == 0
+
+        def blanks(lines):
+            lines.insert(3, "")
+            lines.insert(1, "  ")
+        code, _ = self._evaluate(split_dir, rec_dir, tmp_path, blanks)
+        assert code == 0
+        assert (tmp_path / "eval" / "report.json").read_bytes() == \
+            (tmp_path / "want" / "report.json").read_bytes()
+
+    def test_blank_records_in_theta_and_weights_are_skipped(self, split_dir, prefs_dir,
+                                                            tmp_path):
+        assert self._recommend(split_dir, prefs_dir, tmp_path / "want") == 0
+        prefs = _copy_dir(prefs_dir, tmp_path / "prefs")
+        for name in ("theta.csv", "weights.csv"):
+            _edit_lines(prefs / name, lambda lines: lines.insert(2, ""))
+        assert self._recommend(split_dir, prefs, tmp_path) == 0
+        assert (tmp_path / "rec" / "topn.csv").read_bytes() == \
+            (tmp_path / "want" / "rec" / "topn.csv").read_bytes()
+
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan", "1e999"])
+    def test_external_score_that_is_not_finite(self, split_dir, prefs_dir, tmp_path, capsys,
+                                               score):
+        scores, extra = self._scores(tmp_path, f"user,item,score\n1,1,0.5\n1,2,{score}\n")
+        assert self._recommend(split_dir, prefs_dir, tmp_path, extra) == 2
+        assert _one_error_line(capsys) == f"error: {scores}:3: bad score {score!r}\n"
+
+    @pytest.mark.parametrize("rank", ["0", "-7"])
+    def test_topn_rank_below_1(self, split_dir, rec_dir, tmp_path, capsys, rank):
+        def set_rank(lines):
+            user, _, item = lines[2].split(",")
+            lines[2] = f"{user},{rank},{item}"
+        code, path = self._evaluate(split_dir, rec_dir, tmp_path, set_rank)
+        assert code == 2
+        assert _one_error_line(capsys) == f"error: {path}:3: bad rank {rank!r}\n"
+
+    def test_topn_repeated_rank(self, split_dir, rec_dir, tmp_path, capsys):
+        user, rank, _ = (rec_dir / "topn.csv").read_text().splitlines()[2].split(",")
+        code, path = self._evaluate(split_dir, rec_dir, tmp_path,
+                                    lambda lines: lines.insert(3, lines[2]))
+        assert code == 2
+        assert _one_error_line(capsys) == (
+            f"error: {path}:4: bad rank {rank!r}: user {user!r} has rank {rank} twice\n")
+
+    @pytest.mark.parametrize("name, kind", [("theta.csv", "user"), ("weights.csv", "item")])
+    def test_id_listed_twice(self, split_dir, prefs_dir, tmp_path, capsys, name, kind):
+        # the last row used to win silently
+        def repeat_first(lines):
+            lines.append(lines[1].split(",")[0] + ",0.5")
+        code, path = self._recommend_edited(split_dir, prefs_dir, tmp_path, name, repeat_first)
+        lines = path.read_text().splitlines()
+        assert code == 2
+        assert _one_error_line(capsys) == (
+            f"error: {path}:{len(lines)}: {kind} {lines[1].split(',')[0]!r} listed twice\n")
+
+    @pytest.mark.parametrize("protocol", ["bogus", 5])
+    def test_run_manifest_with_an_unknown_protocol(self, split_dir, rec_dir, tmp_path, capsys,
+                                                   protocol):
+        rec = _copy_dir(rec_dir, tmp_path / "rec")
+        manifest = read_json(rec / "run.json")
+        manifest["protocol"] = protocol
+        (rec / "run.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--split", str(split_dir), "--topn", str(rec),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {rec / 'run.json'}: protocol must be one of all_unrated, "
+            f"rated_test_items, got {protocol!r}\n")
+
+
+# Bytes that CSV, numbers and UTF-8 give a meaning to, then any byte.
+_TAMPER_BYTES = (st.sampled_from([bytes([b]) for b in b',\n\r" \x00\xff\xc3-+.019enai'])
+                 | st.binary(min_size=1, max_size=3))
+_TAMPER_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", "cut"]),
+                                   st.integers(0, 1 << 20), _TAMPER_BYTES),
+                         min_size=1, max_size=4)
+
+
+def _tamper(path, edits) -> None:
+    data = bytearray(path.read_bytes())
+    for op, at, chunk in edits:
+        k = at % (len(data) + 1)
+        if op == "replace":
+            data[k:k + len(chunk)] = chunk
+        elif op == "insert":
+            data[k:k] = chunk
+        elif op == "delete":
+            del data[k:k + len(chunk)]
+        else:
+            del data[k:]
+    path.write_bytes(bytes(data))
+
+
+class TestTamperedTables:
+    """Random byte edits of theta.csv or topn.csv end in a documented exit
+    code, with at most one error line and never a traceback."""
+
+    @staticmethod
+    def _run(argv) -> None:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=_TAMPER_EDITS)
+    def test_theta(self, split_dir, prefs_dir, tmp_path_factory, edits):
+        d = tmp_path_factory.mktemp("tampered")
+        prefs = _copy_dir(prefs_dir, d / "prefs")
+        _tamper(prefs / "theta.csv", edits)
+        self._run(["recommend", "--split", str(split_dir), "--prefs", str(prefs),
+                   "--arec", "pop", "--crec", "dyn", "--n", "3", "--s", "10",
+                   "--out", str(d / "rec")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=_TAMPER_EDITS)
+    def test_topn(self, split_dir, rec_dir, tmp_path_factory, edits):
+        d = tmp_path_factory.mktemp("tampered")
+        rec = _copy_dir(rec_dir, d / "rec")
+        _tamper(rec / "topn.csv", edits)
+        self._run(["evaluate", "--split", str(split_dir), "--topn", str(rec),
+                   "--per-user", "--out", str(d / "eval")])
 
 
 class TestUserWhoRatedEveryTrainItem:
