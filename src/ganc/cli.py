@@ -1,16 +1,17 @@
 """Command-line pipeline: split, prefs, train-rsvd, recommend, evaluate, sweep, stats.
 
-Every option can also come from a flat ``key = value`` config file passed
-with ``--config``; explicit flags win. Artifacts chain by content hash, so a
-downstream command refuses inputs produced from a different split. Exit
-codes: 0 success, 1 usage, 2 data error, 3 numerical or contract error.
+Options can also come from a flat ``key = value`` config file passed with
+``--config``: each key is an option's full name and is read as a flag placed
+before the command line's own, so explicit flags win. Artifacts chain by
+content hash, so a downstream command refuses inputs produced from a
+different split. Exit codes: 0 success, 1 usage, 2 data error, 3 numerical
+or contract error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,70 +40,10 @@ CREC_NAME = {"dyn": "Dyn", "stat": "Stat", "rand": "Rand"}
 USAGE_EXIT, DATA_EXIT, COMPUTE_EXIT = 1, 2, 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Full pipeline configuration; each command reads the slice it needs.
-
-    Numeric domains are enforced by the operations the values feed.
-    """
-
-    # ingestion and split
-    dataset: str | None = None
-    format: str = "tab_separated"
-    kappa: float = 0.5
-    tau: int = 20
-    seed: int = 0
-    # preference model
-    model: str = "generalized"
-    lambda1: float = 1.0
-    tol: float = 1e-6
-    max_iters: int = 100
-    constant: float = 0.5
-    theta_seed: int = 0
-    # factor model
-    g: int = 100
-    lam: float = 0.05
-    eta: float = 0.03
-    epochs: int = 30
-    mf_seed: int = 0
-    # recommendation
-    arec: str = "pop"
-    crec: str = "dyn"
-    pop_n: int | None = None
-    external_scores: str | None = None
-    # recommend/sweep default to 5; evaluate defaults to the collection's size
-    n: int | None = None
-    s: int = 500
-    run_seed: int = 0
-    protocol: str | None = None  # None lets evaluate inherit the run manifest
-    # evaluation and sweeps
-    beta: float = 0.5
-    threshold: float = 4.0
-    s_values: str = "100,500,1000,2000"
-    reps: int = 10
-    bins: int = 20
-    per_user: bool = False
-    # artifact directories
-    split: str | None = None
-    prefs: str | None = None
-    mf: str | None = None
-    topn: str | None = None
-    out: str | None = None
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Overlay parsed flag/config values on the RunConfig defaults."""
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return RunConfig(**overrides)
-
-
-def parse_config(path) -> dict:
-    """Flat ``key = value`` file; '#' starts a comment, dashes equal underscores."""
-    out = {}
+def parse_config(path) -> list:
+    """A flat ``key = value`` file as the flags ``--key=value``; '#' starts a
+    comment, and underscores in a key read as dashes."""
+    flags = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -110,8 +51,8 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _check_split_hash(manifest: dict, split_sha256: str, split_dir, what: str) -> None:
@@ -123,49 +64,50 @@ def _check_split_hash(manifest: dict, split_sha256: str, split_dir, what: str) -
             f"{what} was produced from a different split than {split_dir}")
 
 
-def _load_split(cfg: RunConfig):
+def _load_split(args: argparse.Namespace):
     """(split, its split hash) of ``--split``."""
-    split, manifest = dataset.load_split(cfg.split)
+    split, manifest = dataset.load_split(args.split)
     return split, manifest["split_sha256"]
 
 
-def _load_theta(cfg: RunConfig, split, split_sha256: str):
+def _load_theta(args: argparse.Namespace, split, split_sha256: str):
     """Theta of ``--prefs``, which must hold a value for every user of the split."""
-    pv, manifest = preference.load_prefs(cfg.prefs)
-    _check_split_hash(manifest, split_sha256, cfg.split, f"prefs at {cfg.prefs}")
+    pv, manifest = preference.load_prefs(args.prefs, split)
+    _check_split_hash(manifest, split_sha256, args.split, f"prefs at {args.prefs}")
     missing = next((u for u in split.users if u not in pv.theta), None)
     if missing is not None:
         raise UnknownIdError(
-            f"{Path(cfg.prefs) / 'theta.csv'}: no theta for user {missing!r} of the split")
+            f"{Path(args.prefs) / 'theta.csv'}: no theta for user {missing!r} of the split")
     return pv
 
 
-def _build_arec(cfg: RunConfig, split, split_sha256: str, stats, n: int):
-    if cfg.arec == "pop":
-        return recommenders.pop_scorer(split, stats, n if cfg.pop_n is None else cfg.pop_n)
-    if cfg.arec == "rsvd":
-        if not cfg.mf:
+def _build_arec(args: argparse.Namespace, split, split_sha256: str, stats):
+    if args.arec == "pop":
+        return recommenders.pop_scorer(split, stats,
+                                       args.n if args.pop_n is None else args.pop_n)
+    if args.arec == "rsvd":
+        if not args.mf:
             raise ValueError("--mf is required with arec=rsvd")
-        model, manifest = recommenders.load_mf_model(cfg.mf)
-        _check_split_hash(manifest, split_sha256, cfg.split, f"model at {cfg.mf}")
+        model, manifest = recommenders.load_mf_model(args.mf)
+        _check_split_hash(manifest, split_sha256, args.split, f"model at {args.mf}")
         return recommenders.mf_accuracy_scorer(model, split)
-    if cfg.arec == "external":
-        if not cfg.external_scores:
+    if args.arec == "external":
+        if not args.external_scores:
             raise ValueError("--external-scores is required with arec=external")
-        return recommenders.load_external_scores(cfg.external_scores, split)
-    raise ValueError(f"unknown arec {cfg.arec!r}")
+        return recommenders.load_external_scores(args.external_scores, split)
+    raise ValueError(f"unknown arec {args.arec!r}")
 
 
-def cmd_split(cfg: RunConfig) -> int:
-    if not cfg.dataset:
+def cmd_split(args: argparse.Namespace) -> int:
+    if not args.dataset:
         raise ValueError("--dataset is required")
-    ratings = dataset.load_columns(cfg.dataset, cfg.format)
+    ratings = dataset.load_columns(args.dataset, args.format)
     n_users, n_items = len(ratings.users), len(ratings.items)
-    split = dataset.split_per_user(ratings, cfg.kappa, cfg.tau, cfg.seed)
+    split = dataset.split_per_user(ratings, args.kappa, args.tau, args.seed)
     stats = dataset.compute_item_stats(split)
-    dataset.save_split(split, cfg.out, manifest={
-        "kappa": cfg.kappa, "tau": cfg.tau, "seed": cfg.seed,
-        "format": cfg.format, "source": str(cfg.dataset),
+    dataset.save_split(split, args.out, manifest={
+        "kappa": args.kappa, "tau": args.tau, "seed": args.seed,
+        "format": args.format, "source": str(args.dataset),
     })
     density = 100.0 * len(ratings) / (n_users * n_items)
     lt_share = 100.0 * len(stats.long_tail) / len(split.items)
@@ -176,26 +118,26 @@ def cmd_split(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_prefs(cfg: RunConfig) -> int:
-    split, split_sha256 = _load_split(cfg)
-    if cfg.model == "activity":
+def cmd_prefs(args: argparse.Namespace) -> int:
+    split, split_sha256 = _load_split(args)
+    if args.model == "activity":
         pv = preference.theta_activity(split)
-    elif cfg.model == "normalized_longtail":
+    elif args.model == "normalized_longtail":
         pv = preference.theta_normalized_longtail(split, dataset.compute_item_stats(split))
-    elif cfg.model == "tfidf":
+    elif args.model == "tfidf":
         pv = preference.theta_tfidf(split)
-    elif cfg.model == "generalized":
-        pv = preference.theta_generalized(split, cfg.lambda1, cfg.tol, cfg.max_iters)
-    elif cfg.model == "constant":
-        pv = preference.theta_baseline(split.users, "constant", c=cfg.constant)
-    elif cfg.model == "random":
-        pv = preference.theta_baseline(split.users, "random", seed=cfg.theta_seed)
+    elif args.model == "generalized":
+        pv = preference.theta_generalized(split, args.lambda1, args.tol, args.max_iters)
+    elif args.model == "constant":
+        pv = preference.theta_baseline(split.users, "constant", c=args.constant)
+    elif args.model == "random":
+        pv = preference.theta_baseline(split.users, "random", seed=args.theta_seed)
     else:
-        raise ValueError(f"unknown preference model {cfg.model!r}")
-    preference.save_prefs(pv, cfg.out, manifest={
+        raise ValueError(f"unknown preference model {args.model!r}")
+    preference.save_prefs(pv, args.out, manifest={
         "split_sha256": split_sha256,
-        "lambda1": cfg.lambda1, "tol": cfg.tol, "max_iters": cfg.max_iters,
-        "constant": cfg.constant, "theta_seed": cfg.theta_seed,
+        "lambda1": args.lambda1, "tol": args.tol, "max_iters": args.max_iters,
+        "constant": args.constant, "theta_seed": args.theta_seed,
     })
     values = np.array(list(pv.theta.values()))
     hist, _ = np.histogram(values, bins=10, range=(0.0, 1.0))
@@ -205,89 +147,87 @@ def cmd_prefs(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train_rsvd(cfg: RunConfig) -> int:
-    split, split_sha256 = _load_split(cfg)
-    model = recommenders.rsvd_train(split, cfg.g, cfg.lam, cfg.eta,
-                                    cfg.epochs, cfg.mf_seed)
+def cmd_train_rsvd(args: argparse.Namespace) -> int:
+    split, split_sha256 = _load_split(args)
+    model = recommenders.rsvd_train(split, args.g, args.lam, args.eta,
+                                    args.epochs, args.mf_seed)
     rmse_train = recommenders.rmse(model, split.train_columns)
     rmse_test = recommenders.rmse(model, split.test_columns) if len(split.test_columns) else None
-    recommenders.save_mf_model(model, cfg.out, manifest={
+    recommenders.save_mf_model(model, args.out, manifest={
         "split_sha256": split_sha256,
-        "lam": cfg.lam, "eta": cfg.eta, "epochs": cfg.epochs,
-        "seed": cfg.mf_seed, "rmse_train": rmse_train, "rmse_test": rmse_test,
+        "lam": args.lam, "eta": args.eta, "epochs": args.epochs,
+        "seed": args.mf_seed, "rmse_train": rmse_train, "rmse_test": rmse_test,
         "epoch_rmse": list(model.epoch_rmse),
     })
-    print(f"g={cfg.g} epochs={cfg.epochs} rmse_train={rmse_train:.4f} "
+    print(f"g={args.g} epochs={args.epochs} rmse_train={rmse_train:.4f} "
           f"rmse_test={'n/a' if rmse_test is None else f'{rmse_test:.4f}'}")
     return 0
 
 
-def cmd_recommend(cfg: RunConfig) -> int:
-    split, split_sha256 = _load_split(cfg)
+def cmd_recommend(args: argparse.Namespace) -> int:
+    split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
-    pv = _load_theta(cfg, split, split_sha256)
-    n = 5 if cfg.n is None else cfg.n
-    arec = _build_arec(cfg, split, split_sha256, stats, n)
-    protocol = cfg.protocol or "all_unrated"
+    pv = _load_theta(args, split, split_sha256)
+    arec = _build_arec(args, split, split_sha256, stats)
     phase_seconds = None
     sampled = phase2_users = snapshots_used = snapshot_bytes = None
-    if cfg.crec == "dyn":
+    if args.crec == "dyn":
         # the sample is drawn from the users the protocol keeps
-        s = min(cfg.s, len(core.eligible_users(split, n, protocol)))
-        run = core.oslg(split, pv, arec, n, s, cfg.run_seed, protocol=protocol)
+        s = min(args.s, len(core.eligible_users(split, args.n, args.protocol)))
+        run = core.oslg(split, pv, arec, args.n, s, args.run_seed, protocol=args.protocol)
         coll = run.collection
         phase_seconds = run.phase_seconds
         sampled = len(run.sampled_users)
         phase2_users = run.phase2_users
         snapshots_used = run.snapshots_used
         snapshot_bytes = run.snapshot_bytes
-    elif cfg.crec in ("stat", "rand"):
-        crec = (recommenders.stat_coverage(stats, split) if cfg.crec == "stat"
-                else recommenders.rand_coverage(cfg.run_seed, split))
-        coll = core.independent_greedy(split, pv, arec, crec, n, protocol=protocol)
+    elif args.crec in ("stat", "rand"):
+        crec = (recommenders.stat_coverage(stats, split) if args.crec == "stat"
+                else recommenders.rand_coverage(args.run_seed, split))
+        coll = core.independent_greedy(split, pv, arec, crec, args.n, protocol=args.protocol)
     else:
-        raise ValueError(f"unknown crec {cfg.crec!r}")
+        raise ValueError(f"unknown crec {args.crec!r}")
     coll.validate(split)
-    core.save_collection(coll, cfg.out)
-    pools = core.candidate_pool_sizes(split, n, protocol)
-    template = (f"GANC({AREC_NAME[cfg.arec]}, {THETA_SYMBOL[pv.model]}, "
-                f"{CREC_NAME[cfg.crec]})")
-    write_json(Path(cfg.out) / "run.json", {
+    core.save_collection(coll, args.out)
+    pools = core.candidate_pool_sizes(split, args.n, args.protocol)
+    template = (f"GANC({AREC_NAME[args.arec]}, {THETA_SYMBOL[pv.model]}, "
+                f"{CREC_NAME[args.crec]})")
+    write_json(Path(args.out) / "run.json", {
         "template": template,
-        "n": n, "s": cfg.s if cfg.crec == "dyn" else None,
+        "n": args.n, "s": args.s if args.crec == "dyn" else None,
         "sampled": sampled,
         "phase2_users": phase2_users,
         "snapshots_used": snapshots_used,
         "snapshot_bytes": snapshot_bytes,
         "candidate_pool": {"total": int(pools.sum()), "min": int(pools.min()),
                            "max": int(pools.max())},
-        "seed": cfg.run_seed, "theta_model": pv.model,
-        "arec": cfg.arec, "crec": cfg.crec, "protocol": protocol,
+        "seed": args.run_seed, "theta_model": pv.model,
+        "arec": args.arec, "crec": args.crec, "protocol": args.protocol,
         "phase_seconds": phase_seconds,
         "split_sha256": split_sha256,
-        "theta_sha256": sha256_file(Path(cfg.prefs) / "theta.csv"),
+        "theta_sha256": sha256_file(Path(args.prefs) / "theta.csv"),
     })
-    print(f"{template} n={n} users={len(coll.lists)} -> {cfg.out}/topn.csv")
+    print(f"{template} n={args.n} users={len(coll.lists)} -> {args.out}/topn.csv")
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    split, split_sha256 = _load_split(cfg)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
-    run_manifest = read_json(Path(cfg.topn) / "run.json")
-    _check_split_hash(run_manifest, split_sha256, cfg.split, f"collection at {cfg.topn}")
+    run_manifest = read_json(Path(args.topn) / "run.json")
+    _check_split_hash(run_manifest, split_sha256, args.split, f"collection at {args.topn}")
     declared = run_manifest.get("protocol")
     if declared is not None and declared not in core.PROTOCOLS:
-        raise ParseError(f"{Path(cfg.topn) / 'run.json'}: protocol must be one of "
+        raise ParseError(f"{Path(args.topn) / 'run.json'}: protocol must be one of "
                          f"{', '.join(core.PROTOCOLS)}, got {declared!r}")
-    coll = core.load_collection(cfg.topn, split)
+    coll = core.load_collection(args.topn, split)
     coll.validate(split)
     report = metrics.evaluate(
-        coll, split, stats, protocol=cfg.protocol or declared or "all_unrated", n=cfg.n,
-        beta=cfg.beta, threshold=cfg.threshold, declared_protocol=declared,
-        per_user=cfg.per_user,
+        coll, split, stats, protocol=args.protocol or declared or "all_unrated", n=args.n,
+        beta=args.beta, threshold=args.threshold, declared_protocol=declared,
+        per_user=args.per_user,
     )
-    report.save(cfg.out)
+    report.save(args.out)
     print(f"n={report.n} protocol={report.protocol} "
           f"precision={report.precision:.4f} recall={report.recall:.4f} "
           f"f_measure={report.f_measure:.4f} lt_accuracy={report.lt_accuracy:.4f} "
@@ -296,19 +236,17 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    split, split_sha256 = _load_split(cfg)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
-    pv = _load_theta(cfg, split, split_sha256)
-    n = 5 if cfg.n is None else cfg.n
-    arec = _build_arec(cfg, split, split_sha256, stats, n)
-    protocol = cfg.protocol or "all_unrated"
-    s_values = [int(v) for v in str(cfg.s_values).split(",") if v.strip()]
+    pv = _load_theta(args, split, split_sha256)
+    arec = _build_arec(args, split, split_sha256, stats)
+    s_values = [int(v) for v in args.s_values.split(",") if v.strip()]
     if not s_values:
         raise ValueError("s_values must name at least one sample size")
-    if cfg.reps < 1:
-        raise ValueError(f"reps must be at least 1, got {cfg.reps}")
-    eligible = len(core.eligible_users(split, n, protocol))
+    if args.reps < 1:
+        raise ValueError(f"reps must be at least 1, got {args.reps}")
+    eligible = len(core.eligible_users(split, args.n, args.protocol))
     rows = []
     # A sample of every eligible user is the whole pool in theta order,
     # whatever the seed, so that run is made once and its report reused.
@@ -316,36 +254,37 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for s in s_values:
         effective = min(s, eligible)  # sample cannot exceed the eligible user count
         agg = {"f_measure": [], "coverage": [], "gini": [], "lt_accuracy": []}
-        for rep in range(cfg.reps):
-            seed = cfg.run_seed + rep
+        for rep in range(args.reps):
+            seed = args.run_seed + rep
             key = (effective,) if effective == eligible else (effective, seed)
             if key not in reports:
-                run = core.oslg(split, pv, arec, n, effective, seed, protocol=protocol)
+                run = core.oslg(split, pv, arec, args.n, effective, seed,
+                                protocol=args.protocol)
                 reports[key] = metrics.evaluate(run.collection, split, stats,
-                                                protocol=protocol,
-                                                beta=cfg.beta, threshold=cfg.threshold)
+                                                protocol=args.protocol,
+                                                beta=args.beta, threshold=args.threshold)
             for name in agg:
                 agg[name].append(getattr(reports[key], name))
         rows.append((s, *(float(np.mean(agg[k])) for k in
                           ("f_measure", "coverage", "gini", "lt_accuracy"))))
-    out = Path(cfg.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "sweep.csv", ("s", "f_measure", "coverage", "gini", "lt_accuracy"),
                 ((s, *map(repr, values)) for s, *values in rows))
     for row in rows:
         print(f"s={row[0]} f_measure={row[1]:.4f} coverage={row[2]:.4f} "
               f"gini={row[3]:.4f} lt_accuracy={row[4]:.4f}")
-    total = len(s_values) * cfg.reps
+    total = len(s_values) * args.reps
     print(f"oslg runs: {len(reports)} made, {total - len(reports)} reused, "
           f"of {total} (eligible users: {eligible})")
     return 0
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    split, _ = dataset.load_split(cfg.split)
+def cmd_stats(args: argparse.Namespace) -> int:
+    split, _ = dataset.load_split(args.split)
     stats = dataset.compute_item_stats(split)
-    profile = dataset.activity_popularity_profile(split, cfg.bins)
-    out = Path(cfg.out)
+    profile = dataset.activity_popularity_profile(split, args.bins)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "profile.csv", ("bin_center", "mean_avg_popularity"),
                 (map(repr, row) for row in profile))
@@ -359,116 +298,94 @@ def cmd_stats(cfg: RunConfig) -> int:
 def build_parser():
     parser = argparse.ArgumentParser(prog="ganc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
+    commands = {}  # subcommand -> the function that runs it
 
     def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--config", help="flat key = value defaults file")
-        p.set_defaults(func=func)
-        subparsers[name] = p
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        p.add_argument("--config", help="flat key = value file of flags; flags given here win")
+        p.add_argument("--out", required=True)
+        commands[name] = func
         return p
 
     p = add("split", cmd_split, help="split a rating file into train/test")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--format", choices=dataset.FORMATS)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p.add_argument("--format", choices=dataset.FORMATS, default="tab_separated")
+    p.add_argument("--kappa", type=float, default=0.5)
+    p.add_argument("--tau", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("prefs", cmd_prefs, help="estimate per-user long-tail preferences")
     p.add_argument("--split", required=True)
-    p.add_argument("--model", choices=preference.MODELS)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--constant", type=float)
-    p.add_argument("--theta-seed", type=int)
-    p.add_argument("--out", required=True)
+    p.add_argument("--model", choices=preference.MODELS, default="generalized")
+    p.add_argument("--lambda1", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--constant", type=float, default=0.5)
+    p.add_argument("--theta-seed", type=int, default=0)
 
     p = add("train-rsvd", cmd_train_rsvd, help="train the SGD factor model")
     p.add_argument("--split", required=True)
-    p.add_argument("--g", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--mf-seed", type=int)
-    p.add_argument("--out", required=True)
+    p.add_argument("--g", type=int, default=100)
+    p.add_argument("--lam", type=float, default=0.05)
+    p.add_argument("--eta", type=float, default=0.03)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--mf-seed", type=int, default=0)
 
-    p = add("recommend", cmd_recommend, help="build top-N collections")
-    p.add_argument("--split", required=True)
-    p.add_argument("--prefs", required=True)
-    p.add_argument("--arec", choices=sorted(AREC_NAME))
-    p.add_argument("--mf", help="model directory for arec=rsvd")
-    p.add_argument("--external-scores", help="user,item,score CSV for arec=external")
-    p.add_argument("--pop-n", type=int, help="cutoff for the Pop scorer (default: n)")
-    p.add_argument("--crec", choices=sorted(CREC_NAME))
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--run-seed", type=int)
-    p.add_argument("--protocol", choices=core.PROTOCOLS)
-    p.add_argument("--out", required=True)
+    # the options recommend and sweep share: the GANC(arec, theta, .) inputs
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    shared.add_argument("--split", required=True)
+    shared.add_argument("--prefs", required=True)
+    shared.add_argument("--arec", choices=sorted(AREC_NAME), default="pop")
+    shared.add_argument("--mf", help="model directory for arec=rsvd")
+    shared.add_argument("--external-scores", help="user,item,score CSV for arec=external")
+    shared.add_argument("--pop-n", type=int, help="cutoff for the Pop scorer (default: n)")
+    shared.add_argument("--n", type=int, default=5)
+    shared.add_argument("--run-seed", type=int, default=0)
+    shared.add_argument("--protocol", choices=core.PROTOCOLS, default="all_unrated")
+
+    p = add("recommend", cmd_recommend, parents=[shared], help="build top-N collections")
+    p.add_argument("--crec", choices=sorted(CREC_NAME), default="dyn")
+    p.add_argument("--s", type=int, default=500)
 
     p = add("evaluate", cmd_evaluate, help="score a collection")
     p.add_argument("--split", required=True)
     p.add_argument("--topn", required=True)
+    # unset, n is the collection's size and the protocol is run.json's
     p.add_argument("--protocol", choices=core.PROTOCOLS)
     p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--per-user", action="store_true", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=4.0)
+    p.add_argument("--per-user", action="store_true")
 
-    p = add("sweep", cmd_sweep, help="recommend+evaluate across sample sizes")
-    p.add_argument("--split", required=True)
-    p.add_argument("--prefs", required=True)
-    p.add_argument("--arec", choices=sorted(AREC_NAME))
-    p.add_argument("--mf")
-    p.add_argument("--external-scores")
-    p.add_argument("--pop-n", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s-values")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--run-seed", type=int)
-    p.add_argument("--protocol", choices=core.PROTOCOLS)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out", required=True)
+    p = add("sweep", cmd_sweep, parents=[shared],
+            help="recommend+evaluate across sample sizes")
+    p.add_argument("--s-values", default="100,500,1000,2000")
+    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=4.0)
 
     p = add("stats", cmd_stats, help="dataset statistics and activity profile")
     p.add_argument("--split", required=True)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--out", required=True)
+    p.add_argument("--bins", type=int, default=20)
 
-    return parser, subparsers
+    return parser, commands
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = build_parser()
+    parser, commands = build_parser()
     try:
-        pre = argparse.ArgumentParser(add_help=False)
+        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         known, _ = pre.parse_known_args(argv)
         if known.config:
-            config = parse_config(known.config)
-            command = next((a for a in argv if not a.startswith("-")), None)
-            if command not in subparsers:
+            command = next((k for k, a in enumerate(argv) if not a.startswith("-")), None)
+            if command is None or argv[command] not in commands:
                 raise ValueError("--config requires a known subcommand")
-            target = subparsers[command]
-            valid = {a.dest for a in target._actions}
-            unknown = set(config) - valid
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            for action in target._actions:
-                if action.dest in config:
-                    if isinstance(action, argparse._StoreTrueAction):
-                        raise ValueError(
-                            f"config key {action.dest!r} is a flag-only switch")
-                    action.required = False  # the config value satisfies it
-            target.set_defaults(**config)
+            # the file's flags go first, so the command line's own win
+            argv[command + 1:command + 1] = parse_config(known.config)
         args = parser.parse_args(argv)
-        return args.func(config_from_args(args))
+        return commands[args.command](args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else USAGE_EXIT
         return USAGE_EXIT if code != 0 else 0

@@ -539,13 +539,14 @@ def save_collection(coll: TopNCollection, directory) -> None:
 def load_collection(directory, split: SplitDataset | None = None) -> TopNCollection:
     """Read ``topn.csv`` back into a collection.
 
-    Each user's ranks must be distinct integers of at least 1. Given the
-    split, ids are read against its id tables (see
+    Each user's ranks must run 1..k over the user's k rows, in any order.
+    Given the split, ids are read against its id tables (see
     :func:`~ganc.dataset.resolve_ids`); without it each id column is
     canonicalized on its own.
     """
     path = Path(directory) / "topn.csv"
     rows = {}  # (user, rank) -> item, in file order
+    top = {}  # user -> (rank, its line, as written) of the user's highest rank
     for line, (user, rank, item) in read_table(path, TOPN_HEADER):
         try:
             r = int(rank)
@@ -556,6 +557,13 @@ def load_collection(directory, split: SplitDataset | None = None) -> TopNCollect
         if (user, r) in rows:
             raise ParseError(f"{path}:{line}: bad rank {rank!r}: user {user!r} has rank {r} twice")
         rows[user, r] = item
+        if r > top.get(user, (0,))[0]:
+            top[user] = r, line, rank
+    counts = Counter(u for u, _ in rows)
+    for user, (r, line, rank) in top.items():
+        if r > counts[user]:  # distinct ranks, so a gap leaves the highest above k
+            raise ParseError(f"{path}:{line}: bad rank {rank!r}: "
+                             f"user {user!r} has {counts[user]} rows")
     users, items = [u for u, _ in rows], list(rows.values())
     if split is None:
         users, items = canonical_ids(users), canonical_ids(items)

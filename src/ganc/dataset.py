@@ -347,6 +347,8 @@ def _records(fh, format: str, path):
             header = next(source, None)
         except csv.Error as exc:
             raise csv_parse_error(source, path, exc) from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not {fh.encoding} text") from None
         if header is None:
             raise EmptyDatasetError(f"{path}: empty file")
         header = [h.strip().lower() for h in header]
@@ -362,6 +364,8 @@ def _records(fh, format: str, path):
             chunk = list(islice(source, CHUNK_ROWS))
         except csv.Error as exc:  # only a csv.reader source raises it
             raise csv_parse_error(source, path, exc) from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not {fh.encoding} text") from None
         if not chunk:
             break
         n = len(chunk)

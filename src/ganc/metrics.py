@@ -115,11 +115,9 @@ def _strat_recall(sets: list, split: SplitDataset, beta: float) -> float:
     # one weight per item of the split, which holds every relevant item
     counts = split.item_train_counts.tolist()
     weight = dict(zip(split.items, [(c or 1) ** (-beta) for c in counts])).__getitem__
-    num = 0.0
-    den = 0.0
-    for rel, retrieved in sets:
-        num += sum(map(weight, retrieved))
-        den += sum(map(weight, rel))
+    # fsum is exactly rounded, so neither sum depends on the sets' hash order
+    num = math.fsum(weight(i) for _, retrieved in sets for i in retrieved)
+    den = math.fsum(weight(i) for rel, _ in sets for i in rel)
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return num / den

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ItemStats, SplitDataset, min_max_normalize
+from .dataset import ItemStats, SplitDataset, min_max_normalize, resolve_ids
 from .errors import NumericalDegeneracyError, ParseError
 from .io_utils import canonical_ids, read_json, read_table, write_json, write_table
 
@@ -175,7 +175,13 @@ def save_prefs(pv: PreferenceVector, directory, manifest: dict | None = None) ->
     write_json(d / "prefs.json", payload)
 
 
-def load_prefs(directory) -> tuple[PreferenceVector, dict]:
+def load_prefs(directory, split: SplitDataset | None = None) -> tuple[PreferenceVector, dict]:
+    """Read a prefs directory back; (preference vector, prefs.json).
+
+    Given the split, theta.csv users and weights.csv items are read against
+    its id tables (see :func:`~ganc.dataset.resolve_ids`); without it each
+    id column is canonicalized on its own.
+    """
     d = Path(directory)
     manifest = read_json(d / "prefs.json")
     if manifest.get("model") not in MODELS:
@@ -184,10 +190,12 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     deltas = manifest.get("theta_deltas")
     if not isinstance(deltas, (list, type(None))):
         raise ParseError(f"{d / 'prefs.json'}: theta_deltas must be a list, got {deltas!r}")
-    theta = _read_id_column_map(d / "theta.csv", THETA_HEADER, unit_interval=True)
+    theta = _read_id_column_map(d / "theta.csv", THETA_HEADER,
+                                None if split is None else split.users, unit_interval=True)
     weights = None
     if (d / "weights.csv").exists():
-        weights = _read_id_column_map(d / "weights.csv", WEIGHTS_HEADER)
+        weights = _read_id_column_map(d / "weights.csv", WEIGHTS_HEADER,
+                                      None if split is None else split.items)
     return PreferenceVector(
         manifest["model"], theta, weights,
         manifest.get("iterations"), manifest.get("converged"),
@@ -195,8 +203,10 @@ def load_prefs(directory) -> tuple[PreferenceVector, dict]:
     ), manifest
 
 
-def _read_id_column_map(path, header: tuple, unit_interval: bool = False) -> dict:
-    """Read a two-column ``id,value`` table, canonicalizing the id column as a whole.
+def _read_id_column_map(path, header: tuple, ids: tuple | None,
+                        unit_interval: bool = False) -> dict:
+    """Read a two-column ``id,value`` table, its id column read against the
+    id table ``ids`` or, when that is None, canonicalized as a whole.
 
     An id listed twice is a ParseError, and with ``unit_interval`` so is a
     value outside [0, 1] (NaN included).
@@ -212,4 +222,5 @@ def _read_id_column_map(path, header: tuple, unit_interval: bool = False) -> dic
         if key in values:
             raise ParseError(f"{path}:{line}: {header[0]} {key!r} listed twice")
         values[key] = value
-    return dict(zip(canonical_ids(list(values)), values.values()))
+    keys = canonical_ids(list(values)) if ids is None else resolve_ids(list(values), ids)
+    return dict(zip(keys, values.values()))

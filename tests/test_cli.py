@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import ganc
 import ganc.io_utils
-from ganc.cli import RunConfig, build_parser, main
+from ganc.cli import main
 from ganc.core import PROTOCOLS, eligible_users, oslg
 from ganc.dataset import compute_item_stats, load_split, save_split
 from ganc.io_utils import read_json
@@ -512,13 +511,6 @@ class TestRejectedValues:
         assert not (tmp_path / "out").exists()
 
 
-def test_every_config_field_has_a_flag():
-    # a RunConfig field no flag sets, or a flag with no field, fails here
-    _, subparsers = build_parser()
-    dests = {a.dest for p in subparsers.values() for a in p._actions}
-    assert dests - {"config", "help"} == {f.name for f in fields(RunConfig)}
-
-
 def _truncate_last_line(path):
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1][:lines[-1].index(",") + 2]  # "user,i": two fields
@@ -559,6 +551,20 @@ class TestDamagedSplitFiles:
         err = capsys.readouterr().err
         where = f"{split / file}:{line}:" if line else f"{split / file}:"
         assert err == f"error: {where} {message}\n"
+
+
+@pytest.mark.parametrize("format, text", [
+    ("csv", b"user,item,rating\n1,1,4\n1,\xff,3\n"),
+    ("tab_separated", b"1\t1\t4\n1\t\xff\t3\n"),
+], ids=["csv", "tab_separated"])
+def test_ratings_file_that_is_not_utf8_exits_2(tmp_path, capsys, format, text):
+    # the codec's error used to escape as a usage error naming no file
+    path = tmp_path / "ratings"
+    path.write_bytes(text)
+    assert main(["split", "--dataset", str(path), "--format", format,
+                 "--out", str(tmp_path / "split")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not ") and err.endswith(" text\n")
 
 
 LONG_ID = "x" * 140_000  # longer than csv.field_size_limit() allows by default
@@ -918,6 +924,27 @@ class TestTableRules:
         assert _one_error_line(capsys) == (
             f"error: {path}:4: bad rank {rank!r}: user {user!r} has rank {rank} twice\n")
 
+    def test_topn_ranks_with_a_gap(self, split_dir, rec_dir, tmp_path, capsys):
+        # ranks 1, 2, 3, 4, 9 used to read as a valid 5-item list
+        lines = (rec_dir / "topn.csv").read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.split(",")[1] == "5")
+        user, _, item = lines[k].split(",")
+        code, path = self._evaluate(split_dir, rec_dir, tmp_path,
+                                    lambda lines: lines.__setitem__(k, f"{user},9,{item}"))
+        assert code == 2
+        assert _one_error_line(capsys) == \
+            f"error: {path}:{k + 1}: bad rank '9': user {user!r} has 5 rows\n"
+
+    def test_theta_row_of_an_unknown_user_hides_no_user(self, split_dir, prefs_dir, tmp_path):
+        # one row "x,0.5" used to turn every id into a string, so that user 1
+        # of the split had no theta
+        assert self._recommend(split_dir, prefs_dir, tmp_path / "want") == 0
+        code, _ = self._recommend_edited(split_dir, prefs_dir, tmp_path, "theta.csv",
+                                         lambda lines: lines.append("x,0.5"))
+        assert code == 0
+        assert (tmp_path / "rec" / "topn.csv").read_bytes() == \
+            (tmp_path / "want" / "rec" / "topn.csv").read_bytes()
+
     @pytest.mark.parametrize("name, kind", [("theta.csv", "user"), ("weights.csv", "item")])
     def test_id_listed_twice(self, split_dir, prefs_dir, tmp_path, capsys, name, kind):
         # the last row used to win silently
@@ -1096,6 +1123,32 @@ class TestSplitSidecar:
             read_json(prefs_dir / "prefs.json")["split_sha256"]
 
 
+def test_evaluate_does_not_depend_on_the_hash_seed(tmp_path):
+    # string item ids hash differently in each process; strat_recall used to
+    # sum their weights in set order and move in its last digits
+    ratings = tmp_path / "ratings.csv"
+    with open(ratings, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["user", "item", "rating"])
+        for r in generate_ratings(n_users=200, n_items=400, seed=21):
+            w.writerow([r.user_id, f"i{r.item_id}", r.value])
+    d = {name: str(tmp_path / name) for name in ("split", "prefs", "rec")}
+    assert main(["split", "--dataset", str(ratings), "--format", "csv",
+                 "--out", d["split"]]) == 0
+    assert main(["prefs", "--split", d["split"], "--out", d["prefs"]]) == 0
+    assert main(["recommend", "--split", d["split"], "--prefs", d["prefs"],
+                 "--s", "30", "--out", d["rec"]]) == 0
+    reports = []
+    for seed in ("1", "3"):
+        out = tmp_path / f"eval-{seed}"
+        with mock.patch.dict(os.environ, PYTHONHASHSEED=seed):
+            proc = _run_cli(["evaluate", "--split", d["split"], "--topn", d["rec"],
+                             "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestStatsCommand:
     def test_profile_written(self, split_dir, tmp_path):
         out = tmp_path / "stats"
@@ -1139,3 +1192,52 @@ class TestConfigFile:
     def test_usage_error_exit_code(self):
         assert main(["split"]) == 1
         assert main(["not-a-command"]) == 1
+
+    def test_switch_key_exits_1(self, split_dir, rec_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("per_user = true\n")
+        proc = _run_cli(["evaluate", "--config", str(cfg), "--split", str(split_dir),
+                         "--topn", str(rec_dir), "--out", str(tmp_path / "x")])
+        assert proc.returncode == 1
+        assert proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_names_must_be_spelled_in_full(self, split_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max = 3\n")
+        out = str(tmp_path / "x")
+        assert main(["prefs", "--config", str(cfg), "--split", str(split_dir),
+                     "--out", out]) == 1
+        assert main(["prefs", "--split", str(split_dir), "--max", "3", "--out", out]) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_config_satisfies_required_flags(self, split_dir, prefs_dir, rec_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"split = {split_dir}\nout = {tmp_path / 'rec'}\n"
+                       "arec = pop\ncrec = dyn\nn = 5\ns = 30\nrun-seed = 0\n")
+        assert main(["recommend", "--config", str(cfg), "--prefs", str(prefs_dir)]) == 0
+        assert (tmp_path / "rec" / "topn.csv").read_bytes() == \
+            (rec_dir / "topn.csv").read_bytes()
+
+    def test_value_outside_the_choices_exits_1(self, dataset_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {dataset_csv}\nformat = bogus\n")
+        assert main(["split", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_readme_example_runs_as_written(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        opening = "cat > run.cfg <<EOF\n"
+        config, rest = readme[readme.index(opening) + len(opening):].split("EOF\n", 1)
+        command = rest.splitlines()[0].split()
+        keys = dict(line.split(" = ") for line in config.splitlines())
+        monkeypatch.chdir(tmp_path)
+        data = Path(keys["dataset"])
+        data.parent.mkdir(parents=True)
+        rows = generate_ratings(n_users=80, n_items=160, seed=21)
+        data.write_text("".join(f"{r.user_id}\t{r.item_id}\t{int(r.value)}\t0\n"
+                                for r in rows))
+        Path("run.cfg").write_text(config)
+        assert command[:2] == ["ganc", "split"]
+        assert main(command[1:]) == 0
+        assert read_json(Path(keys["out"]) / "split.json")["seed"] == int(command[-1])

@@ -555,6 +555,14 @@ class TestSplitSidecar:
         with pytest.raises(ParseError, match=r"train.csv:2: "):
             load_split(saved)
 
+    def test_edited_csv_that_no_longer_decodes_raises_a_parse_error(self, saved):
+        train = saved / "train.csv"
+        data = bytearray(train.read_bytes())
+        data[data.index(b"\n") + 1] = 0xFF  # line 2 starts with a byte UTF-8 never uses
+        train.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=r"train\.csv: not .* text$"):
+            load_split(saved)
+
     def test_sidecar_of_another_split_is_ignored(self, saved, tmp_path, synth_ratings):
         other = split_per_user(synth_ratings, kappa=0.6, tau=20, seed=9)
         save_split(other, tmp_path / "other")

@@ -183,13 +183,14 @@ def _strat_recall_reference(coll, split, beta, threshold):
         pop = len(split.per_item_train_index.get(item, ())) or 1
         return pop ** (-beta)
 
-    num = 0.0
-    den = 0.0
+    num = []
+    den = []
     for u in coll.lists:
         relevant = _relevant_reference(split, u, threshold)
         retrieved = relevant & set(coll.lists[u])
-        num += sum(weight(i) for i in retrieved)
-        den += sum(weight(i) for i in relevant)
+        num += [weight(i) for i in retrieved]
+        den += [weight(i) for i in relevant]
+    num, den = math.fsum(num), math.fsum(den)
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return num / den
