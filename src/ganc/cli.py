@@ -251,6 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # A sample of every eligible user is the whole pool in theta order,
     # whatever the seed, so that run is made once and its report reused.
     reports: dict = {}
+    phase_seconds = {"sequential": 0.0, "parallel": 0.0}  # summed over the runs made
     for s in s_values:
         effective = min(s, eligible)  # sample cannot exceed the eligible user count
         agg = {"f_measure": [], "coverage": [], "gini": [], "lt_accuracy": []}
@@ -260,6 +261,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if key not in reports:
                 run = core.oslg(split, pv, arec, args.n, effective, seed,
                                 protocol=args.protocol)
+                for phase, seconds in run.phase_seconds.items():
+                    phase_seconds[phase] += seconds
                 reports[key] = metrics.evaluate(run.collection, split, stats,
                                                 protocol=args.protocol,
                                                 beta=args.beta, threshold=args.threshold)
@@ -271,10 +274,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "sweep.csv", ("s", "f_measure", "coverage", "gini", "lt_accuracy"),
                 ((s, *map(repr, values)) for s, *values in rows))
+    total = len(s_values) * args.reps
+    write_json(out / "sweep.json", {
+        "arec": args.arec, "protocol": args.protocol, "n": args.n,
+        "pop_n": arec.n if args.arec == "pop" else None,
+        "s_values": s_values, "reps": args.reps, "run_seed": args.run_seed,
+        "beta": args.beta, "threshold": args.threshold, "eligible": eligible,
+        "runs": {"made": len(reports), "reused": total - len(reports)},
+        "phase_seconds": phase_seconds,
+        "split_sha256": split_sha256,
+        "theta_sha256": sha256_file(Path(args.prefs) / "theta.csv"),
+    })
     for row in rows:
         print(f"s={row[0]} f_measure={row[1]:.4f} coverage={row[2]:.4f} "
               f"gini={row[3]:.4f} lt_accuracy={row[4]:.4f}")
-    total = len(s_values) * args.reps
     print(f"oslg runs: {len(reports)} made, {total - len(reports)} reused, "
           f"of {total} (eligible users: {eligible})")
     return 0

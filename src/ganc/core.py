@@ -214,8 +214,7 @@ def _pool_sizes(split: SplitDataset, codes: np.ndarray, protocol: str) -> np.nda
 def _check_feasible(split: SplitDataset, users, n: int, protocol: str) -> None:
     """Raise InfeasibleError for the first of ``users`` with fewer than n
     candidates."""
-    codes = np.array([split.user_index[u] for u in users], dtype=np.int64)
-    pools = _pool_sizes(split, codes, protocol)
+    pools = _pool_sizes(split, _user_codes(split, users), protocol)
     short = np.flatnonzero(pools < n)
     if len(short):
         k = int(short[0])
@@ -247,7 +246,7 @@ def _mask(split: SplitDataset, indices) -> np.ndarray:
 
 
 def _ids(split, picked_idx) -> tuple:
-    return tuple(split.items[k] for k in picked_idx)
+    return tuple(map(split.items.__getitem__, picked_idx))
 
 
 def _coverage(counts: np.ndarray) -> np.ndarray:
@@ -255,30 +254,53 @@ def _coverage(counts: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(counts + 1.0)
 
 
+def _add_accuracy(split: SplitDataset, arec, gains: np.ndarray, codes: np.ndarray,
+                  weights: np.ndarray) -> None:
+    """``gains[r] += weights[r] * a(users[codes[r]])`` for every row r.
+
+    Scorers with an ``add_accuracy`` hook add their scores themselves (Pop
+    only at each user's top items); any other scorer is read one user at a
+    time through ``score_vector``.
+    """
+    add = getattr(arec, "add_accuracy", None)
+    if add is not None:
+        add(gains, codes, weights)
+        return
+    for r, k in enumerate(codes.tolist()):
+        gains[r] += weights[r] * arec.score_vector(split.users[k])
+
+
+def _user_codes(split: SplitDataset, users) -> np.ndarray:
+    index = split.user_index
+    return np.fromiter((index[u] for u in users), dtype=np.intp, count=len(users))
+
+
 def _sequential_greedy(split: SplitDataset, users, theta: PreferenceVector, arec,
                        n: int, protocol: str):
     """Locally greedy pass with dynamic coverage, one user after another.
 
     Yields (user, picked indices, live coverage vector after counting the
-    list). Each user's gains (1-theta)*a + theta*c go through two reused
-    buffers, non-candidates set to -inf from the CSR index. Only the n
-    counted entries of the coverage vector are recomputed, through one index
-    array; elementwise sqrt and divide give the same bits on a subset as on
-    the whole vector.
+    list). Each user's gains theta*c + (1-theta)*a go through one reused
+    buffer, non-candidates set to -inf from the CSR index. The sums are
+    those of (1-theta)*a + theta*c, as addition commutes, and where a is 0
+    adding nothing leaves theta*c, which compares equal to 0.0 + theta*c.
+    Only the n counted entries of the coverage vector are recomputed,
+    through one index array; elementwise sqrt and divide give the same bits
+    on a subset as on the whole vector.
     """
     _check_feasible(split, users, n, protocol)
     m = len(split.items)
     counts = np.zeros(m, dtype=np.int64)
     cov = _coverage(counts)
-    acc, gains = np.empty(m), np.empty(m)
+    gains = np.empty((1, m))
+    codes = _user_codes(split, users)
+    weights = 1.0 - np.array([theta.theta[u] for u in users], dtype=np.float64)
     rated = _rated(split, protocol)
-    for u in users:
-        th = theta.theta[u]
-        np.multiply(1.0 - th, arec.score_vector(u), out=acc)
-        np.multiply(th, cov, out=gains)
-        np.add(acc, gains, out=gains)
-        _exclude(gains, rated(u), protocol)
-        picked = _top_n(gains, n)
+    for k, u in enumerate(users):
+        np.multiply(theta.theta[u], cov, out=gains[0])
+        _add_accuracy(split, arec, gains, codes[k:k + 1], weights[k:k + 1])
+        _exclude(gains[0], rated(u), protocol)
+        picked = _top_n(gains[0], n)
         idx = np.array(picked, dtype=np.int64)
         counts[idx] += 1
         cov[idx] = _coverage(counts[idx])
@@ -291,24 +313,22 @@ def _greedy_blocks(split: SplitDataset, users, thetas: np.ndarray, arec, n: int,
 
     User k is scored against coverage row ``cov[rows[k]]`` with theta
     ``thetas[k]``; its list is added to ``lists`` in ``users`` order. The
-    gains (1-theta)*a + theta*c are elementwise, so each row has the bits of
-    the per-user vector, and n rounds of a row-wise argmax (the first
-    maximum wins) pick what the per-user steps pick.
+    gains theta*c + (1-theta)*a are elementwise, so each row picks what the
+    per-user pass of :func:`_sequential_greedy` would, and n rounds of a
+    row-wise argmax (the first maximum wins) pick what the per-user steps
+    pick.
     """
     _check_feasible(split, users, n, protocol)
     rated = _rated(split, protocol)
-    m = len(split.items)
-    acc_buf, gains_buf = np.empty((BLOCK, m)), np.empty((BLOCK, m))
+    codes = _user_codes(split, users)
+    weights = 1.0 - thetas
+    gains_buf = np.empty((min(BLOCK, len(users)), len(split.items)))
     for b in range(0, len(users), BLOCK):
         block = users[b:b + BLOCK]
-        acc, gains = acc_buf[:len(block)], gains_buf[:len(block)]
-        for r, u in enumerate(block):
-            acc[r] = arec.score_vector(u)
-        th = thetas[b:b + BLOCK, None]
+        gains = gains_buf[:len(block)]
         np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
-        np.multiply(th, gains, out=gains)
-        np.multiply(1.0 - th, acc, out=acc)
-        np.add(acc, gains, out=gains)
+        np.multiply(thetas[b:b + BLOCK, None], gains, out=gains)
+        _add_accuracy(split, arec, gains, codes[b:b + BLOCK], weights[b:b + BLOCK])
         spans = [rated(u) for u in block]
         at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
         _exclude(gains, at, protocol)

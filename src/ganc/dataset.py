@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import math
-import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
@@ -31,6 +30,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, ParseError, UnknownIdError
 from .io_utils import (
+    NPZ_ERRORS,
     canonical_ids,
     csv_parse_error,
     id_int,
@@ -196,8 +196,10 @@ class SplitDataset:
     items: tuple
     train_columns: RatingColumns
     test_columns: RatingColumns
-    # relevant_by_user results per threshold
+    # relevant_csr and relevant_by_user results, per threshold
     _relevant: dict = field(default_factory=dict, init=False, repr=False)
+    # popularity_weights results, per beta
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_ratings(train, test) -> "SplitDataset":
@@ -286,17 +288,37 @@ class SplitDataset:
         """Indices into ``items`` of everything the user has not rated in train."""
         return np.flatnonzero(self.candidate_mask(user))
 
+    def relevant_csr(self, threshold: float = 4.0) -> tuple:
+        """(indptr, item indices): user k's test items rated at or above
+        ``threshold`` are ``indices[indptr[k]:indptr[k + 1]]``, in file order;
+        built once per threshold."""
+        key = "csr", threshold
+        csr = self._relevant.get(key)
+        if csr is None:
+            t = self.test_columns
+            sel = np.flatnonzero(t.values >= threshold)
+            csr = self._relevant[key] = _csr(t.user_codes[sel], t.item_codes[sel],
+                                             len(self.users))
+        return csr
+
     def relevant_by_user(self, threshold: float = 4.0) -> dict:
         """Per user, the test items rated at or above ``threshold``; built once
         per threshold."""
-        relevant = self._relevant.get(threshold)
+        key = "sets", threshold
+        relevant = self._relevant.get(key)
         if relevant is None:
-            t = self.test_columns
-            sel = np.flatnonzero(t.values >= threshold)
-            relevant = self._relevant[threshold] = _sets(
-                self.users, *_csr(t.user_codes[sel], t.item_codes[sel], len(self.users)),
-                self.items)
+            relevant = self._relevant[key] = _sets(
+                self.users, *self.relevant_csr(threshold), self.items)
         return relevant
+
+    def popularity_weights(self, beta: float) -> np.ndarray:
+        """``max(train popularity, 1) ** -beta`` per item, aligned with
+        ``items``; built once per beta."""
+        weights = self._weights.get(beta)
+        if weights is None:
+            weights = self._weights[beta] = np.array(
+                [(c or 1) ** (-beta) for c in self.item_train_counts.tolist()], dtype=np.float64)
+        return weights
 
     # Views for callers that want Rating objects or id-keyed sets.
 
@@ -671,12 +693,14 @@ def _parse_split(d: Path) -> SplitDataset:
 # The split.npz sidecar: a cache of the split that load_split parses from
 # train.csv and test.csv, with the SHA-256 of the two files it stands for.
 # Id tables are int64 arrays or UTF-8 bytes plus offsets; timestamps are an
-# int64 array plus a mask of the missing ones.
+# int64 array plus a mask of the missing ones, both left out of a part
+# whose timestamps are all missing (sidecars that hold them still load).
 
 SIDECAR = "split.npz"
-# the RatingColumns arrays stored per part ("train_user_codes", ...) and their dtypes
-_SIDECAR_COLUMNS = {"user_codes": np.int64, "item_codes": np.int64, "values": np.float64,
-                    "timestamps": np.int64, "missing": np.bool_}
+# the RatingColumns arrays stored per part ("train_user_codes", ...) and their
+# dtypes; the last two are stored only when some timestamp of the part is present
+_SIDECAR_COLUMNS = ("user_codes", "item_codes", "values", "timestamps", "missing")
+_SIDECAR_DTYPES = (np.int64, np.int64, np.float64, np.int64, np.bool_)
 
 
 def _written_ids(table: tuple) -> tuple | None:
@@ -721,7 +745,8 @@ def _sidecar_arrays(split: SplitDataset) -> dict | None:
     except OverflowError:
         return None
     for part, cols in (("train", back.train_columns), ("test", back.test_columns)):
-        arrays.update((f"{part}_{k}", getattr(cols, k)) for k in _SIDECAR_COLUMNS)
+        kept = _SIDECAR_COLUMNS[:3 if cols.missing.all() else 5]
+        arrays.update((f"{part}_{k}", getattr(cols, k)) for k in kept)
     return arrays
 
 
@@ -746,9 +771,12 @@ def _sidecar_table(z, name: str) -> tuple:
 
 
 def _sidecar_columns(z, part: str, users: tuple, items: tuple) -> RatingColumns:
-    arrays = [z[f"{part}_{k}"] for k in _SIDECAR_COLUMNS]
+    stamped = f"{part}_timestamps" in z.files or f"{part}_missing" in z.files
+    arrays = [z[f"{part}_{k}"] for k in _SIDECAR_COLUMNS[:5 if stamped else 3]]
+    if not stamped:  # every timestamp of the part is missing
+        arrays += [np.zeros(len(arrays[2]), dtype=np.int64), np.ones(len(arrays[2]), dtype=bool)]
     _require(all(a.dtype == t and a.ndim == 1 and len(a) == len(arrays[0])
-                 for a, t in zip(arrays, _SIDECAR_COLUMNS.values())))
+                 for a, t in zip(arrays, _SIDECAR_DTYPES)))
     user_codes, item_codes, values, timestamps, missing = arrays
     _require(not len(values) or (
         0 <= user_codes.min() and user_codes.max() < len(users)
@@ -773,7 +801,7 @@ def _read_sidecar(path: Path, train_sha256: str, test_sha256: str) -> SplitDatas
         # every table entry occurs in train, as in a split built from columns
         _require(len(train) and np.bincount(train.user_codes, minlength=len(users)).all()
                  and np.bincount(train.item_codes, minlength=len(items)).all())
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+    except NPZ_ERRORS:
         return None
     return SplitDataset(users, items, train, test)
 

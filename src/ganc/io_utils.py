@@ -6,10 +6,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import lzma
+import zipfile
 import zlib
 from pathlib import Path
 
 from .errors import ParseError
+
+# What np.load and reading an array can raise on a damaged .npz archive: a
+# bad zip structure or CRC, a compression method or encryption flag the zip
+# reader cannot honour, the codec a changed method selects, a bad npy header.
+NPZ_ERRORS = (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, ValueError,
+              zipfile.BadZipFile, zlib.error, lzma.LZMAError)
 
 
 def id_int(x) -> int:

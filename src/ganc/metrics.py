@@ -108,19 +108,31 @@ def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
     weigh as popularity one.
     """
     _check_beta_threshold(beta, threshold)
-    return _strat_recall(_relevant_retrieved(coll, split, threshold), split, beta)
+    return _strat_recall(_relevant_retrieved(coll, split, threshold), coll.lists, split,
+                         beta, threshold)
 
 
-def _strat_recall(sets: list, split: SplitDataset, beta: float) -> float:
-    # one weight per item of the split, which holds every relevant item
-    counts = split.item_train_counts.tolist()
-    weight = dict(zip(split.items, [(c or 1) ** (-beta) for c in counts])).__getitem__
-    # fsum is exactly rounded, so neither sum depends on the sets' hash order
-    num = math.fsum(weight(i) for _, retrieved in sets for i in retrieved)
-    den = math.fsum(weight(i) for rel, _ in sets for i in rel)
+def _strat_recall(sets: list, users, split: SplitDataset, beta: float,
+                  threshold: float) -> float:
+    """Strat recall of ``users`` given their (relevant, retrieved) ``sets``.
+
+    The weights come from the split's table for ``beta``; the denominator
+    gathers them over the users' relevant items in CSR order. fsum is
+    exactly rounded, so neither sum depends on the order of its terms.
+    """
+    weights = split.popularity_weights(beta)
+    indptr, relevant = split.relevant_csr(threshold)
+    codes = [split.user_index[u] for u in users]
+    if len(codes) < len(split.users):  # only the given users' items count
+        keep = np.zeros(len(split.users), dtype=bool)
+        keep[codes] = True
+        relevant = relevant[np.repeat(keep, np.diff(indptr))]
+    den = math.fsum(weights[relevant].tolist())
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
-    return num / den
+    idx = split.item_index
+    hits = [idx[i] for _, retrieved in sets for i in retrieved]
+    return math.fsum(weights[hits].tolist()) / den
 
 
 def coverage_at_n(coll: TopNCollection, split: SplitDataset) -> float:
@@ -190,7 +202,7 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         recall=recall,
         f_measure=f_measure,
         lt_accuracy=lt_accuracy_at_n(work, stats),
-        strat_recall=_strat_recall(sets, split, beta),
+        strat_recall=_strat_recall(sets, work.lists, split, beta, threshold),
         coverage=coverage_at_n(work, split),
         gini=gini(freq),
         per_user=breakdown,

@@ -5,13 +5,15 @@ from an SGD-trained matrix factorization model or from an externally
 computed score file. Coverage side: random and static popularity-based
 scores; dynamic frequency-based coverage is kept by OSLG itself
 (:mod:`ganc.core`). Every scorer emits values in [0, 1] and exposes both a
-scalar lookup and a vector aligned with the split's item universe.
+scalar lookup and a vector aligned with the split's item universe. The
+accuracy scorers here also add their weighted scores straight into a block
+of gains (``add_accuracy``), which the greedy loops use in place of the
+per-user vectors when a scorer offers it.
 """
 
 from __future__ import annotations
 
 import math
-import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from .dataset import ItemStats, RatingColumns, SplitDataset, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
-from .io_utils import canonical_ids, read_json, read_table, write_json
+from .io_utils import NPZ_ERRORS, canonical_ids, read_json, read_table, write_json
 
 
 class PopScorer:
@@ -32,25 +34,21 @@ class PopScorer:
         self.split = split
         self.n = n
         # item indices, most popular first
-        self._ranking = np.array([split.item_index[i] for i in stats.ranking], dtype=np.int64)
-        self._top_idx: dict = {}
-        self._top: dict = {}
+        ranking = np.array([split.item_index[i] for i in stats.ranking], dtype=np.int64)
+        if len(ranking) != len(split.items):
+            raise ValueError("stats must rank every item of the split")
+        self.top_matrix = _top_unseen(split, ranking, n)
+        # True when some user has fewer than n unseen items, so -1 pads a row;
+        # a full matrix spares the one-row path a mask
+        self._ragged = bool((self.top_matrix < 0).any())
 
     def _top_indices(self, user) -> np.ndarray:
         """Indices into ``items`` of the user's top-n unseen items."""
-        top = self._top_idx.get(user)
-        if top is None:
-            unseen = self.split.candidate_mask(user)[self._ranking]
-            top = self._top_idx[user] = self._ranking[unseen][:self.n]
-        return top
+        top = self.top_matrix[self.split.user_index[user]]
+        return top[top >= 0]
 
     def top_items(self, user) -> frozenset:
-        top = self._top.get(user)
-        if top is None:
-            items = self.split.items
-            top = self._top[user] = frozenset(
-                map(items.__getitem__, self._top_indices(user).tolist()))
-        return top
+        return frozenset(map(self.split.items.__getitem__, self._top_indices(user).tolist()))
 
     def score(self, user, item) -> float:
         return 1.0 if item in self.top_items(user) else 0.0
@@ -59,6 +57,42 @@ class PopScorer:
         out = np.zeros(len(self.split.items))
         out[self._top_indices(user)] = 1.0
         return out
+
+    def add_accuracy(self, gains: np.ndarray, codes: np.ndarray, weights: np.ndarray) -> None:
+        """``gains[r] += weights[r] * score_vector(users[codes[r]])`` for every
+        row r, adding ``weights[r]`` at the user's top-n items only: a weight
+        times 1.0 is the weight, and elsewhere the score is 0."""
+        if len(codes) == 1:  # the sequential pass; 1-D indexing costs a third of 2-D
+            top = self.top_matrix[codes[0]]
+            gains[0][top[top >= 0] if self._ragged else top] += weights[0]
+            return
+        top = self.top_matrix[codes]
+        r, j = np.nonzero(top >= 0)
+        gains[r, top[r, j]] += weights[r]
+
+
+def _top_unseen(split: SplitDataset, ranking: np.ndarray, n: int) -> np.ndarray:
+    """(|U|, n) item indices: row u lists user u's first n unseen items in
+    ``ranking`` order, padded with -1 past the user's unseen items.
+
+    With a user's seen ranks s_0 < s_1 < ... (positions in ``ranking``),
+    s_k - k unseen ranks come before s_k, so the j-th unseen rank is j plus
+    the count of k with s_k - k <= j: one searchsorted over every user's
+    gaps, each user offset past the previous one's.
+    """
+    m, n_users = len(ranking), len(split.users)
+    rank = np.empty(m, dtype=np.int64)
+    rank[ranking] = np.arange(m)
+    t = split.train_columns
+    key = np.sort(t.user_codes * m + rank[t.item_codes])  # by user, then rank
+    user, seen = np.divmod(key, m)
+    indptr = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(split.user_train_counts, out=indptr[1:])
+    gaps = user * (m + 1) + seen - (np.arange(len(key)) - indptr[user])
+    j = np.arange(n)
+    below = np.searchsorted(gaps, np.arange(n_users)[:, None] * (m + 1) + j, side="right")
+    ranks = j + below - indptr[:-1, None]
+    return np.where(ranks < m, ranking[np.minimum(ranks, m - 1)], -1)
 
 
 @dataclass(frozen=True)
@@ -245,6 +279,12 @@ class MatrixScorer:
     def score_vector(self, user) -> np.ndarray:
         return self._scores[self.split.user_index[user]]
 
+    def add_accuracy(self, gains: np.ndarray, codes: np.ndarray, weights: np.ndarray) -> None:
+        """``gains[r] += weights[r] * score_vector(users[codes[r]])`` for every row r."""
+        rows = np.take(self._scores, codes, axis=0)
+        np.multiply(weights[:, None], rows, out=rows)
+        np.add(gains, rows, out=gains)
+
 
 def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
     """Per-user min-max normalized raw predictions over unseen train items;
@@ -372,7 +412,7 @@ def load_mf_model(directory) -> tuple[MFModel, dict]:
             raise ValueError("a bare array, not an npz archive")
         with data:
             arrays = [data[k] for k in _MF_ARRAYS]
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except NPZ_ERRORS as exc:
         raise ParseError(f"{path}: not a readable model file ({exc})") from None
     users, items, P, Q, global_mean = arrays
     if not (users.ndim == items.ndim == 1 and P.ndim == Q.ndim == 2

@@ -20,7 +20,7 @@ import ganc.io_utils
 from ganc.cli import main
 from ganc.core import PROTOCOLS, eligible_users, oslg
 from ganc.dataset import compute_item_stats, load_split, save_split
-from ganc.io_utils import read_json
+from ganc.io_utils import read_json, sha256_file
 from ganc.metrics import evaluate
 from ganc.preference import load_prefs
 from ganc.recommenders import pop_scorer
@@ -430,6 +430,17 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == want.read_bytes()
         assert (f"oslg runs: {reps + 1} made, {2 * reps - 1} reused, of {3 * reps} "
                 f"(eligible users: {eligible})") in capsys.readouterr().out
+        manifest = read_json(out / "sweep.json")
+        phases = manifest.pop("phase_seconds")
+        assert sorted(phases) == ["parallel", "sequential"]
+        assert all(v >= 0 for v in phases.values())
+        assert manifest == {
+            "arec": "pop", "pop_n": n, "protocol": protocol, "n": n, "s_values": s_values,
+            "reps": reps, "run_seed": run_seed, "beta": 0.5, "threshold": 4.0,
+            "eligible": eligible, "runs": {"made": reps + 1, "reused": 2 * reps - 1},
+            "split_sha256": load_split(split_dir)[1]["split_sha256"],
+            "theta_sha256": sha256_file(prefs_dir / "theta.csv"),
+        }
 
     def test_pop_without_n_uses_default(self, split_dir, prefs_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -1024,6 +1035,76 @@ class TestTamperedTables:
         _tamper(rec / "topn.csv", edits)
         self._run(["evaluate", "--split", str(split_dir), "--topn", str(rec),
                    "--per-user", "--out", str(d / "eval")])
+
+
+# Edits land anywhere, near the start (local headers, the npy header of the
+# first array) or near the end (the zip central directory).
+_ARTIFACT_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete", "cut"]),
+              st.integers(0, 1 << 20) | st.integers(0, 600) | st.integers(-600, -1),
+              _TAMPER_BYTES),
+    min_size=1, max_size=4)
+
+
+def _last_zip_entry(path, offset: int, value: int) -> None:
+    """Set the 2-byte field at ``offset`` of an archive's last central
+    directory entry (8 flags, 10 compression method), which the zip reader
+    trusts over the local header."""
+    data = bytearray(path.read_bytes())
+    k = data.rfind(b"PK\x01\x02") + offset
+    data[k:k + 2] = value.to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+
+
+class TestTamperedArtifacts:
+    """A truncated or byte-edited split.npz, mf_model.npz or split.json ends
+    in a documented exit code, with at most one error line and never a
+    traceback, and the command's outcome is the same with split.npz deleted."""
+
+    @staticmethod
+    def _outcome(argv, out):
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        topn = (out / "topn.csv").read_bytes() if code == 0 else None
+        return code, stdout.getvalue(), err.getvalue(), topn
+
+    def _check(self, split_dir, prefs_dir, mf_dir, d, name, damage):
+        split, mf = _copy_dir(split_dir, d / "split"), _copy_dir(mf_dir, d / "mf")
+        damage((mf if name == "mf_model.npz" else split) / name)
+        out = d / "rec"
+        argv = ["recommend", "--split", str(split), "--prefs", str(prefs_dir),
+                "--arec", "rsvd", "--mf", str(mf), "--crec", "dyn", "--n", "3", "--s", "10",
+                "--out", str(out)]
+        first = self._outcome(argv, out)
+        for path in out.glob("*"):
+            path.unlink()
+        (split / "split.npz").unlink()
+        assert self._outcome(argv, out) == first
+        return first
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["split.npz", "mf_model.npz", "split.json"]),
+           edits=_ARTIFACT_EDITS)
+    def test_random_edits(self, split_dir, prefs_dir, mf_dir, tmp_path_factory, name, edits):
+        self._check(split_dir, prefs_dir, mf_dir, tmp_path_factory.mktemp("tampered"), name,
+                    lambda path: _tamper(path, edits))
+
+    # these raised NotImplementedError or RuntimeError out of np.load
+    @pytest.mark.parametrize("offset, value", [(10, 1), (10, 12), (8, 1), (8, 0x41)],
+                             ids=["method-1", "method-bzip2", "encrypted", "strong-encryption"])
+    @pytest.mark.parametrize("name", ["split.npz", "mf_model.npz"])
+    def test_zip_flags_the_reader_cannot_honour(self, split_dir, prefs_dir, mf_dir, tmp_path,
+                                                name, offset, value):
+        code, _, err, _ = self._check(split_dir, prefs_dir, mf_dir, tmp_path, name,
+                                      lambda path: _last_zip_entry(path, offset, value))
+        if name == "split.npz":
+            assert code == 0
+        else:
+            assert code == 2 and "mf_model.npz: not a readable model file" in err
 
 
 class TestUserWhoRatedEveryTrainItem:

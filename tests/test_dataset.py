@@ -497,28 +497,34 @@ class TestSplitSidecar:
         loaded, _ = load_split(saved)
         assert_same_split(loaded, dataset._parse_split(saved))
 
+    # A callable change reads the archive. The synthetic split has no
+    # timestamps, so its sidecar stores neither train_timestamps nor
+    # train_missing; int-mask adds both, with an int64 mask.
     @pytest.mark.parametrize("changes", [
         {"train_user_codes": None},
         {"train_user_codes": np.zeros(3, dtype=np.int64)},
-        {"train_item_codes": lambda a: a + 10_000},
-        {"test_user_codes": lambda a: a - 10_000},
-        {"train_values": lambda a: a.astype(np.float32)},
-        {"train_values": lambda a: np.where(np.arange(len(a)) == 0, np.nan, a)},
-        {"train_missing": lambda a: a.astype(np.int64)},
-        {"users": lambda a: a[::-1]},
-        {"users": lambda a: a[1:]},
-        {"items": lambda a: a.astype(str)},
-        {"users": lambda a: np.array([[1, 2]])},
+        {"train_item_codes": lambda z: z["train_item_codes"] + 10_000},
+        {"test_user_codes": lambda z: z["test_user_codes"] - 10_000},
+        {"train_values": lambda z: z["train_values"].astype(np.float32)},
+        {"train_values": lambda z: np.where(np.arange(len(z["train_values"])) == 0, np.nan,
+                                            z["train_values"])},
+        {"train_timestamps": lambda z: np.zeros(len(z["train_values"]), dtype=np.int64),
+         "train_missing": lambda z: np.ones(len(z["train_values"]), dtype=np.int64)},
+        {"train_missing": lambda z: np.ones(len(z["train_values"]), dtype=bool)},
+        {"users": lambda z: z["users"][::-1]},
+        {"users": lambda z: z["users"][1:]},
+        {"items": lambda z: z["items"].astype(str)},
+        {"users": lambda z: np.array([[1, 2]])},
         {"train_sha256": np.array("0" * 64)},
         {"test_sha256": None},
     ], ids=["train-codes-gone", "short-codes", "item-codes-out-of-range",
             "test-codes-negative", "float32-values", "nan-value", "int-mask",
-            "unsorted-users", "user-never-in-train", "str-array-items", "2d-users",
-            "other-train-hash", "no-test-hash"])
+            "mask-without-timestamps", "unsorted-users", "user-never-in-train",
+            "str-array-items", "2d-users", "other-train-hash", "no-test-hash"])
     def test_tampered_arrays_fall_back_to_the_csv_parse(self, saved, changes):
         path = saved / "split.npz"
         with np.load(path) as z:
-            changes = {k: v(z[k]) if callable(v) else v for k, v in changes.items()}
+            changes = {k: v(z) if callable(v) else v for k, v in changes.items()}
         _tamper(path, **changes)
         loaded, _ = load_split(saved)
         assert_same_split(loaded, dataset._parse_split(saved))

@@ -6,8 +6,11 @@ vector) at each of the n steps, ``_RecFrequency`` and ``_DynCoverage`` keep
 OSLG's recommendation counts and read coverage from them at call time,
 ``_SnapshotStoreReference`` keeps full frequency copies and rebuilds its
 theta array on every lookup,
-``_evaluate_reference`` recomputes relevant items per call and popularity
-weights per relevant pair, ``_load_ratings_reference`` and
+``_sequential_greedy_dense`` and ``_greedy_blocks_dense`` add every user's
+dense accuracy vector to the gains, ``_evaluate_reference`` recomputes
+relevant items per call and popularity weights per relevant pair,
+``_strat_recall_dict_reference`` looks each relevant item's weight up in a
+dict built per call, ``_load_ratings_reference`` and
 ``_split_per_user_reference`` parse and split one ``Rating`` per row into
 dict-of-set indices, and ``_PopScorerReference`` scans the popularity
 ranking per user. A split read from the split.npz sidecar must equal the
@@ -28,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ganc import dataset
+from ganc import core, dataset
 
 from ganc.core import (
     BLOCK,
@@ -53,9 +56,9 @@ from ganc.dataset import (
 )
 from ganc.errors import EmptyDatasetError, InfeasibleError, ParseError, UndefinedMetricError
 from ganc.io_utils import canonical_ids, id_int
-from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n
+from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n, strat_recall_at_n
 from ganc.preference import PreferenceVector, theta_generalized
-from ganc.recommenders import pop_scorer, rand_coverage, stat_coverage
+from ganc.recommenders import MatrixScorer, pop_scorer, rand_coverage, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, assert_same_split, build_split
 
@@ -194,6 +197,70 @@ def _strat_recall_reference(coll, split, beta, threshold):
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return num / den
+
+
+def _strat_recall_dict_reference(sets, split, beta):
+    counts = split.item_train_counts.tolist()
+    weight = dict(zip(split.items, [(c or 1) ** (-beta) for c in counts])).__getitem__
+    num = math.fsum(weight(i) for _, retrieved in sets for i in retrieved)
+    den = math.fsum(weight(i) for rel, _ in sets for i in rel)
+    if den == 0:
+        raise UndefinedMetricError("no relevant test items anywhere")
+    return num / den
+
+
+def _sequential_greedy_dense(split, users, theta, arec, n, protocol):
+    core._check_feasible(split, users, n, protocol)
+    m = len(split.items)
+    counts = np.zeros(m, dtype=np.int64)
+    cov = core._coverage(counts)
+    acc, gains = np.empty(m), np.empty(m)
+    rated = core._rated(split, protocol)
+    for u in users:
+        th = theta.theta[u]
+        np.multiply(1.0 - th, arec.score_vector(u), out=acc)
+        np.multiply(th, cov, out=gains)
+        np.add(acc, gains, out=gains)
+        core._exclude(gains, rated(u), protocol)
+        picked = core._top_n(gains, n)
+        idx = np.array(picked, dtype=np.int64)
+        counts[idx] += 1
+        cov[idx] = core._coverage(counts[idx])
+        yield u, picked, cov
+
+
+def _greedy_blocks_dense(split, users, thetas, arec, n, protocol, cov, rows, lists):
+    core._check_feasible(split, users, n, protocol)
+    rated = core._rated(split, protocol)
+    m = len(split.items)
+    acc_buf, gains_buf = np.empty((BLOCK, m)), np.empty((BLOCK, m))
+    for b in range(0, len(users), BLOCK):
+        block = users[b:b + BLOCK]
+        acc, gains = acc_buf[:len(block)], gains_buf[:len(block)]
+        for r, u in enumerate(block):
+            acc[r] = arec.score_vector(u)
+        th = thetas[b:b + BLOCK, None]
+        np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
+        np.multiply(th, gains, out=gains)
+        np.multiply(1.0 - th, acc, out=acc)
+        np.add(acc, gains, out=gains)
+        spans = [rated(u) for u in block]
+        at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
+        core._exclude(gains, at, protocol)
+        picks = np.empty((len(block), n), dtype=np.intp)
+        every = np.arange(len(block))
+        for j in range(n):
+            gains.argmax(axis=1, out=picks[:, j])
+            gains[every, picks[:, j]] = -np.inf
+        for u, picked in zip(block, picks.tolist()):
+            lists[u] = core._ids(split, picked)
+
+
+def _dense(run, *args, **kwargs):
+    """``run`` with both greedy loops replaced by the dense references."""
+    with mock.patch.object(core, "_sequential_greedy", _sequential_greedy_dense), \
+            mock.patch.object(core, "_greedy_blocks", _greedy_blocks_dense):
+        return run(*args, **kwargs)
 
 
 def _evaluate_reference(coll, split, stats, protocol, n, beta, threshold):
@@ -433,6 +500,162 @@ class TestBlockedScoringMatchesReference:
         with pytest.raises(InfeasibleError) as got:
             independent_greedy(split, theta, arec, crec, 2)
         assert str(got.value) == str(expected.value)
+
+
+# ------------------------------------------------ accuracy through the scorer
+#
+# The greedy loops add (1-theta)*a to theta*c through the scorer's
+# add_accuracy hook (Pop: only at each user's top items) or, for a scorer
+# with only score_vector, one user at a time. Picks must equal the dense
+# loops' picks.
+
+ZERO_ONE = (0.0, -0.0, 1.0)
+
+
+@st.composite
+def sparse_cases(draw):
+    """An :func:`instances` split and n with thetas drawn from {0, -0.0, 1}
+    or [0, 1], and an accuracy scorer: Pop at a pop_n up to n, above n (above
+    some users' unseen count, so the top matrix is ragged) or at |I| (ragged
+    for every user), a MatrixScorer with tied values, or a scorer with only
+    score_vector."""
+    split, n, _, _, crec = draw(instances())
+    theta = {u: draw(st.sampled_from(ZERO_ONE) | st.floats(0.0, 1.0)) for u in split.users}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = len(split.items)
+    kind = draw(st.sampled_from(["pop-upto-n", "pop-above-n", "pop-all", "matrix", "duck"]))
+    if kind == "pop-upto-n":
+        arec = pop_scorer(split, compute_item_stats(split), draw(st.integers(1, n)))
+    elif kind == "pop-above-n":
+        arec = pop_scorer(split, compute_item_stats(split), draw(st.integers(n + 1, m)))
+    elif kind == "pop-all":
+        arec = pop_scorer(split, compute_item_stats(split), m)
+    else:
+        shape = (len(split.users), m)
+        scores = np.where(rng.random(shape) < 0.5, rng.integers(0, 3, shape) / 2, rng.random(shape))
+        arec = MatrixScorer(split, scores)
+        if kind == "duck":
+            arec = DictAccuracy({(u, i): float(scores[a, b]) for a, u in enumerate(split.users)
+                                 for b, i in enumerate(split.items)}, split)
+    return split, n, PreferenceVector("random", theta), arec, crec
+
+
+class TestSparseAccuracyMatchesDense:
+    @EXACT
+    @given(case=sparse_cases(), protocol=st.sampled_from(PROTOCOLS),
+           s_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_oslg(self, case, protocol, s_share, seed):
+        split, n, theta, arec, _ = case
+        eligible = _eligible_count(split, n, protocol)
+        assume(eligible > 0)
+        s = 1 + int(s_share * (eligible - 1))
+        got = oslg(split, theta, arec, n, s, seed, protocol=protocol)
+        want = _dense(oslg, split, theta, arec, n, s, seed, protocol=protocol)
+        assert got.sampled_users == want.sampled_users
+        assert list(got.collection.lists.items()) == list(want.collection.lists.items())
+
+    @EXACT
+    @given(case=sparse_cases(), protocol=st.sampled_from(PROTOCOLS),
+           static=st.sampled_from(["dict", "stat"]))
+    def test_independent_greedy(self, case, protocol, static):
+        split, n, theta, arec, crec = case
+        assume(_eligible_count(split, n, protocol) > 0)
+        if static == "stat":
+            crec = stat_coverage(compute_item_stats(split), split)
+        got = independent_greedy(split, theta, arec, crec, n, protocol=protocol)
+        want = _dense(independent_greedy, split, theta, arec, crec, n, protocol=protocol)
+        assert list(got.lists.items()) == list(want.lists.items())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("pop_n", [1, 5, 40, "all"])
+    def test_synthetic_split(self, synth_split, synth_stats, protocol, pop_n):
+        # several full blocks; pop_n |I| leaves every row of the top matrix ragged
+        pop_n = len(synth_split.items) if pop_n == "all" else pop_n
+        rng = np.random.default_rng(pop_n)
+        theta = PreferenceVector("random", {u: ZERO_ONE[int(rng.integers(3))] if rng.random() < 0.5
+                                            else float(rng.random()) for u in synth_split.users})
+        arec = pop_scorer(synth_split, synth_stats, pop_n)
+        for s in (1, 40):
+            got = oslg(synth_split, theta, arec, 5, s, 3, protocol=protocol)
+            want = _dense(oslg, synth_split, theta, arec, 5, s, 3, protocol=protocol)
+            assert list(got.collection.lists.items()) == list(want.collection.lists.items())
+        crec = stat_coverage(synth_stats, synth_split)
+        got = independent_greedy(synth_split, theta, arec, crec, 5, protocol=protocol)
+        want = _dense(independent_greedy, synth_split, theta, arec, crec, 5, protocol=protocol)
+        assert list(got.lists.items()) == list(want.lists.items())
+
+    @EXACT
+    @given(case=sparse_cases(), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_hook_adds_what_the_dense_vectors_add(self, case, rows, seed):
+        split, _, _, arec, _ = case
+        assume(hasattr(arec, "add_accuracy"))
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, len(split.users), rows)
+        weights = np.where(rng.random(rows) < 0.5, np.array(ZERO_ONE)[rng.integers(0, 3, rows)],
+                           rng.random(rows))
+        gains = rng.random((rows, len(split.items)))
+        want = gains + weights[:, None] * np.array([arec.score_vector(split.users[k])
+                                                     for k in codes])
+        arec.add_accuracy(gains, codes, weights)
+        if isinstance(arec, MatrixScorer):  # the same operations: the same bits
+            assert np.array_equal(gains.view(np.int64), want.view(np.int64))
+        else:  # Pop adds nothing where the dense vector adds w * 0.0
+            assert np.array_equal(gains, want)
+
+    def test_pop_user_without_unseen_items(self):
+        # user 1 rated every item in train and three again in test, so under
+        # rated_test_items its candidates are seen items and its Pop row is
+        # empty; read as an index, its -1 padding would score the last item
+        items = list(range(101, 106))
+        train = [(1, i, 3) for i in items] + [(u, items[u % 5], 4) for u in range(2, 9)]
+        test = [(1, i, 5) for i in items[2:]] + [(u, i, 5) for u in range(2, 9)
+                                                 for i in items if i != items[u % 5]]
+        split = build_split(train, test)
+        arec = pop_scorer(split, compute_item_stats(split), 3)
+        assert (arec.top_matrix[0] == -1).all()
+        theta = PreferenceVector("random", {u: ZERO_ONE[u % 3] for u in split.users})
+        for s in (1, 4, 8):
+            got = oslg(split, theta, arec, 2, s, 0, protocol="rated_test_items")
+            want = _dense(oslg, split, theta, arec, 2, s, 0, protocol="rated_test_items")
+            assert list(got.collection.lists.items()) == list(want.collection.lists.items())
+
+
+class TestStratRecallTables:
+    """strat_recall reads the split's weight table for beta and its relevant
+    items in CSR order; it must equal the dict lookup it replaced, with two
+    betas and two thresholds cached on one split and over the user subsets
+    that rated_test_items and partial collections evaluate."""
+
+    @EXACT
+    @given(inst=instances(), betas=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
+                                            min_size=2, max_size=2),
+           thresholds=st.lists(st.sampled_from([1.0, 4.0, 5.0]) | st.floats(-1.0, 7.0),
+                               min_size=2, max_size=2),
+           keep=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dict_lookup(self, inst, betas, thresholds, keep, seed):
+        split, n = inst[:2]
+        rng = np.random.default_rng(seed)
+        lists = {u: _ids(split, rng.choice(split.candidate_indices(u), n, replace=False))
+                 for u in split.users if rng.random() < keep}
+        assume(lists)
+        coll, stats = TopNCollection(n, lists), compute_item_stats(split)
+        rated = {u: items for u, items in lists.items()
+                 if len(split.per_user_test_index[u]) >= n}
+
+        def sets(users, threshold):
+            relevant = [_relevant_reference(split, u, threshold) for u in users]
+            return [(rel, rel & set(lists[u])) for u, rel in zip(users, relevant)]
+
+        for beta, threshold in [(b, t) for b in betas for t in thresholds] * 2:
+            assert _outcome(strat_recall_at_n, coll, split, beta, threshold) == \
+                _outcome(_strat_recall_dict_reference, sets(lists, threshold), split, beta)
+            got = _outcome(evaluate, coll, split, stats, "rated_test_items", None, beta,
+                           threshold)
+            if isinstance(got, EvalReport):
+                assert got.strat_recall == _strat_recall_dict_reference(
+                    sets(rated, threshold), split, beta)
+            else:
+                assert got[0] is UndefinedMetricError
 
 
 # ---------------------------------------------------------------- tie rules
@@ -711,10 +934,10 @@ class _PopScorerReference:
 
 
 def _outcome(load, *args):
-    """A loader's result, or the type and message of what it raised."""
+    """A loader's (or metric's) result, or the type and message of what it raised."""
     try:
         return load(*args)
-    except (ParseError, EmptyDatasetError) as exc:
+    except (ParseError, EmptyDatasetError, UndefinedMetricError) as exc:
         return type(exc), str(exc)
 
 
@@ -855,6 +1078,13 @@ class TestPopScorerMatchesReference:
     def _check(split, n):
         stats = compute_item_stats(split)
         fast, ref = pop_scorer(split, stats, n), _PopScorerReference(split, stats, n)
+        # the top matrix built from the CSR against each user's candidate mask
+        ranking = np.array([split.item_index[i] for i in stats.ranking])
+        assert fast.top_matrix.shape == (len(split.users), n)
+        for k, user in enumerate(split.users):
+            top = ranking[split.candidate_mask(user)[ranking]][:n]
+            assert np.array_equal(fast.top_matrix[k], np.pad(top, (0, n - len(top)),
+                                                             constant_values=-1))
         for user in split.users:
             for _ in range(2):  # a cached answer must equal the first one
                 assert fast.top_items(user) == ref.top_items(user)
@@ -883,12 +1113,18 @@ SPLIT_STAMPS = [None, 0, 881250949, -12, 2**53 + 1, -2**63, 2**63 - 1]
 
 @st.composite
 def split_cases(draw):
-    """(train, test) Rating lists over drawn id pools, values and stamps."""
+    """(train, test) Rating lists over drawn id pools, values and stamps; in
+    about half the cases one part or both have no timestamp at all."""
     user_pool = SPLIT_ID_POOLS[draw(st.sampled_from(sorted(SPLIT_ID_POOLS)))]
     item_pool = SPLIT_ID_POOLS[draw(st.sampled_from(sorted(SPLIT_ID_POOLS)))]
-    row = st.builds(Rating, st.sampled_from(user_pool), st.sampled_from(item_pool),
-                    st.sampled_from(SPLIT_VALUES), st.sampled_from(SPLIT_STAMPS))
-    return draw(st.lists(row, min_size=1, max_size=25)), draw(st.lists(row, max_size=25))
+    unstamped = draw(st.sampled_from([(), (), (), ("train",), ("test",), ("train", "test")]))
+    parts = []
+    for part, min_size in (("train", 1), ("test", 0)):
+        stamps = st.none() if part in unstamped else st.sampled_from(SPLIT_STAMPS)
+        row = st.builds(Rating, st.sampled_from(user_pool), st.sampled_from(item_pool),
+                        st.sampled_from(SPLIT_VALUES), stamps)
+        parts.append(draw(st.lists(row, min_size=min_size, max_size=25)))
+    return tuple(parts)
 
 
 def _sidecar_expected(split) -> bool:
@@ -916,9 +1152,21 @@ class TestSplitSidecarMatchesCsvParse:
         want = dataset._parse_split(out)
         has_sidecar = (out / dataset.SIDECAR).exists()
         assert has_sidecar == _sidecar_expected(split)
-        if has_sidecar:
-            with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
-                got, _ = load_split(out)
-        else:
-            got, _ = load_split(out)
-        assert_same_split(got, want)
+        if not has_sidecar:
+            assert_same_split(load_split(out)[0], want)
+            return
+        with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
+            assert_same_split(load_split(out)[0], want)
+        # a part whose timestamps are all missing stores neither array; a
+        # sidecar written before that rule, with both arrays, still loads
+        with np.load(out / dataset.SIDECAR) as z:
+            arrays = {k: z[k] for k in z.files}
+        for part in ("train", "test"):
+            cols = getattr(want, f"{part}_columns")
+            assert (f"{part}_timestamps" in arrays) == (f"{part}_missing" in arrays) \
+                == (not cols.missing.all())
+            arrays.setdefault(f"{part}_timestamps", np.zeros(len(cols), dtype=np.int64))
+            arrays.setdefault(f"{part}_missing", np.ones(len(cols), dtype=bool))
+        np.savez(out / dataset.SIDECAR, **arrays)
+        with mock.patch.object(dataset, "_parse", side_effect=AssertionError("parsed")):
+            assert_same_split(load_split(out)[0], want)
