@@ -6,6 +6,15 @@ Supported input layouts: MovieLens-100K style tab-separated files, the
 files plus a JSON manifest, with a binary sidecar that caches the parsed
 split (see :func:`load_split`).
 
+A rating file is parsed in blocks of ``CHUNK_ROWS`` lines. A block is one
+text split into its fields: a line has one field more than delimiters, and
+a line of whitespace only is blank. In CSV this holds until a block has a
+``"`` or a line longer than ``csv.field_size_limit()``; from that block on
+``csv.reader`` reads the rest of the file, as a quoted field may span
+lines. The split CSVs are written by joining one string per distinct id
+and per distinct value, unless an id holds a character that ``csv.writer``
+quotes (``,``, ``"``, ``\r``, ``\n``): then ``csv.writer`` writes them.
+
 Ratings are held as columns (:class:`RatingColumns`): id tables plus int64
 user and item codes, float64 values, int64 timestamps and a mask of the
 missing ones, one entry per rating. A timestamp field reads as ``int(s)``
@@ -23,7 +32,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +47,15 @@ from .io_utils import (
     sha256_file,
     split_digest,
     write_json,
-    write_table,
 )
 
 FORMATS = ("tab_separated", "double_colon", "csv")
+_DELIMITERS = {"tab_separated": "\t", "double_colon": "::", "csv": ","}
 
-# Records parsed per batch; bounds the transient per-row lists of a large file.
-CHUNK_ROWS = 1 << 16
+# Lines per block of a rating file parse, rows per block of a split CSV
+# write. A block's strings (its lines, their text and its fields) stay a few
+# MB, and each block is dropped before the next one is made.
+CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -135,14 +146,10 @@ class RatingColumns:
 
     def ratings(self) -> list:
         """The rows as :class:`Rating` objects."""
+        stamps = _object_array(self.timestamps.tolist())
+        stamps[self.missing] = None
         return list(map(Rating, self.user_ids(), self.item_ids(),
-                        self.values.tolist(), self._stamps(None).tolist()))
-
-    def _stamps(self, blank) -> np.ndarray:
-        """The timestamps as Python ints in an object array, ``blank`` where missing."""
-        out = _object_array(self.timestamps.tolist())
-        out[self.missing] = blank
-        return out
+                        self.values.tolist(), stamps.tolist()))
 
 
 def _stored_stamp(t) -> int:
@@ -362,48 +369,114 @@ class ItemStats:
 
 
 def _records(fh, format: str, path):
-    """Batches of (line numbers, field lists) of the non-blank records."""
+    """Per block of lines, (line numbers, columns, bad) of its non-blank
+    records. ``columns`` lists the records' user, item, rating and timestamp
+    strings ("" where a record has three fields). ``bad`` is None, or the
+    (line, message) of the first record that is not 3 or 4 fields or that
+    csv.reader refuses: the records stop before it, and no block follows.
+    Line numbers count records, a CSV header as line 1; csv.reader's own
+    errors count lines."""
+    delim = _DELIMITERS[format]
+    line_no, lines_read = 1, 0  # the next record's number; lines read so far
     if format == "csv":
-        source = csv.reader(fh)
+        reader = csv.reader(fh)
         try:
-            header = next(source, None)
+            header = next(reader, None)
         except csv.Error as exc:
-            raise csv_parse_error(source, path, exc) from None
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not {fh.encoding} text") from None
+            raise csv_parse_error(reader, path, exc) from None
         if header is None:
             raise EmptyDatasetError(f"{path}: empty file")
         header = [h.strip().lower() for h in header]
         if header[:3] != ["user", "item", "rating"]:
             raise ParseError(f"{path}:1: expected header user,item,rating[,timestamp]")
-        line_no = 2
-    else:
-        source = fh
-        delim = "\t" if format == "tab_separated" else "::"
-        line_no = 1
-    while True:
-        try:
-            chunk = list(islice(source, CHUNK_ROWS))
-        except csv.Error as exc:  # only a csv.reader source raises it
-            raise csv_parse_error(source, path, exc) from None
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not {fh.encoding} text") from None
-        if not chunk:
-            break
-        n = len(chunk)
-        if format == "csv":  # a blank record has at most one field
-            blank = np.zeros(n, dtype=bool)
-            for k in np.flatnonzero(np.fromiter(map(len, chunk), np.int64, n) < 2).tolist():
-                blank[k] = not chunk[k] or not chunk[k][0].strip()
-        else:  # a line is blank if it is blank without its line ending
-            blank = np.fromiter(map(str.isspace, chunk), bool, n)
-        kept = np.flatnonzero(~blank)
+        line_no, lines_read = 2, reader.line_num
+    limit = csv.field_size_limit()
+    while block := list(islice(fh, CHUNK_ROWS)):
+        text = "".join(block)
+        if format == "csv" and ('"' in text or max(map(len, block)) > limit):
+            # a quoted field may span lines and blocks, so csv.reader reads
+            # the rest of the file
+            yield from _csv_records(chain(block, fh), path, line_no, lines_read)
+            return
+        n = len(block)
+        widths = np.fromiter(map(str.count, block, repeat(delim)), np.int64, n) + 1
+        # a blank line is whitespace only; in CSV that is csv.reader's record
+        # of no field or one blank field, as a comma is not whitespace
+        blank = np.fromiter(map(str.isspace, block), bool, n)
+        kept, numbers, bad = _kept(blank, widths, line_no)
         if len(kept) < n:
-            chunk = [chunk[k] for k in kept.tolist()]
-        if format != "csv":
-            chunk = [line.rstrip("\n").rstrip("\r").split(delim) for line in chunk]
-        yield kept + line_no, chunk
+            text = "".join([block[k] for k in kept.tolist()])
+        del block
+        if "\r" in text:  # every \r ends a line: the file splits lines at a lone \r
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # a field holds neither the delimiter nor a line end, so one split
+        # gives every field of the block in order
+        cells = text.removesuffix("\n").replace(delim, "\n").split("\n") if text else []
+        del text
+        yield numbers, _columns(cells, widths[kept]), bad
+        if bad:
+            return
         line_no += n
+        lines_read += n
+
+
+def _csv_records(source, path, line_no: int, lines_read: int):
+    """:func:`_records` for the rest of a CSV file, read by csv.reader from
+    the lines of ``source``; ``line_no`` numbers its first record and
+    ``lines_read`` lines of the file came before it."""
+    reader = csv.reader(source)
+    while True:
+        records, refused = [], None
+        try:
+            records.extend(islice(reader, CHUNK_ROWS))  # keeps what it read before an error
+        except csv.Error as exc:  # a field past csv.field_size_limit(), say
+            refused = lines_read + reader.line_num, str(exc)
+        if not records and not refused:
+            return
+        n = len(records)
+        widths = np.fromiter(map(len, records), np.int64, n)
+        blank = widths == 0
+        for k in np.flatnonzero(widths == 1).tolist():  # one field: blank if it is
+            blank[k] = not records[k][0].strip()
+        kept, numbers, bad = _kept(blank, widths, line_no)
+        bad = bad or refused
+        cells = list(chain.from_iterable(records[k] for k in kept.tolist()))
+        del records
+        yield numbers, _columns(cells, widths[kept]), bad
+        if bad:
+            return
+        line_no += n
+
+
+def _kept(blank: np.ndarray, widths: np.ndarray, line_no: int) -> tuple:
+    """(kept, numbers, bad) for a block of records numbered from ``line_no``:
+    the positions of the non-blank records before the first that has
+    neither 3 nor 4 fields, their line numbers (a range when no record is
+    left out), and that record's (line, message), or None."""
+    wrong = ~blank & (widths != 3) & (widths != 4)
+    stop = int(np.argmax(wrong)) if wrong.any() else len(blank)
+    kept = np.flatnonzero(~blank[:stop])
+    numbers = range(line_no, line_no + stop) if len(kept) == stop else kept + line_no
+    if stop == len(blank):
+        return kept, numbers, None
+    return kept, numbers, (line_no + stop, f"expected 3 or 4 fields, got {widths[stop]}")
+
+
+def _columns(cells: list, widths: np.ndarray) -> tuple:
+    """(users, items, ratings, timestamps) of records whose fields are
+    ``cells`` in order, ``widths[k]`` (3 or 4) of them for record k; the
+    timestamp of a 3-field record is ""."""
+    n = len(widths)
+    if (widths == 3).all():
+        return cells[0::3], cells[1::3], cells[2::3], [""] * n
+    if (widths == 4).all():
+        return cells[0::4], cells[1::4], cells[2::4], cells[3::4]
+    cells = _object_array(cells)
+    start = np.cumsum(widths) - widths
+    stamps = np.full(n, "", dtype=object)
+    four = widths == 4
+    stamps[four] = cells[start[four] + 3]
+    return (*(cells[start + k].tolist() for k in range(3)), stamps.tolist())
 
 
 def _strip_ids(raw: list, codes: np.ndarray) -> tuple:
@@ -450,30 +523,18 @@ def _parse(path, format: str) -> RatingColumns:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     path = Path(path)
     tables = ({}, {}, {}, {})  # user, item, rating, timestamp strings -> code
-    batches = []
-    bad_count = None  # (line, field count) of the first record without 3 or 4 fields
+    blocks = ([], [], [], [])  # per block, the codes of each column
+    line_nos = []  # per block, its records' line numbers
+    bad_record = None  # (line, message) of the first record that is not a rating
     with open(path, newline="") as fh:
-        for line_nos, records in _records(fh, format, path):
-            lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
-            ok = (lengths == 3) | (lengths == 4)
-            if not ok.all():
-                cut = int(np.argmin(ok))
-                bad_count = int(line_nos[cut]), int(lengths[cut])
-                records, line_nos = records[:cut], line_nos[:cut]
-            if (lengths == 3).all():
-                stamps = [""] * len(records)
-            elif (lengths == 4).all():
-                stamps = [f[3] for f in records]
-            else:
-                stamps = [f[3] if len(f) == 4 else "" for f in records]
-            columns = ([f[0] for f in records], [f[1] for f in records],
-                       [f[2] for f in records], stamps)
-            batches.append((line_nos, *(_codes(c, t) for c, t in zip(columns, tables))))
-            if bad_count:
-                break
-    if not batches:  # nothing but blank lines
-        batches.append([np.zeros(0, dtype=np.int64)] * 5)
-    line_nos, user_codes, item_codes, value_codes, ts_codes = map(np.concatenate, zip(*batches))
+        try:
+            for numbers, columns, bad_record in _records(fh, format, path):
+                line_nos.append(numbers)
+                for codes, column, table in zip(blocks, columns, tables):
+                    codes.append(_codes(column, table))
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not {fh.encoding} text") from None
+    user_codes, item_codes, value_codes, ts_codes = map(_joined, blocks)
 
     users, user_codes = _strip_ids(list(tables[0]), user_codes)
     items, item_codes = _strip_ids(list(tables[1]), item_codes)
@@ -492,15 +553,33 @@ def _parse(path, format: str) -> RatingColumns:
     if bad.any():
         k = int(np.argmax(bad))
         message = next(describe(k) for failed, describe in checks if failed[k])
-        raise ParseError(f"{path}:{line_nos[k]}: {message}")
-    if bad_count:
-        line, n = bad_count
-        raise ParseError(f"{path}:{line}: expected 3 or 4 fields, got {n}")
+        raise ParseError(f"{path}:{_line(line_nos, k)}: {message}")
+    if bad_record:
+        line, message = bad_record
+        raise ParseError(f"{path}:{line}: {message}")
     if not len(values):
         raise EmptyDatasetError(f"{path}: no ratings parsed")
     blank_ts = np.fromiter((not s.strip() for s in raw_ts), dtype=bool, count=len(raw_ts))
+    timestamps, missing = ts_table[ts_codes], blank_ts[ts_codes]
+    del value_codes, ts_codes, checks, bad  # before deduplicated() adds its own arrays
     return RatingColumns(tuple(users), tuple(items), user_codes, item_codes, values,
-                         ts_table[ts_codes], blank_ts[ts_codes]).deduplicated()
+                         timestamps, missing).deduplicated()
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The int64 arrays of ``parts`` as one, emptying ``parts`` as it goes."""
+    out = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    parts.clear()
+    return out
+
+
+def _line(line_nos: list, k: int) -> int:
+    """Row k's line number, from per-block line numbers."""
+    for numbers in line_nos:
+        if k < len(numbers):
+            return int(numbers[k])
+        k -= len(numbers)
+    raise IndexError(k)
 
 
 def load_columns(path, format: str = "tab_separated") -> RatingColumns:
@@ -623,12 +702,43 @@ def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:
     return out
 
 
+# csv.writer quotes a field that holds any of these characters.
+_QUOTED = frozenset(',"\r\n')
+
+
 def _write_ratings_csv(path, cols: RatingColumns) -> None:
-    # repr once per distinct value, told apart by bits so -0.0 stays "-0.0"
+    """Write ``cols`` as csv.writer would, with CRLF line ends: one string
+    per distinct id (``str``; "" for None) and per distinct value (``repr``,
+    told apart by bits so -0.0 stays "-0.0"), gathered through the codes
+    and joined block by block. csv.writer writes the rows itself when some
+    id needs quotes."""
+    users = ["" if x is None else str(x) for x in cols.users]
+    items = ["" if x is None else str(x) for x in cols.items]
     bits, inverse = np.unique(cols.values.view(np.int64), return_inverse=True)
-    values = _object_array([repr(v) for v in bits.view(np.float64).tolist()])[inverse]
-    write_table(path, ("user", "item", "rating", "timestamp"),
-                zip(cols.user_ids(), cols.item_ids(), values.tolist(), cols._stamps("").tolist()))
+    values = [repr(v) for v in bits.view(np.float64).tolist()]
+    quoted = any(map(_QUOTED.intersection, chain(users, items)))
+    tables = tuple(map(_object_array, (users, items, values)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("user", "item", "rating", "timestamp"))
+        for lo in range(0, len(cols), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            stamps = _stamp_strings(cols.timestamps[rows], cols.missing[rows])
+            block = zip(*(t[c[rows]].tolist() for t, c in
+                          zip(tables, (cols.user_codes, cols.item_codes, inverse))), stamps)
+            if quoted:
+                writer.writerows(block)
+            else:
+                fh.write("\r\n".join(map(",".join, block)) + "\r\n")
+
+
+def _stamp_strings(timestamps: np.ndarray, missing: np.ndarray):
+    """``str`` of each timestamp, "" where it is missing."""
+    if missing.all():
+        return repeat("")
+    stamps = _object_array(list(map(str, timestamps.tolist())))
+    stamps[missing] = ""
+    return stamps.tolist()
 
 
 def save_split(split: SplitDataset, directory, manifest: dict | None = None) -> None:

@@ -837,16 +837,19 @@ def _load_ratings_reference(path, format):
     with open(path, newline="") as fh:
         if format == "csv":
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyDatasetError(f"{path}: empty file")
-            header = [h.strip().lower() for h in header]
-            if header[:3] != ["user", "item", "rating"]:
-                raise ParseError(f"{path}:1: expected header user,item,rating[,timestamp]")
-            for line_no, fields in enumerate(reader, start=2):
-                if not fields or (len(fields) == 1 and not fields[0].strip()):
-                    continue
-                rows.append(_parse_fields_reference(fields, line_no, path))
+            try:  # csv.reader's own errors name the line it stopped at
+                header = next(reader, None)
+                if header is None:
+                    raise EmptyDatasetError(f"{path}: empty file")
+                header = [h.strip().lower() for h in header]
+                if header[:3] != ["user", "item", "rating"]:
+                    raise ParseError(f"{path}:1: expected header user,item,rating[,timestamp]")
+                for line_no, fields in enumerate(reader, start=2):
+                    if not fields or (len(fields) == 1 and not fields[0].strip()):
+                        continue
+                    rows.append(_parse_fields_reference(fields, line_no, path))
+            except csv.Error as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
         else:
             delim = "\t" if format == "tab_separated" else "::"
             for line_no, line in enumerate(fh, start=1):
@@ -951,13 +954,18 @@ BAD_RATINGS = ["", "x", "nan", "inf", "-inf", "-1", "-0.5", "1e999", "4..0"]
 GOOD_STAMPS = ["", " ", "881250949", "0", "-12", "1.5e9", "12.7", "978300760.0",
                "9007199254740993", "9223372036854775807", "-9223372036854775807"]
 BAD_STAMPS = ["x", "nan", "1.2.3", "9223372036854775808", "1e30"]
+# ids that a CSV file must quote: a quote, a comma, a line end inside
+QUOTED_IDS = ['a"b', "x,y", "l\nm", "r\rs", '"', "q\r\nr"]
+BLANK_LINES = ["", "  ", "\t", " \t\x0c "]
 
 
 @st.composite
 def rating_files(draw):
-    """(format, file text) with blank lines, CRLF endings, duplicate pairs,
-    optional timestamps, int/str/mixed id columns and, now and then, a
-    malformed row."""
+    """(format, file text) with whitespace-only lines, LF, CRLF or lone CR
+    endings, duplicate pairs, optional timestamps (so 3- and 4-field rows
+    mix), int/str/mixed id columns and, now and then, a malformed row, an
+    id that CSV quotes (a quote first met anywhere in the file, a quoted
+    line end) or, in CSV, a field past ``csv.field_size_limit()``."""
     fmt = draw(st.sampled_from(["tab_separated", "double_colon", "csv"]))
     pools = {"int": INT_IDS, "str": STR_IDS, "mixed": INT_IDS + STR_IDS, "odd": INT_IDS + ODD_IDS}
     user_pool = pools[draw(st.sampled_from(sorted(pools)))]
@@ -981,10 +989,17 @@ def rating_files(draw):
         elif kind == 5:
             fields[draw(st.integers(0, 1))] = " "
         rows.append(fields)
-    blank = draw(st.sampled_from(["", "  ", "\t"]))
+    filled = [k for k, fields in enumerate(rows) if fields is not None]
+    if filled and draw(st.integers(0, 3)) == 0:  # a quoted id, from this row on
+        k = draw(st.sampled_from(filled))
+        rows[k][draw(st.integers(0, 1))] = draw(st.sampled_from(QUOTED_IDS))
+    if filled and fmt == "csv" and draw(st.integers(0, 7)) == 0:
+        k = draw(st.sampled_from(filled))  # a field csv.reader refuses
+        rows[k][draw(st.integers(0, len(rows[k]) - 1))] = "9" * (csv.field_size_limit() + 1)
+    blank = draw(st.sampled_from(BLANK_LINES))
     for _ in range(draw(st.integers(0, 3))):  # blank lines anywhere
         rows.insert(draw(st.integers(0, len(rows))), None)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     if fmt == "csv":
         out = io.StringIO()
         w = csv.writer(out, lineterminator=end)
@@ -1007,7 +1022,7 @@ def rating_files(draw):
 
 class TestColumnarParserMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(case=rating_files(), chunk=st.sampled_from([2, 3, 1 << 16]),
+    @given(case=rating_files(), chunk=st.sampled_from([2, 3, dataset.CHUNK_ROWS]),
            kappa=st.sampled_from([0.3, 0.5, 0.8]), tau=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1))
     def test_same_ratings_errors_and_split(self, tmp_path_factory, case, chunk, kappa,
@@ -1052,6 +1067,93 @@ class TestColumnarParserMatchesReference:
         save_split(load_split(out)[0], again)  # a reloaded split writes the same files
         for name in ("train.csv", "test.csv"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+# Files that reach each branch of the block parser: its fast path (lone CR
+# ends, whitespace-only lines, 3- and 4-field rows in one block) and the
+# csv.reader fallback, entered at the first block or mid-file.
+_LONG = "9" * (csv.field_size_limit() + 1)
+PARSER_EDGE_CASES = {
+    "lone-cr": ("csv", "user,item,rating\r1,2,3\r1,3,4\r2,2,5\r"),
+    "lone-cr-tab": ("tab_separated", "1\t2\t3\r\r1\t3\t4\r2\t2\t5"),
+    "whitespace-lines": ("csv", "user,item,rating\n  \n1,2,3\n\t\n\x0c \n1,3,4\n\n2,2,5\n"),
+    "whitespace-with-comma": ("csv", "user,item,rating\n1,2,3\n \t, \n1,3,4\n"),
+    "whitespace-lines-tab": ("tab_separated", "1\t2\t3\n \t \n\t\t\n1\t3\t4\n"),
+    "whitespace-lines-colon": ("double_colon", " \n1::2::3\n\t\n1::3::4::5\n\x0c\n"),
+    "mixed-widths": ("csv", "user,item,rating,timestamp\n1,2,3\n1,3,4,17\n2,2,5\n2,3,1,\n"),
+    "mixed-widths-tab": ("tab_separated", "1\t2\t3\n1\t3\t4\t17\n2\t2\t5\n"),
+    "quoted-newline-mid-file": (
+        "csv", "user,item,rating\n1,2,3\n1,3,4\n2,2,5\n2,3,4\n3,\"a\nb\",2\n3,2,1\n"),
+    "quote-mid-file-then-bad-row": (
+        "csv", "user,item,rating\n1,2,3\n1,3,4\n2,2,5\n\"2\",3,4\n3,\"a\nb\",2\n3,2\n"),
+    "quoted-newline-in-header": ("csv", '"user",item,rating,"time\nstamp"\n1,2,3\n1,3,x\n'),
+    "long-field-first-block": ("csv", f"user,item,rating\n1,2,3\n1,{_LONG},4\n2,2,5\n"),
+    "long-field-mid-file": (
+        "csv", f"user,item,rating\n1,2,3\n1,3,4\n2,2,5\n2,3,4\n3,2,1\n3,{_LONG},2\n"),
+    "long-field-after-quoted-newline": (
+        "csv", f"user,item,rating\n\"1\n\",2,3\n1,3,4\n\n2,2,5\n2,{_LONG},4\n"),
+    "long-field-after-bad-rating": ("csv", f"user,item,rating\n1,2,x\n1,3,4\n2,{_LONG},4\n"),
+    "bad-row-then-long-field": ("csv", f'user,item,rating\n"1",2\n1,{_LONG},3\n'),
+    "long-field-in-header": ("csv", f"user,item,rating,{_LONG}\n1,2,3\n"),
+}
+
+
+@pytest.mark.parametrize("chunk", [2, 3, dataset.CHUNK_ROWS])
+@pytest.mark.parametrize("name", sorted(PARSER_EDGE_CASES))
+def test_block_parser_edge_cases_match_the_reference(tmp_path, name, chunk):
+    fmt, text = PARSER_EDGE_CASES[name]
+    path = tmp_path / "ratings.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(dataset, "CHUNK_ROWS", chunk):
+        got = _outcome(load_ratings, path, fmt)
+    assert got == _outcome(_load_ratings_reference, path, fmt)
+    if name.startswith("long-field") and name != "long-field-after-bad-rating":
+        with open(path, newline="") as fh:  # the line csv.reader stops at
+            reader = csv.reader(fh)
+            with pytest.raises(csv.Error):
+                list(reader)
+        assert got == (ParseError, f"{path}:{reader.line_num}: field larger than field "
+                                   f"limit ({csv.field_size_limit()})")
+
+
+# Ids csv.writer writes as they are: with spaces, negative, non-ASCII, empty.
+PLAIN_IDS = [0, 7, -3, 10**12, "a", "b c", " x", "y ", "é", "7a", ""]
+WRITER_VALUES = [-0.0, 0.0, 1.0, 2.5, 4.0, 0.1, 1e-300, 5e-324, 1.7976931348623157e308,
+                 float("inf"), float("nan")]
+
+
+@st.composite
+def rating_parts(draw):
+    """Ratings of one split part: ids drawn from plain ids and free text
+    without the characters csv.writer quotes, and now and then one id that
+    needs quotes; repeated values and -0.0; no, some or all timestamps."""
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    ids = st.one_of(st.sampled_from(PLAIN_IDS),
+                    text.filter(lambda s: not set(s) & set(',"\r\n')))
+    stamped = draw(st.sampled_from(["none", "some", "all"]))
+    ratings = []
+    for _ in range(draw(st.integers(0, 25))):
+        ts = None
+        if stamped == "all" or (stamped == "some" and draw(st.booleans())):
+            ts = draw(st.integers(-2**63, 2**63 - 1))
+        ratings.append(Rating(draw(ids), draw(ids), draw(st.sampled_from(WRITER_VALUES)), ts))
+    if ratings and draw(st.booleans()):
+        k = draw(st.integers(0, len(ratings) - 1))
+        field = draw(st.sampled_from(["user_id", "item_id"]))
+        ratings[k] = replace(ratings[k], **{field: draw(st.sampled_from(QUOTED_IDS) | text)})
+    return ratings
+
+
+class TestJoinWriterMatchesCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(ratings=rating_parts(), rows=st.sampled_from([1, 2, 3, dataset.CHUNK_ROWS]))
+    def test_same_bytes(self, tmp_path_factory, ratings, rows):
+        out = tmp_path_factory.mktemp("write")
+        cols = RatingColumns.from_ratings(ratings)
+        with mock.patch.object(dataset, "CHUNK_ROWS", rows):
+            dataset._write_ratings_csv(out / "join.csv", cols)
+        _write_ratings_csv_reference(out / "reference.csv", cols.ratings())
+        assert (out / "join.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
 def test_split_of_columns_whose_tables_are_in_another_order(synth_ratings):
