@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Print one sha256 per artifact of a full ganc pipeline on generated ratings.
+
+Generates an ML-100K-shaped ratings file, then runs split, prefs and
+train-rsvd; recommend with Pop and with RSVD under both ranking protocols;
+evaluate on each collection, with --per-user and at n = 3; and one Pop
+sweep per protocol.
+Every command runs in this process through ``ganc.cli.main``, so the
+``ganc`` on ``PYTHONPATH`` is the one measured: run the same command against
+two checkouts and diff the outputs (standard output holds the digests
+only) to show that a change keeps the artifacts byte-identical::
+
+    PYTHONPATH=src python3 scripts/output_digests.py --work /tmp/digests
+
+``phase_seconds`` (wall-clock times) is dropped from run.json and
+sweep.json before hashing; every other byte counts.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from ganc.cli import main as ganc
+from ganc.io_utils import write_table
+from ganc.synthetic import generate_ratings
+
+TIMED = ("run.json", "sweep.json")  # manifests that record phase_seconds
+
+
+def run(*argv: str) -> None:
+    with contextlib.redirect_stdout(sys.stderr):  # stdout carries the digests only
+        code = ganc(list(argv))
+    if code != 0:
+        raise SystemExit(f"ganc {argv[0]} exited {code}")
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name in TIMED:
+        manifest = json.loads(data)
+        manifest.pop("phase_seconds", None)
+        data = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--work", required=True, help="scratch directory, emptied first")
+    ap.add_argument("--users", type=int, default=943)
+    ap.add_argument("--items", type=int, default=1682)
+    ap.add_argument("--activity", type=float, default=106.0)
+    ap.add_argument("--seed", type=int, default=4242)
+    ap.add_argument("--epochs", type=int, default=5, help="train-rsvd epochs")
+    args = ap.parse_args()
+
+    work = Path(args.work)
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    os.chdir(work)  # relative paths, so split.json's "source" is the same in any --work
+    ratings = generate_ratings(args.users, args.items, seed=args.seed,
+                               mean_activity=args.activity)
+    write_table("ratings.csv", ("user", "item", "rating"),
+                ((r.user_id, r.item_id, r.value) for r in ratings))
+
+    run("split", "--dataset", "ratings.csv", "--format", "csv", "--out", "split")
+    run("prefs", "--split", "split", "--out", "prefs")
+    run("train-rsvd", "--split", "split", "--g", "20", "--epochs", str(args.epochs),
+        "--out", "mf")
+    for arec in ("pop", "rsvd"):
+        for protocol in ("all_unrated", "rated_test_items"):
+            rec = f"rec-{arec}-{protocol}"
+            run("recommend", "--split", "split", "--prefs", "prefs", "--arec", arec,
+                "--mf", "mf", "--n", "5", "--s", "300", "--protocol", protocol,
+                "--out", rec)
+            run("evaluate", "--split", "split", "--topn", rec, "--per-user",
+                "--out", f"eval-{arec}-{protocol}")
+            run("evaluate", "--split", "split", "--topn", rec, "--n", "3",
+                "--out", f"eval3-{arec}-{protocol}")
+    for protocol in ("all_unrated", "rated_test_items"):
+        run("sweep", "--split", "split", "--prefs", "prefs", "--arec", "pop",
+            "--n", "5", "--s-values", "100,500,1000,2000", "--reps", "3",
+            "--protocol", protocol, "--out", f"sweep-{protocol}")
+
+    for path in sorted(p for p in Path().rglob("*") if p.is_file()):
+        print(f"{digest(path)}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

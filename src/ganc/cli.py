@@ -83,8 +83,10 @@ def _load_theta(args: argparse.Namespace, split, split_sha256: str):
 
 def _build_arec(args: argparse.Namespace, split, split_sha256: str, stats):
     if args.arec == "pop":
-        return recommenders.pop_scorer(split, stats,
-                                       args.n if args.pop_n is None else args.pop_n)
+        flag, n = ("--n", args.n) if args.pop_n is None else ("--pop-n", args.pop_n)
+        if not 0 < n <= len(split.items):
+            raise ValueError(f"{flag} must be in [1, {len(split.items)}], got {n}")
+        return recommenders.pop_scorer(split, stats, n)
     if args.arec == "rsvd":
         if not args.mf:
             raise ValueError("--mf is required with arec=rsvd")
@@ -237,15 +239,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # every value is checked before the first OSLG run
+    try:
+        s_values = [int(v) for v in args.s_values.split(",") if v.strip()]
+    except ValueError:
+        s_values = []
+    if not s_values or min(s_values) < 1:
+        raise ValueError(f"--s-values must be comma-separated sample sizes >= 1, "
+                         f"got {args.s_values!r}")
+    if args.reps < 1:
+        raise ValueError(f"reps must be at least 1, got {args.reps}")
+    metrics.check_beta_threshold(args.beta, args.threshold)
     split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(args, split, split_sha256)
     arec = _build_arec(args, split, split_sha256, stats)
-    s_values = [int(v) for v in args.s_values.split(",") if v.strip()]
-    if not s_values:
-        raise ValueError("s_values must name at least one sample size")
-    if args.reps < 1:
-        raise ValueError(f"reps must be at least 1, got {args.reps}")
     eligible = len(core.eligible_users(split, args.n, args.protocol))
     rows = []
     # A sample of every eligible user is the whole pool in theta order,

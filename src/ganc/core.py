@@ -6,8 +6,10 @@ built by a locally greedy pass over users; the sampling variant runs the
 sequential pass over a KDE-drawn subset sorted by rising theta, snapshots
 the coverage state per sampled user into one matrix, and finishes the
 remaining users, a block at a time, each against its nearest snapshot.
-Exhaustive and property-style oracles for the greedy guarantees live here
-too.
+The greedy passes work on codes (positions in the split's sorted tables)
+and write their picks into one (users, n) item-code matrix, whose id
+lists a :class:`TopNCollection` builds only when read. Exhaustive and
+property-style oracles for the greedy guarantees live here too.
 """
 
 from __future__ import annotations
@@ -35,12 +37,38 @@ TOPN_HEADER = ("user", "rank", "item")
 BLOCK = 64
 
 
-@dataclass(frozen=True)
 class TopNCollection:
-    """Ordered list of exactly n recommended items per user."""
+    """Ordered list of exactly n recommended items per user.
 
-    n: int
-    lists: dict
+    Built from ``lists`` (user id -> tuple of item ids), or by the greedy
+    algorithms with :meth:`from_codes`: row r of an ``(users, n)`` matrix of
+    positions in ``split.items`` is the list of user ``split.users[user_codes[r]]``.
+    A coded collection derives ``lists`` on first use, in row order.
+    """
+
+    def __init__(self, n: int, lists: dict | None = None):
+        self.n = n
+        self._lists = lists
+        self._coded = None  # (split, user codes, item code matrix)
+
+    @classmethod
+    def from_codes(cls, n: int, split: SplitDataset, user_codes: np.ndarray,
+                   item_codes: np.ndarray) -> "TopNCollection":
+        coll = cls(n)
+        coll._coded = split, user_codes, item_codes
+        return coll
+
+    @property
+    def lists(self) -> dict:
+        if self._lists is None:
+            split, users, items = self._coded
+            self._lists = {split.users[u]: tuple(map(split.items.__getitem__, row))
+                           for u, row in zip(users.tolist(), items.tolist())}
+        return self._lists
+
+    def codes(self, split: SplitDataset):
+        """(user codes, item code matrix) when coded over ``split``, else None."""
+        return self._coded[1:] if self._coded and self._coded[0] is split else None
 
     def validate(self, split: SplitDataset) -> None:
         universe = set(split.items)
@@ -62,7 +90,10 @@ class TopNCollection:
             return self
         if not 1 <= n < self.n:
             raise ValueError(f"n must be in [1, {self.n}], got {n}")
-        return TopNCollection(n, {u: items[:n] for u, items in self.lists.items()})
+        if self._coded is None:
+            return TopNCollection(n, {u: items[:n] for u, items in self.lists.items()})
+        split, users, items = self._coded
+        return TopNCollection.from_codes(n, split, users, items[:, :n])
 
 
 class SnapshotStore:
@@ -173,7 +204,7 @@ def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec,
         cand_mask = _mask(split, [split.item_index[i] for i in candidates])
     picked = _greedy_idx(user, theta, arec.score_vector(user), crec.score_vector(),
                          n, cand_mask)
-    return _ids(split, picked)
+    return tuple(map(split.items.__getitem__, picked))
 
 
 def eligible_users(split: SplitDataset, n: int, protocol: str) -> list:
@@ -211,14 +242,15 @@ def _pool_sizes(split: SplitDataset, codes: np.ndarray, protocol: str) -> np.nda
     return split.user_test_counts[codes]
 
 
-def _check_feasible(split: SplitDataset, users, n: int, protocol: str) -> None:
-    """Raise InfeasibleError for the first of ``users`` with fewer than n
-    candidates."""
-    pools = _pool_sizes(split, _user_codes(split, users), protocol)
+def _check_feasible(split: SplitDataset, codes: np.ndarray, n: int, protocol: str) -> None:
+    """Raise InfeasibleError for the first of the users ``codes`` with fewer
+    than n candidates."""
+    pools = _pool_sizes(split, codes, protocol)
     short = np.flatnonzero(pools < n)
     if len(short):
         k = int(short[0])
-        raise InfeasibleError(f"user {users[k]!r}: {int(pools[k])} candidates for top-{n}")
+        raise InfeasibleError(
+            f"user {split.users[codes[k]]!r}: {int(pools[k])} candidates for top-{n}")
 
 
 def _exclude(gains: np.ndarray, at, protocol: str) -> None:
@@ -233,20 +265,26 @@ def _exclude(gains: np.ndarray, at, protocol: str) -> None:
         gains[at] = kept
 
 
-def _rated(split: SplitDataset, protocol: str):
-    """Per-user accessor of the item indices :func:`_exclude` reads: the
+def _rated(split: SplitDataset, protocol: str) -> tuple:
+    """The CSR (indptr, item indices) of what :func:`_exclude` reads: the
     train items under all_unrated, the test items under rated_test_items."""
-    return split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
+    return split.train_csr if protocol == "all_unrated" else split.test_csr
+
+
+def _spans(csr: tuple, codes: np.ndarray) -> tuple:
+    """(row, item index) of every CSR entry of the users ``codes``, row r
+    holding user ``codes[r]``'s entries, for fancy indexing a block."""
+    indptr, items = csr
+    starts, lengths = indptr[codes], indptr[codes + 1] - indptr[codes]
+    rows = np.repeat(np.arange(len(codes)), lengths)
+    shift = np.cumsum(lengths) - lengths - starts  # a row's first output slot minus its start
+    return rows, items[np.arange(len(rows)) - shift[rows]]
 
 
 def _mask(split: SplitDataset, indices) -> np.ndarray:
     mask = np.zeros(len(split.items), dtype=bool)
     mask[indices] = True
     return mask
-
-
-def _ids(split, picked_idx) -> tuple:
-    return tuple(map(split.items.__getitem__, picked_idx))
 
 
 def _coverage(counts: np.ndarray) -> np.ndarray:
@@ -270,75 +308,72 @@ def _add_accuracy(split: SplitDataset, arec, gains: np.ndarray, codes: np.ndarra
         gains[r] += weights[r] * arec.score_vector(split.users[k])
 
 
-def _user_codes(split: SplitDataset, users) -> np.ndarray:
-    index = split.user_index
-    return np.fromiter((index[u] for u in users), dtype=np.intp, count=len(users))
+def _thetas(split: SplitDataset, theta: PreferenceVector, codes: np.ndarray) -> np.ndarray:
+    """Theta of each of the users ``codes``, as float64."""
+    users = split.users
+    return np.array([theta.theta[users[k]] for k in codes.tolist()], dtype=np.float64)
 
 
-def _sequential_greedy(split: SplitDataset, users, theta: PreferenceVector, arec,
-                       n: int, protocol: str):
+def _sequential_greedy(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec,
+                       n: int, protocol: str, picks: np.ndarray, store=None) -> None:
     """Locally greedy pass with dynamic coverage, one user after another.
 
-    Yields (user, picked indices, live coverage vector after counting the
-    list). Each user's gains theta*c + (1-theta)*a go through one reused
-    buffer, non-candidates set to -inf from the CSR index. The sums are
-    those of (1-theta)*a + theta*c, as addition commutes, and where a is 0
-    adding nothing leaves theta*c, which compares equal to 0.0 + theta*c.
-    Only the n counted entries of the coverage vector are recomputed,
-    through one index array; elementwise sqrt and divide give the same bits
-    on a subset as on the whole vector.
+    User ``codes[k]`` with theta ``thetas[k]`` writes its picked item indices
+    to ``picks[k]``; the live coverage vector after counting the list is then
+    added to ``store``, if given. Each user's gains theta*c + (1-theta)*a go
+    through one reused buffer, non-candidates set to -inf from the CSR. The
+    sums are those of (1-theta)*a + theta*c, as addition commutes, and where
+    a is 0 adding nothing leaves theta*c, which compares equal to
+    0.0 + theta*c. Only the n counted entries of the coverage vector are
+    recomputed, through one index array; elementwise sqrt and divide give
+    the same bits on a subset as on the whole vector.
     """
-    _check_feasible(split, users, n, protocol)
+    _check_feasible(split, codes, n, protocol)
     m = len(split.items)
     counts = np.zeros(m, dtype=np.int64)
     cov = _coverage(counts)
     gains = np.empty((1, m))
-    codes = _user_codes(split, users)
-    weights = 1.0 - np.array([theta.theta[u] for u in users], dtype=np.float64)
-    rated = _rated(split, protocol)
-    for k, u in enumerate(users):
-        np.multiply(theta.theta[u], cov, out=gains[0])
+    weights = 1.0 - thetas
+    indptr, rated = _rated(split, protocol)
+    bounds = indptr.tolist()
+    for k, c in enumerate(codes.tolist()):
+        np.multiply(thetas[k], cov, out=gains[0])
         _add_accuracy(split, arec, gains, codes[k:k + 1], weights[k:k + 1])
-        _exclude(gains[0], rated(u), protocol)
-        picked = _top_n(gains[0], n)
-        idx = np.array(picked, dtype=np.int64)
+        _exclude(gains[0], rated[bounds[c]:bounds[c + 1]], protocol)
+        picks[k] = _top_n(gains[0], n)
+        idx = picks[k]
         counts[idx] += 1
         cov[idx] = _coverage(counts[idx])
-        yield u, picked, cov
+        if store is not None:
+            store.add(thetas[k], cov)
 
 
-def _greedy_blocks(split: SplitDataset, users, thetas: np.ndarray, arec, n: int,
-                   protocol: str, cov: np.ndarray, rows: np.ndarray, lists: dict) -> None:
+def _greedy_blocks(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec, n: int,
+                   protocol: str, cov: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> None:
     """Greedy top-n of independent users, BLOCK users at a time.
 
-    User k is scored against coverage row ``cov[rows[k]]`` with theta
-    ``thetas[k]``; its list is added to ``lists`` in ``users`` order. The
-    gains theta*c + (1-theta)*a are elementwise, so each row picks what the
+    User ``codes[k]`` is scored against coverage row ``cov[rows[k]]`` with
+    theta ``thetas[k]`` and writes its picks to ``picks[k]``. The gains
+    theta*c + (1-theta)*a are elementwise, so each row picks what the
     per-user pass of :func:`_sequential_greedy` would, and n rounds of a
     row-wise argmax (the first maximum wins) pick what the per-user steps
     pick.
     """
-    _check_feasible(split, users, n, protocol)
-    rated = _rated(split, protocol)
-    codes = _user_codes(split, users)
+    _check_feasible(split, codes, n, protocol)
+    csr = _rated(split, protocol)
     weights = 1.0 - thetas
-    gains_buf = np.empty((min(BLOCK, len(users)), len(split.items)))
-    for b in range(0, len(users), BLOCK):
-        block = users[b:b + BLOCK]
-        gains = gains_buf[:len(block)]
+    gains_buf = np.empty((min(BLOCK, len(codes)), len(split.items)))
+    for b in range(0, len(codes), BLOCK):
+        block = codes[b:b + BLOCK]
+        gains, out = gains_buf[:len(block)], picks[b:b + BLOCK]
         np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
         np.multiply(thetas[b:b + BLOCK, None], gains, out=gains)
-        _add_accuracy(split, arec, gains, codes[b:b + BLOCK], weights[b:b + BLOCK])
-        spans = [rated(u) for u in block]
-        at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
-        _exclude(gains, at, protocol)
-        picks = np.empty((len(block), n), dtype=np.intp)
+        _add_accuracy(split, arec, gains, block, weights[b:b + BLOCK])
+        _exclude(gains, _spans(csr, block), protocol)
         every = np.arange(len(block))
         for j in range(n):
-            gains.argmax(axis=1, out=picks[:, j])
-            gains[every, picks[:, j]] = -np.inf
-        for u, picked in zip(block, picks.tolist()):
-            lists[u] = _ids(split, picked)
+            gains.argmax(axis=1, out=out[:, j])
+            gains[every, out[:, j]] = -np.inf
 
 
 def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
@@ -350,14 +385,16 @@ def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
     top-n greedily against the live frequency state, then counts the
     assignment into the state.
     """
-    users = eligible_users(split, n, protocol)
+    codes = _eligible_codes(split, n, protocol)
+    thetas = _thetas(split, theta, codes)
     if user_order == "increasing_theta":
-        users = sorted(users, key=lambda u: (theta.theta[u], u))
+        order = np.argsort(thetas, kind="stable")  # codes ascend, so ties go by id
+        codes, thetas = codes[order], thetas[order]
     elif user_order != "arbitrary":
         raise ValueError(f"unknown user_order {user_order!r}")
-    lists = {u: _ids(split, picked)
-             for u, picked, _ in _sequential_greedy(split, users, theta, arec, n, protocol)}
-    return TopNCollection(n, lists)
+    picks = np.empty((len(codes), n), dtype=np.intp)
+    _sequential_greedy(split, codes, thetas, arec, n, protocol, picks)
+    return TopNCollection.from_codes(n, split, codes, picks)
 
 
 def kde_sample(theta: PreferenceVector, s: int, seed: int, users=None) -> list:
@@ -370,12 +407,20 @@ def kde_sample(theta: PreferenceVector, s: int, seed: int, users=None) -> list:
     """
     pool = sorted(theta.theta if users is None else users,
                   key=lambda u: (theta.theta[u], u))
-    n = len(pool)
+    return [pool[k] for k in _kde_rows(np.array([theta.theta[u] for u in pool]), s, seed)]
+
+
+def _kde_rows(th: np.ndarray, s: int, seed: int) -> np.ndarray:
+    """Positions into ``th`` of :func:`kde_sample`'s sample of the pool whose
+    thetas ``th`` are, in its order: rising theta, ties by position, so a
+    pool listed in id order breaks ties by id."""
+    n = len(th)
     if not 0 < s <= n:
         raise ValueError(f"sample size must be in [1, {n}], got {s}")
+    order = np.argsort(th, kind="stable")  # -0.0 == 0.0, so equal thetas keep id order
     if s == n:
-        return pool
-    th = np.array([theta.theta[u] for u in pool])
+        return order
+    th = th[order]
     sd = float(np.std(th, ddof=1)) if n > 1 else 0.0
     h = max(1.06 * sd * n ** (-0.2), 1e-3)
     rng = np.random.default_rng(seed)
@@ -388,7 +433,7 @@ def kde_sample(theta: PreferenceVector, s: int, seed: int, users=None) -> list:
         k = int(np.abs(gaps, out=gaps).argmin())
         free[k] = np.inf
         taken[k] = True
-    return [pool[k] for k in np.flatnonzero(taken)]
+    return order[taken]
 
 
 @dataclass(frozen=True)
@@ -424,36 +469,38 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     ignored: phase two runs in the calling thread, and the output never
     depended on it.
     """
-    users = eligible_users(split, n, protocol)
-    sample = kde_sample(theta, s, seed, users=users)
-    in_sample = set(sample)
+    users = _eligible_codes(split, n, protocol)  # ascending, so in id order
+    thetas = _thetas(split, theta, users)
+    drawn = _kde_rows(thetas, s, seed)
+    sample = users[drawn]
+    picks = np.empty((len(users), n), dtype=np.intp)  # sample rows, then the rest
 
     t0 = time.perf_counter()
     keep = len(sample) < len(users)
     store = SnapshotStore(len(sample) if keep else 0, (len(split.items),))
-    lists = {}
-    for u, picked, cov in _sequential_greedy(split, sample, theta, arec, n, protocol):
-        if keep:
-            store.add(theta.theta[u], cov)
-        lists[u] = _ids(split, picked)
+    _sequential_greedy(split, sample, thetas[drawn], arec, n, protocol, picks[:len(sample)],
+                       store if keep else None)
     t1 = time.perf_counter()
 
-    rest = [u for u in users if u not in in_sample]
+    left = np.ones(len(users), dtype=bool)
+    left[drawn] = False
+    rest, thetas = users[left], thetas[left]
     if phase4_order is not None:
-        if sorted(phase4_order) != sorted(rest):
+        if sorted(phase4_order) != [split.users[k] for k in rest.tolist()]:
             raise ValueError("phase4_order must permute the non-sampled users")
-        rest = list(phase4_order)
+        rest = np.array([split.user_index[u] for u in phase4_order], dtype=np.intp)
+        thetas = _thetas(split, theta, rest)
 
-    thetas = np.array([theta.theta[u] for u in rest], dtype=np.float64)
     rows = store.nearest_rows(thetas)
-    _greedy_blocks(split, rest, thetas, arec, n, protocol, store.rows, rows, lists)
+    _greedy_blocks(split, rest, thetas, arec, n, protocol, store.rows, rows,
+                   picks[len(sample):])
     t2 = time.perf_counter()
 
     return OslgRun(
-        TopNCollection(n, lists),
-        tuple(sample),
+        TopNCollection.from_codes(n, split, np.concatenate([sample, rest]), picks),
+        tuple(map(split.users.__getitem__, sample.tolist())),
         {"sequential": t1 - t0, "parallel": t2 - t1},  # key names kept for readers of run.json
-        snapshots_used=len(np.unique(rows)),
+        snapshots_used=int(np.count_nonzero(np.bincount(rows, minlength=len(store)))),
         snapshot_bytes=store.rows.nbytes,
     )
 
@@ -461,13 +508,12 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
 def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
                        n: int, protocol: str = "all_unrated") -> TopNCollection:
     """Per-user greedy with a static coverage scorer; users are independent."""
-    users = eligible_users(split, n, protocol)
-    thetas = np.array([theta.theta[u] for u in users], dtype=np.float64)
+    users = _eligible_codes(split, n, protocol)
     cov = np.asarray(crec.score_vector(), dtype=np.float64)[None, :]
-    lists = {}
-    _greedy_blocks(split, users, thetas, arec, n, protocol, cov,
-                   np.zeros(len(users), dtype=np.intp), lists)
-    return TopNCollection(n, lists)
+    picks = np.empty((len(users), n), dtype=np.intp)
+    _greedy_blocks(split, users, _thetas(split, theta, users), arec, n, protocol, cov,
+                   np.zeros(len(users), dtype=np.intp), picks)
+    return TopNCollection.from_codes(n, split, users, picks)
 
 
 def collection_value(split: SplitDataset, theta: PreferenceVector, arec,

@@ -203,7 +203,7 @@ class SplitDataset:
     items: tuple
     train_columns: RatingColumns
     test_columns: RatingColumns
-    # relevant_csr and relevant_by_user results, per threshold
+    # relevant_csr and relevant_keys results, per threshold
     _relevant: dict = field(default_factory=dict, init=False, repr=False)
     # popularity_weights results, per beta
     _weights: dict = field(default_factory=dict, init=False, repr=False)
@@ -249,12 +249,15 @@ class SplitDataset:
         return {u: k for k, u in enumerate(self.users)}
 
     @cached_property
-    def _train_by_user(self) -> tuple:
+    def train_csr(self) -> tuple:
+        """(indptr, item indices): user k's train items are
+        ``indices[indptr[k]:indptr[k + 1]]``, in file order."""
         t = self.train_columns
         return _csr(t.user_codes, t.item_codes, len(self.users))
 
     @cached_property
-    def _test_by_user(self) -> tuple:
+    def test_csr(self) -> tuple:
+        """(indptr, item indices) of the test items, as :attr:`train_csr`."""
         t = self.test_columns
         return _csr(t.user_codes, t.item_codes, len(self.users))
 
@@ -266,22 +269,22 @@ class SplitDataset:
     @cached_property
     def user_train_counts(self) -> np.ndarray:
         """Train ratings per user, aligned with ``users``."""
-        return np.diff(self._train_by_user[0])
+        return np.diff(self.train_csr[0])
 
     @cached_property
     def user_test_counts(self) -> np.ndarray:
         """Test ratings per user, aligned with ``users``."""
-        return np.diff(self._test_by_user[0])
+        return np.diff(self.test_csr[0])
 
     def train_item_indices(self, user) -> np.ndarray:
         """Indices into ``items`` of the user's train items, in file order."""
-        indptr, codes = self._train_by_user
+        indptr, codes = self.train_csr
         k = self.user_index[user]
         return codes[indptr[k]:indptr[k + 1]]
 
     def test_item_indices(self, user) -> np.ndarray:
         """Indices into ``items`` of the user's test items, in file order."""
-        indptr, codes = self._test_by_user
+        indptr, codes = self.test_csr
         k = self.user_index[user]
         return codes[indptr[k]:indptr[k + 1]]
 
@@ -308,15 +311,18 @@ class SplitDataset:
                                              len(self.users))
         return csr
 
-    def relevant_by_user(self, threshold: float = 4.0) -> dict:
-        """Per user, the test items rated at or above ``threshold``; built once
-        per threshold."""
-        key = "sets", threshold
-        relevant = self._relevant.get(key)
-        if relevant is None:
-            relevant = self._relevant[key] = _sets(
-                self.users, *self.relevant_csr(threshold), self.items)
-        return relevant
+    def relevant_keys(self, threshold: float = 4.0) -> np.ndarray:
+        """Sorted ``user * len(items) + item`` keys of :meth:`relevant_csr`,
+        then an int64-max sentinel, so any ``searchsorted`` position can be
+        read; built once per threshold."""
+        key = "keys", threshold
+        keys = self._relevant.get(key)
+        if keys is None:
+            indptr, items = self.relevant_csr(threshold)
+            users = np.repeat(np.arange(len(self.users), dtype=np.int64), np.diff(indptr))
+            keys = self._relevant[key] = np.sort(np.append(
+                users * len(self.items) + items, np.iinfo(np.int64).max))
+        return keys
 
     def popularity_weights(self, beta: float) -> np.ndarray:
         """``max(train popularity, 1) ** -beta`` per item, aligned with
@@ -340,12 +346,12 @@ class SplitDataset:
     @cached_property
     def per_user_train_index(self) -> dict:
         """user -> frozenset of the user's train items."""
-        return _sets(self.users, *self._train_by_user, self.items)
+        return _sets(self.users, *self.train_csr, self.items)
 
     @cached_property
     def per_user_test_index(self) -> dict:
         """user -> frozenset of the user's test items (empty for users without any)."""
-        return _sets(self.users, *self._test_by_user, self.items)
+        return _sets(self.users, *self.test_csr, self.items)
 
     @cached_property
     def per_item_train_index(self) -> dict:
@@ -673,10 +679,11 @@ def min_max_normalize(x) -> np.ndarray:
 
 def relevant_test_items(split: SplitDataset, user, threshold: float = 4.0) -> frozenset:
     """Test items the user rated at or above ``threshold``."""
-    relevant = split.relevant_by_user(threshold).get(user)
-    if relevant is None:
+    k = split.user_index.get(user)
+    if k is None:
         raise UnknownIdError(f"unknown user {user!r}")
-    return relevant
+    indptr, items = split.relevant_csr(threshold)
+    return frozenset(map(split.items.__getitem__, items[indptr[k]:indptr[k + 1]].tolist()))
 
 
 def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:

@@ -4,6 +4,8 @@ Rank accuracy (precision, recall, F-measure against highly rated test
 items), long-tail promotion (long-tail share of recommended slots,
 popularity-discounted stratified recall), and catalog coverage (distinct
 item share and the Gini coefficient of recommendation frequencies).
+All of them read a collection as item codes over the split's tables (see
+``_encode`` and ``_hits``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PROTOCOLS, TopNCollection
-from .dataset import ItemStats, SplitDataset, relevant_test_items
+from .dataset import ItemStats, SplitDataset
 from .errors import ContractViolationError, UndefinedMetricError, UnknownIdError
 from .io_utils import read_json, write_json, write_table
 
@@ -56,10 +58,39 @@ class EvalReport:
         return EvalReport.from_dict(read_json(Path(directory) / "report.json"))
 
 
-def _relevant_retrieved(coll: TopNCollection, split: SplitDataset, threshold: float) -> list:
-    """(relevant test items, those in the list) per user of ``coll``, in its order."""
-    relevant = [relevant_test_items(split, u, threshold) for u in coll.lists]
-    return [(rel, rel & set(items)) for rel, items in zip(relevant, coll.lists.values())]
+def _encode(coll: TopNCollection, split: SplitDataset) -> tuple:
+    """(user codes, (users, n) item code matrix) of ``coll``, rows in list
+    order. A dict collection is encoded through the split's id tables; an id
+    the split lacks raises UnknownIdError."""
+    coded = coll.codes(split)
+    if coded is not None:
+        return coded
+    lists = coll.lists
+    users = _positions(split.user_index, lists, "user")
+    short = next((u for u, items in lists.items() if len(items) != coll.n), None)
+    if short is not None:
+        raise ContractViolationError(f"user {short!r}: list is not {coll.n} items")
+    items = _positions(split.item_index, (i for v in lists.values() for i in v), "item")
+    return users, items.reshape(len(users), coll.n)
+
+
+def _positions(index: dict, ids, what: str) -> np.ndarray:
+    try:
+        return np.array([index[x] for x in ids], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownIdError(f"unknown {what} {exc.args[0]!r}") from None
+
+
+def _hits(split: SplitDataset, threshold: float, users: np.ndarray,
+          items: np.ndarray) -> tuple:
+    """(per slot, is its item relevant to its row's user; hits per row;
+    relevant items per row): one ``searchsorted`` of the slots'
+    ``user * |I| + item`` keys in :meth:`SplitDataset.relevant_keys`."""
+    keys = split.relevant_keys(threshold)
+    slot_keys = users[:, None] * len(split.items) + items
+    hit = keys[np.searchsorted(keys, slot_keys)] == slot_keys
+    indptr = split.relevant_csr(threshold)[0]
+    return hit, np.count_nonzero(hit, axis=1), indptr[users + 1] - indptr[users]
 
 
 def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
@@ -69,19 +100,17 @@ def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
     Users without any relevant test item contribute zero recall and stay in
     the denominator.
     """
-    return _precision_recall(_relevant_retrieved(coll, split, threshold), coll.n)
+    _, hits, relevant = _hits(split, threshold, *_encode(coll, split))
+    return _precision_recall(hits, relevant, coll.n)
 
 
-def _precision_recall(sets: list, n: int):
-    hit_share = 0.0
+def _precision_recall(hits: np.ndarray, relevant: np.ndarray, n: int):
+    """From per-user hit and relevant counts; recall sums in list order."""
     recall_sum = 0.0
-    for rel, retrieved in sets:
-        hits = len(retrieved)
-        hit_share += hits
-        if rel:
-            recall_sum += hits / len(rel)
-    precision = hit_share / (n * len(sets))
-    recall = recall_sum / len(sets)
+    for share in (hits[relevant > 0] / relevant[relevant > 0]).tolist():
+        recall_sum += share
+    precision = int(hits.sum()) / (n * len(hits))
+    recall = recall_sum / len(hits)
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
 
@@ -93,7 +122,8 @@ def lt_accuracy_at_n(coll: TopNCollection, stats: ItemStats) -> float:
     return total / (coll.n * len(coll.lists))
 
 
-def _check_beta_threshold(beta: float, threshold: float) -> None:
+def check_beta_threshold(beta: float, threshold: float) -> None:
+    """Raise ValueError unless beta is finite and >= 0 and threshold finite."""
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     if not math.isfinite(threshold):
@@ -107,14 +137,15 @@ def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
     Items with zero train popularity (possible only for hand-built inputs)
     weigh as popularity one.
     """
-    _check_beta_threshold(beta, threshold)
-    return _strat_recall(_relevant_retrieved(coll, split, threshold), coll.lists, split,
-                         beta, threshold)
+    check_beta_threshold(beta, threshold)
+    users, items = _encode(coll, split)
+    hit = _hits(split, threshold, users, items)[0]
+    return _strat_recall(split, beta, threshold, users, items[hit])
 
 
-def _strat_recall(sets: list, users, split: SplitDataset, beta: float,
-                  threshold: float) -> float:
-    """Strat recall of ``users`` given their (relevant, retrieved) ``sets``.
+def _strat_recall(split: SplitDataset, beta: float, threshold: float, users: np.ndarray,
+                  hit_items: np.ndarray) -> float:
+    """Strat recall of the users ``users`` (codes) given their hit item codes.
 
     The weights come from the split's table for ``beta``; the denominator
     gathers them over the users' relevant items in CSR order. fsum is
@@ -122,25 +153,20 @@ def _strat_recall(sets: list, users, split: SplitDataset, beta: float,
     """
     weights = split.popularity_weights(beta)
     indptr, relevant = split.relevant_csr(threshold)
-    codes = [split.user_index[u] for u in users]
-    if len(codes) < len(split.users):  # only the given users' items count
+    if len(users) < len(split.users):  # only the given users' items count
         keep = np.zeros(len(split.users), dtype=bool)
-        keep[codes] = True
+        keep[users] = True
         relevant = relevant[np.repeat(keep, np.diff(indptr))]
     den = math.fsum(weights[relevant].tolist())
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
-    idx = split.item_index
-    hits = [idx[i] for _, retrieved in sets for i in retrieved]
-    return math.fsum(weights[hits].tolist()) / den
+    return math.fsum(weights[hit_items].tolist()) / den
 
 
 def coverage_at_n(coll: TopNCollection, split: SplitDataset) -> float:
     """Distinct recommended items over the recommendable (train) universe."""
-    distinct = set()
-    for items in coll.lists.values():
-        distinct.update(items)
-    return len(distinct) / len(split.items)
+    items, m = _encode(coll, split)[1], len(split.items)
+    return int(np.count_nonzero(np.bincount(items.ravel(), minlength=m))) / m
 
 
 def gini(frequencies) -> float:
@@ -169,41 +195,37 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    _check_beta_threshold(beta, threshold)
+    check_beta_threshold(beta, threshold)
     if declared_protocol is not None and declared_protocol != protocol:
         raise ContractViolationError(
             f"collection was generated under {declared_protocol!r}, "
             f"evaluation requested {protocol!r}")
     n = coll.n if n is None else n
     work = coll.truncated(n)
+    users, items = _encode(work, split)
     if protocol == "rated_test_items":
-        for u in work.lists:
-            if u not in split.user_index:
-                raise UnknownIdError(f"unknown user {u!r}")
-        uidx, test_counts = split.user_index, split.user_test_counts
-        work = TopNCollection(n, {
-            u: items for u, items in work.lists.items() if test_counts[uidx[u]] >= n
-        })
-    if not work.lists:
+        keep = split.user_test_counts[users] >= n
+        users, items = users[keep], items[keep]
+    if not len(users):
         raise UndefinedMetricError("no users to evaluate")
-    sets = _relevant_retrieved(work, split, threshold)
-    precision, recall, f_measure = _precision_recall(sets, n)
-    idx = split.item_index
-    freq = np.bincount([idx[i] for items in work.lists.values() for i in items],
-                       minlength=len(split.items))
+    hit, hits, relevant = _hits(split, threshold, users, items)
+    precision, recall, f_measure = _precision_recall(hits, relevant, n)
+    freq = np.bincount(items.ravel(), minlength=len(split.items))
     breakdown = None
     if per_user:
-        breakdown = {u: (len(hit) / n, len(hit) / len(rel) if rel else 0.0)
-                     for u, (rel, hit) in zip(work.lists, sets)}
+        breakdown = {split.users[k]: (h / n, h / r if r else 0.0)
+                     for k, h, r in zip(users.tolist(), hits.tolist(), relevant.tolist())}
+    long_tail = np.fromiter((i in stats.long_tail for i in split.items), dtype=bool,
+                            count=len(split.items))
     return EvalReport(
         n=n,
         protocol=protocol,
         precision=precision,
         recall=recall,
         f_measure=f_measure,
-        lt_accuracy=lt_accuracy_at_n(work, stats),
-        strat_recall=_strat_recall(sets, work.lists, split, beta, threshold),
-        coverage=coverage_at_n(work, split),
+        lt_accuracy=int(np.count_nonzero(long_tail[items])) / (n * len(users)),
+        strat_recall=_strat_recall(split, beta, threshold, users, items[hit]),
+        coverage=int(np.count_nonzero(freq)) / len(split.items),
         gini=gini(freq),
         per_user=breakdown,
     )

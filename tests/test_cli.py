@@ -522,6 +522,46 @@ class TestRejectedValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestSweepFailsFast:
+    """Bad sweep values exit 1 with one error line before any OSLG run."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--beta", "-1"], "error: beta must be finite and >= 0, got -1.0"),
+        (["--threshold", "nan"], "error: threshold must be finite, got nan"),
+        (["--s-values", "1e3"], "error: --s-values must be comma-separated sample sizes "
+                                ">= 1, got '1e3'"),
+        (["--s-values", "10,abc"], "error: --s-values must be comma-separated sample sizes "
+                                   ">= 1, got '10,abc'"),
+        (["--s-values", "10,0"], "error: --s-values must be comma-separated sample sizes "
+                                 ">= 1, got '10,0'"),
+    ], ids=["beta-1", "threshold-nan", "s-values-1e3", "s-values-abc", "s-values-0"])
+    def test_exit_1_before_the_first_run(self, split_dir, prefs_dir, tmp_path, capsys,
+                                         extra, message):
+        capsys.readouterr()
+        argv = ["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                "--out", str(tmp_path / "out"), *extra]
+        with mock.patch("ganc.core.oslg", side_effect=AssertionError("an OSLG run was made")):
+            assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestPopSizeNamesItsFlag:
+    @pytest.mark.parametrize("extra, flag, value", [
+        (["--pop-n", "0"], "--pop-n", 0),
+        (["--n", "2000"], "--n", 2000),
+    ], ids=["pop-n", "n"])
+    @pytest.mark.parametrize("command", ["recommend", "sweep"])
+    def test_error_names_the_flag_the_size_came_from(self, split_dir, prefs_dir, tmp_path,
+                                                     capsys, extra, flag, value, command):
+        items = len(load_split(split_dir)[0].items)
+        assert items < 2000
+        capsys.readouterr()
+        assert main([command, "--split", str(split_dir), "--prefs", str(prefs_dir),
+                     "--arec", "pop", "--out", str(tmp_path / "out"), *extra]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be in [1, {items}], got {value}\n"
+
+
 def _truncate_last_line(path):
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1][:lines[-1].index(",") + 2]  # "user,i": two fields

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ganc import core, dataset
+from ganc import cli, core, dataset
 
 from ganc.core import (
     BLOCK,
@@ -54,10 +54,11 @@ from ganc.dataset import (
     save_split,
     split_per_user,
 )
-from ganc.errors import EmptyDatasetError, InfeasibleError, ParseError, UndefinedMetricError
+from ganc.errors import (EmptyDatasetError, InfeasibleError, ParseError,
+                         UndefinedMetricError, UnknownIdError)
 from ganc.io_utils import canonical_ids, id_int
 from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n, strat_recall_at_n
-from ganc.preference import PreferenceVector, theta_generalized
+from ganc.preference import PreferenceVector, load_prefs, theta_generalized
 from ganc.recommenders import MatrixScorer, pop_scorer, rand_coverage, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, assert_same_split, build_split
@@ -209,33 +210,39 @@ def _strat_recall_dict_reference(sets, split, beta):
     return num / den
 
 
-def _sequential_greedy_dense(split, users, theta, arec, n, protocol):
-    core._check_feasible(split, users, n, protocol)
+def _rated_reference(split, protocol):
+    return split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
+
+
+def _sequential_greedy_dense(split, codes, thetas, arec, n, protocol, picks, store=None):
+    core._check_feasible(split, codes, n, protocol)
     m = len(split.items)
     counts = np.zeros(m, dtype=np.int64)
     cov = core._coverage(counts)
     acc, gains = np.empty(m), np.empty(m)
-    rated = core._rated(split, protocol)
-    for u in users:
-        th = theta.theta[u]
+    rated = _rated_reference(split, protocol)
+    for k, c in enumerate(codes.tolist()):
+        u, th = split.users[c], thetas[k]
         np.multiply(1.0 - th, arec.score_vector(u), out=acc)
         np.multiply(th, cov, out=gains)
         np.add(acc, gains, out=gains)
         core._exclude(gains, rated(u), protocol)
         picked = core._top_n(gains, n)
+        picks[k] = picked
         idx = np.array(picked, dtype=np.int64)
         counts[idx] += 1
         cov[idx] = core._coverage(counts[idx])
-        yield u, picked, cov
+        if store is not None:
+            store.add(th, cov)
 
 
-def _greedy_blocks_dense(split, users, thetas, arec, n, protocol, cov, rows, lists):
-    core._check_feasible(split, users, n, protocol)
-    rated = core._rated(split, protocol)
+def _greedy_blocks_dense(split, codes, thetas, arec, n, protocol, cov, rows, picks):
+    core._check_feasible(split, codes, n, protocol)
+    rated = _rated_reference(split, protocol)
     m = len(split.items)
     acc_buf, gains_buf = np.empty((BLOCK, m)), np.empty((BLOCK, m))
-    for b in range(0, len(users), BLOCK):
-        block = users[b:b + BLOCK]
+    for b in range(0, len(codes), BLOCK):
+        block = [split.users[c] for c in codes[b:b + BLOCK].tolist()]
         acc, gains = acc_buf[:len(block)], gains_buf[:len(block)]
         for r, u in enumerate(block):
             acc[r] = arec.score_vector(u)
@@ -247,13 +254,11 @@ def _greedy_blocks_dense(split, users, thetas, arec, n, protocol, cov, rows, lis
         spans = [rated(u) for u in block]
         at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
         core._exclude(gains, at, protocol)
-        picks = np.empty((len(block), n), dtype=np.intp)
         every = np.arange(len(block))
         for j in range(n):
-            gains.argmax(axis=1, out=picks[:, j])
-            gains[every, picks[:, j]] = -np.inf
-        for u, picked in zip(block, picks.tolist()):
-            lists[u] = core._ids(split, picked)
+            picked = gains.argmax(axis=1)
+            picks[b + every, j] = picked
+            gains[every, picked] = -np.inf
 
 
 def _dense(run, *args, **kwargs):
@@ -658,6 +663,83 @@ class TestStratRecallTables:
                 assert got[0] is UndefinedMetricError
 
 
+class TestCodedEvaluateMatchesReference:
+    """evaluate reads a collection as item codes and counts hits against the
+    split's sorted relevant keys; a coded collection and the same lists as a
+    dict of ids must both give the set-based reference's report, bit for
+    bit."""
+
+    @EXACT
+    @given(inst=instances(), protocol=st.sampled_from(PROTOCOLS), keep=st.floats(0.0, 1.0),
+           cut=st.integers(0, 2), beta=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
+           threshold=st.sampled_from([1.0, 4.0, 5.0]) | st.floats(-1.0, 7.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, inst, protocol, keep, cut, beta, threshold, seed):
+        split, n = inst[:2]
+        rng = np.random.default_rng(seed)
+        users = [u for u in split.users if rng.random() < keep]
+        assume(users)
+        rng.shuffle(users)  # list order is not code order
+        picks = np.array([rng.choice(split.candidate_indices(u), n, replace=False)
+                          for u in users])
+        lists = {u: _ids(split, row) for u, row in zip(users, picks.tolist())}
+        coded = TopNCollection.from_codes(
+            n, split, np.array([split.user_index[u] for u in users]), picks)
+        assert list(coded.lists.items()) == list(lists.items())
+        n_eval, stats = max(1, n - cut), compute_item_stats(split)  # n below coll.n too
+        kept = [u for u in users if len(split.per_user_test_index[u]) >= n_eval]
+        for coll in (coded, TopNCollection(n, lists)):
+            args = (coll, split, stats, protocol, n_eval, beta, threshold)
+            if protocol == "rated_test_items" and not kept:
+                with pytest.raises(UndefinedMetricError, match="^no users to evaluate$"):
+                    evaluate(*args)
+                continue
+            want = _outcome(_evaluate_reference, *args)
+            got = _outcome(evaluate, *args, None, True)
+            if isinstance(want[0], type):  # no relevant item among the evaluated users
+                assert got == want
+                continue
+            report, breakdown = want
+            assert repr(got.to_dict()) == repr(report.to_dict())
+            assert repr(got.per_user) == repr(breakdown)
+
+        stranger = TopNCollection(n, {**lists, 999: lists[users[0]]})
+        with pytest.raises(UnknownIdError, match="^unknown user 999$"):
+            evaluate(stranger, split, stats, protocol, n_eval, beta, threshold)
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_rows_equal_a_reference_loop(self, synth_split, tmp_path, protocol):
+        save_split(synth_split, tmp_path / "split")
+        assert cli.main(["prefs", "--split", str(tmp_path / "split"),
+                         "--out", str(tmp_path / "prefs")]) == 0
+        split = load_split(tmp_path / "split")[0]
+        theta = load_prefs(tmp_path / "prefs", split)[0]
+        stats = compute_item_stats(split)
+        arec = pop_scorer(split, stats, 5)
+        eligible = _eligible_count(split, 5, protocol)
+        s_values, reps, run_seed = (1, 30, eligible + 5), 2, 3
+        metrics = ("f_measure", "coverage", "gini", "lt_accuracy")
+        want = [["s", *metrics]]
+        for s in s_values:
+            reports = []
+            for rep in range(reps):
+                _, lists = _oslg_reference(split, theta, arec, 5, min(s, eligible),
+                                           run_seed + rep, protocol)
+                reports.append(_evaluate_reference(TopNCollection(5, lists), split, stats,
+                                                   protocol, 5, 0.5, 4.0)[0])
+            want.append([str(s), *(repr(float(np.mean([getattr(r, k) for r in reports])))
+                                   for k in metrics)])
+        assert cli.main(["sweep", "--split", str(tmp_path / "split"),
+                         "--prefs", str(tmp_path / "prefs"), "--arec", "pop", "--n", "5",
+                         "--s-values", ",".join(map(str, s_values)), "--reps", str(reps),
+                         "--run-seed", str(run_seed), "--protocol", protocol,
+                         "--out", str(tmp_path / "sweep")]) == 0
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == want
+
+
 # ---------------------------------------------------------------- tie rules
 
 class TestSnapshotTieRules:
@@ -772,6 +854,34 @@ class TestKdeSampleTieRules:
         for seed in range(5):
             assert kde_sample(theta, 7, seed, users=pool) == _kde_sample_oracle(
                 theta, 7, seed, pool)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), values=st.lists(st.sampled_from((0.0, -0.0, 0.5)) | st.floats(0.0, 1.0),
+                                           min_size=1, max_size=25),
+           s_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_signed_zeros_and_string_ids_tie_by_id(self, data, values, s_share, seed):
+        # OSLG samples over a theta array of the pool in id order; 0.0 and
+        # -0.0 compare equal, so they tie and go by id, as in the oracle
+        ids = data.draw(st.permutations([f"u{k}" for k in range(len(values))]))
+        theta = PreferenceVector("random", dict(zip(ids, values)))
+        s = 1 + int(s_share * (len(values) - 1))
+        want = _kde_sample_oracle(theta, s, seed, ids)
+        pool = sorted(ids)
+        rows = core._kde_rows(np.array([theta.theta[u] for u in pool]), s, seed)
+        assert [pool[k] for k in rows.tolist()] == want
+        assert kde_sample(theta, s, seed) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oslg_sample_ties_by_id(self, seed):
+        # string user ids on a split; thetas 0.0 and -0.0 only
+        users = [f"u{k}" for k in range(12)]
+        train = [(u, f"i{k % 5}", 3) for k, u in enumerate(users)] + [("u0", "i5", 3)]
+        split = build_split(train)
+        theta = PreferenceVector("random", {u: (0.0, -0.0)[k % 2] for k, u in enumerate(users)})
+        arec = DictAccuracy({}, split)
+        for s in (1, 5, 12):
+            run = oslg(split, theta, arec, 2, s, seed)
+            assert run.sampled_users == tuple(_kde_sample_oracle(theta, s, seed, users))
 
     def test_whole_pool_matches_oracle(self):
         # s == len(pool) skips the draws; the oracle still makes them

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganc.core import _coverage, _sequential_greedy
+from ganc.core import SnapshotStore, _coverage, _sequential_greedy
 from ganc.dataset import Rating, compute_item_stats
 from ganc.errors import ParseError, TrainingDivergenceError, UnknownIdError
-from ganc.preference import theta_baseline
 from ganc.recommenders import (
     MFModel,
     load_external_scores,
@@ -406,10 +405,12 @@ class TestCoverageScorers:
         # the sequential pass keeps its live vector equal to that of the
         # lists counted so far
         arec = pop_scorer(synth_split, synth_stats, 5)
-        theta = theta_baseline(synth_split.users, "constant", c=0.5)
+        picks = np.empty((30, 5), dtype=np.intp)
+        store = SnapshotStore(30, (len(synth_split.items),))
+        _sequential_greedy(synth_split, np.arange(30), np.full(30, 0.5), arec, 5,
+                           "all_unrated", picks, store)
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
-        for _, picked, cov in _sequential_greedy(synth_split, synth_split.users[:30], theta,
-                                                 arec, 5, "all_unrated"):
+        for picked, cov in zip(picks, store.rows):
             counts[picked] += 1
             assert np.array_equal(cov, _coverage(counts))
         assert counts.max() > 1
