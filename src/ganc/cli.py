@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, dataset, metrics, preference, recommenders
+from . import core, dataset, forked, metrics, preference, recommenders
 from .errors import (
     EmptyDatasetError,
     GancError,
@@ -255,40 +255,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pv = _load_theta(args, split, split_sha256)
     arec = _build_arec(args, split, split_sha256, stats)
     eligible = len(core.eligible_users(split, args.n, args.protocol))
-    rows = []
-    # A sample of every eligible user is the whole pool in theta order,
-    # whatever the seed, so that run is made once and its report reused.
-    reports: dict = {}
+    # (sample size, seed) per s-value and rep; the sample cannot exceed the
+    # eligible user count. A sample of every eligible user is the whole pool
+    # in theta order, whatever the seed, so that run is made once and reused.
+    grid = [[(min(s, eligible), args.run_seed + (rep if s < eligible else 0))
+             for rep in range(args.reps)] for s in s_values]
+    keys = list(dict.fromkeys(key for row in grid for key in row))
+
+    def make(key):
+        run = core.oslg(split, pv, arec, args.n, *key, protocol=args.protocol)
+        return run.phase_seconds, metrics.evaluate(run.collection, split, stats,
+                                                   protocol=args.protocol,
+                                                   beta=args.beta, threshold=args.threshold)
+
+    # the split's lazy caches are filled once, before the runs share them
+    split.train_csr
+    split.relevant_keys(args.threshold)
+    split.relevant_weight_total(args.beta, args.threshold)
+    processes = min(forked.usable_cpus(), len(keys))
+    made = dict(zip(keys, forked.fork_map(make, keys, processes)))
     phase_seconds = {"sequential": 0.0, "parallel": 0.0}  # summed over the runs made
-    for s in s_values:
-        effective = min(s, eligible)  # sample cannot exceed the eligible user count
-        agg = {"f_measure": [], "coverage": [], "gini": [], "lt_accuracy": []}
-        for rep in range(args.reps):
-            seed = args.run_seed + rep
-            key = (effective,) if effective == eligible else (effective, seed)
-            if key not in reports:
-                run = core.oslg(split, pv, arec, args.n, effective, seed,
-                                protocol=args.protocol)
-                for phase, seconds in run.phase_seconds.items():
-                    phase_seconds[phase] += seconds
-                reports[key] = metrics.evaluate(run.collection, split, stats,
-                                                protocol=args.protocol,
-                                                beta=args.beta, threshold=args.threshold)
-            for name in agg:
-                agg[name].append(getattr(reports[key], name))
-        rows.append((s, *(float(np.mean(agg[k])) for k in
-                          ("f_measure", "coverage", "gini", "lt_accuracy"))))
+    for seconds, _ in made.values():
+        for phase, value in seconds.items():
+            phase_seconds[phase] += value
+    rows = [(s, *(float(np.mean([getattr(made[key][1], name) for key in row]))
+                  for name in ("f_measure", "coverage", "gini", "lt_accuracy")))
+            for s, row in zip(s_values, grid)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "sweep.csv", ("s", "f_measure", "coverage", "gini", "lt_accuracy"),
                 ((s, *map(repr, values)) for s, *values in rows))
     total = len(s_values) * args.reps
+    reused = total - len(keys)
     write_json(out / "sweep.json", {
         "arec": args.arec, "protocol": args.protocol, "n": args.n,
         "pop_n": arec.n if args.arec == "pop" else None,
         "s_values": s_values, "reps": args.reps, "run_seed": args.run_seed,
         "beta": args.beta, "threshold": args.threshold, "eligible": eligible,
-        "runs": {"made": len(reports), "reused": total - len(reports)},
+        "runs": {"made": len(keys), "reused": reused},
         "phase_seconds": phase_seconds,
         "split_sha256": split_sha256,
         "theta_sha256": sha256_file(Path(args.prefs) / "theta.csv"),
@@ -296,8 +300,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         print(f"s={row[0]} f_measure={row[1]:.4f} coverage={row[2]:.4f} "
               f"gini={row[3]:.4f} lt_accuracy={row[4]:.4f}")
-    print(f"oslg runs: {len(reports)} made, {total - len(reports)} reused, "
-          f"of {total} (eligible users: {eligible})")
+    print(f"oslg runs: {len(keys)} made, {reused} reused, of {total} "
+          f"(eligible users: {eligible}) in {processes} "
+          f"process{'es' if processes > 1 else ''}")
     return 0
 
 

@@ -207,6 +207,8 @@ class SplitDataset:
     _relevant: dict = field(default_factory=dict, init=False, repr=False)
     # popularity_weights results, per beta
     _weights: dict = field(default_factory=dict, init=False, repr=False)
+    # relevant_weight_total results, per (beta, threshold)
+    _weight_totals: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_ratings(train, test) -> "SplitDataset":
@@ -332,6 +334,18 @@ class SplitDataset:
             weights = self._weights[beta] = np.array(
                 [(c or 1) ** (-beta) for c in self.item_train_counts.tolist()], dtype=np.float64)
         return weights
+
+    def relevant_weight_total(self, beta: float, threshold: float = 4.0) -> float:
+        """Exactly rounded sum (``math.fsum``) of :meth:`popularity_weights`
+        over every item of :meth:`relevant_csr`: the strat-recall denominator
+        of an evaluation of all users; built once per (beta, threshold)."""
+        key = beta, threshold
+        total = self._weight_totals.get(key)
+        if total is None:
+            relevant = self.relevant_csr(threshold)[1]
+            total = self._weight_totals[key] = math.fsum(
+                self.popularity_weights(beta)[relevant].tolist())
+        return total
 
     # Views for callers that want Rating objects or id-keyed sets.
 

@@ -148,16 +148,18 @@ def _strat_recall(split: SplitDataset, beta: float, threshold: float, users: np.
     """Strat recall of the users ``users`` (codes) given their hit item codes.
 
     The weights come from the split's table for ``beta``; the denominator
-    gathers them over the users' relevant items in CSR order. fsum is
-    exactly rounded, so neither sum depends on the order of its terms.
+    gathers them over the users' relevant items in CSR order, or is the
+    split's cached total when every user is evaluated. fsum is exactly
+    rounded, so neither sum depends on the order of its terms.
     """
     weights = split.popularity_weights(beta)
-    indptr, relevant = split.relevant_csr(threshold)
     if len(users) < len(split.users):  # only the given users' items count
+        indptr, relevant = split.relevant_csr(threshold)
         keep = np.zeros(len(split.users), dtype=bool)
         keep[users] = True
-        relevant = relevant[np.repeat(keep, np.diff(indptr))]
-    den = math.fsum(weights[relevant].tolist())
+        den = math.fsum(weights[relevant[np.repeat(keep, np.diff(indptr))]].tolist())
+    else:
+        den = split.relevant_weight_total(beta, threshold)
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return math.fsum(weights[hit_items].tolist()) / den

@@ -1,5 +1,7 @@
 """Shared fixtures: hand-built splits, synthetic data, and plain test scorers."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ def assert_same_split(got, want):
     assert got.train == want.train and got.test == want.test
     for name in ("per_user_train_index", "per_user_test_index", "per_item_train_index"):
         assert getattr(got, name) == getattr(want, name)
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class DictAccuracy:

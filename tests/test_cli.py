@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ganc
@@ -20,13 +20,14 @@ import ganc.io_utils
 from ganc.cli import main
 from ganc.core import PROTOCOLS, eligible_users, oslg
 from ganc.dataset import compute_item_stats, load_split, save_split
+from ganc.errors import InfeasibleError
 from ganc.io_utils import read_json, sha256_file
 from ganc.metrics import evaluate
 from ganc.preference import load_prefs
 from ganc.recommenders import pop_scorer
 from ganc.synthetic import generate_ratings
 
-from conftest import build_split
+from conftest import assert_no_child_left, build_split
 
 
 @pytest.fixture(scope="module")
@@ -544,6 +545,125 @@ class TestSweepFailsFast:
             assert main(argv) == 1
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "out").exists()
+
+
+def _planted_oslg(failing):
+    """core.oslg that raises for each (s, seed) in ``failing``."""
+    def planted(split, theta, arec, n, s, seed, **kwargs):
+        if (s, seed) in failing:
+            raise InfeasibleError(f"planted failure at s={s} seed={seed}")
+        return oslg(split, theta, arec, n, s, seed, **kwargs)
+    return planted
+
+
+class TestSweepWorkerErrors:
+    """A run that fails inside a child or inside the parent's own share ends
+    the sweep as it would in one process: the first failing run in run order
+    names the one error line, no output is written and no child is left."""
+
+    # s-values 10,20 with 3 reps make the runs (10, 0..2) then (20, 0..2);
+    # with 2 processes the parent makes runs 0, 2, 4, with 3 it makes 0 and 3
+    @pytest.mark.parametrize("failing, first", [
+        ({(10, 1)}, (10, 1)),
+        ({(10, 0)}, (10, 0)),
+        ({(10, 1), (20, 1)}, (10, 1)),
+        ({(10, 0), (20, 0)}, (10, 0)),
+        ({(20, 2)}, (20, 2)),
+    ], ids=["child", "parent", "child-then-parent", "parent-then-child", "last-run"])
+    def test_same_error_as_one_process(self, split_dir, prefs_dir, tmp_path, capsys,
+                                       failing, first):
+        outcomes = []
+        for processes in (1, 2, 3):
+            out = tmp_path / f"sweep{processes}"
+            capsys.readouterr()
+            with mock.patch("ganc.forked.usable_cpus", return_value=processes), \
+                    mock.patch("ganc.core.oslg", _planted_oslg(failing)):
+                code = main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                             "--arec", "pop", "--n", "5", "--s-values", "10,20",
+                             "--reps", "3", "--run-seed", "0", "--out", str(out)])
+            outcomes.append((code, *capsys.readouterr()))
+            assert not out.exists()
+            assert_no_child_left()
+        s, seed = first
+        assert outcomes == [(3, "", f"error: planted failure at s={s} seed={seed}\n")] * 3
+
+    DRIVER = """
+import sys
+from unittest import mock
+import ganc.core
+from ganc.cli import main
+from ganc.errors import InfeasibleError
+real = ganc.core.oslg
+def planted(split, theta, arec, n, s, seed, **kwargs):
+    if seed in FAILING:
+        raise InfeasibleError(f"planted failure at seed {seed}")
+    return real(split, theta, arec, n, s, seed, **kwargs)
+print("before the sweep")  # held in the buffer of a piped stdout
+with mock.patch("ganc.forked.usable_cpus", return_value=PROCESSES), \\
+        mock.patch("ganc.core.oslg", planted):
+    code = main(sys.argv[1:])
+print("after the sweep")
+sys.exit(code)
+"""
+
+    @pytest.mark.parametrize("failing", [(), (1,), (0,)], ids=["none", "child", "parent"])
+    def test_stdout_is_not_written_twice(self, split_dir, prefs_dir, tmp_path, failing):
+        env = {**os.environ, "PYTHONPATH": str(Path(ganc.__file__).resolve().parents[1])}
+        procs = {}
+        for processes in (1, 3):
+            script = self.DRIVER.replace("FAILING", repr(failing)).replace(
+                "PROCESSES", str(processes))
+            procs[processes] = subprocess.run(
+                [sys.executable, "-c", script, "sweep", "--split", str(split_dir),
+                 "--prefs", str(prefs_dir), "--arec", "pop", "--n", "5",
+                 "--s-values", "10,20", "--reps", "2",
+                 "--out", str(tmp_path / f"sweep{processes}")],
+                capture_output=True, text=True, env=env, timeout=300)
+        one, three = procs[1], procs[3]
+        assert three.returncode == one.returncode == (3 if failing else 0)
+        assert three.stderr == one.stderr
+        assert three.stdout.replace(" in 3 processes\n", " in 1 process\n") == one.stdout
+        lines = three.stdout.splitlines()
+        assert lines[0] == "before the sweep" and lines[-1] == "after the sweep"
+        assert len(lines) == (2 if failing else 5)
+        if failing:
+            assert three.stderr == f"error: planted failure at seed {failing[0]}\n"
+
+
+# Each flag string is a valid value half of the time; otherwise a number, a
+# near-number or text without decimal digits (a digit string could ask for
+# an unbounded number of runs).
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
+_S_VALUES = (st.lists(st.integers(1, 120).map(str), min_size=1, max_size=3).map(",".join)
+             | st.lists(st.integers(-2, 120).map(str)
+                        | st.sampled_from(["", " 7", "1e3", "0x10", "+5", "٣", "3.0"]),
+                        max_size=4).map(",".join) | _TEXT)
+_REPS = st.integers(1, 3).map(str) | (st.integers(-1, 3).map(str)
+                                     | st.sampled_from(["", "1.0", "+2", " 2 "]) | _TEXT)
+_ODD_REAL = (st.sampled_from(["-0", "1e400", "NaN", "5_0", " 1 ", "0x1p3"])
+             | st.floats().map(repr) | _TEXT)
+_BETA = st.floats(0.0, 4.0).map(repr) | _ODD_REAL
+_THRESHOLD = st.floats(-1.0, 6.0).map(repr) | _ODD_REAL
+
+
+class TestSweepFlagValues:
+    @settings(max_examples=60, deadline=None)
+    @given(s_values=_S_VALUES, reps=_REPS, beta=_BETA, threshold=_THRESHOLD)
+    def test_documented_exit_and_one_error_line(self, split_dir, prefs_dir, tmp_path_factory,
+                                                s_values, reps, beta, threshold):
+        out = tmp_path_factory.mktemp("sweep") / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                         "--arec", "pop", "--n", "5", f"--s-values={s_values}",
+                         f"--reps={reps}", f"--beta={beta}", f"--threshold={threshold}",
+                         "--out", str(out)])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == (code != 0)
+        assert "Traceback" not in err.getvalue()
+        assert (out / "sweep.csv").exists() == (code == 0)
+        assert_no_child_left()
 
 
 class TestPopSizeNamesItsFlag:

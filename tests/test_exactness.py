@@ -20,6 +20,7 @@ not close.
 
 import csv
 import io
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -627,16 +628,17 @@ class TestSparseAccuracyMatchesDense:
 
 class TestStratRecallTables:
     """strat_recall reads the split's weight table for beta and its relevant
-    items in CSR order; it must equal the dict lookup it replaced, with two
-    betas and two thresholds cached on one split and over the user subsets
-    that rated_test_items and partial collections evaluate."""
+    items in CSR order, or the split's cached denominator when every user is
+    evaluated; it must equal the dict lookup it replaced, with two betas and
+    two thresholds cached on one split, over every user and over the user
+    subsets that rated_test_items and partial collections evaluate."""
 
     @EXACT
     @given(inst=instances(), betas=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
                                             min_size=2, max_size=2),
            thresholds=st.lists(st.sampled_from([1.0, 4.0, 5.0]) | st.floats(-1.0, 7.0),
                                min_size=2, max_size=2),
-           keep=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+           keep=st.just(1.0) | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_matches_dict_lookup(self, inst, betas, thresholds, keep, seed):
         split, n = inst[:2]
         rng = np.random.default_rng(seed)
@@ -738,6 +740,38 @@ class TestSweepMatchesReference:
                          "--out", str(tmp_path / "sweep")]) == 0
         with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
             assert list(csv.reader(fh)) == want
+
+
+class TestSweepIgnoresProcessCount:
+    """sweep.csv and sweep.json (its wall-clock phase_seconds aside) have the
+    same bytes whatever number of processes makes the runs."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_one_two_and_three_processes(self, synth_split, tmp_path, capsys, protocol):
+        save_split(synth_split, tmp_path / "split")
+        assert cli.main(["prefs", "--split", str(tmp_path / "split"),
+                         "--out", str(tmp_path / "prefs")]) == 0
+        eligible = _eligible_count(load_split(tmp_path / "split")[0], 5, protocol)
+        # more reps than processes; the last two s-values reuse one full-sample run
+        s_values, reps = f"1,30,{eligible},{eligible + 5}", 5
+        outputs = []
+        for processes in (1, 2, 3):
+            out = tmp_path / f"sweep{processes}"
+            capsys.readouterr()
+            with mock.patch("ganc.forked.usable_cpus", return_value=processes):
+                assert cli.main(["sweep", "--split", str(tmp_path / "split"),
+                                 "--prefs", str(tmp_path / "prefs"), "--arec", "pop",
+                                 "--n", "5", "--s-values", s_values, "--reps", str(reps),
+                                 "--run-seed", "3", "--protocol", protocol,
+                                 "--out", str(out)]) == 0
+            assert capsys.readouterr().out.endswith(
+                f"(eligible users: {eligible}) in {processes} "
+                f"process{'es' if processes > 1 else ''}\n")
+            manifest = json.loads((out / "sweep.json").read_text())
+            assert manifest.pop("phase_seconds")
+            assert manifest["runs"] == {"made": 2 * reps + 1, "reused": 2 * reps - 1}
+            outputs.append(((out / "sweep.csv").read_bytes(), json.dumps(manifest)))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------------- tie rules
