@@ -3,9 +3,9 @@
 The value of a set for a user is (1-theta)*sum(a) + theta*sum(c). With the
 dynamic coverage scorer the assignment couples users, so collections are
 built by a locally greedy pass over users; the sampling variant runs the
-sequential pass over a KDE-drawn subset sorted by rising theta, snapshots
-the coverage state per sampled user into one matrix, and finishes the
-remaining users, a block at a time, each against its nearest snapshot.
+sequential pass over a KDE-drawn subset sorted by rising theta and finishes
+the remaining users, a block at a time, each against the coverage state
+after its nearest sampled user, rebuilt by replaying the sampled picks.
 The greedy passes work on codes (positions in the split's sorted tables)
 and write their picks into one (users, n) item-code matrix, whose id
 lists a :class:`TopNCollection` builds only when read. Exhaustive and
@@ -97,55 +97,41 @@ class TopNCollection:
 
 
 class SnapshotStore:
-    """Snapshots keyed by the sampled user's theta, added in rising order,
-    held as the rows of one float64 array.
+    """The thetas of OSLG's sampled users, in rising order.
 
-    OSLG sizes the store for its whole sample (``capacity`` rows of
-    ``shape`` coverage vectors), so phase two gathers straight from
-    :attr:`rows`.
+    Snapshot k is the coverage state after the first k + 1 sampled lists
+    are counted. Phase two rebuilds the snapshots it reads by replaying the
+    sampled picks, so the store keeps only the thetas and the rule that
+    maps a query theta to its snapshot.
     """
 
-    def __init__(self, capacity: int, shape: tuple):
-        self._thetas: list = []
-        self._rows = np.empty((capacity, *shape), dtype=np.float64)
-        self._theta_array = None  # built on the first lookup after an add
-
-    def add(self, theta: float, snapshot) -> None:
-        """Copy ``snapshot`` into the next row; IndexError past ``capacity``."""
-        self._rows[len(self._thetas)] = snapshot
-        self._thetas.append(theta)
-        self._theta_array = None
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The snapshots added so far, row k the k-th."""
-        return self._rows[:len(self._thetas)]
+    def __init__(self, thetas):
+        self._thetas = np.asarray(thetas, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._thetas)
 
     def nearest_rows(self, thetas) -> np.ndarray:
-        """Position, in add order, of the snapshot nearest each query theta.
+        """Position of the snapshot nearest each query theta.
 
-        Equidistant snapshots resolve to the one added first (the lower
+        Equidistant snapshots resolve to the first of them (the lower
         theta, or the earlier of equal thetas). Queries are looked up BLOCK
         at a time, so no more than a (BLOCK, len(self)) gap matrix exists.
         """
-        if self._theta_array is None:
-            self._theta_array = np.asarray(self._thetas, dtype=np.float64)
         queries = np.asarray(thetas, dtype=np.float64)
         rows = np.empty(len(queries), dtype=np.intp)
-        gaps = np.empty((min(BLOCK, len(queries)), len(self._theta_array)))
+        gaps = np.empty((min(BLOCK, len(queries)), len(self._thetas)))
         for b in range(0, len(queries), BLOCK):
             g = gaps[:len(queries) - b]
-            np.subtract(self._theta_array, queries[b:b + BLOCK, None], out=g)
+            np.subtract(self._thetas, queries[b:b + BLOCK, None], out=g)
             np.abs(g, out=g)
             g.argmin(axis=1, out=rows[b:b + BLOCK])
         return rows
 
-    def nearest(self, theta: float):
-        """Snapshot whose theta is closest, by the tie rule of :meth:`nearest_rows`."""
-        return self._rows[int(self.nearest_rows([theta])[0])]
+    def nearest(self, theta: float) -> int:
+        """Position of the snapshot whose theta is closest, by the tie rule
+        of :meth:`nearest_rows`."""
+        return int(self.nearest_rows([theta])[0])
 
 
 def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> float:
@@ -315,18 +301,18 @@ def _thetas(split: SplitDataset, theta: PreferenceVector, codes: np.ndarray) -> 
 
 
 def _sequential_greedy(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec,
-                       n: int, protocol: str, picks: np.ndarray, store=None) -> None:
+                       n: int, protocol: str, picks: np.ndarray) -> None:
     """Locally greedy pass with dynamic coverage, one user after another.
 
     User ``codes[k]`` with theta ``thetas[k]`` writes its picked item indices
-    to ``picks[k]``; the live coverage vector after counting the list is then
-    added to ``store``, if given. Each user's gains theta*c + (1-theta)*a go
-    through one reused buffer, non-candidates set to -inf from the CSR. The
-    sums are those of (1-theta)*a + theta*c, as addition commutes, and where
-    a is 0 adding nothing leaves theta*c, which compares equal to
-    0.0 + theta*c. Only the n counted entries of the coverage vector are
-    recomputed, through one index array; elementwise sqrt and divide give
-    the same bits on a subset as on the whole vector.
+    to ``picks[k]``, which are then counted into the live coverage vector.
+    Each user's gains theta*c + (1-theta)*a go through one reused buffer,
+    non-candidates set to -inf from the CSR. The sums are those of
+    (1-theta)*a + theta*c, as addition commutes, and where a is 0 adding
+    nothing leaves theta*c, which compares equal to 0.0 + theta*c. Only the
+    n counted entries of the coverage vector are recomputed, through one
+    index array; elementwise sqrt and divide give the same bits on a subset
+    as on the whole vector.
     """
     _check_feasible(split, codes, n, protocol)
     m = len(split.items)
@@ -344,36 +330,70 @@ def _sequential_greedy(split: SplitDataset, codes: np.ndarray, thetas: np.ndarra
         idx = picks[k]
         counts[idx] += 1
         cov[idx] = _coverage(counts[idx])
-        if store is not None:
-            store.add(thetas[k], cov)
 
 
-def _greedy_blocks(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec, n: int,
-                   protocol: str, cov: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> None:
-    """Greedy top-n of independent users, BLOCK users at a time.
+def _pick_block(split: SplitDataset, codes: np.ndarray, weights: np.ndarray, arec, n: int,
+                protocol: str, gains: np.ndarray, out: np.ndarray) -> None:
+    """Greedy top-n of the independent users ``codes``, row r of ``gains``
+    holding theta*c for user ``codes[r]``, whose accuracy weight 1 - theta
+    is ``weights[r]``; writes the user's picks to ``out[r]`` and consumes
+    ``gains``.
 
-    User ``codes[k]`` is scored against coverage row ``cov[rows[k]]`` with
-    theta ``thetas[k]`` and writes its picks to ``picks[k]``. The gains
-    theta*c + (1-theta)*a are elementwise, so each row picks what the
-    per-user pass of :func:`_sequential_greedy` would, and n rounds of a
+    The gains theta*c + (1-theta)*a are elementwise, so each row picks what
+    the per-user pass of :func:`_sequential_greedy` would, and n rounds of a
     row-wise argmax (the first maximum wins) pick what the per-user steps
     pick.
     """
+    _add_accuracy(split, arec, gains, codes, weights)
+    _exclude(gains, _spans(_rated(split, protocol), codes), protocol)
+    every = np.arange(len(codes))
+    for j in range(n):
+        gains.argmax(axis=1, out=out[:, j])
+        gains[every, out[:, j]] = -np.inf
+
+
+def _replay_blocks(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec, n: int,
+                   protocol: str, sampled: np.ndarray, rows: np.ndarray,
+                   picks: np.ndarray) -> int:
+    """OSLG's phase two, BLOCK users at a time; returns the bytes of the
+    coverage state it holds.
+
+    User ``codes[k]`` with theta ``thetas[k]`` is scored against snapshot
+    ``rows[k]``, the coverage after the sampled lists ``sampled[:rows[k] + 1]``
+    are counted, and writes its picks to ``picks[k]``. A user's picks depend
+    on its theta, its accuracy and its snapshot alone, so the users are
+    scored in stable order of their snapshots: one count vector, replayed
+    from zero through the sampled picks, reaches each snapshot in turn, and
+    theta*c is written from it into each run of block rows that share the
+    snapshot. A count is at most len(sampled), so a table of 1/sqrt(f + 1)
+    gives each counted item the bits the sequential pass computed.
+    """
     _check_feasible(split, codes, n, protocol)
-    csr = _rated(split, protocol)
-    weights = 1.0 - thetas
+    order = np.argsort(rows, kind="stable")
+    codes, thetas, rows = codes[order], thetas[order], rows[order]
+    # every block start, and every start of a run of users sharing a snapshot
+    cuts = {*range(BLOCK, len(codes), BLOCK), *(np.flatnonzero(np.diff(rows)) + 1).tolist()}
+    bounds = [0, *sorted(cuts), len(codes)]
+    table = _coverage(np.arange(len(sampled) + 1))
+    counts = np.zeros(len(split.items), dtype=np.int64)
+    cov = _coverage(counts)
+    counted = 0  # sampled lists replayed into counts
     gains_buf = np.empty((min(BLOCK, len(codes)), len(split.items)))
-    for b in range(0, len(codes), BLOCK):
-        block = codes[b:b + BLOCK]
-        gains, out = gains_buf[:len(block)], picks[b:b + BLOCK]
-        np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
-        np.multiply(thetas[b:b + BLOCK, None], gains, out=gains)
-        _add_accuracy(split, arec, gains, block, weights[b:b + BLOCK])
-        _exclude(gains, _spans(csr, block), protocol)
-        every = np.arange(len(block))
-        for j in range(n):
-            gains.argmax(axis=1, out=out[:, j])
-            gains[every, out[:, j]] = -np.inf
+    out = np.empty((len(codes), n), dtype=np.intp)
+    row_of = rows.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if row_of[lo] >= counted:
+            new = sampled[counted:row_of[lo] + 1].ravel()
+            np.add.at(counts, new, 1)
+            cov[new] = table[counts[new]]
+            counted = row_of[lo] + 1
+        b = lo - lo % BLOCK
+        np.multiply(thetas[lo:hi, None], cov, out=gains_buf[lo - b:hi - b])
+        if hi - b == BLOCK or hi == len(codes):  # the block is full
+            _pick_block(split, codes[b:hi], 1.0 - thetas[b:hi], arec, n, protocol,
+                        gains_buf[:hi - b], out[b:hi])
+    picks[order] = out
+    return counts.nbytes + cov.nbytes
 
 
 def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
@@ -439,8 +459,8 @@ def _kde_rows(th: np.ndarray, s: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OslgRun:
     """An OSLG result: the collection, the sample, per-phase wall clock, how
-    many distinct snapshots phase two read, and the bytes of the snapshot
-    matrix (0 when none is kept)."""
+    many distinct snapshots phase two read, and the bytes of coverage state
+    phase two held at once (0 when nobody is left for it)."""
 
     collection: TopNCollection
     sampled_users: tuple
@@ -459,15 +479,14 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     """Ordered sampling-based locally greedy assignment with dynamic coverage.
 
     Phase one runs the sequential greedy over a KDE sample sorted by rising
-    theta, writing the coverage vector after the k-th sampled user into row
-    k of one snapshot matrix. Phase two assigns every remaining user
-    independently against the row whose theta is nearest, scoring the users
-    in blocks, so its outcome does not depend on the order the users are
-    visited in (``phase4_order`` exists to exercise exactly that contract).
-    No snapshot is kept when the sample holds every eligible user, as nobody
-    is left for phase two. ``workers`` is accepted for compatibility and
-    ignored: phase two runs in the calling thread, and the output never
-    depended on it.
+    theta; snapshot k is the coverage state after its k-th sampled user.
+    Phase two assigns every remaining user independently against the
+    snapshot whose theta is nearest, rebuilt by replaying phase one's picks,
+    scoring the users in blocks, so its outcome does not depend on the order
+    the users are visited in (``phase4_order`` exists to exercise exactly
+    that contract). ``workers`` is accepted for compatibility and ignored:
+    phase two runs in the calling thread, and the output never depended on
+    it.
     """
     users = _eligible_codes(split, n, protocol)  # ascending, so in id order
     thetas = _thetas(split, theta, users)
@@ -476,10 +495,8 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     picks = np.empty((len(users), n), dtype=np.intp)  # sample rows, then the rest
 
     t0 = time.perf_counter()
-    keep = len(sample) < len(users)
-    store = SnapshotStore(len(sample) if keep else 0, (len(split.items),))
-    _sequential_greedy(split, sample, thetas[drawn], arec, n, protocol, picks[:len(sample)],
-                       store if keep else None)
+    store = SnapshotStore(thetas[drawn])
+    _sequential_greedy(split, sample, thetas[drawn], arec, n, protocol, picks[:len(sample)])
     t1 = time.perf_counter()
 
     left = np.ones(len(users), dtype=bool)
@@ -492,8 +509,10 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
         thetas = _thetas(split, theta, rest)
 
     rows = store.nearest_rows(thetas)
-    _greedy_blocks(split, rest, thetas, arec, n, protocol, store.rows, rows,
-                   picks[len(sample):])
+    held = 0
+    if len(rest):
+        held = _replay_blocks(split, rest, thetas, arec, n, protocol, picks[:len(sample)],
+                              rows, picks[len(sample):])
     t2 = time.perf_counter()
 
     return OslgRun(
@@ -501,7 +520,7 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
         tuple(map(split.users.__getitem__, sample.tolist())),
         {"sequential": t1 - t0, "parallel": t2 - t1},  # key names kept for readers of run.json
         snapshots_used=int(np.count_nonzero(np.bincount(rows, minlength=len(store)))),
-        snapshot_bytes=store.rows.nbytes,
+        snapshot_bytes=held,
     )
 
 
@@ -509,10 +528,17 @@ def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
                        n: int, protocol: str = "all_unrated") -> TopNCollection:
     """Per-user greedy with a static coverage scorer; users are independent."""
     users = _eligible_codes(split, n, protocol)
-    cov = np.asarray(crec.score_vector(), dtype=np.float64)[None, :]
+    _check_feasible(split, users, n, protocol)
+    thetas = _thetas(split, theta, users)
+    cov = np.asarray(crec.score_vector(), dtype=np.float64)
     picks = np.empty((len(users), n), dtype=np.intp)
-    _greedy_blocks(split, users, _thetas(split, theta, users), arec, n, protocol, cov,
-                   np.zeros(len(users), dtype=np.intp), picks)
+    gains_buf = np.empty((min(BLOCK, len(users)), len(split.items)))
+    for b in range(0, len(users), BLOCK):
+        th = thetas[b:b + BLOCK]
+        gains = gains_buf[:len(th)]
+        np.multiply(th[:, None], cov, out=gains)
+        _pick_block(split, users[b:b + BLOCK], 1.0 - th, arec, n, protocol, gains,
+                    picks[b:b + BLOCK])
     return TopNCollection.from_codes(n, split, users, picks)
 
 

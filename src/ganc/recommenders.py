@@ -313,16 +313,19 @@ def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
     irows = np.array([model.item_index[i] for i in split.items])
     scores = model.user_factors[urows] @ model.item_factors[irows].T
     t = split.train_columns
-    cand = np.ones(scores.shape, dtype=bool)
-    cand[t.user_codes, t.item_codes] = False
-    lo = np.min(scores, axis=1, where=cand, initial=np.inf, keepdims=True)
-    hi = np.max(scores, axis=1, where=cand, initial=-np.inf, keepdims=True)
+    train = t.user_codes, t.item_codes
+    # a train entry at +inf drops out of the row min and at -inf out of the
+    # row max; a row with no candidate keeps lo = inf and hi = -inf
+    scores[train] = np.inf
+    lo = scores.min(axis=1, keepdims=True)
+    scores[train] = -np.inf
+    hi = scores.max(axis=1, keepdims=True)
     # (x - lo) / (hi - lo) in place; rows without hi > lo (constant, or with
     # no candidate at all) divide by zero or inf, and are zeroed below
     with np.errstate(divide="ignore", invalid="ignore"):
         scores -= lo
         scores /= hi - lo
-    scores[t.user_codes, t.item_codes] = 0.0
+    scores[train] = 0.0
     scores[~(hi > lo)[:, 0]] = 0.0
     return MatrixScorer(split, scores)
 

@@ -167,7 +167,7 @@ class TestRecommendEvaluate:
         assert manifest["phase2_users"] == 80 - 30  # every user is eligible
         assert 1 <= manifest["snapshots_used"] <= 30
         split, _ = load_split(split_dir)
-        assert manifest["snapshot_bytes"] == 30 * len(split.items) * 8  # one row per sample
+        assert manifest["snapshot_bytes"] == 2 * len(split.items) * 8  # counts and coverage
         pools = [int(split.candidate_mask(u).sum()) for u in split.users]
         assert manifest["candidate_pool"] == {
             "total": sum(pools), "min": min(pools), "max": max(pools)}

@@ -1,6 +1,7 @@
 """Greedy assignment, sampling, and the exhaustive/property oracles."""
 
 import math
+import tracemalloc
 
 from unittest import mock
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ganc import core
 from ganc.core import (
     PROTOCOLS,
     SnapshotStore,
@@ -303,12 +305,27 @@ class TestOslg:
     def test_snapshots_are_kept_only_for_a_phase_two(self, synth_split, synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)
         theta = theta_generalized(synth_split)
-        with mock.patch.object(SnapshotStore, "add", autospec=True,
-                               side_effect=SnapshotStore.add) as add:
-            oslg(synth_split, theta, arec, 5, s=len(synth_split.users), seed=0)
-            assert add.call_count == 0
-            oslg(synth_split, theta, arec, 5, s=20, seed=0)
-            assert add.call_count == 20
+        with mock.patch.object(core, "_replay_blocks", side_effect=core._replay_blocks) as replay:
+            run = oslg(synth_split, theta, arec, 5, s=len(synth_split.users), seed=0)
+            assert replay.call_count == 0 and run.snapshot_bytes == 0
+            run = oslg(synth_split, theta, arec, 5, s=20, seed=0)
+            assert replay.call_count == 1
+            assert run.snapshot_bytes == 2 * len(synth_split.items) * 8  # counts and coverage
+
+    def test_phase_two_holds_no_snapshot_matrix(self, synth_split, synth_stats):
+        # one row per sampled user would be s * |I| * 8 bytes; phase two
+        # replays the sampled picks into one coverage vector instead
+        arec = pop_scorer(synth_split, synth_stats, 5)
+        theta = theta_generalized(synth_split)
+        s = len(synth_split.users) - 1
+        oslg(synth_split, theta, arec, 5, s=s, seed=0)  # fills the split's lazy caches
+        tracemalloc.start()
+        try:
+            oslg(synth_split, theta, arec, 5, s=s, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s * len(synth_split.items) * 8
 
     def test_rated_protocol_restricts_users_and_candidates(self, synth_split,
                                                            synth_stats):
@@ -423,24 +440,10 @@ class TestSubmodularityCheck:
 
 class TestSnapshotStore:
     def test_nearest_prefers_lower_theta_on_exact_tie(self):
-        store = SnapshotStore(2, (1,))
-        store.add(0.25, [0.0])  # each row holds its own row number
-        store.add(0.75, [1.0])
-        assert store.nearest(0.5).tolist() == [0.0]
-        assert store.nearest(0.74).tolist() == [1.0]
-
-    def test_sized_store_copies_snapshots_into_its_rows(self):
-        store = SnapshotStore(3, (4,))
-        cov = np.zeros(4)
-        for k, th in enumerate((0.1, 0.5, 0.9)):
-            cov[k] = 1.0  # the caller keeps mutating its vector
-            store.add(th, cov)
-        assert store.rows.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]]
-        assert store.nearest(0.45).tolist() == [1, 1, 0, 0]
-        assert np.shares_memory(store.nearest(0.45), store.rows)
-        assert store.rows.nbytes == 3 * 4 * 8
-        with pytest.raises(IndexError):  # the store never grows past its capacity
-            store.add(1.0, cov)
+        store = SnapshotStore([0.25, 0.75])
+        assert store.nearest(0.5) == 0
+        assert store.nearest(0.74) == 1
+        assert len(store) == 2
 
 
 class TestCollectionPersistence:

@@ -5,9 +5,10 @@ The references below are the implementations the fast paths replaced:
 vector) at each of the n steps, ``_RecFrequency`` and ``_DynCoverage`` keep
 OSLG's recommendation counts and read coverage from them at call time,
 ``_SnapshotStoreReference`` keeps full frequency copies and rebuilds its
-theta array on every lookup,
-``_sequential_greedy_dense`` and ``_greedy_blocks_dense`` add every user's
-dense accuracy vector to the gains, ``_evaluate_reference`` recomputes
+theta array on every lookup, ``_oslg_matrix_reference`` is OSLG as it ran
+with one (s, |I|) snapshot matrix, before phase two replayed phase one's
+picks, ``_sequential_greedy_dense`` and ``_pick_block_dense`` add every
+user's dense accuracy vector to the gains, ``_evaluate_reference`` recomputes
 relevant items per call and popularity weights per relevant pair,
 ``_strat_recall_dict_reference`` looks each relevant item's weight up in a
 dict built per call, ``_load_ratings_reference`` and
@@ -215,7 +216,7 @@ def _rated_reference(split, protocol):
     return split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
 
 
-def _sequential_greedy_dense(split, codes, thetas, arec, n, protocol, picks, store=None):
+def _sequential_greedy_dense(split, codes, thetas, arec, n, protocol, picks):
     core._check_feasible(split, codes, n, protocol)
     m = len(split.items)
     counts = np.zeros(m, dtype=np.int64)
@@ -233,40 +234,82 @@ def _sequential_greedy_dense(split, codes, thetas, arec, n, protocol, picks, sto
         idx = np.array(picked, dtype=np.int64)
         counts[idx] += 1
         cov[idx] = core._coverage(counts[idx])
-        if store is not None:
-            store.add(th, cov)
 
 
-def _greedy_blocks_dense(split, codes, thetas, arec, n, protocol, cov, rows, picks):
-    core._check_feasible(split, codes, n, protocol)
+def _pick_block_dense(split, codes, weights, arec, n, protocol, gains, out):
     rated = _rated_reference(split, protocol)
-    m = len(split.items)
-    acc_buf, gains_buf = np.empty((BLOCK, m)), np.empty((BLOCK, m))
-    for b in range(0, len(codes), BLOCK):
-        block = [split.users[c] for c in codes[b:b + BLOCK].tolist()]
-        acc, gains = acc_buf[:len(block)], gains_buf[:len(block)]
-        for r, u in enumerate(block):
-            acc[r] = arec.score_vector(u)
-        th = thetas[b:b + BLOCK, None]
-        np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
-        np.multiply(th, gains, out=gains)
-        np.multiply(1.0 - th, acc, out=acc)
-        np.add(acc, gains, out=gains)
-        spans = [rated(u) for u in block]
-        at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
-        core._exclude(gains, at, protocol)
-        every = np.arange(len(block))
-        for j in range(n):
-            picked = gains.argmax(axis=1)
-            picks[b + every, j] = picked
-            gains[every, picked] = -np.inf
+    block = [split.users[c] for c in codes.tolist()]
+    acc = np.array([arec.score_vector(u) for u in block], dtype=np.float64)
+    np.multiply(weights[:, None], acc, out=acc)
+    np.add(acc, gains, out=gains)
+    spans = [rated(u) for u in block]
+    at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
+    core._exclude(gains, at, protocol)
+    every = np.arange(len(block))
+    for j in range(n):
+        picked = gains.argmax(axis=1)
+        out[:, j] = picked
+        gains[every, picked] = -np.inf
 
 
 def _dense(run, *args, **kwargs):
-    """``run`` with both greedy loops replaced by the dense references."""
+    """``run`` with the sequential pass and the block scorer replaced by the
+    dense references; the block scorer must run whenever users are scored
+    in blocks."""
     with mock.patch.object(core, "_sequential_greedy", _sequential_greedy_dense), \
-            mock.patch.object(core, "_greedy_blocks", _greedy_blocks_dense):
-        return run(*args, **kwargs)
+            mock.patch.object(core, "_pick_block", side_effect=_pick_block_dense) as tail:
+        result = run(*args, **kwargs)
+    assert tail.called or isinstance(result, core.OslgRun) and not result.phase2_users
+    return result
+
+
+def _greedy_blocks_matrix(split, codes, thetas, arec, n, protocol, cov, rows, picks):
+    """Phase two as it ran on the snapshot matrix: each block gathers its
+    users' rows of ``cov``."""
+    core._check_feasible(split, codes, n, protocol)
+    csr = core._rated(split, protocol)
+    weights = 1.0 - thetas
+    gains_buf = np.empty((min(BLOCK, len(codes)), len(split.items)))
+    for b in range(0, len(codes), BLOCK):
+        block = codes[b:b + BLOCK]
+        gains, out = gains_buf[:len(block)], picks[b:b + BLOCK]
+        np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
+        np.multiply(thetas[b:b + BLOCK, None], gains, out=gains)
+        core._add_accuracy(split, arec, gains, block, weights[b:b + BLOCK])
+        core._exclude(gains, core._spans(csr, block), protocol)
+        every = np.arange(len(block))
+        for j in range(n):
+            gains.argmax(axis=1, out=out[:, j])
+            gains[every, out[:, j]] = -np.inf
+
+
+def _oslg_matrix_reference(split, theta, arec, n, s, seed, protocol, phase4_order=None):
+    """(sampled users, lists, snapshots used) of OSLG with a snapshot matrix:
+    row k holds the coverage after the first k + 1 sampled lists, and phase
+    two gathers each user's nearest row from it."""
+    users = core._eligible_codes(split, n, protocol)
+    thetas = core._thetas(split, theta, users)
+    drawn = core._kde_rows(thetas, s, seed)
+    sample = users[drawn]
+    picks = np.empty((len(users), n), dtype=np.intp)
+    core._sequential_greedy(split, sample, thetas[drawn], arec, n, protocol, picks[:len(sample)])
+    counts = np.zeros(len(split.items), dtype=np.int64)
+    matrix = np.empty((len(sample), len(split.items)))
+    for k, picked in enumerate(picks[:len(sample)]):
+        counts[picked] += 1
+        matrix[k] = core._coverage(counts)
+    left = np.ones(len(users), dtype=bool)
+    left[drawn] = False
+    rest, rest_thetas = users[left], thetas[left]
+    if phase4_order is not None:
+        rest = np.array([split.user_index[u] for u in phase4_order], dtype=np.intp)
+        rest_thetas = core._thetas(split, theta, rest)
+    rows = SnapshotStore(thetas[drawn]).nearest_rows(rest_thetas)
+    _greedy_blocks_matrix(split, rest, rest_thetas, arec, n, protocol, matrix, rows,
+                          picks[len(sample):])
+    coll = TopNCollection.from_codes(n, split, np.concatenate([sample, rest]), picks)
+    return (tuple(split.users[k] for k in sample.tolist()), coll.lists,
+            len(np.unique(rows)))
 
 
 def _evaluate_reference(coll, split, stats, protocol, n, beta, threshold):
@@ -324,19 +367,13 @@ def _kde_sample_oracle(theta, s, seed, users):
 THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@st.composite
-def instances(draw):
-    """Small split, n, theta, an accuracy scorer and a static coverage scorer.
+def _random_split(rng, n_users, n_items):
+    """Users 1.. and items 101.., each user with up to two train ratings past
+    the anchors and a random share of its unseen items in test.
 
     Every item gets one anchor rating (round robin over users) so it stays in
-    the train universe; with at least two users and twelve items each user
-    keeps at least three unseen items, so every instance is feasible under
-    all_unrated for n <= 3. Test ratings land on unseen items.
+    the train universe. Test ratings land on unseen items.
     """
-    n_users = draw(st.integers(2, 7))
-    n_items = draw(st.integers(12, 16))
-    n = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     users = list(range(1, n_users + 1))
     items = list(range(101, 101 + n_items))
     train = {(users[k % n_users], i) for k, i in enumerate(items)}
@@ -348,7 +385,22 @@ def instances(draw):
         unseen = [i for i in items if (u, i) not in train]
         for i in rng.choice(unseen, size=int(rng.integers(0, len(unseen) + 1)), replace=False):
             test.append((u, int(i), int(rng.integers(1, 6))))
-    split = build_split([(u, i, int(rng.integers(1, 6))) for u, i in sorted(train)], test)
+    return build_split([(u, i, int(rng.integers(1, 6))) for u, i in sorted(train)], test)
+
+
+@st.composite
+def instances(draw):
+    """Small split, n, theta, an accuracy scorer and a static coverage scorer.
+
+    The split is :func:`_random_split`'s; with at least two users and twelve
+    items each user keeps at least three unseen items, so every instance is
+    feasible under all_unrated for n <= 3.
+    """
+    n_users = draw(st.integers(2, 7))
+    n_items = draw(st.integers(12, 16))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    split = _random_split(rng, n_users, n_items)
 
     if draw(st.booleans()):  # many users share a theta: ties in sampling and lookup
         theta = {u: THETA_GRID[int(rng.integers(len(THETA_GRID)))] for u in split.users}
@@ -519,31 +571,34 @@ ZERO_ONE = (0.0, -0.0, 1.0)
 
 
 @st.composite
-def sparse_cases(draw):
-    """An :func:`instances` split and n with thetas drawn from {0, -0.0, 1}
-    or [0, 1], and an accuracy scorer: Pop at a pop_n up to n, above n (above
-    some users' unseen count, so the top matrix is ragged) or at |I| (ragged
-    for every user), a MatrixScorer with tied values, or a scorer with only
-    score_vector."""
-    split, n, _, _, crec = draw(instances())
-    theta = {u: draw(st.sampled_from(ZERO_ONE) | st.floats(0.0, 1.0)) for u in split.users}
+def accuracy_scorers(draw, split, n):
+    """Pop at a pop_n up to n, above n (above some users' unseen count, so
+    the top matrix is ragged) or at |I| (ragged for every user), a
+    MatrixScorer with tied values, or a scorer with only score_vector."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = len(split.items)
     kind = draw(st.sampled_from(["pop-upto-n", "pop-above-n", "pop-all", "matrix", "duck"]))
     if kind == "pop-upto-n":
-        arec = pop_scorer(split, compute_item_stats(split), draw(st.integers(1, n)))
-    elif kind == "pop-above-n":
-        arec = pop_scorer(split, compute_item_stats(split), draw(st.integers(n + 1, m)))
-    elif kind == "pop-all":
-        arec = pop_scorer(split, compute_item_stats(split), m)
-    else:
-        shape = (len(split.users), m)
-        scores = np.where(rng.random(shape) < 0.5, rng.integers(0, 3, shape) / 2, rng.random(shape))
-        arec = MatrixScorer(split, scores)
-        if kind == "duck":
-            arec = DictAccuracy({(u, i): float(scores[a, b]) for a, u in enumerate(split.users)
-                                 for b, i in enumerate(split.items)}, split)
-    return split, n, PreferenceVector("random", theta), arec, crec
+        return pop_scorer(split, compute_item_stats(split), draw(st.integers(1, n)))
+    if kind == "pop-above-n":
+        return pop_scorer(split, compute_item_stats(split), draw(st.integers(n + 1, m)))
+    if kind == "pop-all":
+        return pop_scorer(split, compute_item_stats(split), m)
+    shape = (len(split.users), m)
+    scores = np.where(rng.random(shape) < 0.5, rng.integers(0, 3, shape) / 2, rng.random(shape))
+    if kind == "matrix":
+        return MatrixScorer(split, scores)
+    return DictAccuracy({(u, i): float(scores[a, b]) for a, u in enumerate(split.users)
+                         for b, i in enumerate(split.items)}, split)
+
+
+@st.composite
+def sparse_cases(draw):
+    """An :func:`instances` split and n with thetas drawn from {0, -0.0, 1}
+    or [0, 1], and a scorer of :func:`accuracy_scorers`."""
+    split, n, _, _, crec = draw(instances())
+    theta = {u: draw(st.sampled_from(ZERO_ONE) | st.floats(0.0, 1.0)) for u in split.users}
+    return split, n, PreferenceVector("random", theta), draw(accuracy_scorers(split, n)), crec
 
 
 class TestSparseAccuracyMatchesDense:
@@ -774,10 +829,73 @@ class TestSweepIgnoresProcessCount:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+# ------------------------------------------------- phase two replays phase one
+#
+# Phase two rebuilds the snapshot each user reads by replaying phase one's
+# picks, visiting the users in order of their snapshot. It must assign what
+# the snapshot-matrix phase two assigned.
+
+@st.composite
+def replay_cases(draw):
+    """A :func:`_random_split` of BLOCK + 1 to 3 * BLOCK users, n, a scorer of
+    :func:`accuracy_scorers`, and thetas from a pool of one to four values
+    that may hold 0, -0.0 and repeats, so that many users share one snapshot:
+    a snapshot's users straddle blocks and a block holds several snapshots.
+    Some instances give half the users thetas off the pool."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    split = _random_split(rng, draw(st.integers(BLOCK + 1, 3 * BLOCK)),
+                          draw(st.integers(12, 16)))
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.sampled_from(ZERO_ONE) | st.floats(0.0, 1.0), min_size=1,
+                         max_size=4))
+    spread = draw(st.booleans())
+    theta = {u: float(rng.random()) if spread and rng.random() < 0.5
+             else pool[int(rng.integers(len(pool)))] for u in split.users}
+    return split, n, PreferenceVector("random", theta), draw(accuracy_scorers(split, n))
+
+
+class TestReplayMatchesSnapshotMatrix:
+    @EXACT
+    @given(case=replay_cases(), protocol=st.sampled_from(PROTOCOLS),
+           s_share=st.floats(0.0, 0.3) | st.floats(0.0, 1.0),  # small s: several blocks
+           seed=st.integers(0, 2**32 - 1),
+           shuffle=st.booleans())
+    def test_oslg(self, case, protocol, s_share, seed, shuffle):
+        split, n, theta, arec = case
+        assume(_eligible_count(split, n, protocol) >= 2)
+        eligible = core.eligible_users(split, n, protocol)
+        s = 1 + int(s_share * (len(eligible) - 2))  # 1 .. eligible - 1: phase two runs
+        order = None
+        if shuffle:  # any visiting order of phase two assigns the same
+            sampled = set(kde_sample(theta, s, seed, users=eligible))
+            order = [u for u in eligible if u not in sampled]
+            np.random.default_rng(seed).shuffle(order)
+        run = oslg(split, theta, arec, n, s, seed, protocol=protocol, phase4_order=order)
+        sample, lists, used = _oslg_matrix_reference(split, theta, arec, n, s, seed, protocol,
+                                                     order)
+        assert run.sampled_users == sample
+        assert list(run.collection.lists.items()) == list(lists.items())
+        assert run.snapshots_used == used
+        assert run.snapshot_bytes == 2 * len(split.items) * 8  # one count, one coverage vector
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_synthetic_split(self, synth_split, synth_stats, protocol):
+        theta = theta_generalized(synth_split)
+        arec = pop_scorer(synth_split, synth_stats, 5)
+        eligible = _eligible_count(synth_split, 5, protocol)
+        for s in (1, 10, 40, eligible - 1):
+            run = oslg(synth_split, theta, arec, 5, s, 11, protocol=protocol)
+            sample, lists, used = _oslg_matrix_reference(synth_split, theta, arec, 5, s, 11,
+                                                         protocol)
+            assert run.sampled_users == sample
+            assert list(run.collection.lists.items()) == list(lists.items())
+            assert run.snapshots_used == used
+
+
 # ---------------------------------------------------------------- tie rules
 
 class TestSnapshotTieRules:
-    """Each snapshot is its own row number, so ``nearest`` returns the row it found."""
+    """``nearest`` returns the position of the snapshot it found."""
 
     @settings(max_examples=200, deadline=None)
     @given(thetas=st.lists(st.sampled_from(THETA_GRID) | st.floats(0.0, 1.0),
@@ -786,41 +904,25 @@ class TestSnapshotTieRules:
                             min_size=1, max_size=8))
     def test_nearest_is_first_added_among_smallest_gap(self, thetas, queries):
         thetas = sorted(thetas)
-        store = SnapshotStore(len(thetas), ())
-        for k, th in enumerate(thetas):
-            store.add(th, k)
+        store = SnapshotStore(thetas)
         for x in queries:
             assert store.nearest(x) == min(range(len(thetas)),
                                            key=lambda k: (abs(thetas[k] - x), k))
 
     def test_duplicate_thetas_resolve_to_the_first_added(self):
-        store = SnapshotStore(4, ())
-        for k, th in enumerate((0.5, 0.5, 0.9, 0.9)):
-            store.add(th, k)
+        store = SnapshotStore([0.5, 0.5, 0.9, 0.9])
         assert store.nearest(0.5) == 0
         assert store.nearest(0.6) == 0
         assert store.nearest(0.9) == 2
 
     def test_equal_gaps_pick_the_lower_theta(self):
-        store = SnapshotStore(2, ())
-        store.add(0.25, 0)
-        store.add(0.75, 1)
+        store = SnapshotStore([0.25, 0.75])
         assert store.nearest(0.5) == 0  # both gaps are exactly 0.25
 
     def test_queries_outside_the_range_map_to_the_ends(self):
-        store = SnapshotStore(5, ())
-        for k, th in enumerate((0.1, 0.1, 0.4, 0.9, 0.9)):
-            store.add(th, k)
+        store = SnapshotStore([0.1, 0.1, 0.4, 0.9, 0.9])
         assert store.nearest(-5.0) == 0
         assert store.nearest(7.0) == 3
-
-    def test_lookup_sees_snapshots_added_after_a_lookup(self):
-        store = SnapshotStore(2, ())
-        store.add(0.2, 0)
-        assert store.nearest(0.8) == 0
-        store.add(0.7, 1)
-        assert store.nearest(0.8) == 1
-        assert len(store) == 2
 
 
 class TestSnapshotRowLookup:
@@ -834,17 +936,13 @@ class TestSnapshotRowLookup:
                             min_size=1, max_size=8))
     def test_agrees_with_nearest(self, thetas, queries):
         thetas = sorted(thetas)
-        store = SnapshotStore(len(thetas), ())
-        for k, th in enumerate(thetas):
-            store.add(th, k)
+        store = SnapshotStore(thetas)
         assert store.nearest_rows(queries).tolist() == [store.nearest(x) for x in queries]
 
     def test_more_queries_than_a_block(self):
         rng = np.random.default_rng(6)
         thetas = np.sort(np.concatenate([rng.random(40), np.repeat(THETA_GRID, 3)]))
-        store = SnapshotStore(len(thetas), ())
-        for k, th in enumerate(thetas.tolist()):
-            store.add(th, k)
+        store = SnapshotStore(thetas)
         queries = np.concatenate([rng.random(2 * BLOCK + 9), THETA_GRID, [-1.0, 2.0]])
         assert store.nearest_rows(queries).tolist() == [
             min(range(len(thetas)), key=lambda k: (abs(thetas[k] - x), k))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganc.core import SnapshotStore, _coverage, _sequential_greedy
+from ganc.core import _coverage, _greedy_idx, _sequential_greedy
 from ganc.dataset import Rating, compute_item_stats
 from ganc.errors import ParseError, TrainingDivergenceError, UnknownIdError
 from ganc.recommenders import (
@@ -402,17 +402,17 @@ class TestCoverageScorers:
         assert seen[0] == 1.0
         assert seen[1] == pytest.approx(1 / np.sqrt(2))
         assert all(a > b for a, b in zip(seen, seen[1:]))
-        # the sequential pass keeps its live vector equal to that of the
+        # the sequential pass scores each user against the coverage of the
         # lists counted so far
         arec = pop_scorer(synth_split, synth_stats, 5)
         picks = np.empty((30, 5), dtype=np.intp)
-        store = SnapshotStore(30, (len(synth_split.items),))
         _sequential_greedy(synth_split, np.arange(30), np.full(30, 0.5), arec, 5,
-                           "all_unrated", picks, store)
+                           "all_unrated", picks)
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
-        for picked, cov in zip(picks, store.rows):
+        for user, picked in zip(synth_split.users, picks.tolist()):
+            assert picked == _greedy_idx(user, 0.5, arec.score_vector(user), _coverage(counts),
+                                         5, synth_split.candidate_mask(user))
             counts[picked] += 1
-            assert np.array_equal(cov, _coverage(counts))
         assert counts.max() > 1
 
     def test_stat_equals_dyn_when_frequencies_match(self, synth_split, synth_stats):
