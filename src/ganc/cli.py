@@ -171,8 +171,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(args, split, split_sha256)
     arec = _build_arec(args, split, split_sha256, stats)
-    phase_seconds = None
-    sampled = phase2_users = snapshots_used = snapshot_bytes = None
+    phase_seconds = sampled = phase2_users = snapshots_used = None
     if args.crec == "dyn":
         # the sample is drawn from the users the protocol keeps
         s = min(args.s, len(core.eligible_users(split, args.n, args.protocol)))
@@ -182,7 +181,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         sampled = len(run.sampled_users)
         phase2_users = run.phase2_users
         snapshots_used = run.snapshots_used
-        snapshot_bytes = run.snapshot_bytes
     elif args.crec in ("stat", "rand"):
         crec = (recommenders.stat_coverage(stats, split) if args.crec == "stat"
                 else recommenders.rand_coverage(args.run_seed, split))
@@ -200,7 +198,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         "sampled": sampled,
         "phase2_users": phase2_users,
         "snapshots_used": snapshots_used,
-        "snapshot_bytes": snapshot_bytes,
         "candidate_pool": {"total": int(pools.sum()), "min": int(pools.min()),
                            "max": int(pools.max())},
         "seed": args.run_seed, "theta_model": pv.model,

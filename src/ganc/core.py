@@ -5,7 +5,7 @@ dynamic coverage scorer the assignment couples users, so collections are
 built by a locally greedy pass over users; the sampling variant runs the
 sequential pass over a KDE-drawn subset sorted by rising theta and finishes
 the remaining users, a block at a time, each against the coverage state
-after its nearest sampled user, rebuilt by replaying the sampled picks.
+after its nearest sampled user, read from the sequential pass as it runs.
 The greedy passes work on codes (positions in the split's sorted tables)
 and write their picks into one (users, n) item-code matrix, whose id
 lists a :class:`TopNCollection` builds only when read. Exhaustive and
@@ -100,8 +100,8 @@ class SnapshotStore:
     """The thetas of OSLG's sampled users, in rising order.
 
     Snapshot k is the coverage state after the first k + 1 sampled lists
-    are counted. Phase two rebuilds the snapshots it reads by replaying the
-    sampled picks, so the store keeps only the thetas and the rule that
+    are counted. Phase two reads the snapshots from phase one's live
+    coverage vector, so the store keeps only the thetas and the rule that
     maps a query theta to its snapshot.
     """
 
@@ -301,11 +301,13 @@ def _thetas(split: SplitDataset, theta: PreferenceVector, codes: np.ndarray) -> 
 
 
 def _sequential_greedy(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec,
-                       n: int, protocol: str, picks: np.ndarray) -> None:
+                       n: int, protocol: str, picks: np.ndarray):
     """Locally greedy pass with dynamic coverage, one user after another.
 
     User ``codes[k]`` with theta ``thetas[k]`` writes its picked item indices
     to ``picks[k]``, which are then counted into the live coverage vector.
+    A generator: its k-th step yields that vector at snapshot k, which the
+    next step updates in place; nothing runs until the first step.
     Each user's gains theta*c + (1-theta)*a go through one reused buffer,
     non-candidates set to -inf from the CSR. The sums are those of
     (1-theta)*a + theta*c, as addition commutes, and where a is 0 adding
@@ -330,6 +332,7 @@ def _sequential_greedy(split: SplitDataset, codes: np.ndarray, thetas: np.ndarra
         idx = picks[k]
         counts[idx] += 1
         cov[idx] = _coverage(counts[idx])
+        yield cov
 
 
 def _pick_block(split: SplitDataset, codes: np.ndarray, weights: np.ndarray, arec, n: int,
@@ -352,48 +355,36 @@ def _pick_block(split: SplitDataset, codes: np.ndarray, weights: np.ndarray, are
         gains[every, out[:, j]] = -np.inf
 
 
-def _replay_blocks(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec, n: int,
-                   protocol: str, sampled: np.ndarray, rows: np.ndarray,
-                   picks: np.ndarray) -> int:
-    """OSLG's phase two, BLOCK users at a time; returns the bytes of the
-    coverage state it holds.
+def _snapshot_blocks(split: SplitDataset, codes: np.ndarray, thetas: np.ndarray, arec,
+                     n: int, protocol: str, rows: np.ndarray, cov: np.ndarray, snapshots,
+                     picks: np.ndarray) -> None:
+    """OSLG's phase two: greedy top-n of the feasible users ``codes``, BLOCK at a time.
 
     User ``codes[k]`` with theta ``thetas[k]`` is scored against snapshot
-    ``rows[k]``, the coverage after the sampled lists ``sampled[:rows[k] + 1]``
-    are counted, and writes its picks to ``picks[k]``. A user's picks depend
-    on its theta, its accuracy and its snapshot alone, so the users are
-    scored in stable order of their snapshots: one count vector, replayed
-    from zero through the sampled picks, reaches each snapshot in turn, and
-    theta*c is written from it into each run of block rows that share the
-    snapshot. A count is at most len(sampled), so a table of 1/sqrt(f + 1)
-    gives each counted item the bits the sequential pass computed.
+    ``rows[k]`` of the coverage vector ``cov``, which holds snapshot 0 and
+    which each step of ``snapshots`` moves to the next, and writes its picks
+    to ``picks[k]``. A user's picks depend on its theta, its accuracy and its
+    snapshot alone, so the users are scored in stable order of their
+    snapshots, theta*c written from ``cov`` into each run of block rows that
+    share one.
     """
-    _check_feasible(split, codes, n, protocol)
     order = np.argsort(rows, kind="stable")
-    codes, thetas, rows = codes[order], thetas[order], rows[order]
+    codes, thetas = codes[order], thetas[order]
+    steps = np.diff(rows[order], prepend=0)  # snapshots from the previous user's to this one's
     # every block start, and every start of a run of users sharing a snapshot
-    cuts = {*range(BLOCK, len(codes), BLOCK), *(np.flatnonzero(np.diff(rows)) + 1).tolist()}
+    cuts = {*range(BLOCK, len(codes), BLOCK), *(np.flatnonzero(steps[1:]) + 1).tolist()}
     bounds = [0, *sorted(cuts), len(codes)]
-    table = _coverage(np.arange(len(sampled) + 1))
-    counts = np.zeros(len(split.items), dtype=np.int64)
-    cov = _coverage(counts)
-    counted = 0  # sampled lists replayed into counts
     gains_buf = np.empty((min(BLOCK, len(codes)), len(split.items)))
     out = np.empty((len(codes), n), dtype=np.intp)
-    row_of = rows.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
-        if row_of[lo] >= counted:
-            new = sampled[counted:row_of[lo] + 1].ravel()
-            np.add.at(counts, new, 1)
-            cov[new] = table[counts[new]]
-            counted = row_of[lo] + 1
+        for _ in range(steps[lo]):
+            cov = next(snapshots)
         b = lo - lo % BLOCK
         np.multiply(thetas[lo:hi, None], cov, out=gains_buf[lo - b:hi - b])
         if hi - b == BLOCK or hi == len(codes):  # the block is full
             _pick_block(split, codes[b:hi], 1.0 - thetas[b:hi], arec, n, protocol,
                         gains_buf[:hi - b], out[b:hi])
     picks[order] = out
-    return counts.nbytes + cov.nbytes
 
 
 def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
@@ -413,7 +404,8 @@ def locally_greedy_full(split: SplitDataset, theta: PreferenceVector, arec,
     elif user_order != "arbitrary":
         raise ValueError(f"unknown user_order {user_order!r}")
     picks = np.empty((len(codes), n), dtype=np.intp)
-    _sequential_greedy(split, codes, thetas, arec, n, protocol, picks)
+    for _ in _sequential_greedy(split, codes, thetas, arec, n, protocol, picks):
+        pass
     return TopNCollection.from_codes(n, split, codes, picks)
 
 
@@ -458,15 +450,13 @@ def _kde_rows(th: np.ndarray, s: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OslgRun:
-    """An OSLG result: the collection, the sample, per-phase wall clock, how
-    many distinct snapshots phase two read, and the bytes of coverage state
-    phase two held at once (0 when nobody is left for it)."""
+    """An OSLG result: the collection, the sample, per-phase wall clock and
+    how many distinct snapshots phase two read."""
 
     collection: TopNCollection
     sampled_users: tuple
     phase_seconds: dict
     snapshots_used: int
-    snapshot_bytes: int
 
     @property
     def phase2_users(self) -> int:
@@ -481,7 +471,7 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
     Phase one runs the sequential greedy over a KDE sample sorted by rising
     theta; snapshot k is the coverage state after its k-th sampled user.
     Phase two assigns every remaining user independently against the
-    snapshot whose theta is nearest, rebuilt by replaying phase one's picks,
+    snapshot whose theta is nearest, read from phase one's live coverage,
     scoring the users in blocks, so its outcome does not depend on the order
     the users are visited in (``phase4_order`` exists to exercise exactly
     that contract). ``workers`` is accepted for compatibility and ignored:
@@ -496,8 +486,10 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
 
     t0 = time.perf_counter()
     store = SnapshotStore(thetas[drawn])
-    _sequential_greedy(split, sample, thetas[drawn], arec, n, protocol, picks[:len(sample)])
-    t1 = time.perf_counter()
+    spent = [0.0]  # seconds inside phase one's pass
+    snapshots = _timed(_sequential_greedy(split, sample, thetas[drawn], arec, n, protocol,
+                                          picks[:len(sample)]), spent)
+    cov = next(snapshots)  # phase one checks its users before anything else can fail
 
     left = np.ones(len(users), dtype=bool)
     left[drawn] = False
@@ -509,19 +501,30 @@ def oslg(split: SplitDataset, theta: PreferenceVector, arec, n: int, s: int,
         thetas = _thetas(split, theta, rest)
 
     rows = store.nearest_rows(thetas)
-    held = 0
     if len(rest):
-        held = _replay_blocks(split, rest, thetas, arec, n, protocol, picks[:len(sample)],
-                              rows, picks[len(sample):])
-    t2 = time.perf_counter()
+        _check_feasible(split, rest, n, protocol)
+        _snapshot_blocks(split, rest, thetas, arec, n, protocol, rows, cov, snapshots,
+                         picks[len(sample):])
+    for _ in snapshots:  # the sampled users after the last snapshot phase two read
+        pass
+    wall = time.perf_counter() - t0
 
     return OslgRun(
         TopNCollection.from_codes(n, split, np.concatenate([sample, rest]), picks),
         tuple(map(split.users.__getitem__, sample.tolist())),
-        {"sequential": t1 - t0, "parallel": t2 - t1},  # key names kept for readers of run.json
+        {"sequential": spent[0], "parallel": wall - spent[0]},  # names kept for run.json
         snapshots_used=int(np.count_nonzero(np.bincount(rows, minlength=len(store)))),
-        snapshot_bytes=held,
     )
+
+
+def _timed(steps, spent: list):
+    """Yield from ``steps``, adding the seconds spent inside it to ``spent[0]``."""
+    t = time.perf_counter()
+    for step in steps:
+        spent[0] += time.perf_counter() - t
+        yield step
+        t = time.perf_counter()
+    spent[0] += time.perf_counter() - t
 
 
 def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
@@ -530,15 +533,10 @@ def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
     users = _eligible_codes(split, n, protocol)
     _check_feasible(split, users, n, protocol)
     thetas = _thetas(split, theta, users)
-    cov = np.asarray(crec.score_vector(), dtype=np.float64)
+    cov = np.asarray(crec.score_vector(), dtype=np.float64)  # snapshot 0 of every user
     picks = np.empty((len(users), n), dtype=np.intp)
-    gains_buf = np.empty((min(BLOCK, len(users)), len(split.items)))
-    for b in range(0, len(users), BLOCK):
-        th = thetas[b:b + BLOCK]
-        gains = gains_buf[:len(th)]
-        np.multiply(th[:, None], cov, out=gains)
-        _pick_block(split, users[b:b + BLOCK], 1.0 - th, arec, n, protocol, gains,
-                    picks[b:b + BLOCK])
+    _snapshot_blocks(split, users, thetas, arec, n, protocol, np.zeros(len(users), dtype=np.intp),
+                     cov, iter(()), picks)
     return TopNCollection.from_codes(n, split, users, picks)
 
 

@@ -31,6 +31,9 @@ def generate_ratings(n_users: int = 200, n_items: int = 400, seed: int = 0,
     mu = np.log(mean_activity) - 0.5 * sigma ** 2
     activity = np.clip(rng.lognormal(mu, sigma, size=n_users).astype(int),
                        min_activity, n_items - 1)
+    # the ratings share one int per id and one float per value (1.0 to 5.0)
+    item_ids = list(range(1, n_items + 1))
+    scale = [float(v) for v in range(6)]
     ratings = []
     for u in range(n_users):
         weights = base_pop ** gamma[u]
@@ -38,6 +41,7 @@ def generate_ratings(n_users: int = 200, n_items: int = 400, seed: int = 0,
         items = rng.choice(n_items, size=activity[u], replace=False, p=probs)
         noise = rng.normal(0.0, 0.7, size=len(items))
         values = np.clip(np.rint(quality[items] + user_bias[u] + noise), 1.0, 5.0)
-        for i, v in zip(items, values):
-            ratings.append(Rating(int(u + 1), int(i + 1), float(v)))
+        user = u + 1
+        ratings.extend(Rating(user, item_ids[i], scale[v])
+                       for i, v in zip(items.tolist(), values.astype(np.intp).tolist()))
     return ratings

@@ -167,7 +167,7 @@ class TestRecommendEvaluate:
         assert manifest["phase2_users"] == 80 - 30  # every user is eligible
         assert 1 <= manifest["snapshots_used"] <= 30
         split, _ = load_split(split_dir)
-        assert manifest["snapshot_bytes"] == 2 * len(split.items) * 8  # counts and coverage
+        assert "snapshot_bytes" not in manifest  # phase two holds no coverage of its own
         pools = [int(split.candidate_mask(u).sum()) for u in split.users]
         assert manifest["candidate_pool"] == {
             "total": sum(pools), "min": min(pools), "max": max(pools)}
@@ -250,7 +250,6 @@ class TestRecommendEvaluate:
                      "--crec", "rand", "--n", "5", "--out", str(out)]) == 0
         manifest = read_json(out / "run.json")
         assert manifest["template"] == "GANC(RSVD, theta^G, Rand)"
-        assert manifest["snapshot_bytes"] is None  # static coverage keeps no snapshot
 
     def test_rated_protocol_clips_sample_to_eligible_users(self, split_dir, prefs_dir,
                                                             tmp_path):
@@ -262,7 +261,6 @@ class TestRecommendEvaluate:
         manifest = read_json(out / "run.json")
         assert manifest["sampled"] == eligible
         assert manifest["phase2_users"] == 0
-        assert manifest["snapshot_bytes"] == 0  # nobody is left to read a snapshot
         split, _ = load_split(split_dir)
         pools = [len(split.per_user_test_index[u]) for u in split.users
                  if len(split.per_user_test_index[u]) >= n]

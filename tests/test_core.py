@@ -302,19 +302,56 @@ class TestOslg:
         assert list(a.collection.lists.items()) == list(b.collection.lists.items())
         assert a.phase2_users == a.snapshots_used == 0
 
-    def test_snapshots_are_kept_only_for_a_phase_two(self, synth_split, synth_stats):
+    def test_full_sample_scores_no_block(self, synth_split, synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)
         theta = theta_generalized(synth_split)
-        with mock.patch.object(core, "_replay_blocks", side_effect=core._replay_blocks) as replay:
+        with mock.patch.object(core, "_pick_block", side_effect=core._pick_block) as pick:
             run = oslg(synth_split, theta, arec, 5, s=len(synth_split.users), seed=0)
-            assert replay.call_count == 0 and run.snapshot_bytes == 0
+        assert pick.call_count == 0 and run.phase2_users == 0
+
+    def test_phase_one_runs_past_the_last_snapshot_read(self, synth_split, synth_stats):
+        # phase two reads only snapshot 0 here, so every later sampled list
+        # is written by the rest of phase one's pass after phase two is done
+        arec = pop_scorer(synth_split, synth_stats, 5)
+        theta = theta_generalized(synth_split)
+        with mock.patch.object(SnapshotStore, "nearest_rows",
+                               lambda self, thetas: np.zeros(len(thetas), dtype=np.intp)):
             run = oslg(synth_split, theta, arec, 5, s=20, seed=0)
-            assert replay.call_count == 1
-            assert run.snapshot_bytes == 2 * len(synth_split.items) * 8  # counts and coverage
+        assert run.snapshots_used == 1 and run.phase2_users > 0
+        counts = np.zeros(len(synth_split.items), dtype=np.int64)
+        for user in run.sampled_users:  # the sequential greedy, one user at a time
+            picked = core._greedy_idx(user, theta.theta[user], arec.score_vector(user),
+                                      core._coverage(counts), 5, synth_split.candidate_mask(user))
+            assert run.collection.lists[user] == tuple(synth_split.items[i] for i in picked)
+            counts[picked] += 1
+
+    def test_sampled_users_are_checked_before_phase_two_users(self):
+        # all_unrated, n=2 over items a-f: user u rates item u, and an
+        # infeasible user rates all but one item, leaving one candidate
+        users = range(1, 7)
+        theta = PreferenceVector("random", {u: u / 10 for u in users})
+        sampled = kde_sample(theta, 3, seed=0)
+        low = min(u for u in users if u not in sampled)
+        high = max(sampled)
+        assert low < high  # so a check in id order would name the phase-two user
+
+        def run(*infeasible):
+            ratings = []
+            for u in users:
+                skip = "a" if u == 6 else "f"
+                rated = [i for i in "abcdef" if i != skip] if u in infeasible else ["abcdef"[u - 1]]
+                ratings += [(u, i, 3) for i in rated]
+            split = build_split(ratings)
+            with pytest.raises(InfeasibleError) as err:
+                oslg(split, theta, DictAccuracy({}, split), 2, 3, seed=0)
+            return str(err.value)
+
+        assert run(low, high).startswith(f"user {high!r}: 1 candidates")
+        assert run(low).startswith(f"user {low!r}: 1 candidates")
 
     def test_phase_two_holds_no_snapshot_matrix(self, synth_split, synth_stats):
         # one row per sampled user would be s * |I| * 8 bytes; phase two
-        # replays the sampled picks into one coverage vector instead
+        # reads each snapshot from phase one's one live coverage vector instead
         arec = pop_scorer(synth_split, synth_stats, 5)
         theta = theta_generalized(synth_split)
         s = len(synth_split.users) - 1

@@ -406,8 +406,9 @@ class TestCoverageScorers:
         # lists counted so far
         arec = pop_scorer(synth_split, synth_stats, 5)
         picks = np.empty((30, 5), dtype=np.intp)
-        _sequential_greedy(synth_split, np.arange(30), np.full(30, 0.5), arec, 5,
-                           "all_unrated", picks)
+        for _ in _sequential_greedy(synth_split, np.arange(30), np.full(30, 0.5), arec, 5,
+                                    "all_unrated", picks):
+            pass
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
         for user, picked in zip(synth_split.users, picks.tolist()):
             assert picked == _greedy_idx(user, 0.5, arec.score_vector(user), _coverage(counts),
