@@ -64,6 +64,12 @@ def _check_split_hash(manifest: dict, split_sha256: str, split_dir, what: str) -
             f"{what} was produced from a different split than {split_dir}")
 
 
+def _check_seed(flag: str, seed: int) -> None:
+    """numpy's generators take seeds >= 0 only; refuse others by the flag's name."""
+    if seed < 0:
+        raise ValueError(f"{flag} must be >= 0, got {seed}")
+
+
 def _load_split(args: argparse.Namespace):
     """(split, its split hash) of ``--split``."""
     split, manifest = dataset.load_split(args.split)
@@ -121,6 +127,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_prefs(args: argparse.Namespace) -> int:
+    _check_seed("--theta-seed", args.theta_seed)
     split, split_sha256 = _load_split(args)
     if args.model == "activity":
         pv = preference.theta_activity(split)
@@ -150,6 +157,7 @@ def cmd_prefs(args: argparse.Namespace) -> int:
 
 
 def cmd_train_rsvd(args: argparse.Namespace) -> int:
+    _check_seed("--mf-seed", args.mf_seed)
     split, split_sha256 = _load_split(args)
     model = recommenders.rsvd_train(split, args.g, args.lam, args.eta,
                                     args.epochs, args.mf_seed)
@@ -167,6 +175,7 @@ def cmd_train_rsvd(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    _check_seed("--run-seed", args.run_seed)
     split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(args, split, split_sha256)
@@ -246,6 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"got {args.s_values!r}")
     if args.reps < 1:
         raise ValueError(f"reps must be at least 1, got {args.reps}")
+    _check_seed("--run-seed", args.run_seed)
     metrics.check_beta_threshold(args.beta, args.threshold)
     split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)

@@ -153,14 +153,19 @@ def _strat_recall(split: SplitDataset, beta: float, threshold: float, users: np.
     rounded, so neither sum depends on the order of its terms.
     """
     weights = split.popularity_weights(beta)
+    indptr, relevant = split.relevant_csr(threshold)
     if len(users) < len(split.users):  # only the given users' items count
-        indptr, relevant = split.relevant_csr(threshold)
         keep = np.zeros(len(split.users), dtype=bool)
         keep[users] = True
-        den = math.fsum(weights[relevant[np.repeat(keep, np.diff(indptr))]].tolist())
+        relevant = relevant[np.repeat(keep, np.diff(indptr))]
+        den = math.fsum(weights[relevant].tolist())
     else:
         den = split.relevant_weight_total(beta, threshold)
     if den == 0:
+        if len(relevant):
+            raise UndefinedMetricError(
+                f"the popularity weights pop^-beta of all {len(relevant)} relevant test "
+                f"items underflow to 0 at beta={beta!r}")
         raise UndefinedMetricError("no relevant test items anywhere")
     return math.fsum(weights[hit_items].tolist()) / den
 

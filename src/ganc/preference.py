@@ -55,11 +55,23 @@ def compute_theta_ui(split: SplitDataset) -> PerUserItemPreference:
 
 
 def _weighted_user_means(split, theta_ui: np.ndarray, w_item: np.ndarray) -> np.ndarray:
-    """Per-user weighted average of pair values with per-item weights."""
+    """Per-user weighted average of pair values with per-item weights.
+
+    Raises NumericalDegeneracyError when a user's weights sum to inf or to
+    0, whose average would be inf / inf or 0 / 0. Only the generalized
+    model's weights lambda1 / eps can: scaled far enough from 1 by lambda1,
+    which the average does not depend on, they overflow or underflow.
+    """
     t = split.train_columns
     wi = w_item[t.item_codes]
-    num = np.bincount(t.user_codes, weights=wi * theta_ui, minlength=len(split.users))
     den = np.bincount(t.user_codes, weights=wi, minlength=len(split.users))
+    usable = np.isfinite(den) & (den > 0)
+    if not usable.all():
+        k = int(np.argmin(usable))
+        raise NumericalDegeneracyError(
+            f"user {split.users[k]!r}: item weights lambda1 / eps sum to {float(den[k])!r}; "
+            f"lambda1 is too far from 1")
+    num = np.bincount(t.user_codes, weights=wi * theta_ui, minlength=len(split.users))
     return num / den
 
 
@@ -127,7 +139,8 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
             bad = split.items[int(np.argmax(eps <= 0))]
             raise NumericalDegeneracyError(
                 f"item {bad!r}: mediocrity coefficient is not positive")
-        w = lambda1 / eps
+        with np.errstate(over="ignore"):  # an infinite weight is refused below
+            w = lambda1 / eps
         new_theta = _weighted_user_means(split, t_ui, w)
         delta = float(np.max(np.abs(new_theta - theta)))
         theta = new_theta

@@ -135,6 +135,14 @@ class TestPrefs:
         assert main(["prefs", "--split", str(split_dir), "--model", "psychic",
                      "--out", str(tmp_path / "x")]) == 1
 
+    def test_weights_past_the_float_range_exit_3(self, split_dir, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "prefs"
+        assert main(["prefs", "--split", str(split_dir), "--lambda1", "1e308",
+                     "--out", str(out)]) == 3
+        assert "lambda1 is too far from 1" in _one_error_line(capsys)
+        assert not (out / "prefs.json").exists()
+
 
 @pytest.fixture(scope="module")
 def rec_dir(split_dir, prefs_dir, tmp_path_factory):
@@ -499,13 +507,19 @@ class TestRejectedValues:
         ("train-rsvd", ["--eta", "0"]),
         ("train-rsvd", ["--lam", "inf"]),
         ("train-rsvd", ["--lam", "-0.1"]),
+        ("recommend", ["--run-seed", "-5"]),
+        ("sweep", ["--run-seed", "-5"]),
+        ("train-rsvd", ["--mf-seed", "-1"]),
+        ("prefs", ["--theta-seed", "-1"]),
     ], ids=["evaluate-n0", "evaluate-n-1", "evaluate-n-above-list", "sweep-reps0",
             "train-rsvd-epochs-1", "train-rsvd-g0", "recommend-pop-n0", "recommend-workers",
             "sweep-workers", "prefs-lambda1-nan", "prefs-lambda1-inf", "prefs-tol-nan",
             "prefs-tol-minus-inf", "evaluate-beta-nan", "evaluate-beta-inf",
             "evaluate-threshold-nan", "sweep-beta-nan", "sweep-threshold-inf",
             "train-rsvd-eta-nan", "train-rsvd-eta0", "train-rsvd-lam-inf",
-            "train-rsvd-lam-negative"])
+            "train-rsvd-lam-negative", "recommend-run-seed-negative",
+            "sweep-run-seed-negative", "train-rsvd-mf-seed-negative",
+            "prefs-theta-seed-negative"])
     def test_exit_1_without_traceback(self, split_dir, prefs_dir, rec_dir, tmp_path,
                                       command, extra):
         inputs = {
@@ -642,6 +656,33 @@ _ODD_REAL = (st.sampled_from(["-0", "1e400", "NaN", "5_0", " 1 ", "0x1p3"])
              | st.floats().map(repr) | _TEXT)
 _BETA = st.floats(0.0, 4.0).map(repr) | _ODD_REAL
 _THRESHOLD = st.floats(-1.0, 6.0).map(repr) | _ODD_REAL
+_LAMBDA1 = (st.floats(1e-3, 1e3).map(repr) | st.sampled_from(["1e308", "5e-324", "1e-300"])
+            | _ODD_REAL)
+_TOL = st.floats(1e-12, 1.0).map(repr) | _ODD_REAL
+_MAX_ITERS = st.integers(0, 200).map(str) | (st.integers(-2, 3).map(str)
+                                             | st.sampled_from(["", "1.0", "+2", "1e3"]) | _TEXT)
+_N = st.integers(1, 5).map(str) | (st.integers(-2, 8).map(str)
+                                   | st.sampled_from(["", "2.0", "+3"]) | _TEXT)
+
+
+def _documented_exit(argv) -> int:
+    """Run ``main`` on ``argv``; its exit code is documented, and it wrote
+    one error line, and no traceback, exactly when that code is not 0."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) == (code != 0)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def _finite_json(path):
+    """The JSON file ``path``, which holds no NaN or infinity."""
+    def refuse(token):
+        raise AssertionError(f"{path} holds {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 class TestSweepFlagValues:
@@ -650,18 +691,41 @@ class TestSweepFlagValues:
     def test_documented_exit_and_one_error_line(self, split_dir, prefs_dir, tmp_path_factory,
                                                 s_values, reps, beta, threshold):
         out = tmp_path_factory.mktemp("sweep") / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
-                         "--arec", "pop", "--n", "5", f"--s-values={s_values}",
-                         f"--reps={reps}", f"--beta={beta}", f"--threshold={threshold}",
-                         "--out", str(out)])
-        event(f"exit {code}")
-        assert code in (0, 1, 2, 3)
-        assert sum("error:" in line for line in err.getvalue().splitlines()) == (code != 0)
-        assert "Traceback" not in err.getvalue()
+        code = _documented_exit(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
+                                 "--arec", "pop", "--n", "5", f"--s-values={s_values}",
+                                 f"--reps={reps}", f"--beta={beta}",
+                                 f"--threshold={threshold}", "--out", str(out)])
         assert (out / "sweep.csv").exists() == (code == 0)
         assert_no_child_left()
+
+
+class TestPrefsAndEvaluateFlagValues:
+    """Extreme and bad values end in a documented exit code with one error
+    line, and a run that exits 0 writes finite artifacts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lambda1=_LAMBDA1, tol=_TOL, max_iters=_MAX_ITERS)
+    def test_prefs(self, split_dir, tmp_path_factory, lambda1, tol, max_iters):
+        out = tmp_path_factory.mktemp("prefs") / "out"
+        code = _documented_exit(["prefs", "--split", str(split_dir), f"--lambda1={lambda1}",
+                                 f"--tol={tol}", f"--max-iters={max_iters}", "--out", str(out)])
+        assert (out / "prefs.json").exists() == (code == 0)
+        if code == 0:
+            _finite_json(out / "prefs.json")
+            with open(out / "theta.csv", newline="") as fh:
+                assert all(np.isfinite(float(v)) for _, v in list(csv.reader(fh))[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=_BETA, threshold=_THRESHOLD, n=_N)
+    def test_evaluate(self, split_dir, rec_dir, tmp_path_factory, beta, threshold, n):
+        out = tmp_path_factory.mktemp("evaluate") / "out"
+        code = _documented_exit(["evaluate", "--split", str(split_dir), "--topn", str(rec_dir),
+                                 f"--beta={beta}", f"--threshold={threshold}", f"--n={n}",
+                                 "--out", str(out)])
+        assert (out / "report.json").exists() == (code == 0)
+        if code == 0:
+            report = _finite_json(out / "report.json")
+            assert all(np.isfinite(v) for v in report.values() if not isinstance(v, str))
 
 
 class TestPopSizeNamesItsFlag:
@@ -678,6 +742,23 @@ class TestPopSizeNamesItsFlag:
         assert main([command, "--split", str(split_dir), "--prefs", str(prefs_dir),
                      "--arec", "pop", "--out", str(tmp_path / "out"), *extra]) == 1
         assert capsys.readouterr().err == f"error: {flag} must be in [1, {items}], got {value}\n"
+
+
+class TestSeedFlagsNameThemselves:
+    @pytest.mark.parametrize("command, flag", [
+        ("recommend", "--run-seed"),
+        ("sweep", "--run-seed"),
+        ("train-rsvd", "--mf-seed"),
+        ("prefs", "--theta-seed"),
+    ], ids=["recommend", "sweep", "train-rsvd", "prefs"])
+    def test_negative_seed_names_its_flag(self, split_dir, prefs_dir, tmp_path, capsys,
+                                          command, flag):
+        inputs = ["--prefs", str(prefs_dir)] if command in ("recommend", "sweep") else []
+        capsys.readouterr()
+        assert main([command, "--split", str(split_dir), *inputs, flag, "-3",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -3\n"
+        assert not (tmp_path / "out").exists()
 
 
 def _truncate_last_line(path):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 from unittest import mock
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganc import core
 from ganc.core import (
     PROTOCOLS,
     SnapshotStore,
@@ -36,7 +36,7 @@ from ganc.errors import (
     InstanceTooLargeError,
 )
 from ganc.preference import PreferenceVector, theta_baseline, theta_generalized
-from ganc.recommenders import pop_scorer, rand_coverage, stat_coverage
+from ganc.recommenders import StaticCoverage, pop_scorer, rand_coverage, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, build_split, random_instance
 
@@ -303,11 +303,20 @@ class TestOslg:
         assert a.phase2_users == a.snapshots_used == 0
 
     def test_full_sample_scores_no_block(self, synth_split, synth_stats):
-        arec = pop_scorer(synth_split, synth_stats, 5)
+        # a scorer without the add_accuracy hook is read once per user scored:
+        # with every user sampled, phase one reads each user and phase two none
+        pop = pop_scorer(synth_split, synth_stats, 5)
+        reads = Counter()
+
+        class VectorOnly:
+            def score_vector(self, user):
+                reads[user] += 1
+                return pop.score_vector(user)
+
         theta = theta_generalized(synth_split)
-        with mock.patch.object(core, "_pick_block", side_effect=core._pick_block) as pick:
-            run = oslg(synth_split, theta, arec, 5, s=len(synth_split.users), seed=0)
-        assert pick.call_count == 0 and run.phase2_users == 0
+        run = oslg(synth_split, theta, VectorOnly(), 5, s=len(synth_split.users), seed=0)
+        assert reads == Counter(synth_split.users)
+        assert run.phase2_users == run.snapshots_used == 0
 
     def test_phase_one_runs_past_the_last_snapshot_read(self, synth_split, synth_stats):
         # phase two reads only snapshot 0 here, so every later sampled list
@@ -320,10 +329,10 @@ class TestOslg:
         assert run.snapshots_used == 1 and run.phase2_users > 0
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
         for user in run.sampled_users:  # the sequential greedy, one user at a time
-            picked = core._greedy_idx(user, theta.theta[user], arec.score_vector(user),
-                                      core._coverage(counts), 5, synth_split.candidate_mask(user))
-            assert run.collection.lists[user] == tuple(synth_split.items[i] for i in picked)
-            counts[picked] += 1
+            crec = StaticCoverage(synth_split, 1 / np.sqrt(counts + 1.0))
+            picked = greedy_topn_user(synth_split, user, theta.theta[user], arec, crec, 5)
+            assert run.collection.lists[user] == picked
+            counts[[synth_split.item_index[i] for i in picked]] += 1
 
     def test_sampled_users_are_checked_before_phase_two_users(self):
         # all_unrated, n=2 over items a-f: user u rates item u, and an

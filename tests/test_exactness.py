@@ -1,17 +1,18 @@
-"""Fast paths against the code they replaced.
+"""Fast paths against plain references.
 
-The references below are the implementations the fast paths replaced:
-``_greedy_idx_reference`` rebuilds the blended gains (and the coverage
-vector) at each of the n steps, ``_RecFrequency`` and ``_DynCoverage`` keep
-OSLG's recommendation counts and read coverage from them at call time,
-``_SnapshotStoreReference`` keeps full frequency copies and rebuilds its
-theta array on every lookup, ``_oslg_matrix_reference`` is OSLG as it ran
-with one (s, |I|) snapshot matrix, before phase two read phase one's live
-coverage, ``_sequential_greedy_dense`` and ``_pick_block_dense`` add every
-user's dense accuracy vector to the gains, ``_evaluate_reference`` recomputes
-relevant items per call and popularity weights per relevant pair,
-``_strat_recall_dict_reference`` looks each relevant item's weight up in a
-dict built per call, ``_load_ratings_reference`` and
+The greedy assignments are checked against the paper's rules, written with
+the public API only: ``_greedy_idx_reference`` rebuilds the blended gains
+(and the coverage vector) at each of the n steps, ``_RecFrequency`` and
+``_DynCoverage`` keep the recommendation counts and read coverage
+1/sqrt(f + 1) from them at call time, ``_SnapshotStoreReference`` keeps a
+full copy of the counts after each sampled user, and ``_oslg_reference``,
+``_locally_greedy_reference`` and ``_independent_greedy_reference`` assign
+lists with them. A scorer's ``add_accuracy`` hook is checked against the
+same scorer read one dense ``score_vector`` at a time. The other references
+are the implementations the fast paths replaced: ``_evaluate_reference``
+recomputes relevant items per call and popularity weights per relevant
+pair, ``_strat_recall_dict_reference`` looks each relevant item's weight up
+in a dict built per call, ``_load_ratings_reference`` and
 ``_split_per_user_reference`` parse and split one ``Rating`` per row into
 dict-of-set indices, and ``_PopScorerReference`` scans the popularity
 ranking per user. A split read from the split.npz sidecar must equal the
@@ -116,8 +117,12 @@ class _SnapshotStoreReference:
         self._freqs.append(freq)
 
     def nearest(self, theta):
-        gaps = np.abs(np.asarray(self._thetas) - theta)
-        return self._freqs[int(np.argmin(gaps))]
+        """Position of the snapshot whose theta is closest, the first added
+        among equal gaps."""
+        return int(np.argmin(np.abs(np.asarray(self._thetas) - theta)))
+
+    def freq(self, k):
+        return self._freqs[k]
 
 
 def _eligible_reference(split, n, protocol):
@@ -139,7 +144,14 @@ def _ids(split, picked):
     return tuple(split.items[k] for k in picked)
 
 
-def _oslg_reference(split, theta, arec, n, s, seed, protocol):
+def _oslg_reference(split, theta, arec, n, s, seed, protocol, phase4_order=None):
+    """(sampled users, lists, snapshots used) of OSLG by the paper's rules.
+
+    Phase one gives the KDE sample, in rising theta, greedy lists against
+    the live coverage and keeps a snapshot of the counts after each. Phase
+    two gives every other user, in id order or in ``phase4_order``, a greedy
+    list against the snapshot of its nearest sampled theta.
+    """
     users, cands = _eligible_reference(split, n, protocol)
     sample = kde_sample(theta, s, seed, users=users)
     freq = _RecFrequency(split)
@@ -151,12 +163,14 @@ def _oslg_reference(split, theta, arec, n, s, seed, protocol):
         freq.increment(picked)
         store.add(theta.theta[u], _RecFrequency(split, freq.counts.copy()))
         lists[u] = picked
-    for u in users:
-        if u not in lists:
-            snapshot = _DynCoverage(store.nearest(theta.theta[u]))
-            lists[u] = _ids(split, _greedy_idx_reference(
-                u, theta.theta[u], arec, snapshot, n, cands[u]))
-    return tuple(sample), lists
+    rest = [u for u in users if u not in lists] if phase4_order is None else phase4_order
+    used = set()
+    for u in rest:
+        k = store.nearest(theta.theta[u])
+        used.add(k)
+        lists[u] = _ids(split, _greedy_idx_reference(
+            u, theta.theta[u], arec, _DynCoverage(store.freq(k)), n, cands[u]))
+    return tuple(sample), lists, len(used)
 
 
 def _locally_greedy_reference(split, theta, arec, n, user_order, protocol):
@@ -210,109 +224,6 @@ def _strat_recall_dict_reference(sets, split, beta):
     if den == 0:
         raise UndefinedMetricError("no relevant test items anywhere")
     return num / den
-
-
-def _rated_reference(split, protocol):
-    return split.train_item_indices if protocol == "all_unrated" else split.test_item_indices
-
-
-def _sequential_greedy_dense(split, codes, thetas, arec, n, protocol, picks):
-    core._check_feasible(split, codes, n, protocol)
-    m = len(split.items)
-    counts = np.zeros(m, dtype=np.int64)
-    cov = core._coverage(counts)
-    acc, gains = np.empty(m), np.empty(m)
-    rated = _rated_reference(split, protocol)
-    for k, c in enumerate(codes.tolist()):
-        u, th = split.users[c], thetas[k]
-        np.multiply(1.0 - th, arec.score_vector(u), out=acc)
-        np.multiply(th, cov, out=gains)
-        np.add(acc, gains, out=gains)
-        core._exclude(gains, rated(u), protocol)
-        picked = core._top_n(gains, n)
-        picks[k] = picked
-        idx = np.array(picked, dtype=np.int64)
-        counts[idx] += 1
-        cov[idx] = core._coverage(counts[idx])
-        yield cov
-
-
-def _pick_block_dense(split, codes, weights, arec, n, protocol, gains, out):
-    rated = _rated_reference(split, protocol)
-    block = [split.users[c] for c in codes.tolist()]
-    acc = np.array([arec.score_vector(u) for u in block], dtype=np.float64)
-    np.multiply(weights[:, None], acc, out=acc)
-    np.add(acc, gains, out=gains)
-    spans = [rated(u) for u in block]
-    at = np.repeat(np.arange(len(block)), [len(x) for x in spans]), np.concatenate(spans)
-    core._exclude(gains, at, protocol)
-    every = np.arange(len(block))
-    for j in range(n):
-        picked = gains.argmax(axis=1)
-        out[:, j] = picked
-        gains[every, picked] = -np.inf
-
-
-def _dense(run, *args, **kwargs):
-    """``run`` with the sequential pass and the block scorer replaced by the
-    dense references; the block scorer must run whenever users are scored
-    in blocks."""
-    with mock.patch.object(core, "_sequential_greedy", _sequential_greedy_dense), \
-            mock.patch.object(core, "_pick_block", side_effect=_pick_block_dense) as tail:
-        result = run(*args, **kwargs)
-    assert tail.called or isinstance(result, core.OslgRun) and not result.phase2_users
-    return result
-
-
-def _greedy_blocks_matrix(split, codes, thetas, arec, n, protocol, cov, rows, picks):
-    """Phase two as it ran on the snapshot matrix: each block gathers its
-    users' rows of ``cov``."""
-    core._check_feasible(split, codes, n, protocol)
-    csr = core._rated(split, protocol)
-    weights = 1.0 - thetas
-    gains_buf = np.empty((min(BLOCK, len(codes)), len(split.items)))
-    for b in range(0, len(codes), BLOCK):
-        block = codes[b:b + BLOCK]
-        gains, out = gains_buf[:len(block)], picks[b:b + BLOCK]
-        np.take(cov, rows[b:b + BLOCK], axis=0, out=gains, mode="clip")
-        np.multiply(thetas[b:b + BLOCK, None], gains, out=gains)
-        core._add_accuracy(split, arec, gains, block, weights[b:b + BLOCK])
-        core._exclude(gains, core._spans(csr, block), protocol)
-        every = np.arange(len(block))
-        for j in range(n):
-            gains.argmax(axis=1, out=out[:, j])
-            gains[every, out[:, j]] = -np.inf
-
-
-def _oslg_matrix_reference(split, theta, arec, n, s, seed, protocol, phase4_order=None):
-    """(sampled users, lists, snapshots used) of OSLG with a snapshot matrix:
-    row k holds the coverage after the first k + 1 sampled lists, and phase
-    two gathers each user's nearest row from it."""
-    users = core._eligible_codes(split, n, protocol)
-    thetas = core._thetas(split, theta, users)
-    drawn = core._kde_rows(thetas, s, seed)
-    sample = users[drawn]
-    picks = np.empty((len(users), n), dtype=np.intp)
-    for _ in core._sequential_greedy(split, sample, thetas[drawn], arec, n, protocol,
-                                     picks[:len(sample)]):
-        pass
-    counts = np.zeros(len(split.items), dtype=np.int64)
-    matrix = np.empty((len(sample), len(split.items)))
-    for k, picked in enumerate(picks[:len(sample)]):
-        counts[picked] += 1
-        matrix[k] = core._coverage(counts)
-    left = np.ones(len(users), dtype=bool)
-    left[drawn] = False
-    rest, rest_thetas = users[left], thetas[left]
-    if phase4_order is not None:
-        rest = np.array([split.user_index[u] for u in phase4_order], dtype=np.intp)
-        rest_thetas = core._thetas(split, theta, rest)
-    rows = SnapshotStore(thetas[drawn]).nearest_rows(rest_thetas)
-    _greedy_blocks_matrix(split, rest, rest_thetas, arec, n, protocol, matrix, rows,
-                          picks[len(sample):])
-    coll = TopNCollection.from_codes(n, split, np.concatenate([sample, rest]), picks)
-    return (tuple(split.users[k] for k in sample.tolist()), coll.lists,
-            len(np.unique(rows)))
 
 
 def _evaluate_reference(coll, split, stats, protocol, n, beta, threshold):
@@ -444,9 +355,10 @@ class TestAssignmentMatchesReference:
         assume(eligible > 0)
         s = 1 + int(s_share * (eligible - 1))  # 1 .. |eligible users|
         run = oslg(split, theta, arec, n, s, seed, protocol=protocol)
-        sample, lists = _oslg_reference(split, theta, arec, n, s, seed, protocol)
+        sample, lists, used = _oslg_reference(split, theta, arec, n, s, seed, protocol)
         assert run.sampled_users == sample
         assert list(run.collection.lists.items()) == list(lists.items())
+        assert run.snapshots_used == used
 
         stats = compute_item_stats(split)
         try:
@@ -488,7 +400,7 @@ class TestAssignmentMatchesReference:
         for protocol in PROTOCOLS:
             for s in (1, 30, _eligible_count(synth_split, 5, protocol)):
                 run = oslg(synth_split, theta, arec, 5, s, 4, protocol=protocol)
-                sample, lists = _oslg_reference(synth_split, theta, arec, 5, s, 4, protocol)
+                sample, lists, _ = _oslg_reference(synth_split, theta, arec, 5, s, 4, protocol)
                 assert run.sampled_users == sample
                 assert list(run.collection.lists.items()) == list(lists.items())
                 expected, _ = _evaluate_reference(TopNCollection(5, lists), synth_split,
@@ -525,10 +437,11 @@ class TestBlockedScoringMatchesReference:
         theta, arec = thetas[theta_kind], scorers[kind]
         for s in (1, 10, 149):
             run = oslg(synth_split, theta, arec, 5, s, 7, protocol=protocol)
-            sample, lists = _oslg_reference(synth_split, theta, arec, 5, s, 7, protocol)
+            sample, lists, used = _oslg_reference(synth_split, theta, arec, 5, s, 7, protocol)
             assert run.phase2_users == len(synth_split.users) - s
             assert run.sampled_users == sample
             assert list(run.collection.lists.items()) == list(lists.items())
+            assert run.snapshots_used == used
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("kind", ["pop", "dense"])
@@ -567,10 +480,18 @@ class TestBlockedScoringMatchesReference:
 #
 # The greedy loops add (1-theta)*a to theta*c through the scorer's
 # add_accuracy hook (Pop: only at each user's top items) or, for a scorer
-# with only score_vector, one user at a time. Picks must equal the dense
-# loops' picks.
+# with only score_vector, one user's dense vector at a time. Picks through
+# the hook must equal the picks of the same scorer read as dense vectors.
 
 ZERO_ONE = (0.0, -0.0, 1.0)
+
+
+class _VectorOnly:
+    """A scorer seen only through ``score_vector``, so the greedy loops add
+    its dense vector for each user."""
+
+    def __init__(self, arec):
+        self.score_vector = arec.score_vector
 
 
 @st.composite
@@ -614,7 +535,7 @@ class TestSparseAccuracyMatchesDense:
         assume(eligible > 0)
         s = 1 + int(s_share * (eligible - 1))
         got = oslg(split, theta, arec, n, s, seed, protocol=protocol)
-        want = _dense(oslg, split, theta, arec, n, s, seed, protocol=protocol)
+        want = oslg(split, theta, _VectorOnly(arec), n, s, seed, protocol=protocol)
         assert got.sampled_users == want.sampled_users
         assert list(got.collection.lists.items()) == list(want.collection.lists.items())
 
@@ -627,7 +548,7 @@ class TestSparseAccuracyMatchesDense:
         if static == "stat":
             crec = stat_coverage(compute_item_stats(split), split)
         got = independent_greedy(split, theta, arec, crec, n, protocol=protocol)
-        want = _dense(independent_greedy, split, theta, arec, crec, n, protocol=protocol)
+        want = independent_greedy(split, theta, _VectorOnly(arec), crec, n, protocol=protocol)
         assert list(got.lists.items()) == list(want.lists.items())
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -641,11 +562,12 @@ class TestSparseAccuracyMatchesDense:
         arec = pop_scorer(synth_split, synth_stats, pop_n)
         for s in (1, 40):
             got = oslg(synth_split, theta, arec, 5, s, 3, protocol=protocol)
-            want = _dense(oslg, synth_split, theta, arec, 5, s, 3, protocol=protocol)
+            want = oslg(synth_split, theta, _VectorOnly(arec), 5, s, 3, protocol=protocol)
             assert list(got.collection.lists.items()) == list(want.collection.lists.items())
         crec = stat_coverage(synth_stats, synth_split)
         got = independent_greedy(synth_split, theta, arec, crec, 5, protocol=protocol)
-        want = _dense(independent_greedy, synth_split, theta, arec, crec, 5, protocol=protocol)
+        want = independent_greedy(synth_split, theta, _VectorOnly(arec), crec, 5,
+                                  protocol=protocol)
         assert list(got.lists.items()) == list(want.lists.items())
 
     @EXACT
@@ -680,7 +602,7 @@ class TestSparseAccuracyMatchesDense:
         theta = PreferenceVector("random", {u: ZERO_ONE[u % 3] for u in split.users})
         for s in (1, 4, 8):
             got = oslg(split, theta, arec, 2, s, 0, protocol="rated_test_items")
-            want = _dense(oslg, split, theta, arec, 2, s, 0, protocol="rated_test_items")
+            want = oslg(split, theta, _VectorOnly(arec), 2, s, 0, protocol="rated_test_items")
             assert list(got.collection.lists.items()) == list(want.collection.lists.items())
 
 
@@ -785,7 +707,7 @@ class TestSweepMatchesReference:
         for s in s_values:
             reports = []
             for rep in range(reps):
-                _, lists = _oslg_reference(split, theta, arec, 5, min(s, eligible),
+                _, lists, _ = _oslg_reference(split, theta, arec, 5, min(s, eligible),
                                            run_seed + rep, protocol)
                 reports.append(_evaluate_reference(TopNCollection(5, lists), split, stats,
                                                    protocol, 5, 0.5, 4.0)[0])
@@ -832,11 +754,12 @@ class TestSweepIgnoresProcessCount:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-# ------------------------------------------------- phase two replays phase one
+# ----------------------------------------------- phase two reads phase one live
 #
-# Phase two rebuilds the snapshot each user reads by replaying phase one's
-# picks, visiting the users in order of their snapshot. It must assign what
-# the snapshot-matrix phase two assigned.
+# Phase two scores its users in order of their snapshot, a block at a time,
+# while phase one's pass moves the live coverage from snapshot to snapshot.
+# It must assign what the paper's rules assign: each user's greedy list
+# against the coverage after its nearest sampled theta.
 
 @st.composite
 def replay_cases(draw):
@@ -858,6 +781,10 @@ def replay_cases(draw):
 
 
 class TestReplayMatchesSnapshotMatrix:
+    """OSLG on instances where phase two's snapshot runs straddle blocks,
+    against :func:`_oslg_reference`: samples, lists in order and the number
+    of snapshots read."""
+
     @EXACT
     @given(case=replay_cases(), protocol=st.sampled_from(PROTOCOLS),
            s_share=st.floats(0.0, 0.3) | st.floats(0.0, 1.0),  # small s: several blocks
@@ -874,8 +801,7 @@ class TestReplayMatchesSnapshotMatrix:
             order = [u for u in eligible if u not in sampled]
             np.random.default_rng(seed).shuffle(order)
         run = oslg(split, theta, arec, n, s, seed, protocol=protocol, phase4_order=order)
-        sample, lists, used = _oslg_matrix_reference(split, theta, arec, n, s, seed, protocol,
-                                                     order)
+        sample, lists, used = _oslg_reference(split, theta, arec, n, s, seed, protocol, order)
         assert run.sampled_users == sample
         assert list(run.collection.lists.items()) == list(lists.items())
         assert run.snapshots_used == used
@@ -887,8 +813,7 @@ class TestReplayMatchesSnapshotMatrix:
         eligible = _eligible_count(synth_split, 5, protocol)
         for s in (1, 10, 40, eligible - 1):
             run = oslg(synth_split, theta, arec, 5, s, 11, protocol=protocol)
-            sample, lists, used = _oslg_matrix_reference(synth_split, theta, arec, 5, s, 11,
-                                                         protocol)
+            sample, lists, used = _oslg_reference(synth_split, theta, arec, 5, s, 11, protocol)
             assert run.sampled_users == sample
             assert list(run.collection.lists.items()) == list(lists.items())
             assert run.snapshots_used == used
@@ -995,14 +920,16 @@ class TestKdeSampleTieRules:
            s_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_signed_zeros_and_string_ids_tie_by_id(self, data, values, s_share, seed):
         # OSLG samples over a theta array of the pool in id order; 0.0 and
-        # -0.0 compare equal, so they tie and go by id, as in the oracle
+        # -0.0 compare equal, so they tie and go by id, as in the oracle.
+        # Each user's one test item is also its train item, so under
+        # rated_test_items every user is eligible, however few there are
         ids = data.draw(st.permutations([f"u{k}" for k in range(len(values))]))
         theta = PreferenceVector("random", dict(zip(ids, values)))
         s = 1 + int(s_share * (len(values) - 1))
         want = _kde_sample_oracle(theta, s, seed, ids)
-        pool = sorted(ids)
-        rows = core._kde_rows(np.array([theta.theta[u] for u in pool]), s, seed)
-        assert [pool[k] for k in rows.tolist()] == want
+        split = build_split([(u, "i", 3) for u in ids], [(u, "i", 5) for u in ids])
+        run = oslg(split, theta, DictAccuracy({}, split), 1, s, seed, protocol="rated_test_items")
+        assert run.sampled_users == tuple(want)
         assert kde_sample(theta, s, seed) == want
 
     @pytest.mark.parametrize("seed", range(4))

@@ -165,6 +165,19 @@ class TestStratRecall:
         with pytest.raises(UndefinedMetricError):
             strat_recall_at_n(coll, split)
 
+    def test_weights_that_underflow_are_named(self):
+        # both relevant items have popularity 2, and 2.0 ** -2000 is 0.0
+        train = [(f, i, 3) for f in ("f1", "f2") for i in ("i0", "i1")]
+        train += [("a", "wa", 3), ("b", "wb", 3)]
+        split = build_split(train, [("a", "i0", 5), ("b", "i1", 5)])
+        lists = {"a": ("i0",), "b": ("wa",), "f1": ("wa",), "f2": ("wb",)}
+        some = {u: lists[u] for u in ("a", "b")}
+        for chosen in (lists, some):  # the split's cached denominator, then a subset's
+            with pytest.raises(UndefinedMetricError, match=r"^the popularity weights pop\^-beta "
+                               r"of all 2 relevant test items underflow to 0 at beta=2000\.0$"):
+                strat_recall_at_n(TopNCollection(1, chosen), split, beta=2000.0)
+        assert strat_recall_at_n(TopNCollection(1, lists), split, beta=1000.0) == 0.5
+
     def test_negative_beta_rejected(self, synth_split):
         with pytest.raises(ValueError):
             strat_recall_at_n(TopNCollection(1, {}), synth_split, beta=-1.0)

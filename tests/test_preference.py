@@ -246,6 +246,14 @@ class TestThetaGeneralized:
         with pytest.raises(NumericalDegeneracyError, match="edge"):
             theta_generalized(split, lambda1=1.0, theta_ui=bad)
 
+    @pytest.mark.parametrize("lambda1, total", [(1e308, "inf"), (5e-324, "0.0")])
+    def test_weights_outside_the_float_range_raise(self, synth_split, lambda1, total):
+        # theta does not depend on lambda1, but lambda1 / eps can overflow or
+        # underflow, leaving a weighted mean of inf / inf or 0 / 0
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"weights lambda1 / eps sum to {total}; lambda1 is too far"):
+            theta_generalized(synth_split, lambda1=lambda1)
+
     def test_bad_arguments(self, synth_split):
         with pytest.raises(ValueError):
             theta_generalized(synth_split, lambda1=0.0)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganc.core import _coverage, _greedy_idx, _sequential_greedy
+from ganc.core import greedy_topn_user, locally_greedy_full
 from ganc.dataset import Rating, compute_item_stats
 from ganc.errors import ParseError, TrainingDivergenceError, UnknownIdError
+from ganc.preference import PreferenceVector
 from ganc.recommenders import (
     MFModel,
+    StaticCoverage,
     load_external_scores,
     load_mf_model,
     mf_accuracy_scorer,
@@ -396,30 +398,23 @@ class TestCoverageScorers:
         assert scorer.score("fresh") == pytest.approx(1 / np.sqrt(2))
 
     def test_dyn_tracks_live_frequency(self, synth_split, synth_stats):
-        # dynamic coverage (kept inside OSLG) is 1/sqrt(f + 1): 1 before any
-        # recommendation, falling with each one
-        seen = _coverage(np.arange(6))
-        assert seen[0] == 1.0
-        assert seen[1] == pytest.approx(1 / np.sqrt(2))
-        assert all(a > b for a, b in zip(seen, seen[1:]))
-        # the sequential pass scores each user against the coverage of the
-        # lists counted so far
+        # dynamic coverage (kept inside the locally greedy pass) is
+        # 1/sqrt(f + 1) of the lists counted so far: each user's list is its
+        # greedy list against that coverage, fixed while the list is built
         arec = pop_scorer(synth_split, synth_stats, 5)
-        picks = np.empty((30, 5), dtype=np.intp)
-        for _ in _sequential_greedy(synth_split, np.arange(30), np.full(30, 0.5), arec, 5,
-                                    "all_unrated", picks):
-            pass
+        theta = PreferenceVector("constant", dict.fromkeys(synth_split.users, 0.5))
+        coll = locally_greedy_full(synth_split, theta, arec, 5)
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
-        for user, picked in zip(synth_split.users, picks.tolist()):
-            assert picked == _greedy_idx(user, 0.5, arec.score_vector(user), _coverage(counts),
-                                         5, synth_split.candidate_mask(user))
-            counts[picked] += 1
+        for user, picked in coll.lists.items():
+            crec = StaticCoverage(synth_split, 1 / np.sqrt(counts + 1.0))
+            assert picked == greedy_topn_user(synth_split, user, 0.5, arec, crec, 5)
+            counts[[synth_split.item_index[i] for i in picked]] += 1
         assert counts.max() > 1
 
     def test_stat_equals_dyn_when_frequencies_match(self, synth_split, synth_stats):
         counts = np.array([synth_stats.popularity[i] for i in synth_split.items])
         stat = stat_coverage(synth_stats, synth_split)
-        assert np.array_equal(stat.score_vector(), _coverage(counts))
+        assert np.array_equal(stat.score_vector(), 1 / np.sqrt(counts + 1.0))
 
     def test_rand_stable_within_run(self, synth_split):
         a = rand_coverage(9, synth_split)
