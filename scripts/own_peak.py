@@ -6,8 +6,9 @@ so the peak read afterwards (``VmHWM`` from ``/proc/self/status``, Linux
 only) is that of the command alone: the interpreter, ganc's imports and its
 work, and nothing of a parent process. The ``ru_maxrss`` a parent reads
 from ``wait4`` for a spawned child counts the parent's RSS at spawn as
-well. A command that forks workers (``sweep``) also gets the peak of its
-largest worker, which counts what the worker shares with this process.
+well. A command that forks workers (``sweep``, and ``train-rsvd`` with its
+schedule producer) also gets the peak of its largest worker, which counts
+what the worker shares with this process.
 The report goes to standard error, after the command's own output::
 
     PYTHONPATH=src python3 scripts/own_peak.py recommend --split runs/split \\

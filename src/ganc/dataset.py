@@ -391,7 +391,7 @@ class ItemStats:
 def _records(fh, format: str, path):
     """Per block of lines, (line numbers, columns, bad) of its non-blank
     records. ``columns`` lists the records' user, item, rating and timestamp
-    strings ("" where a record has three fields). ``bad`` is None, or the
+    strings (as :func:`_columns` gives them). ``bad`` is None, or the
     (line, message) of the first record that is not 3 or 4 fields or that
     csv.reader refuses: the records stop before it, and no block follows.
     Line numbers count records, a CSV header as line 1; csv.reader's own
@@ -485,10 +485,11 @@ def _kept(blank: np.ndarray, widths: np.ndarray, line_no: int) -> tuple:
 def _columns(cells: list, widths: np.ndarray) -> tuple:
     """(users, items, ratings, timestamps) of records whose fields are
     ``cells`` in order, ``widths[k]`` (3 or 4) of them for record k; the
-    timestamp of a 3-field record is ""."""
+    timestamp of a 3-field record is "", and the timestamps of a block of
+    3-field records only are None."""
     n = len(widths)
     if (widths == 3).all():
-        return cells[0::3], cells[1::3], cells[2::3], [""] * n
+        return cells[0::3], cells[1::3], cells[2::3], None
     if (widths == 4).all():
         return cells[0::4], cells[1::4], cells[2::4], cells[3::4]
     cells = _object_array(cells)
@@ -551,7 +552,11 @@ def _parse(path, format: str) -> RatingColumns:
             for numbers, columns, bad_record in _records(fh, format, path):
                 line_nos.append(numbers)
                 for codes, column, table in zip(blocks, columns, tables):
-                    codes.append(_codes(column, table))
+                    if column is None:  # every timestamp is blank: code "" once
+                        codes.append(np.full(len(numbers), table.setdefault("", len(table)),
+                                             dtype=np.int64))
+                    else:
+                        codes.append(_codes(column, table))
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not {fh.encoding} text") from None
     user_codes, item_codes, value_codes, ts_codes = map(_joined, blocks)

@@ -58,9 +58,11 @@ def _weighted_user_means(split, theta_ui: np.ndarray, w_item: np.ndarray) -> np.
     """Per-user weighted average of pair values with per-item weights.
 
     Raises NumericalDegeneracyError when a user's weights sum to inf or to
-    0, whose average would be inf / inf or 0 / 0. Only the generalized
-    model's weights lambda1 / eps can: scaled far enough from 1 by lambda1,
-    which the average does not depend on, they overflow or underflow.
+    0, whose average would be inf / inf or 0 / 0, or when a weight in use
+    is subnormal, where it keeps too few bits for the average to hold.
+    Only the generalized model's weights lambda1 / eps can: scaled far
+    enough from 1 by lambda1, which the average does not depend on, they
+    overflow or underflow.
     """
     t = split.train_columns
     wi = w_item[t.item_codes]
@@ -71,6 +73,12 @@ def _weighted_user_means(split, theta_ui: np.ndarray, w_item: np.ndarray) -> np.
         raise NumericalDegeneracyError(
             f"user {split.users[k]!r}: item weights lambda1 / eps sum to {float(den[k])!r}; "
             f"lambda1 is too far from 1")
+    subnormal = wi < np.finfo(float).tiny
+    if subnormal.any():
+        k = int(np.argmax(subnormal))
+        raise NumericalDegeneracyError(
+            f"item {split.items[t.item_codes[k]]!r}: weight lambda1 / eps is {float(wi[k])!r}, "
+            f"below the normal float range; lambda1 is too far from 1")
     num = np.bincount(t.user_codes, weights=wi * theta_ui, minlength=len(split.users))
     return num / den
 

@@ -14,12 +14,14 @@ per-user vectors when a scorer offers it.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import forked
 from .dataset import ItemStats, RatingColumns, SplitDataset, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
 from .io_utils import NPZ_ERRORS, canonical_ids, read_json, read_table, write_json
@@ -154,6 +156,70 @@ def wavefront_schedule(uidx: np.ndarray, iidx: np.ndarray) -> tuple:
     return np.argsort(level, kind="stable"), np.cumsum(np.bincount(level)).tolist()
 
 
+def _epoch_fill(t: RatingColumns, rng: np.random.Generator):
+    """``fill(epoch, buffer)``: each epoch's ratings in wavefront level order.
+
+    Epoch e visits the ratings in the order of rng's e-th shuffle of
+    ``arange(n)`` (the order ``rng.permutation(n)`` draws). ``fill`` writes
+    that epoch's user codes, item codes and values in the level order of
+    :func:`wavefront_schedule`, and the level bounds, into ``buffer`` (laid
+    out by :func:`_epoch_views`), after it has drawn the shuffles of any
+    epochs before e that
+    another process made, so the order does not depend on which process
+    fills which epoch.
+    """
+    n = len(t.values)
+    drawn = 0  # the epochs whose shuffle rng has drawn
+    scratch = None  # allocated on the first fill, in the process that makes it
+
+    def fill(epoch: int, buffer) -> None:
+        nonlocal drawn, scratch
+        if scratch is None:
+            scratch = np.empty((4, n), dtype=np.int64)
+            scratch[0] = np.arange(n)
+        positions, order, seq_u, seq_i = scratch
+        for _ in range(drawn, epoch):  # a shuffle's draws do not depend on the contents
+            rng.shuffle(order)
+        order[:] = positions
+        rng.shuffle(order)
+        drawn = epoch + 1
+        np.take(t.user_codes, order, out=seq_u)
+        np.take(t.item_codes, order, out=seq_i)
+        by_level, bounds = wavefront_schedule(seq_u, seq_i)  # each level is now a slice
+        uo, io, vo, tail = _epoch_views(buffer, n)
+        np.take(seq_u, by_level, out=uo)
+        np.take(seq_i, by_level, out=io)
+        np.take(order, by_level, out=seq_u)  # the rated positions, level by level
+        np.take(t.values, seq_u, out=vo)
+        tail[0] = len(bounds)
+        tail[1:1 + len(bounds)] = bounds
+
+    return fill
+
+
+def _epoch_bytes(n: int) -> int:
+    """Bytes of one epoch's buffer for ``n`` ratings (see _epoch_views)."""
+    return 8 * (4 * n + 2)
+
+
+def _epoch_views(buffer, n: int) -> tuple:
+    """(user codes, item codes, values, tail) over an epoch's buffer: n
+    int64, n int64 and n float64, then the tail, the count of level bounds
+    and room for n + 1 bounds (an epoch has n levels at most)."""
+    words = np.frombuffer(buffer, dtype=np.int64)
+    return words[:n], words[n:2 * n], words[2 * n:3 * n].view(np.float64), words[3 * n:]
+
+
+# The producer is forked when its fills after the first epoch, the ones that
+# can overlap training, cover at least this many ratings (n * (epochs - 1)).
+# Forking and reaping it costs ~3 ms in a 58 MB process, and the pages both
+# processes then write are copied. In-process rsvd_train (g = 100, 2 CPUs,
+# medians of 11) ran 8 % slower with it at 2 epochs of 49K ratings (49K
+# after the first) and 4 % at 3 of 23.6K (47K), and 8 % faster at 3 of 49K
+# (98K) and 13 % at 30 of 3K (88K).
+_PRODUCER_MIN_RATINGS = 75_000
+
+
 def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
                epochs: int, seed: int) -> MFModel:
     """SGD on the squared-error loss with L2 regularization.
@@ -165,6 +231,14 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     one rating at a time in permutation order. Factors start iid uniform in
     [-0.05, 0.05]. Records the online training RMSE of each epoch from the
     update errors. Raises on non-finite factors, reporting the epoch.
+
+    Schedules depend on the shuffles only, never on the factors. So with a
+    spare CPU (:func:`ganc.forked.spare_cpus`) and enough epochs after the
+    first to repay a fork (``_PRODUCER_MIN_RATINGS``), a child pinned to
+    that CPU makes each epoch's level-ordered ratings (:func:`_epoch_fill`)
+    while this process runs the levels of the epoch before; otherwise this
+    process makes them between epochs. The factors are the same bits either
+    way.
     """
     if g < 1:
         raise ValueError(f"g must be at least 1, got {g}")
@@ -175,39 +249,28 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     t = split.train_columns
-    if not len(t):
+    n = len(t)
+    if not n:
         raise ValueError("cannot train on an empty split")
     rng = np.random.default_rng(seed)
     n_users, n_items = len(split.users), len(split.items)
     P = rng.uniform(-0.05, 0.05, size=(n_users, g))
     Q = rng.uniform(-0.05, 0.05, size=(n_items, g))
-    uidx, iidx, vals = t.user_codes, t.item_codes, t.values
     # A level holds each user and item at most once, so no level is longer
     # than the smaller table. Each level's rows are gathered into these
     # buffers and its updates computed in place, with the operations of
     # pu + eta*(e*qi - lam*pu) in the same order, so every bit is unchanged.
     rows = min(n_users, n_items)
     pu, qi, err, step, decay = (np.empty((rows, g)) for _ in range(5))
-    # Each epoch's order and gathered ratings fill these same buffers; a
-    # shuffle of arange(n) draws the same order as rng.permutation(n). The
-    # int64 ones are rows of one block: as six separate arrays the
-    # ML-100K-shaped `train-rsvd` command ran ~0.15 s slower, as one it did not.
-    n = len(vals)
-    positions = np.arange(n)
-    order, seq_u, seq_i, uo, io, rated = np.empty((6, n), dtype=np.int64)
-    vo = np.empty(n)
+    cpus = forked.spare_cpus() if n * (epochs - 1) >= _PRODUCER_MIN_RATINGS else []
+    made = forked.fill_ahead(_epoch_fill(t, rng), epochs, _epoch_bytes(n),
+                             cpus[0] if cpus else None)
     epoch_rmse = []
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
-        for epoch in range(epochs):
-            order[:] = positions
-            rng.shuffle(order)
-            np.take(uidx, order, out=seq_u)
-            np.take(iidx, order, out=seq_i)
-            by_level, bounds = wavefront_schedule(seq_u, seq_i)  # each level is now a slice
-            np.take(seq_u, by_level, out=uo)
-            np.take(seq_i, by_level, out=io)
-            np.take(order, by_level, out=rated)
-            np.take(vals, rated, out=vo)
+    # divergence is detected below; closing reaps the producer on any error
+    with np.errstate(over="ignore", invalid="ignore"), closing(made):
+        for epoch, buffer in enumerate(made):
+            uo, io, vo, tail = _epoch_views(buffer, n)
+            bounds = tail[1:1 + tail[0]].tolist()
             sq_err = 0.0
             for lo, hi in zip(bounds, bounds[1:]):
                 m = hi - lo
@@ -234,8 +297,8 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
                 sq_err += float(e @ e)
             if not (np.isfinite(P).all() and np.isfinite(Q).all()):
                 raise TrainingDivergenceError(f"non-finite factors at epoch {epoch + 1}")
-            epoch_rmse.append(math.sqrt(sq_err / len(vals)))
-    return MFModel(split.users, split.items, P, Q, g, float(vals.mean()),
+            epoch_rmse.append(math.sqrt(sq_err / n))
+    return MFModel(split.users, split.items, P, Q, g, float(t.values.mean()),
                    tuple(epoch_rmse))
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures: hand-built splits, synthetic data, and plain test scorers."""
 
+import contextlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -44,6 +46,27 @@ def assert_no_child_left():
     """This process has no child process, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the block does not end in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not end within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def a_usable_cpu():
+    """A CPU this process may run on, to force a pinned child where no
+    other CPU is spare."""
+    return min(os.sched_getaffinity(0))
 
 
 class DictAccuracy:

@@ -24,10 +24,10 @@ from ganc.errors import InfeasibleError
 from ganc.io_utils import read_json, sha256_file
 from ganc.metrics import evaluate
 from ganc.preference import load_prefs
-from ganc.recommenders import pop_scorer
+from ganc.recommenders import load_mf_model, pop_scorer
 from ganc.synthetic import generate_ratings
 
-from conftest import assert_no_child_left, build_split
+from conftest import a_usable_cpu, assert_no_child_left, build_split
 
 
 @pytest.fixture(scope="module")
@@ -663,6 +663,31 @@ _MAX_ITERS = st.integers(0, 200).map(str) | (st.integers(-2, 3).map(str)
                                              | st.sampled_from(["", "1.0", "+2", "1e3"]) | _TEXT)
 _N = st.integers(1, 5).map(str) | (st.integers(-2, 8).map(str)
                                    | st.sampled_from(["", "2.0", "+3"]) | _TEXT)
+# train-rsvd: per flag, (extreme or plain valid values, bad values). Factor
+# counts and epochs stay small, so a valid draw trains in milliseconds; the
+# rates reach overflow and underflow.
+_RSVD_FLAGS = {
+    "g": (st.integers(1, 24).map(str) | st.just("400"),
+          st.integers(-2, 0).map(str) | st.sampled_from(["", "2.0", "1e3"]) | _TEXT),
+    "lam": (st.floats(0.0, 1.0).map(repr) | st.sampled_from(["-0.0", "1e308", "5e-324"]),
+            st.sampled_from(["-1", "inf", "nan"]) | _ODD_REAL),
+    "eta": (st.floats(1e-4, 0.3).map(repr) | st.sampled_from(["50", "1e308", "5e-324"]),
+            st.sampled_from(["0", "-0.03", "-inf"]) | _ODD_REAL),
+    "epochs": (st.integers(1, 3).map(str) | st.just("+2"),
+               st.integers(-2, 0).map(str) | st.sampled_from(["", "2.0", "1e1"]) | _TEXT),
+    "mf-seed": (st.integers(0, 2**64).map(str),
+                st.sampled_from(["-1", "", "1.5", "1e3", "0x10"]) | _TEXT),
+}
+
+
+@st.composite
+def _rsvd_flags(draw) -> list:
+    """train-rsvd flags: every one valid, or one of them bad."""
+    flags = {name: draw(valid) for name, (valid, _) in _RSVD_FLAGS.items()}
+    bad = draw(st.sampled_from([None, *_RSVD_FLAGS]))
+    if bad:
+        flags[bad] = draw(_RSVD_FLAGS[bad][1])
+    return [f"--{name}={value}" for name, value in flags.items()]
 
 
 def _documented_exit(argv) -> int:
@@ -703,6 +728,18 @@ class TestPrefsAndEvaluateFlagValues:
     """Extreme and bad values end in a documented exit code with one error
     line, and a run that exits 0 writes finite artifacts."""
 
+    @pytest.mark.parametrize("lambda1", ["1e-320", "1e-310"])
+    def test_prefs_refuses_subnormal_item_weights(self, split_dir, tmp_path, capsys, lambda1):
+        # theta does not depend on lambda1, but a subnormal weight lambda1 / eps
+        # keeps too few bits for the weighted means to hold it
+        capsys.readouterr()
+        out = tmp_path / "prefs"
+        assert main(["prefs", "--split", str(split_dir), f"--lambda1={lambda1}",
+                     "--out", str(out)]) == 3
+        assert "below the normal float range; lambda1 is too far from 1" in (
+            _one_error_line(capsys))
+        assert not (out / "prefs.json").exists()
+
     @settings(max_examples=60, deadline=None)
     @given(lambda1=_LAMBDA1, tol=_TOL, max_iters=_MAX_ITERS)
     def test_prefs(self, split_dir, tmp_path_factory, lambda1, tol, max_iters):
@@ -726,6 +763,25 @@ class TestPrefsAndEvaluateFlagValues:
         if code == 0:
             report = _finite_json(out / "report.json")
             assert all(np.isfinite(v) for v in report.values() if not isinstance(v, str))
+
+
+class TestTrainRsvdFlagValues:
+    @settings(max_examples=60, deadline=None)
+    @given(flags=_rsvd_flags())
+    def test_documented_exit_and_finite_model(self, split_dir, tmp_path_factory, flags):
+        out = tmp_path_factory.mktemp("mf") / "out"
+        # the schedule producer runs at this size too, on any CPU count
+        with mock.patch("ganc.recommenders._PRODUCER_MIN_RATINGS", 0), \
+                mock.patch("ganc.forked.spare_cpus", return_value=[a_usable_cpu()]):
+            code = _documented_exit(["train-rsvd", "--split", str(split_dir), *flags,
+                                     "--out", str(out)])
+        assert_no_child_left()
+        assert (out / "mf.json").exists() == (code == 0)
+        if code == 0:
+            _finite_json(out / "mf.json")
+            model, _ = load_mf_model(out)
+            assert np.isfinite(model.user_factors).all()
+            assert np.isfinite(model.item_factors).all()
 
 
 class TestPopSizeNamesItsFlag:

@@ -1,6 +1,7 @@
 """Accuracy and coverage scorer tests, including SGD training behavior."""
 
 import math
+import os
 import zipfile
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ganc import forked, recommenders
 from ganc.core import greedy_topn_user, locally_greedy_full
 from ganc.dataset import Rating, compute_item_stats
 from ganc.errors import ParseError, TrainingDivergenceError, UnknownIdError
@@ -27,7 +29,7 @@ from ganc.recommenders import (
     wavefront_schedule,
 )
 
-from conftest import build_split
+from conftest import a_usable_cpu, assert_no_child_left, build_split, deadline
 
 
 def _rsvd_reference(split, g, lam, eta, epochs, seed):
@@ -186,6 +188,83 @@ class TestRsvdTrain:
         model = rsvd_train(synth_split, g=8, lam=0.05, eta=0.03, epochs=4, seed=2)
         assert model.epoch_rmse == pytest.approx(expected, rel=1e-12)
         assert model.epoch_rmse[-1] < model.epoch_rmse[0]
+
+
+class TestScheduleProducer:
+    """rsvd_train's factors do not depend on where each epoch's schedule is
+    made: in a forked producer, in this process, or partly in each."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Force the producer on at any size and CPU count; list its pids."""
+        monkeypatch.setattr(recommenders, "_PRODUCER_MIN_RATINGS", 0)
+        monkeypatch.setattr(forked, "spare_cpus", lambda: [a_usable_cpu()])
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def _check(split, epochs=4, seed=7):
+        P, Q, rmse_ref = _rsvd_reference(split, 8, 0.05, 0.03, epochs, seed)
+        with deadline(60):
+            model = rsvd_train(split, g=8, lam=0.05, eta=0.03, epochs=epochs, seed=seed)
+        assert_no_child_left()
+        assert np.array_equal(model.user_factors, P)
+        assert np.array_equal(model.item_factors, Q)
+        assert model.epoch_rmse == pytest.approx(rmse_ref, rel=1e-12)
+        return model
+
+    def test_forced_on_and_off_match_the_reference(self, synth_split, forks, monkeypatch):
+        on = self._check(synth_split)
+        assert len(forks) == 1
+        monkeypatch.setattr(forked, "spare_cpus", lambda: [])
+        off = self._check(synth_split)
+        assert len(forks) == 1
+        assert on.epoch_rmse == off.epoch_rmse  # the same bits, not only close
+
+    def test_small_or_one_epoch_runs_stay_in_process(self, synth_split, forks, monkeypatch):
+        self._check(synth_split, epochs=1)
+        monkeypatch.setattr(recommenders, "_PRODUCER_MIN_RATINGS",
+                            3 * len(synth_split.train_columns) + 1)
+        self._check(synth_split, epochs=4)
+        assert forks == []
+
+    @pytest.mark.parametrize("stop", [0, 1, 3])
+    def test_a_producer_that_fails_at_epoch_k(self, synth_split, forks, monkeypatch, stop):
+        parent, make = os.getpid(), recommenders._epoch_fill
+
+        def failing(t, rng):
+            fill = make(t, rng)
+
+            def wrapped(epoch, buffer):
+                if os.getpid() != parent and epoch == stop:
+                    raise RuntimeError("the producer fails")
+                fill(epoch, buffer)
+            return wrapped
+
+        monkeypatch.setattr(recommenders, "_epoch_fill", failing)
+        self._check(synth_split, epochs=5)
+        assert len(forks) == 1
+
+    def test_a_fork_that_fails(self, synth_split, forks, monkeypatch):
+        def refuse():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        self._check(synth_split)
+
+    def test_divergence_leaves_no_child(self, synth_split, forks):
+        with deadline(60), pytest.raises(TrainingDivergenceError, match="epoch 4$"):
+            rsvd_train(synth_split, g=4, lam=0.0, eta=0.21, epochs=30, seed=0)
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 class TestWavefrontSchedule:
