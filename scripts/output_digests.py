@@ -6,11 +6,15 @@ train-rsvd; recommend with Pop and with RSVD under both ranking protocols;
 evaluate on each collection, with --per-user and at n = 3; and one Pop
 sweep per protocol.
 Every command runs in this process through ``ganc.cli.main``, so the
-``ganc`` on ``PYTHONPATH`` is the one measured: run the same command against
-two checkouts and diff the outputs (standard output holds the digests
-only) to show that a change keeps the artifacts byte-identical::
+``ganc`` on ``PYTHONPATH`` is the one measured. Standard output holds the
+digests only: save it from one checkout, and pass it to a run in another
+with ``--against`` to show that a change keeps the artifacts
+byte-identical. That run prints its own digests, then names on standard
+error each artifact whose digest differs, that is missing from its run, or
+that is new in it, and exits 1 if there is any::
 
-    PYTHONPATH=src python3 scripts/output_digests.py --work /tmp/digests
+    PYTHONPATH=src python3 scripts/output_digests.py --work /tmp/digests > parent.txt
+    PYTHONPATH=src python3 scripts/output_digests.py --work /tmp/digests --against parent.txt
 
 ``phase_seconds`` (wall-clock times) is dropped from run.json and
 sweep.json before hashing; every other byte counts.
@@ -56,7 +60,16 @@ def main() -> int:
     ap.add_argument("--activity", type=float, default=106.0)
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--epochs", type=int, default=5, help="train-rsvd epochs")
+    ap.add_argument("--against", type=Path,
+                    help="saved standard output of another run to compare with")
     args = ap.parse_args()
+    theirs = None
+    if args.against is not None:  # read before the pipeline runs, and before the chdir
+        theirs = {}
+        for line in args.against.read_text().splitlines():
+            if line.strip():
+                sha, _, path = line.partition("  ")
+                theirs[path] = sha
 
     work = Path(args.work)
     shutil.rmtree(work, ignore_errors=True)
@@ -86,9 +99,18 @@ def main() -> int:
             "--n", "5", "--s-values", "100,500,1000,2000", "--reps", "3",
             "--protocol", protocol, "--out", f"sweep-{protocol}")
 
-    for path in sorted(p for p in Path().rglob("*") if p.is_file()):
-        print(f"{digest(path)}  {path}")
-    return 0
+    ours = {str(path): digest(path) for path in sorted(p for p in Path().rglob("*")
+                                                           if p.is_file())}
+    for path, sha in ours.items():
+        print(f"{sha}  {path}")
+    if theirs is None:
+        return 0
+    changed = [f"differs: {p}" for p in ours if p in theirs and ours[p] != theirs[p]]
+    changed += [f"missing: {p}" for p in theirs if p not in ours]
+    changed += [f"new: {p}" for p in ours if p not in theirs]
+    for line in changed:
+        print(line, file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

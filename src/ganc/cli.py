@@ -64,10 +64,11 @@ def _check_split_hash(manifest: dict, split_sha256: str, split_dir, what: str) -
             f"{what} was produced from a different split than {split_dir}")
 
 
-def _check_seed(flag: str, seed: int) -> None:
-    """numpy's generators take seeds >= 0 only; refuse others by the flag's name."""
-    if seed < 0:
-        raise ValueError(f"{flag} must be >= 0, got {seed}")
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    """Refuse a value below ``low`` by its flag's name: numpy's generators take
+    seeds >= 0 only, and a top-n list holds at least one item."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _load_split(args: argparse.Namespace):
@@ -127,7 +128,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_prefs(args: argparse.Namespace) -> int:
-    _check_seed("--theta-seed", args.theta_seed)
+    _check_at_least("--theta-seed", args.theta_seed, 0)
     split, split_sha256 = _load_split(args)
     if args.model == "activity":
         pv = preference.theta_activity(split)
@@ -157,7 +158,7 @@ def cmd_prefs(args: argparse.Namespace) -> int:
 
 
 def cmd_train_rsvd(args: argparse.Namespace) -> int:
-    _check_seed("--mf-seed", args.mf_seed)
+    _check_at_least("--mf-seed", args.mf_seed, 0)
     split, split_sha256 = _load_split(args)
     model = recommenders.rsvd_train(split, args.g, args.lam, args.eta,
                                     args.epochs, args.mf_seed)
@@ -175,7 +176,8 @@ def cmd_train_rsvd(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    _check_seed("--run-seed", args.run_seed)
+    _check_at_least("--run-seed", args.run_seed, 0)
+    _check_at_least("--n", args.n, 1)
     split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(args, split, split_sha256)
@@ -255,7 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"got {args.s_values!r}")
     if args.reps < 1:
         raise ValueError(f"reps must be at least 1, got {args.reps}")
-    _check_seed("--run-seed", args.run_seed)
+    _check_at_least("--run-seed", args.run_seed, 0)
+    _check_at_least("--n", args.n, 1)
     metrics.check_beta_threshold(args.beta, args.threshold)
     split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)

@@ -206,6 +206,8 @@ def _eligible_codes(split: SplitDataset, n: int, protocol: str) -> np.ndarray:
     """Indices into ``split.users`` of :func:`eligible_users`."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if protocol == "all_unrated":
         return np.arange(len(split.users))
     codes = np.flatnonzero(split.user_test_counts >= n)

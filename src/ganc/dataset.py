@@ -203,12 +203,8 @@ class SplitDataset:
     items: tuple
     train_columns: RatingColumns
     test_columns: RatingColumns
-    # relevant_csr and relevant_keys results, per threshold
-    _relevant: dict = field(default_factory=dict, init=False, repr=False)
-    # popularity_weights results, per beta
-    _weights: dict = field(default_factory=dict, init=False, repr=False)
-    # relevant_weight_total results, per (beta, threshold)
-    _weight_totals: dict = field(default_factory=dict, init=False, repr=False)
+    # results of the methods below that take arguments, per (method, arguments)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_ratings(train, test) -> "SplitDataset":
@@ -300,52 +296,44 @@ class SplitDataset:
         """Indices into ``items`` of everything the user has not rated in train."""
         return np.flatnonzero(self.candidate_mask(user))
 
+    def _cached(self, key: tuple, make):
+        """``make()``, made on the first call with ``key`` and kept."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     def relevant_csr(self, threshold: float = 4.0) -> tuple:
         """(indptr, item indices): user k's test items rated at or above
         ``threshold`` are ``indices[indptr[k]:indptr[k + 1]]``, in file order;
         built once per threshold."""
-        key = "csr", threshold
-        csr = self._relevant.get(key)
-        if csr is None:
+        def make():
             t = self.test_columns
             sel = np.flatnonzero(t.values >= threshold)
-            csr = self._relevant[key] = _csr(t.user_codes[sel], t.item_codes[sel],
-                                             len(self.users))
-        return csr
+            return _csr(t.user_codes[sel], t.item_codes[sel], len(self.users))
+        return self._cached(("csr", threshold), make)
 
     def relevant_keys(self, threshold: float = 4.0) -> np.ndarray:
         """Sorted ``user * len(items) + item`` keys of :meth:`relevant_csr`,
         then an int64-max sentinel, so any ``searchsorted`` position can be
         read; built once per threshold."""
-        key = "keys", threshold
-        keys = self._relevant.get(key)
-        if keys is None:
+        def make():
             indptr, items = self.relevant_csr(threshold)
             users = np.repeat(np.arange(len(self.users), dtype=np.int64), np.diff(indptr))
-            keys = self._relevant[key] = np.sort(np.append(
-                users * len(self.items) + items, np.iinfo(np.int64).max))
-        return keys
+            return np.sort(np.append(users * len(self.items) + items, np.iinfo(np.int64).max))
+        return self._cached(("keys", threshold), make)
 
     def popularity_weights(self, beta: float) -> np.ndarray:
         """``max(train popularity, 1) ** -beta`` per item, aligned with
         ``items``; built once per beta."""
-        weights = self._weights.get(beta)
-        if weights is None:
-            weights = self._weights[beta] = np.array(
-                [(c or 1) ** (-beta) for c in self.item_train_counts.tolist()], dtype=np.float64)
-        return weights
+        return self._cached(("weights", beta), lambda: np.array(
+            [(c or 1) ** (-beta) for c in self.item_train_counts.tolist()], dtype=np.float64))
 
     def relevant_weight_total(self, beta: float, threshold: float = 4.0) -> float:
         """Exactly rounded sum (``math.fsum``) of :meth:`popularity_weights`
         over every item of :meth:`relevant_csr`: the strat-recall denominator
         of an evaluation of all users; built once per (beta, threshold)."""
-        key = beta, threshold
-        total = self._weight_totals.get(key)
-        if total is None:
-            relevant = self.relevant_csr(threshold)[1]
-            total = self._weight_totals[key] = math.fsum(
-                self.popularity_weights(beta)[relevant].tolist())
-        return total
+        return self._cached(("total", beta, threshold), lambda: math.fsum(
+            self.popularity_weights(beta)[self.relevant_csr(threshold)[1]].tolist()))
 
     # Views for callers that want Rating objects or id-keyed sets.
 

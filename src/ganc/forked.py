@@ -11,14 +11,14 @@ task order, as a run in one process would. A share whose child ended
 without a readable result (or could not be forked) is made in the parent.
 With one process the tasks run in the calling process, in order.
 
-``fill_ahead(fill, count, nbytes, cpu)`` yields ``count`` buffers in order,
-each filled by ``fill(k, buffer)``; with a ``cpu`` a child forked once makes
-the fills while the caller uses the buffers before them.
+``fill_ahead(fill, count, nbytes, fork)`` yields ``count`` buffers in order,
+each filled by ``fill(k, buffer)``; with ``fork`` and a spare CPU a child
+forked once makes the fills while the caller uses the buffers before them.
 
-Every child is pinned to a CPU from :func:`spare_cpus`, round-robin. Where
-the kernel does not balance load across CPUs (a cpuset with
-``sched_load_balance = 0``), a child left unpinned stays on its parent's
-CPU and the two take turns on it.
+Both start their children through one launcher, and pin each child to a CPU
+from :func:`spare_cpus`, round-robin. Where the kernel does not balance
+load across CPUs (a cpuset with ``sched_load_balance = 0``), a child left
+unpinned stays on its parent's CPU and the two take turns on it.
 """
 
 from __future__ import annotations
@@ -60,18 +60,41 @@ def spare_cpus() -> list:
     return [c for c in usable if c > current] + [c for c in usable if c < current]
 
 
-def _pin(cpu) -> None:
-    """Keep this process on ``cpu`` where it can; placement is never an error."""
-    if cpu is not None:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
+def _child(body, cpu) -> tuple:
+    """(pid, read end of the pipe from it, write end of the pipe to it) of a
+    child pinned to ``cpu`` (where given) that runs ``body(read end of the
+    pipe to it, write end of the pipe from it)`` and ends with ``os._exit``,
+    so it never returns into its caller. Each process closes the other's
+    ends, so each side reads EOF once the other has closed or ended.
 
-
-def _flush() -> None:
-    """Write out buffered output, so that no child writes it again."""
+    Buffered output is written out first, so that no child writes it again.
+    """
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
+    up_r, up_w = os.pipe()
+    down_r, down_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (up_r, up_w, down_r, down_w):
+            os.close(fd)
+        raise
+    if pid:
+        os.close(up_w)
+        os.close(down_r)
+        return pid, up_r, down_w
+    status = 1
+    try:
+        os.close(up_r)
+        os.close(down_w)
+        if cpu is not None:  # placement is never an error
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
+        body(down_r, up_w)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _make(fn, tasks: list, share: range, results: dict) -> dict:
@@ -85,30 +108,13 @@ def _make(fn, tasks: list, share: range, results: dict) -> dict:
     return {}
 
 
-def _fork(fn, tasks: list, share: range, cpu):
-    """(pid, read end of its pipe) of a child on ``cpu`` that makes ``share``."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, r
-    status = 1
-    try:
-        os.close(r)
-        _pin(cpu)
-        results: dict = {}
-        errors = _make(fn, tasks, share, results)
-        payload = pickle.dumps((results, errors))  # may fail: then nothing is sent
-        with os.fdopen(w, "wb") as fh:
-            fh.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+def _send(fn, tasks: list, share: range, w: int) -> None:
+    """Make ``share`` and write its results and error, pickled, to ``w``."""
+    results: dict = {}
+    errors = _make(fn, tasks, share, results)
+    payload = pickle.dumps((results, errors))  # may fail: then nothing is sent
+    with os.fdopen(w, "wb") as fh:
+        fh.write(payload)
 
 
 def fork_map(fn, tasks, processes: int) -> list:
@@ -120,14 +126,15 @@ def fork_map(fn, tasks, processes: int) -> list:
     errors: dict = {}
     children = []
     cpus = spare_cpus() if processes > 1 else []
-    if processes > 1:
-        _flush()
     try:
         for p, share in enumerate(shares[1:]):
             try:
-                children.append(_fork(fn, tasks, share, cpus[p % len(cpus)] if cpus else None))
+                pid, r, w = _child(lambda _, w: _send(fn, tasks, share, w),
+                                   cpus[p % len(cpus)] if cpus else None)
             except OSError:  # the shares left are made in this process
                 break
+            os.close(w)  # so no later child holds it
+            children.append((pid, r))
         errors.update(_make(fn, tasks, shares[0], results))
     finally:
         for pid, r in children:
@@ -148,64 +155,40 @@ def fork_map(fn, tasks, processes: int) -> list:
     return out
 
 
-def _fork_producer(fill, count: int, slots: list, cpu):
-    """(pid, ready pipe's read end, free pipe's write end) of a child on
-    ``cpu`` that fills buffer k into ``slots[k % len(slots)]`` for every k
-    in order.
-
-    The child writes one byte to the ready pipe per buffer filled. Before it
-    fills a slot again it reads one byte from the free pipe, which the
-    caller writes once it is done with the slot's last buffer; at EOF there
-    (the caller stopped) or at any error it ends, with ``os._exit``.
-    """
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        raise
-    if pid:
-        os.close(ready_w)
-        os.close(free_r)
-        return pid, ready_r, free_w
-    try:
-        os.close(ready_r)
-        os.close(free_w)
-        _pin(cpu)
-        for k in range(count):
-            if k >= len(slots) and not os.read(free_r, 1):
-                break
-            fill(k, slots[k % len(slots)])
-            os.write(ready_w, b"\0")
-    finally:
-        os._exit(0)
-
-
-def fill_ahead(fill, count: int, nbytes: int, cpu=None):
+def fill_ahead(fill, count: int, nbytes: int, fork: bool):
     """Yield ``count`` writable buffers of ``nbytes`` in order, buffer k
     holding what ``fill(k, buffer)`` wrote into it. A buffer stays valid
     until the next one is asked for.
 
-    With a ``cpu`` (and ``count`` of 2 or more), one child forked and pinned
-    there makes the fills, into a ring of 2 slots in a shared anonymous
-    ``mmap``, at most 2 buffers ahead of the caller. Without one, or where
-    the fork fails, the fills run in this process. When the child ends
-    before it has filled every buffer, this process makes the rest, from
-    the first buffer it did not get: so ``fill`` is called for k in
-    increasing order in each process, but not always from 0, and must bring
-    whatever state it draws from up to k itself. Closing the generator (at
-    its end, or ``contextlib.closing`` on an error) reaps the child.
+    With ``fork``, a spare CPU and ``count`` of 2 or more, one child forked
+    and pinned there makes the fills, into a ring of 2 slots in a shared
+    anonymous ``mmap``, at most 2 buffers ahead of the caller. The child
+    writes one byte to its pipe per buffer filled; before it fills a slot
+    again it reads one byte from the pipe to it, which the caller writes
+    once it is done with the slot's last buffer, and at EOF there (the
+    caller stopped) it ends. Otherwise, or where the fork fails, the fills
+    run in this process. When the child ends before it has filled every
+    buffer, this process makes the rest, from the first buffer it did not
+    get: so ``fill`` is called for k in increasing order in each process,
+    but not always from 0, and must bring whatever state it draws from up
+    to k itself. Closing the generator (at its end, or
+    ``contextlib.closing`` on an error) reaps the child.
     """
     k = 0
-    forks = cpu is not None and count > 1 and hasattr(os, "fork")
-    ring = memoryview(mmap.mmap(-1, (2 if forks else 1) * nbytes))  # touched as filled
+    cpus = spare_cpus() if fork and count > 1 else []
+    ring = memoryview(mmap.mmap(-1, (2 if cpus else 1) * nbytes))  # touched as filled
     slots = [ring[s:s + nbytes] for s in range(0, len(ring), nbytes)]
-    if forks:
-        _flush()
+
+    def produce(free, ready):
+        for j in range(count):
+            if j >= len(slots) and not os.read(free, 1):
+                break
+            fill(j, slots[j % len(slots)])
+            os.write(ready, b"\0")
+
+    if cpus:
         try:
-            pid, ready, free = _fork_producer(fill, count, slots, cpu)
+            pid, ready, free = _child(produce, cpus[0])
         except OSError:  # every buffer is made in this process
             pid = None
         if pid:

@@ -208,6 +208,8 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
             f"collection was generated under {declared_protocol!r}, "
             f"evaluation requested {protocol!r}")
     n = coll.n if n is None else n
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     work = coll.truncated(n)
     users, items = _encode(work, split)
     if protocol == "rated_test_items":

@@ -88,8 +88,7 @@ def _top_unseen(split: SplitDataset, ranking: np.ndarray, n: int) -> np.ndarray:
     t = split.train_columns
     key = np.sort(t.user_codes * m + rank[t.item_codes])  # by user, then rank
     user, seen = np.divmod(key, m)
-    indptr = np.zeros(n_users + 1, dtype=np.int64)
-    np.cumsum(split.user_train_counts, out=indptr[1:])
+    indptr = split.train_csr[0]
     gaps = user * (m + 1) + seen - (np.arange(len(key)) - indptr[user])
     j = np.arange(n)
     below = np.searchsorted(gaps, np.arange(n_users)[:, None] * (m + 1) + j, side="right")
@@ -164,9 +163,8 @@ def _epoch_fill(t: RatingColumns, rng: np.random.Generator):
     that epoch's user codes, item codes and values in the level order of
     :func:`wavefront_schedule`, and the level bounds, into ``buffer`` (laid
     out by :func:`_epoch_views`), after it has drawn the shuffles of any
-    epochs before e that
-    another process made, so the order does not depend on which process
-    fills which epoch.
+    epochs before e that another process made, so the order does not depend
+    on which process fills which epoch.
     """
     n = len(t.values)
     drawn = 0  # the epochs whose shuffle rng has drawn
@@ -232,13 +230,13 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     [-0.05, 0.05]. Records the online training RMSE of each epoch from the
     update errors. Raises on non-finite factors, reporting the epoch.
 
-    Schedules depend on the shuffles only, never on the factors. So with a
-    spare CPU (:func:`ganc.forked.spare_cpus`) and enough epochs after the
-    first to repay a fork (``_PRODUCER_MIN_RATINGS``), a child pinned to
-    that CPU makes each epoch's level-ordered ratings (:func:`_epoch_fill`)
-    while this process runs the levels of the epoch before; otherwise this
-    process makes them between epochs. The factors are the same bits either
-    way.
+    Schedules depend on the shuffles only, never on the factors. So with
+    enough epochs after the first to repay a fork (``_PRODUCER_MIN_RATINGS``),
+    :func:`ganc.forked.fill_ahead` has a child on a spare CPU make each
+    epoch's level-ordered ratings (:func:`_epoch_fill`) while this process
+    runs the levels of the epoch before; otherwise, or with no spare CPU,
+    this process makes them between epochs. The factors are the same bits
+    either way.
     """
     if g < 1:
         raise ValueError(f"g must be at least 1, got {g}")
@@ -262,9 +260,8 @@ def rsvd_train(split: SplitDataset, g: int, lam: float, eta: float,
     # pu + eta*(e*qi - lam*pu) in the same order, so every bit is unchanged.
     rows = min(n_users, n_items)
     pu, qi, err, step, decay = (np.empty((rows, g)) for _ in range(5))
-    cpus = forked.spare_cpus() if n * (epochs - 1) >= _PRODUCER_MIN_RATINGS else []
     made = forked.fill_ahead(_epoch_fill(t, rng), epochs, _epoch_bytes(n),
-                             cpus[0] if cpus else None)
+                             n * (epochs - 1) >= _PRODUCER_MIN_RATINGS)
     epoch_rmse = []
     # divergence is detected below; closing reaps the producer on any error
     with np.errstate(over="ignore", invalid="ignore"), closing(made):

@@ -12,13 +12,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import ganc
 import ganc.io_utils
 from ganc.cli import main
-from ganc.core import PROTOCOLS, eligible_users, oslg
+from ganc.core import PROTOCOLS, eligible_users, load_collection, oslg
 from ganc.dataset import compute_item_stats, load_split, save_split
 from ganc.errors import InfeasibleError
 from ganc.io_utils import read_json, sha256_file
@@ -483,8 +483,35 @@ def _run_cli(argv):
                           capture_output=True, text=True, env=env)
 
 
+# --n below 1 under each scorer and protocol: before --n was checked first,
+# these wrote a header-only topn.csv, and the sweeps died in evaluate
+_N_BELOW_ONE = [
+    ("recommend", ["--arec", "rsvd", "--n", "0"]),
+    ("recommend", ["--arec", "pop", "--pop-n", "3", "--n", "0"]),
+    ("recommend", ["--arec", "rsvd", "--crec", "stat", "--n", "0"]),
+    ("recommend", ["--arec", "rsvd", "--protocol", "rated_test_items", "--n", "0"]),
+    ("recommend", ["--arec", "rsvd", "--n", "-1"]),
+    ("sweep", ["--arec", "rsvd", "--n", "0"]),
+    ("sweep", ["--arec", "pop", "--pop-n", "3", "--n", "0"]),
+]
+_N_BELOW_ONE_IDS = ["recommend-rsvd-n0", "recommend-pop-n3-n0", "recommend-rsvd-stat-n0",
+                    "recommend-rsvd-rated-n0", "recommend-rsvd-n-1", "sweep-rsvd-n0",
+                    "sweep-pop-n3-n0"]
+
+
 class TestRejectedValues:
+    @staticmethod
+    def _argv(split_dir, prefs_dir, rec_dir, mf_dir, out, command, extra):
+        inputs = {
+            "evaluate": ["--topn", str(rec_dir)],
+            "sweep": ["--prefs", str(prefs_dir), "--mf", str(mf_dir), "--s-values", "10"],
+            "recommend": ["--prefs", str(prefs_dir), "--mf", str(mf_dir)],
+        }
+        return [command, "--split", str(split_dir), "--out", str(out),
+                *inputs.get(command, []), *extra]
+
     @pytest.mark.parametrize("command, extra", [
+        *_N_BELOW_ONE,
         ("evaluate", ["--n", "0"]),
         ("evaluate", ["--n", "-1"]),
         ("evaluate", ["--n", "6"]),
@@ -511,7 +538,8 @@ class TestRejectedValues:
         ("sweep", ["--run-seed", "-5"]),
         ("train-rsvd", ["--mf-seed", "-1"]),
         ("prefs", ["--theta-seed", "-1"]),
-    ], ids=["evaluate-n0", "evaluate-n-1", "evaluate-n-above-list", "sweep-reps0",
+    ], ids=[*_N_BELOW_ONE_IDS,
+            "evaluate-n0", "evaluate-n-1", "evaluate-n-above-list", "sweep-reps0",
             "train-rsvd-epochs-1", "train-rsvd-g0", "recommend-pop-n0", "recommend-workers",
             "sweep-workers", "prefs-lambda1-nan", "prefs-lambda1-inf", "prefs-tol-nan",
             "prefs-tol-minus-inf", "evaluate-beta-nan", "evaluate-beta-inf",
@@ -520,18 +548,24 @@ class TestRejectedValues:
             "train-rsvd-lam-negative", "recommend-run-seed-negative",
             "sweep-run-seed-negative", "train-rsvd-mf-seed-negative",
             "prefs-theta-seed-negative"])
-    def test_exit_1_without_traceback(self, split_dir, prefs_dir, rec_dir, tmp_path,
+    def test_exit_1_without_traceback(self, split_dir, prefs_dir, rec_dir, mf_dir, tmp_path,
                                       command, extra):
-        inputs = {
-            "evaluate": ["--topn", str(rec_dir)],
-            "sweep": ["--prefs", str(prefs_dir), "--s-values", "10"],
-            "recommend": ["--prefs", str(prefs_dir)],
-        }
-        argv = [command, "--split", str(split_dir), "--out", str(tmp_path / "out"),
-                *inputs.get(command, []), *extra]
-        proc = _run_cli(argv)
+        proc = _run_cli(self._argv(split_dir, prefs_dir, rec_dir, mf_dir, tmp_path / "out",
+                                   command, extra))
         assert proc.returncode == 1
         assert proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, extra", _N_BELOW_ONE, ids=_N_BELOW_ONE_IDS)
+    def test_n_below_one_names_its_flag_before_any_input_is_read(
+            self, split_dir, prefs_dir, rec_dir, mf_dir, tmp_path, capsys, command, extra):
+        argv = self._argv(split_dir, prefs_dir, rec_dir, mf_dir, tmp_path / "out", command,
+                          extra)
+        capsys.readouterr()
+        with mock.patch("ganc.dataset.load_split", side_effect=AssertionError("input read")):
+            assert main(argv) == 1
+        n = extra[extra.index("--n") + 1]
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -680,14 +714,37 @@ _RSVD_FLAGS = {
 }
 
 
+# recommend and sweep, on the 80-user, 160-item split: the flags they share,
+# then recommend's own. Pop and RSVD each run; n and the Pop cutoff reach
+# past the items, and n past the test items of every user.
+_SHARED_FLAGS = {
+    "arec": (st.sampled_from(["pop", "rsvd"]), st.sampled_from(["", "Pop", "external"])),
+    "n": (st.integers(1, 5).map(str) | st.sampled_from(["12", "+3"]),
+          st.sampled_from(["0", "-1", "161", "", "2.0"]) | _TEXT),
+    "pop-n": (st.none() | st.integers(1, 160).map(str),
+              st.integers(-1, 0).map(str) | st.sampled_from(["161", "", "1.5"]) | _TEXT),
+    "run-seed": (st.integers(0, 2**64).map(str),
+                 st.sampled_from(["-1", "", "1.5", "0x10"]) | _TEXT),
+    "protocol": (st.sampled_from(PROTOCOLS), st.sampled_from(["", "all", "rated"]) | _TEXT),
+}
+_RECOMMEND_FLAGS = {
+    **_SHARED_FLAGS,
+    "s": (st.integers(1, 80).map(str) | st.just("5000"),
+          st.integers(-2, 0).map(str) | st.sampled_from(["", "1.5", "1e3"]) | _TEXT),
+    "crec": (st.sampled_from(["dyn", "stat", "rand"]),
+             st.sampled_from(["", "Dyn", "static"]) | _TEXT),
+}
+
+
 @st.composite
-def _rsvd_flags(draw) -> list:
-    """train-rsvd flags: every one valid, or one of them bad."""
-    flags = {name: draw(valid) for name, (valid, _) in _RSVD_FLAGS.items()}
-    bad = draw(st.sampled_from([None, *_RSVD_FLAGS]))
+def _flags(draw, table: dict) -> list:
+    """Flags of ``table``: every one valid, or one of them bad. A flag whose
+    value is None is left out."""
+    flags = {name: draw(valid) for name, (valid, _) in table.items()}
+    bad = draw(st.sampled_from([None, *table]))
     if bad:
-        flags[bad] = draw(_RSVD_FLAGS[bad][1])
-    return [f"--{name}={value}" for name, value in flags.items()]
+        flags[bad] = draw(table[bad][1])
+    return [f"--{name}={value}" for name, value in flags.items() if value is not None]
 
 
 def _documented_exit(argv) -> int:
@@ -711,16 +768,43 @@ def _finite_json(path):
 
 
 class TestSweepFlagValues:
-    @settings(max_examples=60, deadline=None)
-    @given(s_values=_S_VALUES, reps=_REPS, beta=_BETA, threshold=_THRESHOLD)
-    def test_documented_exit_and_one_error_line(self, split_dir, prefs_dir, tmp_path_factory,
-                                                s_values, reps, beta, threshold):
+    @settings(max_examples=100, deadline=None)
+    @given(flags=_flags(_SHARED_FLAGS), s_values=_S_VALUES, reps=_REPS, beta=_BETA,
+           threshold=_THRESHOLD)
+    @example(flags=["--arec=rsvd", "--n=0"], s_values="10", reps="1", beta="0.5",
+             threshold="4.0")  # died in evaluate before --n was checked first
+    def test_documented_exit_and_one_error_line(self, split_dir, prefs_dir, mf_dir,
+                                                tmp_path_factory, flags, s_values, reps, beta,
+                                                threshold):
         out = tmp_path_factory.mktemp("sweep") / "out"
         code = _documented_exit(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
-                                 "--arec", "pop", "--n", "5", f"--s-values={s_values}",
+                                 "--mf", str(mf_dir), *flags, f"--s-values={s_values}",
                                  f"--reps={reps}", f"--beta={beta}",
                                  f"--threshold={threshold}", "--out", str(out)])
         assert (out / "sweep.csv").exists() == (code == 0)
+        if code == 0:
+            rows = (out / "sweep.csv").read_text().splitlines()[1:]
+            assert len(rows) == len(_finite_json(out / "sweep.json")["s_values"])
+        assert_no_child_left()
+
+
+class TestRecommendFlagValues:
+    @settings(max_examples=150, deadline=None)
+    @given(flags=_flags(_RECOMMEND_FLAGS))
+    @example(flags=["--arec=rsvd", "--n=0"])  # wrote no list before --n was checked first
+    def test_documented_exit_and_n_items_per_eligible_user(self, split_dir, prefs_dir, mf_dir,
+                                                           tmp_path_factory, flags):
+        out = tmp_path_factory.mktemp("rec") / "out"
+        code = _documented_exit(["recommend", "--split", str(split_dir), "--prefs",
+                                 str(prefs_dir), "--mf", str(mf_dir), *flags,
+                                 "--out", str(out)])
+        assert (out / "topn.csv").exists() == (code == 0)
+        if code == 0:
+            run = _finite_json(out / "run.json")
+            split, _ = load_split(split_dir)
+            lists = load_collection(out, split).lists
+            assert sorted(lists) == eligible_users(split, run["n"], run["protocol"])
+            assert {len(items) for items in lists.values()} == {run["n"]}
         assert_no_child_left()
 
 
@@ -767,7 +851,7 @@ class TestPrefsAndEvaluateFlagValues:
 
 class TestTrainRsvdFlagValues:
     @settings(max_examples=60, deadline=None)
-    @given(flags=_rsvd_flags())
+    @given(flags=_flags(_RSVD_FLAGS))
     def test_documented_exit_and_finite_model(self, split_dir, tmp_path_factory, flags):
         out = tmp_path_factory.mktemp("mf") / "out"
         # the schedule producer runs at this size too, on any CPU count

@@ -399,6 +399,20 @@ class TestCandidatePoolSizes:
             assert candidate_pool_sizes(synth_split, n, protocol).tolist() == pool
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_entry_refuses_n_below_one(synth_split, synth_stats, protocol, n):
+    theta = theta_generalized(synth_split)
+    arec, crec = pop_scorer(synth_split, synth_stats, 5), rand_coverage(3, synth_split)
+    for call in (lambda: eligible_users(synth_split, n, protocol),
+                 lambda: candidate_pool_sizes(synth_split, n, protocol),
+                 lambda: oslg(synth_split, theta, arec, n, 10, 0, protocol=protocol),
+                 lambda: independent_greedy(synth_split, theta, arec, crec, n, protocol),
+                 lambda: locally_greedy_full(synth_split, theta, arec, n, protocol=protocol)):
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+            call()
+
+
 class TestIndependentGreedy:
     def test_matches_per_user_greedy(self, synth_split, synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)

@@ -138,18 +138,29 @@ def test_children_are_pinned_round_robin(monkeypatch):
 
 
 def _filled(k, buffer):
-    """Write k and the pid that filled it into ``buffer``."""
-    buffer[:16] = k.to_bytes(8, "little") + os.getpid().to_bytes(8, "little")
+    """Write k, the pid that filled it and that process's affinity mask
+    (its size and lowest CPU) into ``buffer``."""
+    mask = os.sched_getaffinity(0)
+    buffer[:32] = b"".join(v.to_bytes(8, "little") for v in (k, os.getpid(), len(mask), min(mask)))
 
 
 def _read(buffer):
+    """(k, pid) of a buffer :func:`_filled` wrote."""
     return int.from_bytes(buffer[:8], "little"), int.from_bytes(buffer[8:16], "little")
 
 
+@pytest.fixture
+def spare(monkeypatch):
+    """One spare CPU on any machine, so ``fill_ahead(..., fork=True)`` forks."""
+    cpu = a_usable_cpu()
+    monkeypatch.setattr(forked, "spare_cpus", lambda: [cpu])
+    return cpu
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 7])
-def test_fill_ahead_in_order_from_a_child(count):
+def test_fill_ahead_in_order_from_a_child(spare, count):
     with deadline(60):
-        got = [_read(b) for b in forked.fill_ahead(_filled, count, 16, a_usable_cpu())]
+        got = [_read(b) for b in forked.fill_ahead(_filled, count, 32, True)]
     assert [k for k, _ in got] == list(range(count))
     pids = {pid for _, pid in got}
     if count == 1:  # one buffer is filled in this process
@@ -159,20 +170,30 @@ def test_fill_ahead_in_order_from_a_child(count):
     assert_no_child_left()
 
 
-def test_fill_ahead_without_a_cpu_or_a_fork(monkeypatch):
-    assert {_read(b)[1] for b in forked.fill_ahead(_filled, 4, 16)} == {os.getpid()}
+def test_the_child_is_pinned_to_the_spare_cpu(spare):
+    with deadline(60):
+        masks = [bytes(b[16:32]) for b in forked.fill_ahead(_filled, 3, 32, True)]
+    assert masks == [(1).to_bytes(8, "little") + spare.to_bytes(8, "little")] * 3
+    assert_no_child_left()
+
+
+def test_fill_ahead_without_a_cpu_or_a_fork(spare, monkeypatch):
+    here = [(k, os.getpid()) for k in range(4)]
+    assert [_read(b) for b in forked.fill_ahead(_filled, 4, 32, False)] == here
+    monkeypatch.setattr(forked, "spare_cpus", lambda: [])  # no CPU to fork onto
+    assert [_read(b) for b in forked.fill_ahead(_filled, 4, 32, True)] == here
 
     def refuse():
         raise OSError("no fork")
 
+    monkeypatch.setattr(forked, "spare_cpus", lambda: [spare])
     monkeypatch.setattr(os, "fork", refuse)
     with deadline(60):
-        got = [_read(b) for b in forked.fill_ahead(_filled, 4, 16, a_usable_cpu())]
-    assert got == [(k, os.getpid()) for k in range(4)]
+        assert [_read(b) for b in forked.fill_ahead(_filled, 4, 32, True)] == here
 
 
 @pytest.mark.parametrize("stop", [0, 1, 4])
-def test_buffers_a_child_did_not_fill_are_filled_here(stop):
+def test_buffers_a_child_did_not_fill_are_filled_here(spare, stop):
     parent = os.getpid()
     asked = []  # the k this process was asked to fill, in order
 
@@ -184,15 +205,15 @@ def test_buffers_a_child_did_not_fill_are_filled_here(stop):
         _filled(k, buffer)
 
     with deadline(60):
-        got = [_read(b) for b in forked.fill_ahead(fill, 6, 16, a_usable_cpu())]
+        got = [_read(b) for b in forked.fill_ahead(fill, 6, 32, True)]
     assert [k for k, _ in got] == list(range(6))
     assert asked == list(range(stop, 6))
     assert all((pid == parent) == (k >= stop) for k, pid in got)
     assert_no_child_left()
 
 
-def test_the_child_is_reaped_when_the_caller_stops_early():
-    ahead = forked.fill_ahead(_filled, 50, 16, a_usable_cpu())
+def test_the_child_is_reaped_when_the_caller_stops_early(spare):
+    ahead = forked.fill_ahead(_filled, 50, 32, True)
     with deadline(60), pytest.raises(InfeasibleError):
         for k, buffer in enumerate(ahead):
             assert _read(buffer)[0] == k

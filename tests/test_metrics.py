@@ -284,6 +284,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(coll, synth_split, synth_stats, n=9)
 
+    def test_n_below_one_rejected(self, synth_split, synth_stats):
+        lists = {u: () for u in synth_split.users}  # a list of n = 0 items per user
+        for n in (None, 0, -1):
+            with pytest.raises(ValueError, match="^n must be at least 1, got "):
+                evaluate(TopNCollection(0, lists), synth_split, synth_stats, n=n)
+
     def test_empty_collection_rejected(self, synth_split, synth_stats):
         with pytest.raises(UndefinedMetricError):
             evaluate(TopNCollection(5, {}), synth_split, synth_stats)
