@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Print one sha256 per artifact of a full ganc pipeline on generated ratings.
 
-Generates an ML-100K-shaped ratings file, then runs split, prefs and
-train-rsvd; recommend with Pop and with RSVD under both ranking protocols;
-evaluate on each collection, with --per-user and at n = 3; and one Pop
-sweep per protocol.
+Generates an ML-100K-shaped ratings file, then runs split, prefs (the
+default model and normalized_longtail) and train-rsvd; recommend with Pop
+and with RSVD under both ranking protocols; evaluate on each collection,
+with --per-user and at n = 3; recommend with Pop under static and random
+coverage; one Pop sweep per protocol; and stats. The standard output of
+split and stats, which report the long-tail share, is kept as
+``split.stdout`` and ``stats.stdout``.
 Every command runs in this process through ``ganc.cli.main``, so the
 ``ganc`` on ``PYTHONPATH`` is the one measured. Standard output holds the
 digests only: save it from one checkout, and pass it to a run in another
@@ -23,6 +26,7 @@ sweep.json before hashing; every other byte counts.
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -36,9 +40,15 @@ from ganc.synthetic import generate_ratings
 TIMED = ("run.json", "sweep.json")  # manifests that record phase_seconds
 
 
-def run(*argv: str) -> None:
-    with contextlib.redirect_stdout(sys.stderr):  # stdout carries the digests only
+def run(*argv: str, keep: bool = False) -> None:
+    """Run one ganc command; with ``keep``, save its standard output as
+    ``<command>.stdout``."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):  # stdout carries the digests only
         code = ganc(list(argv))
+    sys.stderr.write(printed.getvalue())
+    if keep:
+        Path(f"{argv[0]}.stdout").write_text(printed.getvalue())
     if code != 0:
         raise SystemExit(f"ganc {argv[0]} exited {code}")
 
@@ -80,8 +90,9 @@ def main() -> int:
     write_table("ratings.csv", ("user", "item", "rating"),
                 ((r.user_id, r.item_id, r.value) for r in ratings))
 
-    run("split", "--dataset", "ratings.csv", "--format", "csv", "--out", "split")
+    run("split", "--dataset", "ratings.csv", "--format", "csv", "--out", "split", keep=True)
     run("prefs", "--split", "split", "--out", "prefs")
+    run("prefs", "--split", "split", "--model", "normalized_longtail", "--out", "prefs-nl")
     run("train-rsvd", "--split", "split", "--g", "20", "--epochs", str(args.epochs),
         "--out", "mf")
     for arec in ("pop", "rsvd"):
@@ -94,10 +105,14 @@ def main() -> int:
                 "--out", f"eval-{arec}-{protocol}")
             run("evaluate", "--split", "split", "--topn", rec, "--n", "3",
                 "--out", f"eval3-{arec}-{protocol}")
+    for crec in ("stat", "rand"):
+        run("recommend", "--split", "split", "--prefs", "prefs-nl", "--arec", "pop",
+            "--crec", crec, "--n", "5", "--out", f"rec-pop-{crec}")
     for protocol in ("all_unrated", "rated_test_items"):
         run("sweep", "--split", "split", "--prefs", "prefs", "--arec", "pop",
             "--n", "5", "--s-values", "100,500,1000,2000", "--reps", "3",
             "--protocol", protocol, "--out", f"sweep-{protocol}")
+    run("stats", "--split", "split", "--out", "stats", keep=True)
 
     ours = {str(path): digest(path) for path in sorted(p for p in Path().rglob("*")
                                                            if p.is_file())}

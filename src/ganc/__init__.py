@@ -8,7 +8,6 @@ from .dataset import (
     compute_item_stats,
     load_ratings,
     min_max_normalize,
-    relevant_test_items,
     split_per_user,
 )
 from .preference import (

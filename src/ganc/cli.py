@@ -119,7 +119,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         "format": args.format, "source": str(args.dataset),
     })
     density = 100.0 * len(ratings) / (n_users * n_items)
-    lt_share = 100.0 * len(stats.long_tail) / len(split.items)
+    lt_share = 100.0 * np.count_nonzero(stats.in_tail) / len(split.items)
     print(f"|D|={len(ratings)} |U|={n_users} |I|={n_items} "
           f"density={density:.2f}% longtail={lt_share:.2f}% "
           f"(train: {len(split.train_columns)} ratings, {len(split.users)} users, "
@@ -324,7 +324,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "profile.csv", ("bin_center", "mean_avg_popularity"),
                 (map(repr, row) for row in profile))
-    lt_share = 100.0 * len(stats.long_tail) / len(split.items)
+    lt_share = 100.0 * np.count_nonzero(stats.in_tail) / len(split.items)
     print(f"train: {len(split.train_columns)} ratings, {len(split.users)} users, "
           f"{len(split.items)} items, longtail={lt_share:.2f}% "
           f"(profile: {len(profile)} occupied bins)")

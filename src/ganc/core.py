@@ -86,7 +86,7 @@ class TopNCollection:
 
     def truncated(self, n: int) -> "TopNCollection":
         """The first n items of every list, for n in [1, self.n]."""
-        if n == self.n:  # an empty collection (n = 0) reaches its evaluator unchanged
+        if n == self.n:
             return self
         if not 1 <= n < self.n:
             raise ValueError(f"n must be in [1, {self.n}], got {n}")
@@ -173,23 +173,11 @@ def _greedy_idx(user, theta, acc, cov, n, cand_mask) -> list:
     return _top_n(np.where(cand_mask, (1.0 - theta) * acc + theta * cov, -np.inf), n)
 
 
-def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec,
-                     n: int, candidates=None) -> tuple:
-    """Build one user's top-n by repeated maximal-marginal-gain selection.
-
-    ``candidates`` restricts the pool to explicit item ids (they must be
-    unseen by the user); by default every unseen train item is eligible.
-    """
-    if candidates is None:
-        cand_mask = split.candidate_mask(user)
-    else:
-        seen = split.per_user_train_index[user]
-        bad = [i for i in candidates if i in seen]
-        if bad:
-            raise ContractViolationError(f"user {user!r}: candidates {bad!r} already rated")
-        cand_mask = _mask(split, [split.item_index[i] for i in candidates])
+def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec, n: int) -> tuple:
+    """Build one user's top-n over every unseen train item by repeated
+    maximal-marginal-gain selection."""
     picked = _greedy_idx(user, theta, arec.score_vector(user), crec.score_vector(),
-                         n, cand_mask)
+                         n, split.candidate_mask(user))
     return tuple(map(split.items.__getitem__, picked))
 
 
@@ -267,12 +255,6 @@ def _spans(csr: tuple, codes: np.ndarray) -> tuple:
     rows = np.repeat(np.arange(len(codes)), lengths)
     shift = np.cumsum(lengths) - lengths - starts  # a row's first output slot minus its start
     return rows, items[np.arange(len(rows)) - shift[rows]]
-
-
-def _mask(split: SplitDataset, indices) -> np.ndarray:
-    mask = np.zeros(len(split.items), dtype=bool)
-    mask[indices] = True
-    return mask
 
 
 def _coverage(counts: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParseError, UnknownIdError
+from .errors import EmptyDatasetError, ParseError
 from .io_utils import (
     NPZ_ERRORS,
     canonical_ids,
@@ -280,12 +280,6 @@ class SplitDataset:
         k = self.user_index[user]
         return codes[indptr[k]:indptr[k + 1]]
 
-    def test_item_indices(self, user) -> np.ndarray:
-        """Indices into ``items`` of the user's test items, in file order."""
-        indptr, codes = self.test_csr
-        k = self.user_index[user]
-        return codes[indptr[k]:indptr[k + 1]]
-
     def candidate_mask(self, user) -> np.ndarray:
         """Boolean mask over ``items``: True where the user has not rated in train."""
         mask = np.ones(len(self.items), dtype=bool)
@@ -355,25 +349,17 @@ class SplitDataset:
         """user -> frozenset of the user's test items (empty for users without any)."""
         return _sets(self.users, *self.test_csr, self.items)
 
-    @cached_property
-    def per_item_train_index(self) -> dict:
-        """item -> frozenset of the users who rated it in train."""
-        t = self.train_columns
-        return _sets(self.items, *_csr(t.item_codes, t.user_codes, len(self.items)), self.users)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItemStats:
-    """Train popularity counts and the Pareto long-tail item set."""
+    """Train popularity and the Pareto long tail, as arrays over a split's
+    ``items``: ``counts`` holds each item's train ratings, ``ranked`` the
+    item indices by decreasing count (ties by ascending id), and ``in_tail``
+    is True at the long-tail items."""
 
-    popularity: dict
-    long_tail: frozenset
-    total_train_ratings: int
-
-    @cached_property
-    def ranking(self) -> tuple:
-        """Item ids sorted by decreasing popularity, ties by ascending id."""
-        return tuple(sorted(self.popularity, key=lambda i: (-self.popularity[i], i)))
+    counts: np.ndarray
+    ranked: np.ndarray
+    in_tail: np.ndarray
 
 
 def _records(fh, format: str, path):
@@ -653,7 +639,7 @@ def split_per_user(ratings, kappa: float, tau: int, seed: int) -> SplitDataset:
 
 
 def compute_item_stats(split: SplitDataset) -> ItemStats:
-    """Popularity counts plus the long-tail set under the 80/20 boundary rule.
+    """Popularity counts plus the long-tail mask under the 80/20 boundary rule.
 
     Items are ranked by (popularity desc, id asc); the head is the shortest
     prefix whose cumulative popularity reaches 80% of all train ratings and
@@ -664,11 +650,9 @@ def compute_item_stats(split: SplitDataset) -> ItemStats:
     ranked = np.argsort(-counts, kind="stable")  # items are sorted, so ties go by id
     cum = np.cumsum(counts[ranked])
     boundary = int(np.argmax(5 * cum >= 4 * total)) + 1  # cum >= 0.80 * total, exact
-    return ItemStats(
-        popularity=dict(zip(split.items, counts.tolist())),
-        long_tail=frozenset(map(split.items.__getitem__, ranked[boundary:].tolist())),
-        total_train_ratings=total,
-    )
+    in_tail = np.zeros(len(split.items), dtype=bool)
+    in_tail[ranked[boundary:]] = True
+    return ItemStats(counts=counts, ranked=ranked, in_tail=in_tail)
 
 
 def min_max_normalize(x) -> np.ndarray:
@@ -682,15 +666,6 @@ def min_max_normalize(x) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(arr)
     return (arr - lo) / (hi - lo)
-
-
-def relevant_test_items(split: SplitDataset, user, threshold: float = 4.0) -> frozenset:
-    """Test items the user rated at or above ``threshold``."""
-    k = split.user_index.get(user)
-    if k is None:
-        raise UnknownIdError(f"unknown user {user!r}")
-    indptr, items = split.relevant_csr(threshold)
-    return frozenset(map(split.items.__getitem__, items[indptr[k]:indptr[k + 1]].tolist()))
 
 
 def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:

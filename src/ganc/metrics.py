@@ -115,11 +115,15 @@ def _precision_recall(hits: np.ndarray, relevant: np.ndarray, n: int):
     return precision, recall, f
 
 
-def lt_accuracy_at_n(coll: TopNCollection, stats: ItemStats) -> float:
+def lt_accuracy_at_n(coll: TopNCollection, split: SplitDataset, stats: ItemStats) -> float:
     """Share of recommended slots filled by long-tail items."""
-    lt = stats.long_tail
-    total = sum(len(lt.intersection(items)) for items in coll.lists.values())
-    return total / (coll.n * len(coll.lists))
+    return _lt_share(stats, _encode(coll, split)[1])
+
+
+def _lt_share(stats: ItemStats, items: np.ndarray) -> float:
+    """Share of the slots of a (users, n) item code matrix that hold
+    long-tail items."""
+    return int(np.count_nonzero(stats.in_tail[items])) / items.size
 
 
 def check_beta_threshold(beta: float, threshold: float) -> None:
@@ -224,15 +228,13 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
     if per_user:
         breakdown = {split.users[k]: (h / n, h / r if r else 0.0)
                      for k, h, r in zip(users.tolist(), hits.tolist(), relevant.tolist())}
-    long_tail = np.fromiter((i in stats.long_tail for i in split.items), dtype=bool,
-                            count=len(split.items))
     return EvalReport(
         n=n,
         protocol=protocol,
         precision=precision,
         recall=recall,
         f_measure=f_measure,
-        lt_accuracy=int(np.count_nonzero(long_tail[items])) / (n * len(users)),
+        lt_accuracy=_lt_share(stats, items),
         strat_recall=_strat_recall(split, beta, threshold, users, items[hit]),
         coverage=int(np.count_nonzero(freq)) / len(split.items),
         gini=gini(freq),

@@ -92,8 +92,7 @@ def theta_activity(split: SplitDataset) -> PreferenceVector:
 def theta_normalized_longtail(split: SplitDataset, stats: ItemStats) -> PreferenceVector:
     """Fraction of each user's rated items that fall in the long tail."""
     t = split.train_columns
-    in_tail = np.array([i in stats.long_tail for i in split.items], dtype=float)
-    tail_counts = np.bincount(t.user_codes, weights=in_tail[t.item_codes],
+    tail_counts = np.bincount(t.user_codes, weights=stats.in_tail[t.item_codes],
                               minlength=len(split.users))
     theta = tail_counts / split.user_train_counts
     return PreferenceVector("normalized_longtail", dict(zip(split.users, theta.tolist())))

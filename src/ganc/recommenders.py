@@ -35,11 +35,9 @@ class PopScorer:
             raise ValueError(f"n must be in [1, {len(split.items)}], got {n}")
         self.split = split
         self.n = n
-        # item indices, most popular first
-        ranking = np.array([split.item_index[i] for i in stats.ranking], dtype=np.int64)
-        if len(ranking) != len(split.items):
+        if len(stats.ranked) != len(split.items):
             raise ValueError("stats must rank every item of the split")
-        self.top_matrix = _top_unseen(split, ranking, n)
+        self.top_matrix = _top_unseen(split, stats.ranked, n)
         # True when some user has fewer than n unseen items, so -1 pads a row;
         # a full matrix spares the one-row path a mask
         self._ragged = bool((self.top_matrix < 0).any())
@@ -440,8 +438,7 @@ class StaticCoverage:
 
 def stat_coverage(stats: ItemStats, split: SplitDataset) -> StaticCoverage:
     """Constant coverage scores 1/sqrt(train popularity + 1)."""
-    pops = np.array([stats.popularity[i] for i in split.items], dtype=float)
-    return StaticCoverage(split, 1.0 / np.sqrt(pops + 1.0))
+    return StaticCoverage(split, 1.0 / np.sqrt(stats.counts + 1.0))
 
 
 def rand_coverage(seed: int, split: SplitDataset) -> StaticCoverage:

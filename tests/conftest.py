@@ -3,6 +3,8 @@
 import contextlib
 import os
 import signal
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,8 +40,23 @@ def assert_same_split(got, want):
         assert a.missing.dtype == b.missing.dtype == bool
         assert np.array_equal(a.missing, b.missing)
     assert got.train == want.train and got.test == want.test
-    for name in ("per_user_train_index", "per_user_test_index", "per_item_train_index"):
+    for name in ("per_user_train_index", "per_user_test_index"):
         assert getattr(got, name) == getattr(want, name)
+
+
+def item_stats_reference(split):
+    """(item ids by decreasing train count, ties by ascending id; the set of
+    long-tail ids), counted from ``split.train`` rows: the head is the
+    shortest prefix of that ranking holding 80 % of the train ratings, and
+    the long tail is every item after it."""
+    counts = Counter(r.item_id for r in split.train)
+    ranking = sorted(counts, key=lambda i: (-counts[i], i))
+    reached = 0
+    for head, item in enumerate(ranking, 1):
+        reached += counts[item]
+        if Fraction(reached, len(split.train)) >= Fraction(4, 5):
+            break
+    return ranking, frozenset(ranking[head:])
 
 
 def assert_no_child_left():
@@ -50,17 +67,44 @@ def assert_no_child_left():
 
 @contextlib.contextmanager
 def deadline(seconds):
-    """Fail instead of hanging when the block does not end in time."""
+    """Fail instead of hanging when the block does not end in time.
+
+    ``os.fork`` is wrapped for the block to record the children it makes.
+    When time runs out, each of them that is not yet reaped gets SIGKILL
+    and ``TimeoutError`` is raised; so a clean-up that waits on a hung child
+    (``fill_ahead``'s ``waitpid``) ends, and the children still unreaped
+    when the block ends are reaped then.
+    """
+    fork, children, expired = os.fork, [], []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
     def expire(signum, frame):
+        expired.append(True)
+        for pid in children:
+            # WNOWAIT: only ask whether pid is still this process's child;
+            # a reaped pid may already name another process
+            with contextlib.suppress(ChildProcessError):
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                os.kill(pid, signal.SIGKILL)
         raise TimeoutError(f"did not end within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
+    os.fork = recording_fork
     signal.alarm(seconds)
     try:
         yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+        os.fork = fork
+        for pid in children if expired else ():
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def a_usable_cpu():

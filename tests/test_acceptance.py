@@ -94,7 +94,7 @@ def test_c02_long_tail_share(ml100k_ratings):
     for seed in range(5):
         split = split_per_user(ml100k_ratings, kappa=0.5, tau=20, seed=seed)
         stats = compute_item_stats(split)
-        shares.append(100.0 * len(stats.long_tail) / len(split.items))
+        shares.append(100.0 * np.count_nonzero(stats.in_tail) / len(split.items))
     ok = all(abs(s - 66.98) <= 1.5 for s in shares)
     _report(2, ok, "long-tail share per seed: "
             + ", ".join(f"{s:.2f}%" for s in shares) + " (target 66.98 +/- 1.5)")
@@ -222,7 +222,7 @@ def test_c10a_metric_unit_suite():
     lt_split = build_split(lt_train)
     lt_stats = compute_item_stats(lt_split)
     lt_coll = TopNCollection(2, {10: ("t1", "t2"), 11: ("t2", "t1")})
-    checks.append(lt_accuracy_at_n(lt_coll, lt_stats) == 1.0)
+    checks.append(lt_accuracy_at_n(lt_coll, lt_split, lt_stats) == 1.0)
     _report(10, all(checks),
             f"unit checks (gini uniform, gini [1,3], strat beta=0, all-tail LT): {checks}")
 

@@ -680,16 +680,8 @@ sys.exit(code)
 # near-number or text without decimal digits (a digit string could ask for
 # an unbounded number of runs).
 _TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
-_S_VALUES = (st.lists(st.integers(1, 120).map(str), min_size=1, max_size=3).map(",".join)
-             | st.lists(st.integers(-2, 120).map(str)
-                        | st.sampled_from(["", " 7", "1e3", "0x10", "+5", "٣", "3.0"]),
-                        max_size=4).map(",".join) | _TEXT)
-_REPS = st.integers(1, 3).map(str) | (st.integers(-1, 3).map(str)
-                                     | st.sampled_from(["", "1.0", "+2", " 2 "]) | _TEXT)
 _ODD_REAL = (st.sampled_from(["-0", "1e400", "NaN", "5_0", " 1 ", "0x1p3"])
              | st.floats().map(repr) | _TEXT)
-_BETA = st.floats(0.0, 4.0).map(repr) | _ODD_REAL
-_THRESHOLD = st.floats(-1.0, 6.0).map(repr) | _ODD_REAL
 _LAMBDA1 = (st.floats(1e-3, 1e3).map(repr) | st.sampled_from(["1e308", "5e-324", "1e-300"])
             | _ODD_REAL)
 _TOL = st.floats(1e-12, 1.0).map(repr) | _ODD_REAL
@@ -727,6 +719,19 @@ _SHARED_FLAGS = {
                  st.sampled_from(["-1", "", "1.5", "0x10"]) | _TEXT),
     "protocol": (st.sampled_from(PROTOCOLS), st.sampled_from(["", "all", "rated"]) | _TEXT),
 }
+_SWEEP_FLAGS = {
+    **_SHARED_FLAGS,
+    "s-values": (st.lists(st.integers(1, 120).map(str), min_size=1, max_size=3).map(",".join),
+                 st.lists(st.integers(-2, 120).map(str)
+                          | st.sampled_from(["", " 7", "1e3", "0x10", "+5", "٣", "3.0"]),
+                          max_size=4).map(",".join) | _TEXT),
+    "reps": (st.integers(1, 3).map(str),
+             st.integers(-1, 3).map(str) | st.sampled_from(["", "1.0", "+2", " 2 "]) | _TEXT),
+    "beta": (st.floats(0.0, 4.0).map(repr), _ODD_REAL),
+    "threshold": (st.floats(-1.0, 6.0).map(repr), _ODD_REAL),
+}
+_BETA = st.one_of(*_SWEEP_FLAGS["beta"])
+_THRESHOLD = st.one_of(*_SWEEP_FLAGS["threshold"])
 _RECOMMEND_FLAGS = {
     **_SHARED_FLAGS,
     "s": (st.integers(1, 80).map(str) | st.just("5000"),
@@ -769,18 +774,14 @@ def _finite_json(path):
 
 class TestSweepFlagValues:
     @settings(max_examples=100, deadline=None)
-    @given(flags=_flags(_SHARED_FLAGS), s_values=_S_VALUES, reps=_REPS, beta=_BETA,
-           threshold=_THRESHOLD)
-    @example(flags=["--arec=rsvd", "--n=0"], s_values="10", reps="1", beta="0.5",
-             threshold="4.0")  # died in evaluate before --n was checked first
+    @given(flags=_flags(_SWEEP_FLAGS))
+    @example(flags=["--arec=rsvd", "--n=0", "--s-values=10", "--reps=1", "--beta=0.5",
+                    "--threshold=4.0"])  # died in evaluate before --n was checked first
     def test_documented_exit_and_one_error_line(self, split_dir, prefs_dir, mf_dir,
-                                                tmp_path_factory, flags, s_values, reps, beta,
-                                                threshold):
+                                                tmp_path_factory, flags):
         out = tmp_path_factory.mktemp("sweep") / "out"
         code = _documented_exit(["sweep", "--split", str(split_dir), "--prefs", str(prefs_dir),
-                                 "--mf", str(mf_dir), *flags, f"--s-values={s_values}",
-                                 f"--reps={reps}", f"--beta={beta}",
-                                 f"--threshold={threshold}", "--out", str(out)])
+                                 "--mf", str(mf_dir), *flags, "--out", str(out)])
         assert (out / "sweep.csv").exists() == (code == 0)
         if code == 0:
             rows = (out / "sweep.csv").read_text().splitlines()[1:]

@@ -119,13 +119,6 @@ class TestGreedyTopnUser:
         with pytest.raises(InfeasibleError):
             greedy_topn_user(split, 1, 0.5, arec, crec, 2)
 
-    def test_explicit_candidates_must_be_unseen(self):
-        split = build_split([(1, "x", 3), (2, "a", 3)])
-        arec = DictAccuracy({}, split)
-        crec = DictCoverage({}, split)
-        with pytest.raises(ContractViolationError):
-            greedy_topn_user(split, 1, 0.5, arec, crec, 1, candidates=["x"])
-
     def test_selected_marginal_gains_never_increase(self):
         # within one build the coverage state is frozen, so successive
         # greedy picks must carry non-increasing blended gains

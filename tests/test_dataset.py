@@ -19,14 +19,13 @@ from ganc.dataset import (
     load_ratings,
     load_split,
     min_max_normalize,
-    relevant_test_items,
     save_split,
     split_per_user,
 )
-from ganc.errors import EmptyDatasetError, ParseError, UnknownIdError
+from ganc.errors import EmptyDatasetError, ParseError
 from ganc.io_utils import canonical_ids, split_hash
 
-from conftest import assert_same_split, build_split
+from conftest import assert_same_split, build_split, item_stats_reference
 
 
 class TestLoadRatings:
@@ -189,8 +188,8 @@ class TestRatingColumns:
         assert split.user_train_counts.tolist() == [2, 2]
         assert split.user_test_counts.tolist() == [1, 0]  # "zzz" is not a train item
         assert split.train_item_indices(1).tolist() == [2, 0]  # file order
-        assert split.test_item_indices(1).tolist() == [1]
-        assert dict(split.per_item_train_index) == {"a": {1, 2}, "b": {2}, "c": {1}}
+        indptr, codes = split.test_csr
+        assert indptr.tolist() == [0, 1, 1] and codes.tolist() == [1]
         assert dict(split.per_user_test_index) == {1: {"b"}, 2: frozenset()}
         assert 3 not in split.per_user_train_index
         assert split.per_user_train_index.get(3) is None
@@ -214,8 +213,7 @@ class TestRatingColumns:
         for protocol in ("all_unrated", "rated_test_items"):
             run = oslg(split, pv, pop_scorer(split, stats, 5), 5, 10, 0, protocol=protocol)
             evaluate(run.collection, split, stats, protocol=protocol, per_user=True)
-        views = {"train", "test", "per_user_train_index", "per_user_test_index",
-                 "per_item_train_index"}
+        views = {"train", "test", "per_user_train_index", "per_user_test_index"}
         assert not views & set(vars(split))
 
 
@@ -294,35 +292,50 @@ class TestItemStats:
                 train.append((f"u{u}", item, 3))
         split = build_split(train)
         stats = compute_item_stats(split)
-        assert stats.total_train_ratings == 20
-        assert stats.long_tail == {"i4", "i5"}
-        assert stats.popularity == pops
+        assert split.items == tuple(pops)
+        assert stats.counts is split.item_train_counts
+        assert stats.counts.tolist() == list(pops.values())
+        assert stats.ranked.tolist() == [0, 1, 2, 3, 4]
+        assert stats.in_tail.tolist() == [False, False, False, True, True]
 
     def test_single_item_has_empty_tail(self):
         split = build_split([(u, "only", 4) for u in range(5)])
         stats = compute_item_stats(split)
-        assert stats.long_tail == frozenset()
+        assert stats.in_tail.tolist() == [False]
 
     def test_popularity_sums_to_total(self, synth_split, synth_stats):
-        assert sum(synth_stats.popularity.values()) == synth_stats.total_train_ratings
-        assert synth_stats.total_train_ratings == len(synth_split.train)
+        assert int(synth_stats.counts.sum()) == len(synth_split.train)
 
     def test_tail_never_more_popular_than_head(self, synth_stats):
-        head = set(synth_stats.popularity) - synth_stats.long_tail
-        if synth_stats.long_tail and head:
-            assert max(synth_stats.popularity[i] for i in synth_stats.long_tail) \
-                <= min(synth_stats.popularity[i] for i in head)
+        counts, in_tail = synth_stats.counts, synth_stats.in_tail
+        tail, head = counts[in_tail], counts[~in_tail]
+        if len(tail) and len(head):
+            assert tail.max() <= head.min()
 
-    def test_tail_mass_bounded(self, synth_stats):
-        tail_mass = sum(synth_stats.popularity[i] for i in synth_stats.long_tail)
-        boundary_pop = min(
-            (synth_stats.popularity[i] for i in synth_stats.popularity
-             if i not in synth_stats.long_tail), default=0)
-        assert tail_mass <= 0.20 * synth_stats.total_train_ratings + boundary_pop
+    def test_tail_mass_bounded(self, synth_split, synth_stats):
+        tail_mass = int(synth_stats.counts[synth_stats.in_tail].sum())
+        boundary_pop = int(synth_stats.counts[~synth_stats.in_tail].min())
+        assert tail_mass <= 0.20 * len(synth_split.train) + boundary_pop
 
     def test_deterministic(self, synth_split):
-        assert compute_item_stats(synth_split).long_tail == \
-            compute_item_stats(synth_split).long_tail
+        a, b = compute_item_stats(synth_split), compute_item_stats(synth_split)
+        assert np.array_equal(a.ranked, b.ranked) and np.array_equal(a.in_tail, b.in_tail)
+
+    @given(st.one_of(st.lists(st.integers(-5, 40), min_size=1, max_size=12, unique=True),
+                     st.lists(st.text("ab1 ,", min_size=1, max_size=3), min_size=1,
+                              max_size=12, unique=True)),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_definition(self, items, data):
+        # counts from 1 to 4 over up to 12 items, so ties are common
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=len(items),
+                                    max_size=len(items)))
+        split = build_split([(u, i, 3) for i, c in zip(items, counts) for u in range(c)])
+        stats = compute_item_stats(split)
+        ranking, tail = item_stats_reference(split)
+        assert [split.items[k] for k in stats.ranked.tolist()] == ranking
+        assert {split.items[k] for k in np.flatnonzero(stats.in_tail).tolist()} == tail
+        assert stats.counts.tolist() == [dict(zip(items, counts))[i] for i in split.items]
 
 
 class TestMinMaxNormalize:
@@ -372,33 +385,41 @@ class TestItemIndices:
         assert list(split.candidate_indices("u2")) == [0, 2]
 
 
+def _relevant(split, user, threshold=4.0):
+    """Item ids of the user's row of ``split.relevant_csr(threshold)``, in
+    file order."""
+    indptr, codes = split.relevant_csr(threshold)
+    k = split.user_index[user]
+    return [split.items[c] for c in codes[indptr[k]:indptr[k + 1]].tolist()]
+
+
 class TestRelevantTestItems:
+    """``SplitDataset.relevant_csr``: each user's test items rated at or
+    above a threshold."""
+
     def test_threshold_filter(self):
         split = build_split([(1, "a", 3), (2, "i1", 1), (2, "i2", 1), (2, "i3", 1)],
-                            [(1, "i1", 5), (1, "i2", 3), (1, "i3", 4)])
-        assert relevant_test_items(split, 1, 4.0) == {"i1", "i3"}
+                            [(1, "i3", 4), (1, "i2", 3), (1, "i1", 5)])
+        assert _relevant(split, 1, 4.0) == ["i3", "i1"]
 
     def test_each_threshold_answered_on_the_same_split(self):
         # results are kept per threshold; asking again must not mix them up
         split = build_split([(1, "a", 3), (2, "i1", 1), (2, "i2", 1), (2, "i3", 1)],
                             [(1, "i1", 5), (1, "i2", 3), (1, "i3", 4)])
-        for threshold, expected in ((4.0, {"i1", "i3"}), (5.0, {"i1"}),
-                                    (0.0, {"i1", "i2", "i3"}), (4.0, {"i1", "i3"})):
-            assert relevant_test_items(split, 1, threshold) == expected
-        assert relevant_test_items(split, 2, 0.0) == frozenset()
+        for threshold, expected in ((4.0, ["i1", "i3"]), (5.0, ["i1"]),
+                                    (0.0, ["i1", "i2", "i3"]), (4.0, ["i1", "i3"])):
+            assert _relevant(split, 1, threshold) == expected
+        assert _relevant(split, 2, 0.0) == []
+        assert split.relevant_csr(4.0) is split.relevant_csr(4.0)
 
     def test_all_below_threshold(self):
         split = build_split([(1, "a", 3), (2, "i1", 2)], [(1, "i1", 2)])
-        assert relevant_test_items(split, 1) == frozenset()
+        assert _relevant(split, 1) == []
 
     def test_zero_threshold_returns_all(self):
         split = build_split([(1, "a", 3), (2, "i1", 2), (2, "i2", 2)],
                             [(1, "i1", 1), (1, "i2", 5)])
-        assert relevant_test_items(split, 1, 0.0) == {"i1", "i2"}
-
-    def test_unknown_user(self):
-        with pytest.raises(UnknownIdError):
-            relevant_test_items(build_split([(1, "a", 3)]), 99)
+        assert _relevant(split, 1, 0.0) == ["i1", "i2"]
 
 
 class TestActivityPopularityProfile:

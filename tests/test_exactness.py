@@ -10,13 +10,15 @@ full copy of the counts after each sampled user, and ``_oslg_reference``,
 lists with them. A scorer's ``add_accuracy`` hook is checked against the
 same scorer read one dense ``score_vector`` at a time. The other references
 are the implementations the fast paths replaced: ``_evaluate_reference``
-recomputes relevant items per call and popularity weights per relevant
-pair, ``_strat_recall_dict_reference`` looks each relevant item's weight up
-in a dict built per call, ``_load_ratings_reference`` and
-``_split_per_user_reference`` parse and split one ``Rating`` per row into
-dict-of-set indices, and ``_PopScorerReference`` scans the popularity
-ranking per user. A split read from the split.npz sidecar must equal the
-one ``dataset._parse_split`` parses from the CSVs. Outputs must be equal,
+recomputes relevant items per call, popularity weights per relevant pair
+and the long tail from ``Rating`` rows, ``_strat_recall_dict_reference``
+looks each relevant item's weight up in a dict built per call,
+``_load_ratings_reference`` and ``_split_per_user_reference`` parse and
+split one ``Rating`` per row into dict-of-set indices, and
+``_PopScorerReference`` scans the popularity ranking that
+``conftest.item_stats_reference`` sorts from ``Rating`` rows, per user. A
+split read from the split.npz sidecar must equal the one
+``dataset._parse_split`` parses from the CSVs. Outputs must be equal,
 not close.
 """
 
@@ -24,6 +26,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -64,7 +67,8 @@ from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n, strat_rec
 from ganc.preference import PreferenceVector, load_prefs, theta_generalized
 from ganc.recommenders import MatrixScorer, pop_scorer, rand_coverage, stat_coverage
 
-from conftest import DictAccuracy, DictCoverage, assert_same_split, build_split
+from conftest import (DictAccuracy, DictCoverage, assert_same_split, build_split,
+                      item_stats_reference)
 
 
 # ---------------------------------------------------------------- references
@@ -199,9 +203,10 @@ def _relevant_reference(split, user, threshold):
 
 
 def _strat_recall_reference(coll, split, beta, threshold):
+    pops = Counter(r.item_id for r in split.train)
+
     def weight(item):
-        pop = len(split.per_item_train_index.get(item, ())) or 1
-        return pop ** (-beta)
+        return (pops[item] or 1) ** (-beta)
 
     num = []
     den = []
@@ -216,6 +221,12 @@ def _strat_recall_reference(coll, split, beta, threshold):
     return num / den
 
 
+def _lt_accuracy_reference(coll, split):
+    tail = item_stats_reference(split)[1]
+    return sum(i in tail for items in coll.lists.values() for i in items) / \
+        (coll.n * len(coll.lists))
+
+
 def _strat_recall_dict_reference(sets, split, beta):
     counts = split.item_train_counts.tolist()
     weight = dict(zip(split.items, [(c or 1) ** (-beta) for c in counts])).__getitem__
@@ -226,7 +237,9 @@ def _strat_recall_dict_reference(sets, split, beta):
     return num / den
 
 
-def _evaluate_reference(coll, split, stats, protocol, n, beta, threshold):
+def _evaluate_reference(coll, split, _stats, protocol, n, beta, threshold):
+    """``evaluate``'s report and per-user breakdown, with the long tail taken
+    from :func:`item_stats_reference` in place of the stats passed."""
     work = coll.truncated(n)
     if protocol == "rated_test_items":
         work = TopNCollection(n, {u: items for u, items in work.lists.items()
@@ -250,7 +263,7 @@ def _evaluate_reference(coll, split, stats, protocol, n, beta, threshold):
             freq[split.item_index[i]] += 1
     report = EvalReport(
         n=n, protocol=protocol, precision=precision, recall=recall, f_measure=f,
-        lt_accuracy=lt_accuracy_at_n(work, stats),
+        lt_accuracy=_lt_accuracy_reference(work, split),
         strat_recall=_strat_recall_reference(work, split, beta, threshold),
         coverage=len({i for items in work.lists.values() for i in items}) / len(split.items),
         gini=gini(freq),
@@ -671,6 +684,7 @@ class TestCodedEvaluateMatchesReference:
         n_eval, stats = max(1, n - cut), compute_item_stats(split)  # n below coll.n too
         kept = [u for u in users if len(split.per_user_test_index[u]) >= n_eval]
         for coll in (coded, TopNCollection(n, lists)):
+            assert lt_accuracy_at_n(coll, split, stats) == _lt_accuracy_reference(coll, split)
             args = (coll, split, stats, protocol, n_eval, beta, threshold)
             if protocol == "rated_test_items" and not kept:
                 with pytest.raises(UndefinedMetricError, match="^no users to evaluate$"):
@@ -1052,7 +1066,7 @@ def _from_ratings_reference(train, test):
         users=tuple(sorted(user_train)), items=tuple(sorted(item_train)),
         per_user_train_index={u: frozenset(s) for u, s in user_train.items()},
         per_user_test_index={u: frozenset(s) for u, s in user_test.items()},
-        per_item_train_index={i: frozenset(s) for i, s in item_train.items()},
+        raters={i: frozenset(s) for i, s in item_train.items()},
     )
 
 
@@ -1087,8 +1101,8 @@ def _write_ratings_csv_reference(path, ratings):
 
 
 class _PopScorerReference:
-    def __init__(self, split, stats, n):
-        self.split, self.n, self._ranking = split, n, stats.ranking
+    def __init__(self, split, n):
+        self.split, self.n, self._ranking = split, n, item_stats_reference(split)[0]
 
     def top_items(self, user):
         seen = self.split.per_user_train_index[user]
@@ -1218,14 +1232,14 @@ class TestColumnarParserMatchesReference:
             return
         assert new.train == ref.train and new.test == ref.test
         assert (new.users, new.items) == (ref.users, ref.items)
-        for name in ("per_user_train_index", "per_user_test_index", "per_item_train_index"):
+        for name in ("per_user_train_index", "per_user_test_index"):
             assert dict(getattr(new, name)) == getattr(ref, name)
         t = new.train_columns  # the arrays agree with the reference rows
         assert [(new.users[u], new.items[i], v) for u, i, v in
                 zip(t.user_codes, t.item_codes, t.values)] == \
             [(r.user_id, r.item_id, r.value) for r in ref.train]
         assert np.array_equal(new.item_train_counts,
-                              [len(ref.per_item_train_index[i]) for i in ref.items])
+                              [len(ref.raters[i]) for i in ref.items])
         assert np.array_equal(new.user_test_counts,
                               [len(ref.per_user_test_index[u]) for u in ref.users])
 
@@ -1350,9 +1364,9 @@ class TestPopScorerMatchesReference:
     @staticmethod
     def _check(split, n):
         stats = compute_item_stats(split)
-        fast, ref = pop_scorer(split, stats, n), _PopScorerReference(split, stats, n)
+        fast, ref = pop_scorer(split, stats, n), _PopScorerReference(split, n)
         # the top matrix built from the CSR against each user's candidate mask
-        ranking = np.array([split.item_index[i] for i in stats.ranking])
+        ranking = np.array([split.item_index[i] for i in ref._ranking])
         assert fast.top_matrix.shape == (len(split.users), n)
         for k, user in enumerate(split.users):
             top = ranking[split.candidate_mask(user)[ranking]][:n]

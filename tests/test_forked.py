@@ -2,6 +2,7 @@
 forked workers."""
 
 import os
+import time
 
 import pytest
 
@@ -220,4 +221,20 @@ def test_the_child_is_reaped_when_the_caller_stops_early(spare):
             if k == 3:
                 ahead.close()  # as closing() does when the caller raises
                 raise InfeasibleError("stop")
+    assert_no_child_left()
+
+
+def test_a_hung_child_is_killed_at_the_deadline(spare):
+    parent = os.getpid()
+
+    def fill(k, buffer):
+        if os.getpid() != parent:
+            time.sleep(3600)  # the producer hangs before its first buffer
+        _filled(k, buffer)
+
+    # the caller waits on the child's first buffer; at the deadline the child
+    # is killed, so fill_ahead's clean-up reaps it instead of waiting forever
+    with pytest.raises(TimeoutError), deadline(1):
+        for _ in forked.fill_ahead(fill, 3, 32, True):
+            pass
     assert_no_child_left()

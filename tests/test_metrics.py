@@ -84,9 +84,8 @@ class TestPrecisionRecall:
         coll = independent_greedy(synth_split, theta, arec,
                                   stat_coverage(synth_stats, synth_split), 5)
         p, _, _ = precision_recall_at_n(coll, synth_split)
-        from ganc.dataset import relevant_test_items
-        hits = sum(len(relevant_test_items(synth_split, u) & set(items))
-                   for u, items in coll.lists.items())
+        relevant = {(r.user_id, r.item_id) for r in synth_split.test if r.value >= 4.0}
+        hits = sum((u, i) in relevant for u, items in coll.lists.items() for i in items)
         assert p * 5 * len(coll.lists) == pytest.approx(hits, abs=1e-9)
 
 
@@ -96,13 +95,14 @@ class TestLtAccuracy:
         train += [(1, "t1", 3), (2, "t2", 3), (3, "t3", 3), (4, "t4", 3), (5, "t5", 3)]
         split = build_split(train)
         stats = compute_item_stats(split)
-        assert stats.long_tail == {"t1", "t2", "t3", "t4", "t5"}
+        assert [split.items[k] for k in np.flatnonzero(stats.in_tail)] == \
+            ["t1", "t2", "t3", "t4", "t5"]
         coll = TopNCollection(5, {
             10: ("t1", "t2", "t3", "t4", "t5"),
             11: ("hit", "t1", "t2", "t3", "t4"),
         })
-        # second list uses "hit" which user 11 has not rated; 9 of 10 slots are tail
-        assert lt_accuracy_at_n(coll, stats) == pytest.approx(0.9)
+        # the second list holds the head item "hit"; 9 of 10 slots are tail
+        assert lt_accuracy_at_n(coll, split, stats) == pytest.approx(0.9)
 
     def test_all_long_tail_is_one(self):
         train = [(u, "hit", 3) for u in range(30)]
@@ -110,18 +110,16 @@ class TestLtAccuracy:
         split = build_split(train)
         stats = compute_item_stats(split)
         coll = TopNCollection(2, {10: ("t1", "t2")})
-        assert lt_accuracy_at_n(coll, stats) == 1.0
+        assert lt_accuracy_at_n(coll, split, stats) == 1.0
 
     def test_head_only_is_zero(self, synth_split, synth_stats):
         arec = pop_scorer(synth_split, synth_stats, 5)
         theta = theta_baseline(synth_split.users, "constant", c=0.0)
         coll = independent_greedy(synth_split, theta, arec,
                                   stat_coverage(synth_stats, synth_split), 5)
-        head_sets = all(
-            set(items) <= (set(synth_stats.popularity) - synth_stats.long_tail)
-            for items in coll.lists.values())
-        if head_sets:
-            assert lt_accuracy_at_n(coll, synth_stats) == 0.0
+        head = {synth_split.items[k] for k in np.flatnonzero(~synth_stats.in_tail)}
+        if all(set(items) <= head for items in coll.lists.values()):
+            assert lt_accuracy_at_n(coll, synth_split, synth_stats) == 0.0
 
 
 class TestStratRecall:
@@ -132,9 +130,8 @@ class TestStratRecall:
                                   stat_coverage(synth_stats, synth_split), 5)
         hits = 0
         relevant = 0
-        from ganc.dataset import relevant_test_items
         for u in coll.lists:
-            rel = relevant_test_items(synth_split, u, 4.0)
+            rel = {r.item_id for r in synth_split.test if r.user_id == u and r.value >= 4.0}
             hits += len(rel & set(coll.lists[u]))
             relevant += len(rel)
         micro = hits / relevant
@@ -241,7 +238,7 @@ class TestEvaluate:
         p, r, f = precision_recall_at_n(coll, synth_split)
         assert report.precision == p and report.recall == r and report.f_measure == f
         assert report.coverage == coverage_at_n(coll, synth_split)
-        assert report.lt_accuracy == lt_accuracy_at_n(coll, synth_stats)
+        assert report.lt_accuracy == lt_accuracy_at_n(coll, synth_split, synth_stats)
         assert 0 <= report.gini <= 1
 
     def test_gini_counts_never_recommended_items_as_zeros(self):

@@ -22,7 +22,7 @@ from ganc.preference import (
     theta_tfidf,
 )
 
-from conftest import build_split
+from conftest import build_split, item_stats_reference
 
 
 class TestThetaActivity:
@@ -45,10 +45,10 @@ class TestThetaActivity:
 class TestThetaNormalizedLongtail:
     def test_ratio(self, synth_split, synth_stats):
         pv = theta_normalized_longtail(synth_split, synth_stats)
+        tail = item_stats_reference(synth_split)[1]
         for u, value in pv.theta.items():
             seen = synth_split.per_user_train_index[u]
-            assert value == pytest.approx(
-                len(seen & synth_stats.long_tail) / len(seen))
+            assert value == pytest.approx(len(seen & tail) / len(seen))
             assert 0.0 <= value <= 1.0
 
     def test_head_only_and_tail_only_users(self):
@@ -58,7 +58,7 @@ class TestThetaNormalizedLongtail:
         train += [(20, "hit", 4), (21, "rare1", 4), (21, "rare2", 4)]
         split = build_split(train)
         stats = compute_item_stats(split)
-        assert stats.long_tail == {"rare1", "rare2"}
+        assert [split.items[k] for k in np.flatnonzero(stats.in_tail)] == ["rare1", "rare2"]
         pv = theta_normalized_longtail(split, stats)
         assert pv.theta[20] == 0.0
         assert pv.theta[21] == 1.0
@@ -110,8 +110,10 @@ class TestThetaTfidf:
 def _oracle_generalized(split, lambda1, sweeps):
     """Plain-dict reimplementation of the alternating updates, by the book."""
     n_users = len(split.users)
-    raters = {i: len(split.per_item_train_index[i]) for i in split.items}
-    raw = {(r.user_id, r.item_id): r.value * math.log(n_users / raters[r.item_id])
+    raters = {}  # item -> the users who rated it in train
+    for r in split.train:
+        raters.setdefault(r.item_id, set()).add(r.user_id)
+    raw = {(r.user_id, r.item_id): r.value * math.log(n_users / len(raters[r.item_id]))
            for r in split.train}
     lo, hi = min(raw.values()), max(raw.values())
     t = {k: (v - lo) / (hi - lo) if hi > lo else 0.0 for k, v in raw.items()}
@@ -129,8 +131,7 @@ def _oracle_generalized(split, lambda1, sweeps):
     theta = theta_update()
     for _ in range(sweeps):
         for i in split.items:
-            eps = sum(1 - (t[(u, i)] - theta[u]) ** 2
-                      for u in split.per_item_train_index[i])
+            eps = sum(1 - (t[(u, i)] - theta[u]) ** 2 for u in raters[i])
             w[i] = lambda1 / eps
         theta = theta_update()
     return theta, w
