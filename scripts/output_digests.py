@@ -7,7 +7,9 @@ and with RSVD under both ranking protocols; evaluate on each collection,
 with --per-user and at n = 3; recommend with Pop under static and random
 coverage; one Pop sweep per protocol; and stats. The standard output of
 split and stats, which report the long-tail share, is kept as
-``split.stdout`` and ``stats.stdout``.
+``split.stdout`` and ``stats.stdout``. Then split and stats run again on a
+small generated CSV whose user and item ids need CSV quotes, so the
+quoted path of the split writer is hashed too.
 Every command runs in this process through ``ganc.cli.main``, so the
 ``ganc`` on ``PYTHONPATH`` is the one measured. Standard output holds the
 digests only: save it from one checkout, and pass it to a run in another
@@ -29,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -51,6 +54,17 @@ def run(*argv: str, keep: bool = False) -> None:
         Path(f"{argv[0]}.stdout").write_text(printed.getvalue())
     if code != 0:
         raise SystemExit(f"ganc {argv[0]} exited {code}")
+
+
+def write_quoted_ratings(path: str, seed: int) -> None:
+    """A small ratings CSV whose ids hold ``,``, ``"``, ``\n`` or ``\r``
+    between plain ones: 12 users with 25 of 40 items each."""
+    rng = random.Random(seed)
+    marks = (",", '"', "\n", "\r", "")
+    users = [f"u{marks[k % 5]}{k}" for k in range(12)]
+    items = [f"i{marks[k % 5]}{k}" for k in range(40)]
+    write_table(path, ("user", "item", "rating"),
+                ((u, i, rng.randint(1, 5)) for u in users for i in rng.sample(items, 25)))
 
 
 def digest(path: Path) -> str:
@@ -113,6 +127,9 @@ def main() -> int:
             "--n", "5", "--s-values", "100,500,1000,2000", "--reps", "3",
             "--protocol", protocol, "--out", f"sweep-{protocol}")
     run("stats", "--split", "split", "--out", "stats", keep=True)
+    write_quoted_ratings("quoted.csv", args.seed)
+    run("split", "--dataset", "quoted.csv", "--format", "csv", "--out", "split-quoted")
+    run("stats", "--split", "split-quoted", "--out", "stats-quoted")
 
     ours = {str(path): digest(path) for path in sorted(p for p in Path().rglob("*")
                                                            if p.is_file())}

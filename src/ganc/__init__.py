@@ -11,9 +11,7 @@ from .dataset import (
     split_per_user,
 )
 from .preference import (
-    PerUserItemPreference,
     PreferenceVector,
-    compute_theta_ui,
     theta_activity,
     theta_baseline,
     theta_generalized,
@@ -46,12 +44,8 @@ from .core import (
 )
 from .metrics import (
     EvalReport,
-    coverage_at_n,
     evaluate,
     gini,
-    lt_accuracy_at_n,
-    precision_recall_at_n,
-    strat_recall_at_n,
 )
 
 __version__ = "0.1.0"

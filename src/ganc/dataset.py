@@ -12,8 +12,7 @@ a line of whitespace only is blank. In CSV this holds until a block has a
 ``"`` or a line longer than ``csv.field_size_limit()``; from that block on
 ``csv.reader`` reads the rest of the file, as a quoted field may span
 lines. The split CSVs are written by joining one string per distinct id
-and per distinct value, unless an id holds a character that ``csv.writer``
-quotes (``,``, ``"``, ``\r``, ``\n``): then ``csv.writer`` writes them.
+and per distinct value, an id quoted as ``csv.writer`` quotes it.
 
 Ratings are held as columns (:class:`RatingColumns`): id tables plus int64
 user and item codes, float64 values, int64 timestamps and a mask of the
@@ -138,17 +137,12 @@ class RatingColumns:
         return (positions(user_index, self.users, self.user_codes),
                 positions(item_index, self.items, self.item_codes))
 
-    def user_ids(self) -> list:
-        return _object_array(self.users)[self.user_codes].tolist()
-
-    def item_ids(self) -> list:
-        return _object_array(self.items)[self.item_codes].tolist()
-
     def ratings(self) -> list:
         """The rows as :class:`Rating` objects."""
         stamps = _object_array(self.timestamps.tolist())
         stamps[self.missing] = None
-        return list(map(Rating, self.user_ids(), self.item_ids(),
+        return list(map(Rating, _object_array(self.users)[self.user_codes].tolist(),
+                        _object_array(self.items)[self.item_codes].tolist(),
                         self.values.tolist(), stamps.tolist()))
 
 
@@ -274,21 +268,13 @@ class SplitDataset:
         """Test ratings per user, aligned with ``users``."""
         return np.diff(self.test_csr[0])
 
-    def train_item_indices(self, user) -> np.ndarray:
-        """Indices into ``items`` of the user's train items, in file order."""
-        indptr, codes = self.train_csr
-        k = self.user_index[user]
-        return codes[indptr[k]:indptr[k + 1]]
-
     def candidate_mask(self, user) -> np.ndarray:
         """Boolean mask over ``items``: True where the user has not rated in train."""
+        indptr, codes = self.train_csr
+        k = self.user_index[user]
         mask = np.ones(len(self.items), dtype=bool)
-        mask[self.train_item_indices(user)] = False
+        mask[codes[indptr[k]:indptr[k + 1]]] = False
         return mask
-
-    def candidate_indices(self, user) -> np.ndarray:
-        """Indices into ``items`` of everything the user has not rated in train."""
-        return np.flatnonzero(self.candidate_mask(user))
 
     def _cached(self, key: tuple, make):
         """``make()``, made on the first call with ``key`` and kept."""
@@ -695,30 +681,31 @@ def activity_popularity_profile(split: SplitDataset, bins: int = 20) -> list:
 _QUOTED = frozenset(',"\r\n')
 
 
+def _csv_field(x) -> str:
+    """An id as csv.writer writes it: ``str`` ("" for None), wrapped in
+    ``"`` with its inner ``"`` doubled when it holds a character in
+    ``_QUOTED``."""
+    s = "" if x is None else str(x)
+    return '"' + s.replace('"', '""') + '"' if _QUOTED.intersection(s) else s
+
+
 def _write_ratings_csv(path, cols: RatingColumns) -> None:
-    """Write ``cols`` as csv.writer would, with CRLF line ends: one string
-    per distinct id (``str``; "" for None) and per distinct value (``repr``,
-    told apart by bits so -0.0 stays "-0.0"), gathered through the codes
-    and joined block by block. csv.writer writes the rows itself when some
-    id needs quotes."""
-    users = ["" if x is None else str(x) for x in cols.users]
-    items = ["" if x is None else str(x) for x in cols.items]
+    """Write ``cols`` in the form of :func:`~ganc.io_utils.write_table`, with
+    CRLF line ends: one string per distinct id (:func:`_csv_field`) and per
+    distinct value (``repr``, told apart by bits so -0.0 stays "-0.0"),
+    gathered through the codes and joined block by block."""
     bits, inverse = np.unique(cols.values.view(np.int64), return_inverse=True)
     values = [repr(v) for v in bits.view(np.float64).tolist()]
-    quoted = any(map(_QUOTED.intersection, chain(users, items)))
-    tables = tuple(map(_object_array, (users, items, values)))
+    tables = tuple(map(_object_array, (list(map(_csv_field, cols.users)),
+                                       list(map(_csv_field, cols.items)), values)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("user", "item", "rating", "timestamp"))
+        fh.write("user,item,rating,timestamp\r\n")
         for lo in range(0, len(cols), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
             stamps = _stamp_strings(cols.timestamps[rows], cols.missing[rows])
             block = zip(*(t[c[rows]].tolist() for t, c in
                           zip(tables, (cols.user_codes, cols.item_codes, inverse))), stamps)
-            if quoted:
-                writer.writerows(block)
-            else:
-                fh.write("\r\n".join(map(",".join, block)) + "\r\n")
+            fh.write("\r\n".join(map(",".join, block)) + "\r\n")
 
 
 def _stamp_strings(timestamps: np.ndarray, missing: np.ndarray):

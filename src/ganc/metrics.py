@@ -93,19 +93,10 @@ def _hits(split: SplitDataset, threshold: float, users: np.ndarray,
     return hit, np.count_nonzero(hit, axis=1), indptr[users + 1] - indptr[users]
 
 
-def precision_recall_at_n(coll: TopNCollection, split: SplitDataset,
-                          threshold: float = 4.0):
-    """Mean precision, recall and F-measure against highly rated test items.
-
-    Users without any relevant test item contribute zero recall and stay in
-    the denominator.
-    """
-    _, hits, relevant = _hits(split, threshold, *_encode(coll, split))
-    return _precision_recall(hits, relevant, coll.n)
-
-
 def _precision_recall(hits: np.ndarray, relevant: np.ndarray, n: int):
-    """From per-user hit and relevant counts; recall sums in list order."""
+    """Mean precision, recall and F-measure from per-user hit and relevant
+    counts; recall sums in list order. A user without any relevant test item
+    contributes zero recall and stays in the denominator."""
     recall_sum = 0.0
     for share in (hits[relevant > 0] / relevant[relevant > 0]).tolist():
         recall_sum += share
@@ -113,17 +104,6 @@ def _precision_recall(hits: np.ndarray, relevant: np.ndarray, n: int):
     recall = recall_sum / len(hits)
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
-
-
-def lt_accuracy_at_n(coll: TopNCollection, split: SplitDataset, stats: ItemStats) -> float:
-    """Share of recommended slots filled by long-tail items."""
-    return _lt_share(stats, _encode(coll, split)[1])
-
-
-def _lt_share(stats: ItemStats, items: np.ndarray) -> float:
-    """Share of the slots of a (users, n) item code matrix that hold
-    long-tail items."""
-    return int(np.count_nonzero(stats.in_tail[items])) / items.size
 
 
 def check_beta_threshold(beta: float, threshold: float) -> None:
@@ -134,22 +114,10 @@ def check_beta_threshold(beta: float, threshold: float) -> None:
         raise ValueError(f"threshold must be finite, got {threshold}")
 
 
-def strat_recall_at_n(coll: TopNCollection, split: SplitDataset,
-                      beta: float = 0.5, threshold: float = 4.0) -> float:
-    """Recall with every relevant item down-weighted by popularity^beta.
-
-    Items with zero train popularity (possible only for hand-built inputs)
-    weigh as popularity one.
-    """
-    check_beta_threshold(beta, threshold)
-    users, items = _encode(coll, split)
-    hit = _hits(split, threshold, users, items)[0]
-    return _strat_recall(split, beta, threshold, users, items[hit])
-
-
 def _strat_recall(split: SplitDataset, beta: float, threshold: float, users: np.ndarray,
                   hit_items: np.ndarray) -> float:
-    """Strat recall of the users ``users`` (codes) given their hit item codes.
+    """Strat recall of the users ``users`` (codes) given their hit item codes:
+    recall with every relevant item down-weighted by popularity^beta.
 
     The weights come from the split's table for ``beta``; the denominator
     gathers them over the users' relevant items in CSR order, or is the
@@ -172,12 +140,6 @@ def _strat_recall(split: SplitDataset, beta: float, threshold: float, users: np.
                 f"items underflow to 0 at beta={beta!r}")
         raise UndefinedMetricError("no relevant test items anywhere")
     return math.fsum(weights[hit_items].tolist()) / den
-
-
-def coverage_at_n(coll: TopNCollection, split: SplitDataset) -> float:
-    """Distinct recommended items over the recommendable (train) universe."""
-    items, m = _encode(coll, split)[1], len(split.items)
-    return int(np.count_nonzero(np.bincount(items.ravel(), minlength=m))) / m
 
 
 def gini(frequencies) -> float:
@@ -234,7 +196,7 @@ def evaluate(coll: TopNCollection, split: SplitDataset, stats: ItemStats,
         precision=precision,
         recall=recall,
         f_measure=f_measure,
-        lt_accuracy=_lt_share(stats, items),
+        lt_accuracy=int(np.count_nonzero(stats.in_tail[items])) / items.size,
         strat_recall=_strat_recall(split, beta, threshold, users, items[hit]),
         coverage=int(np.count_nonzero(freq)) / len(split.items),
         gini=gini(freq),

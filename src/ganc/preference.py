@@ -23,13 +23,6 @@ THETA_HEADER, WEIGHTS_HEADER = ("user", "theta"), ("item", "weight")
 
 
 @dataclass(frozen=True)
-class PerUserItemPreference:
-    """Per observed train pair (user, item) -> preference value in [0, 1]."""
-
-    values: dict
-
-
-@dataclass(frozen=True)
 class PreferenceVector:
     model: str
     theta: dict
@@ -44,14 +37,6 @@ def _raw_theta_ui(split: SplitDataset) -> np.ndarray:
     t = split.train_columns
     raters = split.item_train_counts.astype(float)
     return t.values * np.log(len(split.users) / raters[t.item_codes])
-
-
-def compute_theta_ui(split: SplitDataset) -> PerUserItemPreference:
-    """Per-pair preference values, min-max projected jointly onto [0, 1]."""
-    t = split.train_columns
-    projected = min_max_normalize(_raw_theta_ui(split))
-    return PerUserItemPreference(
-        dict(zip(zip(t.user_ids(), t.item_ids()), projected.tolist())))
 
 
 def _weighted_user_means(split, theta_ui: np.ndarray, w_item: np.ndarray) -> np.ndarray:
@@ -106,8 +91,7 @@ def theta_tfidf(split: SplitDataset) -> PreferenceVector:
 
 
 def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
-                      tol: float = 1e-6, max_iters: int = 100,
-                      theta_ui: PerUserItemPreference | None = None) -> PreferenceVector:
+                      tol: float = 1e-6, max_iters: int = 100) -> PreferenceVector:
     """Alternating minimax estimate of user preferences and item weights.
 
     Starting from unit weights, each sweep recomputes item weights
@@ -117,9 +101,6 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
     the largest per-user change drops below ``tol``; ``theta_deltas``
     records that change for every iteration. With ``max_iters=0`` the
     result equals :func:`theta_tfidf` and weights stay at one.
-
-    ``theta_ui`` overrides the internally computed pair values; entries must
-    already lie in [0, 1] or the mediocrity coefficient can degenerate.
     """
     if not (math.isfinite(lambda1) and lambda1 > 0):
         raise ValueError(f"lambda1 must be positive and finite, got {lambda1}")
@@ -130,10 +111,7 @@ def theta_generalized(split: SplitDataset, lambda1: float = 1.0,
     t = split.train_columns
     uidx, iidx = t.user_codes, t.item_codes
     n_items = len(split.items)
-    if theta_ui is None:
-        t_ui = min_max_normalize(_raw_theta_ui(split))
-    else:
-        t_ui = np.array([theta_ui.values[pair] for pair in zip(t.user_ids(), t.item_ids())])
+    t_ui = min_max_normalize(_raw_theta_ui(split))
 
     w = np.ones(n_items)
     theta = _weighted_user_means(split, t_ui, w)

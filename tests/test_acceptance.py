@@ -26,7 +26,7 @@ from ganc.core import (
     submodularity_check,
 )
 from ganc.dataset import compute_item_stats, load_ratings, split_per_user
-from ganc.metrics import evaluate, gini, lt_accuracy_at_n, strat_recall_at_n
+from ganc.metrics import evaluate, gini
 from ganc.preference import (
     theta_baseline,
     theta_generalized,
@@ -215,14 +215,15 @@ def test_c10a_metric_unit_suite():
     split = build_split(train, [("a", "i0", 5), ("a", "i1", 5), ("b", "i2", 5)])
     coll = TopNCollection(2, {"a": ("i0", "i3"), "b": ("i2", "i4")})
     micro = 2 / 3
-    checks.append(abs(strat_recall_at_n(coll, split, beta=0.0) - micro) <= 1e-12)
+    report = evaluate(coll, split, compute_item_stats(split), beta=0.0)
+    checks.append(abs(report.strat_recall - micro) <= 1e-12)
     # an all-long-tail collection has long-tail accuracy 1
     lt_train = [(u, "hit", 3) for u in range(30)]
     lt_train += [(1, "t1", 3), (2, "t2", 3)]
-    lt_split = build_split(lt_train)
+    lt_split = build_split(lt_train, [(10, "t1", 5)])  # a relevant item, for strat recall
     lt_stats = compute_item_stats(lt_split)
     lt_coll = TopNCollection(2, {10: ("t1", "t2"), 11: ("t2", "t1")})
-    checks.append(lt_accuracy_at_n(lt_coll, lt_split, lt_stats) == 1.0)
+    checks.append(evaluate(lt_coll, lt_split, lt_stats).lt_accuracy == 1.0)
     _report(10, all(checks),
             f"unit checks (gini uniform, gini [1,3], strat beta=0, all-tail LT): {checks}")
 

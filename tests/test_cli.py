@@ -1487,6 +1487,74 @@ class TestTamperedArtifacts:
             assert code == 2 and "mf_model.npz: not a readable model file" in err
 
 
+# An int id respelled: zero-padded, space-padded, float-spelled, or one the split lacks.
+_RESPELL = {"zero": "00{}".format, "space": " {} ".format, "float": "{}.0".format,
+            "stranger": "ghost{}".format}
+
+
+def _respellings(columns: tuple):
+    """(row, column, spelling, everywhere) edits of an id table: the id in
+    that row and column (the row taken modulo the table's rows) is respelled
+    there, or in every row of the column where it appears."""
+    return st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(columns),
+                              st.sampled_from(sorted(_RESPELL)), st.booleans()), max_size=4)
+
+
+def _respell_ids(path, edits) -> None:
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for row, column, how, everywhere in edits:
+        old = rows[row % len(rows)][column]
+        for cells in rows if everywhere else [rows[row % len(rows)]]:
+            if cells[column] == old:
+                cells[column] = _RESPELL[how](old)
+    ganc.io_utils.write_table(path, header, rows)
+
+
+def _at_most_one_line_exit(argv) -> int:
+    """Run ``main`` on ``argv``: a documented exit code, at most one line on
+    standard error, an ``error:`` line when the code is not 0, and no
+    traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3) and len(lines) <= 1
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    return code
+
+
+class TestIdSpellings:
+    """Ids of an int-id pipeline respelled in theta.csv and topn.csv: recommend
+    and evaluate end in a documented exit with at most one error line, and a
+    report written on exit 0 holds only finite numbers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta_edits=_respellings((0,)), topn_edits=_respellings((0, 2)))
+    def test_documented_exit_and_finite_report(self, split_dir, prefs_dir, rec_dir,
+                                               tmp_path_factory, theta_edits, topn_edits):
+        work = tmp_path_factory.mktemp("ids")
+        prefs, topn = _copy_dir(prefs_dir, work / "prefs"), _copy_dir(rec_dir, work / "topn")
+        _respell_ids(prefs / "theta.csv", theta_edits)
+        _respell_ids(topn / "topn.csv", topn_edits)
+        collections = [topn]
+        if _at_most_one_line_exit(["recommend", "--split", str(split_dir), "--prefs", str(prefs),
+                                   "--n", "5", "--s", "30", "--out", str(work / "rec")]) == 0:
+            _finite_json(work / "rec" / "run.json")
+            collections.append(work / "rec")
+        for k, coll in enumerate(collections):
+            out = work / f"eval{k}"
+            code = _at_most_one_line_exit(["evaluate", "--split", str(split_dir),
+                                           "--topn", str(coll), "--out", str(out)])
+            assert (out / "report.json").exists() == (code == 0)
+            if code == 0:
+                report = _finite_json(out / "report.json")
+                assert all(np.isfinite(v) for v in report.values() if not isinstance(v, str))
+
+
 class TestUserWhoRatedEveryTrainItem:
     """User 1 has rated every train item, so no candidate is left for them."""
 

@@ -187,7 +187,8 @@ class TestRatingColumns:
         assert split.item_train_counts.tolist() == [2, 1, 1]
         assert split.user_train_counts.tolist() == [2, 2]
         assert split.user_test_counts.tolist() == [1, 0]  # "zzz" is not a train item
-        assert split.train_item_indices(1).tolist() == [2, 0]  # file order
+        indptr, codes = split.train_csr
+        assert codes[indptr[0]:indptr[1]].tolist() == [2, 0]  # user 1's, in file order
         indptr, codes = split.test_csr
         assert indptr.tolist() == [0, 1, 1] and codes.tolist() == [1]
         assert dict(split.per_user_test_index) == {1: {"b"}, 2: frozenset()}
@@ -367,22 +368,28 @@ class TestMinMaxNormalize:
             assert out[int(np.argmin(xs))] == out.min() == 0.0
 
 
+def _train_codes(split, user):
+    """The user's row of ``split.train_csr``."""
+    indptr, codes = split.train_csr
+    k = split.user_index[user]
+    return codes[indptr[k]:indptr[k + 1]]
+
+
 class TestItemIndices:
     def test_train_and_candidate_indices_partition_the_universe(self, synth_split):
         for user in synth_split.users:
             seen = synth_split.per_user_train_index[user]
-            train = synth_split.train_item_indices(user)
+            train = _train_codes(synth_split, user)
             assert sorted(synth_split.items[k] for k in train) == sorted(seen)
-            cand = synth_split.candidate_indices(user)
+            cand = np.flatnonzero(synth_split.candidate_mask(user))
             assert list(cand) == [k for k, i in enumerate(synth_split.items) if i not in seen]
-            assert np.array_equal(synth_split.candidate_mask(user),
-                                  np.isin(np.arange(len(synth_split.items)), cand))
 
     def test_string_ids(self):
         split = build_split([("u2", "b", 3), ("u1", "c", 3), ("u1", "a", 3)])
-        assert list(split.candidate_indices("u1")) == [1]  # items are a, b, c
-        assert sorted(split.train_item_indices("u1")) == [0, 2]
-        assert list(split.candidate_indices("u2")) == [0, 2]
+        # items are a, b, c
+        assert split.candidate_mask("u1").tolist() == [False, True, False]
+        assert sorted(_train_codes(split, "u1")) == [0, 2]
+        assert split.candidate_mask("u2").tolist() == [True, False, True]
 
 
 def _relevant(split, user, threshold=4.0):

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -63,7 +64,7 @@ from ganc.dataset import (
 from ganc.errors import (EmptyDatasetError, InfeasibleError, ParseError,
                          UndefinedMetricError, UnknownIdError)
 from ganc.io_utils import canonical_ids, id_int
-from ganc.metrics import EvalReport, evaluate, gini, lt_accuracy_at_n, strat_recall_at_n
+from ganc.metrics import EvalReport, evaluate, gini
 from ganc.preference import PreferenceVector, load_prefs, theta_generalized
 from ganc.recommenders import MatrixScorer, pop_scorer, rand_coverage, stat_coverage
 
@@ -620,11 +621,11 @@ class TestSparseAccuracyMatchesDense:
 
 
 class TestStratRecallTables:
-    """strat_recall reads the split's weight table for beta and its relevant
-    items in CSR order, or the split's cached denominator when every user is
-    evaluated; it must equal the dict lookup it replaced, with two betas and
-    two thresholds cached on one split, over every user and over the user
-    subsets that rated_test_items and partial collections evaluate."""
+    """evaluate's strat_recall reads the split's weight table for beta and its
+    relevant items in CSR order, or the split's cached denominator when every
+    user is evaluated; it must equal the dict lookup it replaced, with two
+    betas and two thresholds cached on one split, over every user and over
+    the user subsets that rated_test_items and partial collections evaluate."""
 
     @EXACT
     @given(inst=instances(), betas=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
@@ -635,7 +636,8 @@ class TestStratRecallTables:
     def test_matches_dict_lookup(self, inst, betas, thresholds, keep, seed):
         split, n = inst[:2]
         rng = np.random.default_rng(seed)
-        lists = {u: _ids(split, rng.choice(split.candidate_indices(u), n, replace=False))
+        lists = {u: _ids(split, rng.choice(np.flatnonzero(split.candidate_mask(u)), n,
+                                           replace=False))
                  for u in split.users if rng.random() < keep}
         assume(lists)
         coll, stats = TopNCollection(n, lists), compute_item_stats(split)
@@ -647,8 +649,9 @@ class TestStratRecallTables:
             return [(rel, rel & set(lists[u])) for u, rel in zip(users, relevant)]
 
         for beta, threshold in [(b, t) for b in betas for t in thresholds] * 2:
-            assert _outcome(strat_recall_at_n, coll, split, beta, threshold) == \
-                _outcome(_strat_recall_dict_reference, sets(lists, threshold), split, beta)
+            got = _outcome(evaluate, coll, split, stats, "all_unrated", None, beta, threshold)
+            want = _outcome(_strat_recall_dict_reference, sets(lists, threshold), split, beta)
+            assert (got.strat_recall if isinstance(got, EvalReport) else got) == want
             got = _outcome(evaluate, coll, split, stats, "rated_test_items", None, beta,
                            threshold)
             if isinstance(got, EvalReport):
@@ -675,7 +678,7 @@ class TestCodedEvaluateMatchesReference:
         users = [u for u in split.users if rng.random() < keep]
         assume(users)
         rng.shuffle(users)  # list order is not code order
-        picks = np.array([rng.choice(split.candidate_indices(u), n, replace=False)
+        picks = np.array([rng.choice(np.flatnonzero(split.candidate_mask(u)), n, replace=False)
                           for u in users])
         lists = {u: _ids(split, row) for u, row in zip(users, picks.tolist())}
         coded = TopNCollection.from_codes(
@@ -684,7 +687,14 @@ class TestCodedEvaluateMatchesReference:
         n_eval, stats = max(1, n - cut), compute_item_stats(split)  # n below coll.n too
         kept = [u for u in users if len(split.per_user_test_index[u]) >= n_eval]
         for coll in (coded, TopNCollection(n, lists)):
-            assert lt_accuracy_at_n(coll, split, stats) == _lt_accuracy_reference(coll, split)
+            # every test rating relevant and unit weights: strat recall is
+            # defined wherever the listed users have a test rating
+            full = _outcome(evaluate, coll, split, stats, "all_unrated", None, 0.0,
+                            -sys.float_info.max)
+            if any(split.per_user_test_index[u] for u in users):
+                assert full.lt_accuracy == _lt_accuracy_reference(coll, split)
+            else:
+                assert full == (UndefinedMetricError, "no relevant test items anywhere")
             args = (coll, split, stats, protocol, n_eval, beta, threshold)
             if protocol == "rated_test_items" and not kept:
                 with pytest.raises(UndefinedMetricError, match="^no users to evaluate$"):

@@ -1,18 +1,18 @@
 """Preference model tests, including an independent solver oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganc.dataset import Rating, compute_item_stats
+from ganc import preference
+from ganc.dataset import Rating, compute_item_stats, min_max_normalize
 from ganc.errors import NumericalDegeneracyError
 from ganc.preference import (
-    PerUserItemPreference,
     _raw_theta_ui,
-    compute_theta_ui,
     load_prefs,
     save_prefs,
     theta_activity,
@@ -23,6 +23,12 @@ from ganc.preference import (
 )
 
 from conftest import build_split, item_stats_reference
+
+
+def _projected_pairs(split):
+    """(user, item) -> theta_ui, the per-pair values min-max projected onto [0, 1]."""
+    return dict(zip(((r.user_id, r.item_id) for r in split.train),
+                    min_max_normalize(_raw_theta_ui(split)).tolist()))
 
 
 class TestThetaActivity:
@@ -84,7 +90,7 @@ class TestThetaUi:
             assert raw[(u, "everyone")] == 0.0
 
     def test_projection_endpoints(self, synth_split):
-        values = np.array(list(compute_theta_ui(synth_split).values.values()))
+        values = np.array(list(_projected_pairs(synth_split).values()))
         assert values.min() == 0.0 and values.max() == 1.0
         assert np.all((values >= 0) & (values <= 1))
 
@@ -92,7 +98,7 @@ class TestThetaUi:
 class TestThetaTfidf:
     def test_is_mean_of_projected_pairs(self, synth_split):
         pv = theta_tfidf(synth_split)
-        pairs = compute_theta_ui(synth_split).values
+        pairs = _projected_pairs(synth_split)
         for u in synth_split.users:
             seen = synth_split.per_user_train_index[u]
             expected = sum(pairs[(u, i)] for i in seen) / len(seen)
@@ -146,7 +152,7 @@ class TestThetaGeneralized:
         split = build_split(train)
         pv = theta_generalized(split, lambda1=1.0)
         assert pv.converged is True
-        pairs = compute_theta_ui(split).values
+        pairs = _projected_pairs(split)
         seen = split.per_user_train_index[2]
         assert pv.theta[2] == pytest.approx(pairs[(2, "a")])
 
@@ -240,12 +246,18 @@ class TestThetaGeneralized:
             assert all(w > 0 for w in pv.weights.values())
 
     def test_degenerate_mediocrity_raises(self):
-        # an injected pair table outside [0, 1] can push a user's theta a
+        # injected pair values outside [0, 1] can push a user's theta a
         # full unit away from their value on an item, collapsing eps to 0
         split = build_split([(1, "edge", 5), (1, "zero", 1)])
-        bad = PerUserItemPreference({(1, "edge"): 2.0, (1, "zero"): 0.0})
-        with pytest.raises(NumericalDegeneracyError, match="edge"):
-            theta_generalized(split, lambda1=1.0, theta_ui=bad)
+        bad = {(1, "edge"): 2.0, (1, "zero"): 0.0}
+
+        def inject(raw):
+            return np.array([bad[r.user_id, r.item_id] for r in split.train])
+
+        with mock.patch.object(preference, "min_max_normalize", inject), \
+                pytest.raises(NumericalDegeneracyError, match="edge"):
+            theta_generalized(split, lambda1=1.0)
+        theta_generalized(split, lambda1=1.0)  # the projected values themselves are fine
 
     @pytest.mark.parametrize("lambda1, total", [(1e308, "inf"), (5e-324, "0.0")])
     def test_weights_outside_the_float_range_raise(self, synth_split, lambda1, total):

@@ -339,7 +339,7 @@ class TestMFScorer:
         model = rsvd_train(synth_split, g=4, lam=0.05, eta=0.03, epochs=3, seed=1)
         scorer = mf_accuracy_scorer(model, synth_split)
         for user in synth_split.users[:10]:
-            cand = synth_split.candidate_indices(user)
+            cand = synth_split.candidate_mask(user)
             vec = scorer.score_vector(user)[cand]
             assert vec.min() == 0.0 and vec.max() == 1.0
 
@@ -347,7 +347,7 @@ class TestMFScorer:
         model = rsvd_train(synth_split, g=4, lam=0.05, eta=0.03, epochs=3, seed=1)
         scorer = mf_accuracy_scorer(model, synth_split)
         user = synth_split.users[0]
-        cand_idx = synth_split.candidate_indices(user)
+        cand_idx = np.flatnonzero(synth_split.candidate_mask(user))
         raw = np.array([model.predict_raw(user, synth_split.items[k]) for k in cand_idx])
         norm = scorer.score_vector(user)[cand_idx]
         assert np.array_equal(np.argsort(raw, kind="stable"),
