@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print one sha256 per artifact of a full ganc pipeline on generated ratings.
 
-Generates an ML-100K-shaped ratings file, then runs split, prefs (the
-default model and normalized_longtail) and train-rsvd; recommend with Pop
-and with RSVD under both ranking protocols; evaluate on each collection,
-with --per-user and at n = 3; recommend with Pop under static and random
-coverage; one Pop sweep per protocol; and stats. The standard output of
+Generates an ML-100K-shaped ratings file and a score file for
+``--arec external``, then runs split, prefs (the default model and
+normalized_longtail) and train-rsvd; recommend with Pop, with RSVD and with
+the external scores under both ranking protocols; evaluate on each
+collection, with --per-user and at n = 3; recommend with Pop under static
+and random coverage, and with RSVD under static coverage and
+rated_test_items; one Pop sweep per protocol; and stats. The standard output of
 split and stats, which report the long-tail share, is kept as
 ``split.stdout`` and ``stats.stdout``. Then split and stats run again on a
 small generated CSV whose user and item ids need CSV quotes, so the
@@ -67,6 +69,20 @@ def write_quoted_ratings(path: str, seed: int) -> None:
                 ((u, i, rng.randint(1, 5)) for u in users for i in rng.sample(items, 25)))
 
 
+def write_external_scores(path: str, users: list, items: list, seed: int) -> None:
+    """A ``user,item,score`` file over half the items (at most 100) of every
+    user but the first, which gets no pair. Scores are drawn on a grid of
+    0.25 from [-1, 4], so a user's scores tie. The first pair comes again
+    with another score, and one row names a user and one an item that the
+    ratings lack."""
+    rng = random.Random(seed)
+    rows = [(u, i, rng.randint(-4, 16) / 4)
+            for u in users[1:] for i in rng.sample(items, min(len(items) // 2, 100))]
+    rows += [(rows[0][0], rows[0][1], 9.5), ("nobody", items[0], 1.0),
+             (users[1], "nothing", 2.0)]
+    write_table(path, ("user", "item", "score"), rows)
+
+
 def digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name in TIMED:
@@ -104,17 +120,20 @@ def main() -> int:
     write_table("ratings.csv", ("user", "item", "rating"),
                 ((r.user_id, r.item_id, r.value) for r in ratings))
 
+    write_external_scores("scores.csv", sorted({r.user_id for r in ratings}),
+                          sorted({r.item_id for r in ratings}), args.seed)
+
     run("split", "--dataset", "ratings.csv", "--format", "csv", "--out", "split", keep=True)
     run("prefs", "--split", "split", "--out", "prefs")
     run("prefs", "--split", "split", "--model", "normalized_longtail", "--out", "prefs-nl")
     run("train-rsvd", "--split", "split", "--g", "20", "--epochs", str(args.epochs),
         "--out", "mf")
-    for arec in ("pop", "rsvd"):
+    for arec in ("pop", "rsvd", "external"):
         for protocol in ("all_unrated", "rated_test_items"):
             rec = f"rec-{arec}-{protocol}"
             run("recommend", "--split", "split", "--prefs", "prefs", "--arec", arec,
-                "--mf", "mf", "--n", "5", "--s", "300", "--protocol", protocol,
-                "--out", rec)
+                "--mf", "mf", "--external-scores", "scores.csv", "--n", "5", "--s", "300",
+                "--protocol", protocol, "--out", rec)
             run("evaluate", "--split", "split", "--topn", rec, "--per-user",
                 "--out", f"eval-{arec}-{protocol}")
             run("evaluate", "--split", "split", "--topn", rec, "--n", "3",
@@ -122,6 +141,9 @@ def main() -> int:
     for crec in ("stat", "rand"):
         run("recommend", "--split", "split", "--prefs", "prefs-nl", "--arec", "pop",
             "--crec", crec, "--n", "5", "--out", f"rec-pop-{crec}")
+    run("recommend", "--split", "split", "--prefs", "prefs", "--arec", "rsvd", "--mf", "mf",
+        "--crec", "stat", "--n", "5", "--protocol", "rated_test_items",
+        "--out", "rec-rsvd-stat-rated_test_items")
     for protocol in ("all_unrated", "rated_test_items"):
         run("sweep", "--split", "split", "--prefs", "prefs", "--arec", "pop",
             "--n", "5", "--s-values", "100,500,1000,2000", "--reps", "3",

@@ -99,7 +99,7 @@ def _build_arec(args: argparse.Namespace, split, split_sha256: str, stats):
             raise ValueError("--mf is required with arec=rsvd")
         model, manifest = recommenders.load_mf_model(args.mf)
         _check_split_hash(manifest, split_sha256, args.split, f"model at {args.mf}")
-        return recommenders.mf_accuracy_scorer(model, split)
+        return recommenders.mf_accuracy_scorer(model, split, args.protocol)
     if args.arec == "external":
         if not args.external_scores:
             raise ValueError("--external-scores is required with arec=external")
@@ -198,6 +198,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         coll = core.independent_greedy(split, pv, arec, crec, args.n, protocol=args.protocol)
     else:
         raise ValueError(f"unknown crec {args.crec!r}")
+    del arec  # nothing reads the scores after the greedy; free them before validate
     coll.validate(split)
     core.save_collection(coll, args.out)
     pools = core.candidate_pool_sizes(split, args.n, args.protocol)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SplitDataset, resolve_ids
+from .dataset import SplitDataset, csr_positions, resolve_ids
 from .errors import (ContractViolationError, InfeasibleError, InstanceTooLargeError,
                      ParseError)
 from .io_utils import canonical_ids, read_table, write_table
@@ -251,10 +251,8 @@ def _spans(csr: tuple, codes: np.ndarray) -> tuple:
     """(row, item index) of every CSR entry of the users ``codes``, row r
     holding user ``codes[r]``'s entries, for fancy indexing a block."""
     indptr, items = csr
-    starts, lengths = indptr[codes], indptr[codes + 1] - indptr[codes]
-    rows = np.repeat(np.arange(len(codes)), lengths)
-    shift = np.cumsum(lengths) - lengths - starts  # a row's first output slot minus its start
-    return rows, items[np.arange(len(rows)) - shift[rows]]
+    rows, at = csr_positions(indptr, codes)
+    return rows, items[at]
 
 
 def _coverage(counts: np.ndarray) -> np.ndarray:

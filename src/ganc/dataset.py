@@ -167,6 +167,16 @@ def _csr(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple:
     return indptr, values[np.argsort(keys, kind="stable")]
 
 
+def csr_positions(indptr: np.ndarray, codes: np.ndarray) -> tuple:
+    """(row, position) of every CSR entry of the keys ``codes``: row r holds
+    key ``codes[r]``'s entries, positions into the arrays ``indptr`` indexes,
+    for fancy indexing a block of rows."""
+    starts, lengths = indptr[codes], indptr[codes + 1] - indptr[codes]
+    rows = np.repeat(np.arange(len(codes)), lengths)
+    shift = np.cumsum(lengths) - lengths - starts  # a row's first output slot minus its start
+    return rows, np.arange(len(rows)) - shift[rows]
+
+
 def _sets(keys: tuple, indptr: np.ndarray, codes: np.ndarray, values: tuple) -> dict:
     """key -> frozenset of the ``values`` its CSR row lists."""
     bounds, flat = indptr.tolist(), _object_array(values)[codes].tolist()

@@ -1,9 +1,12 @@
 """Accuracy and coverage scorers.
 
-Accuracy side: a most-popular scorer, and one dense score matrix built
-from an SGD-trained matrix factorization model or from an externally
-computed score file. Coverage side: random and static popularity-based
-scores; dynamic frequency-based coverage is kept by OSLG itself
+Accuracy side: a most-popular scorer, and the scores of an SGD-trained
+matrix factorization model or of an externally computed score file, held
+either as one dense matrix (:class:`MatrixScorer`: RSVD under all_unrated,
+where the greedy may read any item) or only at the entries of a CSR
+(:class:`SparseScorer`: RSVD at each user's test items under
+rated_test_items, and the file's pairs). Coverage side: random and static
+popularity-based scores; dynamic frequency-based coverage is kept by OSLG itself
 (:mod:`ganc.core`). Every scorer emits values in [0, 1] and exposes both a
 scalar lookup and a vector aligned with the split's item universe. The
 accuracy scorers here also add their weighted scores straight into a block
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forked
-from .dataset import ItemStats, RatingColumns, SplitDataset, resolve_ids
+from .dataset import ItemStats, RatingColumns, SplitDataset, csr_positions, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
 from .io_utils import NPZ_ERRORS, canonical_ids, read_json, read_table, write_json
 
@@ -332,6 +335,15 @@ def rmse(model: MFModel, ratings) -> float:
     return math.sqrt(float(np.square(vals - pred).sum()) / n)
 
 
+def _pair_codes(split: SplitDataset, user, item) -> tuple:
+    """(user code, item code) of a pair in the split; UnknownIdError naming
+    the pair when either id is not in it."""
+    try:
+        return split.user_index[user], split.item_index[item]
+    except KeyError:
+        raise UnknownIdError(f"({user!r}, {item!r}) not in split") from None
+
+
 class MatrixScorer:
     """Accuracy scores held as one matrix over the split's users and items."""
 
@@ -340,12 +352,7 @@ class MatrixScorer:
         self._scores = scores
 
     def score(self, user, item) -> float:
-        try:
-            u = self.split.user_index[user]
-            i = self.split.item_index[item]
-        except KeyError:
-            raise UnknownIdError(f"({user!r}, {item!r}) not in split") from None
-        return float(self._scores[u, i])
+        return float(self._scores[_pair_codes(self.split, user, item)])
 
     def score_vector(self, user) -> np.ndarray:
         return self._scores[self.split.user_index[user]]
@@ -357,19 +364,74 @@ class MatrixScorer:
         np.add(gains, rows, out=gains)
 
 
-def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
+class SparseScorer:
+    """Accuracy scores held at the entries of a CSR over the split's users:
+    user k scores ``values[indptr[k]:indptr[k + 1]]`` at the item codes
+    ``items[indptr[k]:indptr[k + 1]]`` (each at most once) and 0 at every
+    other item."""
+
+    def __init__(self, split: SplitDataset, indptr: np.ndarray, items: np.ndarray,
+                 values: np.ndarray):
+        self.split = split
+        self.indptr, self.items, self.values = indptr, items, values
+
+    def _row(self, k: int) -> np.ndarray:
+        out = np.zeros(len(self.split.items))
+        lo, hi = self.indptr[k], self.indptr[k + 1]
+        out[self.items[lo:hi]] = self.values[lo:hi]
+        return out
+
+    def score(self, user, item) -> float:
+        u, i = _pair_codes(self.split, user, item)
+        return float(self._row(u)[i])
+
+    def score_vector(self, user) -> np.ndarray:
+        return self._row(self.split.user_index[user])
+
+    def add_accuracy(self, gains: np.ndarray, codes: np.ndarray, weights: np.ndarray) -> None:
+        """``gains[r] += weights[r] * score_vector(users[codes[r]])`` for every
+        row r, adding ``weights[r] * value`` at the row's entries only: the
+        same operations as the dense sum there, and elsewhere the score is 0."""
+        if len(codes) == 1:  # the sequential pass; ~2 us against ~11 for the block path
+            lo, hi = self.indptr[codes[0]], self.indptr[codes[0] + 1]
+            gains[0][self.items[lo:hi]] += weights[0] * self.values[lo:hi]
+            return
+        r, at = csr_positions(self.indptr, codes)
+        gains[r, self.items[at]] += weights[r] * self.values[at]
+
+
+def _aligned(factors: np.ndarray, ids: tuple, table: tuple, what: str) -> np.ndarray:
+    """``factors``, one row per id of ``ids``, in the order of the split's
+    id ``table``: the array itself when the two list the same ids in the same
+    order, else a gathered copy; UnknownIdError for an id of ``table`` that
+    ``ids`` lacks."""
+    if ids == table:
+        return factors
+    index = {x: k for k, x in enumerate(ids)}
+    missing = next((x for x in table if x not in index), None)
+    if missing is not None:
+        raise UnknownIdError(f"{what} {missing!r} not in model")
+    return factors[[index[x] for x in table]]
+
+
+def mf_accuracy_scorer(model: MFModel, split: SplitDataset,
+                       protocol: str = "all_unrated") -> MatrixScorer | SparseScorer:
     """Per-user min-max normalized raw predictions over unseen train items;
     train items score 0, and so does every item of a user whose unseen items
-    all predict alike or who has none."""
-    for u in split.users:
-        if u not in model.user_index:
-            raise UnknownIdError(f"user {u!r} not in model")
-    for i in split.items:
-        if i not in model.item_index:
-            raise UnknownIdError(f"item {i!r} not in model")
-    urows = np.array([model.user_index[u] for u in split.users])
-    irows = np.array([model.item_index[i] for i in split.items])
-    scores = model.user_factors[urows] @ model.item_factors[irows].T
+    all predict alike or who has none.
+
+    The whole (|U|, |I|) prediction matrix is computed and normalized under
+    either ranking protocol, so every score has the same bits. Under
+    all_unrated the scorer keeps it (:class:`MatrixScorer`). Under
+    rated_test_items the greedy reads a user's test items only, so the
+    scorer keeps the values at ``split.test_csr`` (:class:`SparseScorer`)
+    and the matrix is freed on return.
+    """
+    if protocol not in ("all_unrated", "rated_test_items"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    P = _aligned(model.user_factors, model.users, split.users, "user")
+    Q = _aligned(model.item_factors, model.items, split.items, "item")
+    scores = P @ Q.T
     t = split.train_columns
     train = t.user_codes, t.item_codes
     # a train entry at +inf drops out of the row min and at -inf out of the
@@ -385,16 +447,21 @@ def mf_accuracy_scorer(model: MFModel, split: SplitDataset) -> MatrixScorer:
         scores /= hi - lo
     scores[train] = 0.0
     scores[~(hi > lo)[:, 0]] = 0.0
-    return MatrixScorer(split, scores)
+    if protocol == "all_unrated":
+        return MatrixScorer(split, scores)
+    indptr, items = split.test_csr
+    users = np.repeat(np.arange(len(split.users)), np.diff(indptr))
+    return SparseScorer(split, indptr, items, scores[users, items])
 
 
-def load_external_scores(path, split: SplitDataset) -> MatrixScorer:
+def load_external_scores(path, split: SplitDataset) -> SparseScorer:
     """Read a ``user,item,score`` CSV into an accuracy scorer, normalized per user.
 
     Ids are read against the split's id tables. Every score must be a
     finite number. Pairs absent from the file score 0; rows for users or
     items outside the split are ignored; duplicate pairs keep the last
-    occurrence.
+    occurrence. Each user's scores are min-max normalized over that user's
+    pairs (all 0 when they are all equal), and only the pairs are kept.
     """
     rows = []
     for line, (user, item, raw) in read_table(path, ("user", "item", "score")):
@@ -407,19 +474,28 @@ def load_external_scores(path, split: SplitDataset) -> MatrixScorer:
         rows.append((user.strip(), item.strip(), score))
     users = resolve_ids([r[0] for r in rows], split.users)
     items = resolve_ids([r[1] for r in rows], split.items)
-    per_user: dict = {}
-    for u, i, (_, _, v) in zip(users, items, rows):
-        if u in split.user_index and i in split.item_index:
-            per_user.setdefault(u, {})[i] = v
-    scores = np.zeros((len(split.users), len(split.items)))
-    for user, pairs in per_user.items():
-        vals = np.array(list(pairs.values()), dtype=float)
-        lo, hi = vals.min(), vals.max()
-        norm = (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
-        u = split.user_index[user]
-        for item, nv in zip(pairs, norm):
-            scores[u, split.item_index[item]] = nv
-    return MatrixScorer(split, scores)
+    u = np.fromiter((split.user_index.get(x, -1) for x in users), dtype=np.int64,
+                    count=len(rows))
+    i = np.fromiter((split.item_index.get(x, -1) for x in items), dtype=np.int64,
+                    count=len(rows))
+    kept = np.flatnonzero((u >= 0) & (i >= 0))[::-1]  # last row first
+    m = len(split.items)
+    # each pair's first entry in kept is its last row; the pairs come out by
+    # user, then item, so they form the CSR rows
+    key, last = np.unique(u[kept] * m + i[kept], return_index=True)
+    values = np.fromiter((rows[k][2] for k in kept[last].tolist()), dtype=np.float64,
+                         count=len(key))
+    user, item = np.divmod(key, m)
+    indptr = np.zeros(len(split.users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(user, minlength=len(split.users)), out=indptr[1:])
+    lo = np.full(len(split.users), np.inf)
+    np.minimum.at(lo, user, values)
+    hi = np.full(len(split.users), -np.inf)
+    np.maximum.at(hi, user, values)
+    lo, hi = lo[user], hi[user]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(hi > lo, (values - lo) / (hi - lo), 0.0)
+    return SparseScorer(split, indptr, item, values)
 
 
 class StaticCoverage:

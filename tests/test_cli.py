@@ -24,7 +24,7 @@ from ganc.errors import InfeasibleError
 from ganc.io_utils import read_json, sha256_file
 from ganc.metrics import evaluate
 from ganc.preference import load_prefs
-from ganc.recommenders import load_mf_model, pop_scorer
+from ganc.recommenders import load_external_scores, load_mf_model, pop_scorer
 from ganc.synthetic import generate_ratings
 
 from conftest import a_usable_cpu, assert_no_child_left, build_split
@@ -1553,6 +1553,73 @@ class TestIdSpellings:
             if code == 0:
                 report = _finite_json(out / "report.json")
                 assert all(np.isfinite(v) for v in report.values() if not isinstance(v, str))
+
+
+class TestMixedIdSpellings:
+    """One ratings file whose user and item columns both mix ``7``, ``07``,
+    ``7.0`` and ``u31`` with plain ints: every column reads as strings, so
+    ``7`` and ``07`` stay two ids from split through evaluate."""
+
+    SPELLINGS = ("7", "07", "7.0", "u31")
+
+    @staticmethod
+    def _column(path, name):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return [row[name] for row in rows]
+
+    def test_pipeline_keeps_each_spelling(self, tmp_path):
+        users = [*self.SPELLINGS, "1", "2", "3", "4"]
+        items = [*self.SPELLINGS, "5", "6", "8", "9", "10", "11"]
+        with open(tmp_path / "ratings.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["user", "item", "rating"])
+            w.writerows((u, i, 1 + (3 * a + b) % 5) for a, u in enumerate(users)
+                        for b, i in enumerate(items))
+        # 7 and 07 score in opposite orders, so reading one as the other shows
+        (tmp_path / "scores.csv").write_text("user,item,score\n" + "".join(
+            f"{u},{i},{b if u == '7' else -b}\n" for u in users for b, i in enumerate(items)))
+        d = str(tmp_path)
+        steps = [
+            ["split", "--dataset", f"{d}/ratings.csv", "--format", "csv", "--kappa", "0.5",
+             "--tau", "1", "--out", f"{d}/split"],
+            ["prefs", "--split", f"{d}/split", "--out", f"{d}/prefs"],
+            ["train-rsvd", "--split", f"{d}/split", "--g", "2", "--epochs", "2",
+             "--out", f"{d}/mf"],
+        ]
+        for arec, protocol in (("rsvd", "rated_test_items"), ("rsvd", "all_unrated"),
+                               ("external", "all_unrated")):
+            rec = f"{d}/rec-{arec}-{protocol}"
+            steps.append(["recommend", "--split", f"{d}/split", "--prefs", f"{d}/prefs",
+                          "--arec", arec, "--mf", f"{d}/mf",
+                          "--external-scores", f"{d}/scores.csv", "--n", "2", "--s", "3",
+                          "--protocol", protocol, "--out", rec])
+            steps.append(["evaluate", "--split", f"{d}/split", "--topn", rec, "--per-user",
+                          "--out", f"{d}/eval-{arec}-{protocol}"])
+        for argv in steps:
+            assert main(argv) == 0, argv
+
+        train = tmp_path / "split" / "train.csv"
+        assert set(self._column(train, "user")) == set(users)
+        assert set(self._column(train, "item")) == set(items)
+        theta_users = self._column(tmp_path / "prefs" / "theta.csv", "user")
+        assert sorted(theta_users) == sorted(users)
+        split, _ = load_split(tmp_path / "split")
+        assert set(split.users) == set(users) and set(split.items) == set(items)
+        pv = load_prefs(tmp_path / "prefs", split)[0]
+        assert set(pv.theta) == set(users)
+        for arec, protocol in (("rsvd", "rated_test_items"), ("rsvd", "all_unrated"),
+                               ("external", "all_unrated")):
+            topn = tmp_path / f"rec-{arec}-{protocol}" / "topn.csv"
+            assert set(self._column(topn, "user")) == set(users)
+            assert set(self._column(topn, "item")) <= set(items)
+            per_user = tmp_path / f"eval-{arec}-{protocol}" / "per_user.csv"
+            assert set(self._column(per_user, "user")) == set(users)
+        # user 7 scores the items by position and user 07 against it
+        scorer = load_external_scores(tmp_path / "scores.csv", split)
+        assert (scorer.score("7", "11"), scorer.score("07", "11")) == (1.0, 0.0)
+        assert (scorer.score("7", "7"), scorer.score("07", "7")) == (0.0, 1.0)
+        assert scorer.score("7", "07") == 1 / 9 and scorer.score("7", "7.0") == 2 / 9
 
 
 class TestUserWhoRatedEveryTrainItem:

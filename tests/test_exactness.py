@@ -63,10 +63,11 @@ from ganc.dataset import (
 )
 from ganc.errors import (EmptyDatasetError, InfeasibleError, ParseError,
                          UndefinedMetricError, UnknownIdError)
-from ganc.io_utils import canonical_ids, id_int
+from ganc.io_utils import canonical_ids, id_int, read_table
 from ganc.metrics import EvalReport, evaluate, gini
 from ganc.preference import PreferenceVector, load_prefs, theta_generalized
-from ganc.recommenders import MatrixScorer, pop_scorer, rand_coverage, stat_coverage
+from ganc.recommenders import (MatrixScorer, SparseScorer, load_external_scores, pop_scorer,
+                                rand_coverage, stat_coverage)
 
 from conftest import (DictAccuracy, DictCoverage, assert_same_split, build_split,
                       item_stats_reference)
@@ -316,6 +317,18 @@ def _random_split(rng, n_users, n_items):
     return build_split([(u, i, int(rng.integers(1, 6))) for u, i in sorted(train)], test)
 
 
+def _sparse_scorer(rng, split):
+    """A SparseScorer over a random CSR: about a quarter of the users score
+    no item, the others a random subset of the items, in random order, with
+    values tied on a grid of halves about half the time."""
+    n_users, m = len(split.users), len(split.items)
+    counts = np.where(rng.random(n_users) < 0.25, 0, rng.integers(1, m + 1, n_users))
+    items = np.concatenate([rng.choice(m, c, replace=False) for c in counts.tolist()])
+    values = np.where(rng.random(len(items)) < 0.5, rng.integers(0, 3, len(items)) / 2,
+                      rng.random(len(items)))
+    return SparseScorer(split, np.append(0, np.cumsum(counts)), items, values)
+
+
 @st.composite
 def instances(draw):
     """Small split, n, theta, an accuracy scorer and a static coverage scorer.
@@ -334,9 +347,11 @@ def instances(draw):
         theta = {u: THETA_GRID[int(rng.integers(len(THETA_GRID)))] for u in split.users}
     else:
         theta = {u: float(rng.random()) for u in split.users}
-    kind = draw(st.sampled_from(["pop", "binary", "continuous"]))
+    kind = draw(st.sampled_from(["pop", "binary", "continuous", "csr"]))
     if kind == "pop":  # binary scores from the real Pop scorer
         arec = pop_scorer(split, compute_item_stats(split), int(rng.integers(1, n_items + 1)))
+    elif kind == "csr":
+        arec = _sparse_scorer(rng, split)
     elif kind == "binary":
         arec = DictAccuracy({(u, i): float(rng.integers(0, 2))
                              for u in split.users for i in split.items}, split)
@@ -434,7 +449,8 @@ class TestBlockedScoringMatchesReference:
         dense = DictAccuracy({(u, i): float(rng.random())
                               for u in synth_split.users for i in synth_split.items},
                              synth_split)
-        return {"pop": pop_scorer(synth_split, synth_stats, 5), "dense": dense}
+        return {"pop": pop_scorer(synth_split, synth_stats, 5), "dense": dense,
+                "csr": _sparse_scorer(rng, synth_split)}
 
     @pytest.fixture(scope="class")
     def thetas(self, synth_split):
@@ -444,7 +460,7 @@ class TestBlockedScoringMatchesReference:
                 "grid": PreferenceVector("random", grid)}  # ties in the snapshot lookup
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    @pytest.mark.parametrize("kind", ["pop", "dense"])
+    @pytest.mark.parametrize("kind", ["pop", "dense", "csr"])
     @pytest.mark.parametrize("theta_kind", ["generalized", "grid"])
     def test_oslg(self, synth_split, scorers, thetas, protocol, kind, theta_kind):
         assert len(synth_split.users) > 2 * BLOCK
@@ -458,7 +474,7 @@ class TestBlockedScoringMatchesReference:
             assert run.snapshots_used == used
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    @pytest.mark.parametrize("kind", ["pop", "dense"])
+    @pytest.mark.parametrize("kind", ["pop", "dense", "csr"])
     def test_independent_greedy(self, synth_split, synth_stats, scorers, thetas, protocol,
                                 kind):
         for crec in (stat_coverage(synth_stats, synth_split), rand_coverage(4, synth_split)):
@@ -493,8 +509,9 @@ class TestBlockedScoringMatchesReference:
 # ------------------------------------------------ accuracy through the scorer
 #
 # The greedy loops add (1-theta)*a to theta*c through the scorer's
-# add_accuracy hook (Pop: only at each user's top items) or, for a scorer
-# with only score_vector, one user's dense vector at a time. Picks through
+# add_accuracy hook (Pop: only at each user's top items; SparseScorer: only
+# at its CSR entries) or, for a scorer with only score_vector, one user's
+# dense vector at a time. Picks through
 # the hook must equal the picks of the same scorer read as dense vectors.
 
 ZERO_ONE = (0.0, -0.0, 1.0)
@@ -512,16 +529,20 @@ class _VectorOnly:
 def accuracy_scorers(draw, split, n):
     """Pop at a pop_n up to n, above n (above some users' unseen count, so
     the top matrix is ragged) or at |I| (ragged for every user), a
-    MatrixScorer with tied values, or a scorer with only score_vector."""
+    MatrixScorer with tied values, a SparseScorer over a random CSR with
+    empty rows and tied values, or a scorer with only score_vector."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = len(split.items)
-    kind = draw(st.sampled_from(["pop-upto-n", "pop-above-n", "pop-all", "matrix", "duck"]))
+    kind = draw(st.sampled_from(["pop-upto-n", "pop-above-n", "pop-all", "matrix", "csr",
+                                 "duck"]))
     if kind == "pop-upto-n":
         return pop_scorer(split, compute_item_stats(split), draw(st.integers(1, n)))
     if kind == "pop-above-n":
         return pop_scorer(split, compute_item_stats(split), draw(st.integers(n + 1, m)))
     if kind == "pop-all":
         return pop_scorer(split, compute_item_stats(split), m)
+    if kind == "csr":
+        return _sparse_scorer(rng, split)
     shape = (len(split.users), m)
     scores = np.where(rng.random(shape) < 0.5, rng.integers(0, 3, shape) / 2, rng.random(shape))
     if kind == "matrix":
@@ -597,7 +618,7 @@ class TestSparseAccuracyMatchesDense:
         want = gains + weights[:, None] * np.array([arec.score_vector(split.users[k])
                                                      for k in codes])
         arec.add_accuracy(gains, codes, weights)
-        if isinstance(arec, MatrixScorer):  # the same operations: the same bits
+        if isinstance(arec, (MatrixScorer, SparseScorer)):  # the same operations: the same bits
             assert np.array_equal(gains.view(np.int64), want.view(np.int64))
         else:  # Pop adds nothing where the dense vector adds w * 0.0
             assert np.array_equal(gains, want)
@@ -1387,6 +1408,54 @@ class TestPopScorerMatchesReference:
                 assert fast.top_items(user) == ref.top_items(user)
                 got, want = fast.score_vector(user), ref.score_vector(user)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _external_scores_reference(path, split):
+    """The dense (|U|, |I|) matrix the external-score loader filled before it
+    kept only the file's pairs: a dict per user, filled in file order."""
+    rows = [(u.strip(), i.strip(), float(v))
+            for _, (u, i, v) in read_table(path, ("user", "item", "score"))]
+    users = dataset.resolve_ids([r[0] for r in rows], split.users)
+    items = dataset.resolve_ids([r[1] for r in rows], split.items)
+    per_user: dict = {}
+    for u, i, (_, _, v) in zip(users, items, rows):
+        if u in split.user_index and i in split.item_index:
+            per_user.setdefault(u, {})[i] = v
+    scores = np.zeros((len(split.users), len(split.items)))
+    for user, pairs in per_user.items():
+        vals = np.array(list(pairs.values()), dtype=float)
+        lo, hi = vals.min(), vals.max()
+        norm = (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
+        for item, nv in zip(pairs, norm):
+            scores[split.user_index[user], split.item_index[item]] = nv
+    return scores
+
+
+class TestExternalScoresMatchReference:
+    """load_external_scores keeps the file's pairs only; read as dense
+    vectors they must equal the dense matrix it built before, on files with
+    repeated pairs, ids the split lacks, users without pairs and tied or
+    equal scores. Values are compared, so a -0.0 may read as 0.0."""
+
+    @EXACT
+    @given(inst=instances(), seed=st.integers(0, 2**32 - 1),
+           grid=st.booleans(), rows=st.integers(0, 60))
+    def test_small_instances(self, inst, seed, grid, rows, tmp_path_factory):
+        split = inst[0]
+        rng = np.random.default_rng(seed)
+        users = [*map(str, split.users), "0", "nobody"]
+        items = [*map(str, split.items), "007", "nothing"]
+        path = tmp_path_factory.mktemp("ext") / "scores.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["user", "item", "score"])
+            for _ in range(rows):  # few draws per pair: repeats
+                v = rng.integers(-2, 3) / 2 if grid else rng.normal() * 10.0 ** rng.integers(-3, 4)
+                w.writerow([users[rng.integers(len(users))], items[rng.integers(len(items))],
+                            repr(float(v))])
+        got = load_external_scores(path, split)
+        dense = np.array([got.score_vector(u) for u in split.users])
+        assert np.array_equal(dense, _external_scores_reference(path, split))
 
 
 # ------------------------------------------------------ split.npz sidecar

@@ -22,7 +22,7 @@ def _digests(work, *extra):
 
 def test_against_names_each_artifact_that_differs_is_missing_or_is_new(tmp_path):
     code, saved, _ = _digests(tmp_path / "w")
-    assert code == 0 and len(saved.splitlines()) == 57
+    assert code == 0 and len(saved.splitlines()) == 74
     (tmp_path / "same.txt").write_text(saved)
     code, out, err = _digests(tmp_path / "w", "--against", str(tmp_path / "same.txt"))
     assert (code, out) == (0, saved)

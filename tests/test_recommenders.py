@@ -353,24 +353,70 @@ class TestMFScorer:
         assert np.array_equal(np.argsort(raw, kind="stable"),
                               np.argsort(norm, kind="stable"))
 
-    def test_bit_identical_to_separate_score_matrix(self, synth_split):
-        # reference: normalize each row of the raw predictions into a second,
-        # zero-initialized matrix, as the scorer did before it worked in place
-        model = rsvd_train(synth_split, g=6, lam=0.05, eta=0.03, epochs=2, seed=3)
-        urows = [model.user_index[u] for u in synth_split.users]
-        irows = [model.item_index[i] for i in synth_split.items]
+    @staticmethod
+    def _separate_score_matrix(model, split):
+        """Each row of the raw predictions normalized into a second,
+        zero-initialized matrix, as the scorer did before it worked in place."""
+        urows = [model.user_index[u] for u in split.users]
+        irows = [model.item_index[i] for i in split.items]
         raw = model.user_factors[urows] @ model.item_factors[irows].T
         expected = np.zeros_like(raw)
-        for k, user in enumerate(synth_split.users):
-            cand = np.array([j for j, i in enumerate(synth_split.items)
-                             if i not in synth_split.per_user_train_index[user]])
+        for k, user in enumerate(split.users):
+            cand = np.array([j for j, i in enumerate(split.items)
+                             if i not in split.per_user_train_index[user]], dtype=np.int64)
             row = raw[k, cand]
-            lo, hi = row.min(), row.max()
-            if hi > lo:
-                expected[k, cand] = (row - lo) / (hi - lo)
+            if len(row) and row.max() > row.min():
+                expected[k, cand] = (row - row.min()) / (row.max() - row.min())
+        return expected
+
+    def test_bit_identical_to_separate_score_matrix(self, synth_split):
+        model = rsvd_train(synth_split, g=6, lam=0.05, eta=0.03, epochs=2, seed=3)
+        expected = self._separate_score_matrix(model, synth_split)
         scorer = mf_accuracy_scorer(model, synth_split)
         got = np.array([scorer.score_vector(u) for u in synth_split.users])
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_rated_test_items_bit_identical_at_the_test_entries(self, synth_split):
+        # the reference matrix at each user's test items, 0 at every other
+        # item; user 1 rated every train item, and user 2's predictions are
+        # all 0, so both rows are 0 at their test items too
+        items = list(range(101, 109))
+        train = ([(1, i, 3) for i in items] + [(2, i, 4) for i in items[:3]]
+                 + [(u, items[u % 8], 5) for u in range(3, 12)])
+        test = ([(1, i, 5) for i in items[5:]] + [(2, i, 2) for i in items[3:7]]
+                + [(u, i, 1) for u in range(3, 12) for i in items[u % 3::3]])
+        small = build_split(train, test)
+        P = np.random.default_rng(0).normal(size=(len(small.users), 3))
+        P[small.user_index[2]] = 0.0
+        constant = MFModel(small.users, small.items, P,
+                           np.random.default_rng(1).normal(size=(len(small.items), 3)), 3, 3.0)
+        trained = rsvd_train(synth_split, g=6, lam=0.05, eta=0.03, epochs=2, seed=3)
+        for model, split in ((trained, synth_split), (constant, small)):
+            indptr, test_items = split.test_csr
+            reference = self._separate_score_matrix(model, split)
+            expected = np.zeros_like(reference)
+            for k in range(len(split.users)):
+                at = test_items[indptr[k]:indptr[k + 1]]
+                expected[k, at] = reference[k, at]
+            scorer = mf_accuracy_scorer(model, split, "rated_test_items")
+            got = np.array([scorer.score_vector(u) for u in split.users])
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert not got[:2].any() and got[small.user_index[3]].any()
+
+    def test_no_array_of_every_pair(self, synth_split, tmp_path):
+        # neither scorer keeps an array of |U| * |I| entries: the rated RSVD
+        # scorer holds the test entries, the external one the file's pairs
+        model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=1, seed=0)
+        p = tmp_path / "scores.csv"
+        p.write_text("user,item,score\n" + "".join(
+            f"{u},{i},{k % 7}\n" for k, (u, i) in enumerate(
+                (u, i) for u in synth_split.users for i in synth_split.items[::3])))
+        pairs = len(synth_split.users) * len(synth_split.items)
+        for scorer in (mf_accuracy_scorer(model, synth_split, "rated_test_items"),
+                       load_external_scores(p, synth_split)):
+            arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
+            assert arrays and max(a.size for a in arrays) < pairs
+        assert mf_accuracy_scorer(model, synth_split)._scores.size == pairs
 
     def test_unknown_user_rejected(self, synth_split):
         model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=1, seed=0)
