@@ -32,15 +32,10 @@ from .core import (
     OslgRun,
     SnapshotStore,
     TopNCollection,
-    brute_force_optimal,
-    collection_value,
-    greedy_topn_user,
     independent_greedy,
     kde_sample,
     locally_greedy_full,
     oslg,
-    submodularity_check,
-    user_value,
 )
 from .metrics import (
     EvalReport,

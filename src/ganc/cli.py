@@ -66,7 +66,7 @@ def _check_split_hash(manifest: dict, split_sha256: str, split_dir, what: str) -
 
 def _check_at_least(flag: str, value: int, low: int) -> None:
     """Refuse a value below ``low`` by its flag's name: numpy's generators take
-    seeds >= 0 only, and a top-n list holds at least one item."""
+    seeds >= 0 only, and a top-n list and a sample hold at least one."""
     if value < low:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
@@ -178,6 +178,7 @@ def cmd_train_rsvd(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     _check_at_least("--run-seed", args.run_seed, 0)
     _check_at_least("--n", args.n, 1)
+    _check_at_least("--s", args.s, 1)
     split, split_sha256 = _load_split(args)
     stats = dataset.compute_item_stats(split)
     pv = _load_theta(args, split, split_sha256)

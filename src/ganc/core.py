@@ -8,14 +8,11 @@ the remaining users, a block at a time, each against the coverage state
 after its nearest sampled user, read from the sequential pass as it runs.
 The greedy passes work on codes (positions in the split's sorted tables)
 and write their picks into one (users, n) item-code matrix, whose id
-lists a :class:`TopNCollection` builds only when read. Exhaustive and
-property-style oracles for the greedy guarantees live here too.
+lists a :class:`TopNCollection` builds only when read.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -24,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import SplitDataset, csr_positions, resolve_ids
-from .errors import (ContractViolationError, InfeasibleError, InstanceTooLargeError,
-                     ParseError)
+from .errors import ContractViolationError, InfeasibleError, ParseError
 from .io_utils import canonical_ids, read_table, write_table
 from .preference import PreferenceVector
 
@@ -134,17 +130,6 @@ class SnapshotStore:
         return int(self.nearest_rows([theta])[0])
 
 
-def user_value(split: SplitDataset, user, items, theta: float, arec, crec) -> float:
-    """Blended value (1-theta)*sum(a) + theta*sum(c) of an item set for a user."""
-    seen = split.per_user_train_index[user]
-    overlap = [i for i in items if i in seen]
-    if overlap:
-        raise ContractViolationError(f"user {user!r}: items {overlap!r} already rated in train")
-    a_sum = sum(arec.score(user, i) for i in items)
-    c_sum = sum(crec.score(i) for i in items)
-    return (1.0 - theta) * a_sum + theta * c_sum
-
-
 def _top_n(gains: np.ndarray, n: int) -> list:
     """Indices of n successive argmaxes of ``gains``, each pick set to -inf;
     ties resolve to the lowest index. Consumes ``gains``."""
@@ -154,31 +139,6 @@ def _top_n(gains: np.ndarray, n: int) -> list:
         picked.append(k)
         gains[k] = -np.inf
     return picked
-
-
-def _greedy_idx(user, theta, acc, cov, n, cand_mask) -> list:
-    """n greedy steps over the candidates in ``cand_mask``; returns picked
-    universe indices.
-
-    ``acc`` and ``cov`` are the user's accuracy and the coverage vectors over
-    the item universe. Neither changes while one list is built (dynamic
-    coverage counts a list only once it is complete), so each candidate's
-    marginal gain is the same at every step: the gains are computed once and
-    the n steps are successive argmaxes, which resolve ties to the lowest
-    item index.
-    """
-    available = int(np.count_nonzero(cand_mask))
-    if available < n:
-        raise InfeasibleError(f"user {user!r}: {available} candidates for top-{n}")
-    return _top_n(np.where(cand_mask, (1.0 - theta) * acc + theta * cov, -np.inf), n)
-
-
-def greedy_topn_user(split: SplitDataset, user, theta: float, arec, crec, n: int) -> tuple:
-    """Build one user's top-n over every unseen train item by repeated
-    maximal-marginal-gain selection."""
-    picked = _greedy_idx(user, theta, arec.score_vector(user), crec.score_vector(),
-                         n, split.candidate_mask(user))
-    return tuple(map(split.items.__getitem__, picked))
 
 
 def eligible_users(split: SplitDataset, n: int, protocol: str) -> list:
@@ -520,83 +480,6 @@ def independent_greedy(split: SplitDataset, theta: PreferenceVector, arec, crec,
     _snapshot_blocks(split, users, thetas, arec, n, protocol, np.zeros(len(users), dtype=np.intp),
                      cov, iter(()), picks)
     return TopNCollection.from_codes(n, split, users, picks)
-
-
-def collection_value(split: SplitDataset, theta: PreferenceVector, arec,
-                     lists: dict) -> float:
-    """Objective value of a full collection, with dynamic coverage evaluated
-    at the final recommendation frequencies."""
-    freq = Counter(i for items in lists.values() for i in items)
-    total = 0.0
-    for u, items in lists.items():
-        th = theta.theta[u]
-        a_sum = sum(arec.score(u, i) for i in items)
-        c_sum = sum(1.0 / math.sqrt(1.0 + freq[i]) for i in items)
-        total += (1.0 - th) * a_sum + th * c_sum
-    return total
-
-
-def brute_force_optimal(split: SplitDataset, theta: PreferenceVector, arec,
-                        n: int) -> tuple[float, TopNCollection]:
-    """Exhaustive maximum of the final-frequency objective on tiny instances.
-
-    Enumerates every feasible collection (all n-subsets of unseen items per
-    user). Guarded to at most 4 users, 8 items, and n <= 2 because the
-    search is exponential.
-    """
-    if len(split.users) > 4 or len(split.items) > 8 or n > 2:
-        raise InstanceTooLargeError(
-            f"refusing exhaustive search on |U|={len(split.users)}, "
-            f"|I|={len(split.items)}, n={n}")
-    per_user = []
-    for u in split.users:
-        cands = sorted(set(split.items) - split.per_user_train_index[u])
-        if len(cands) < n:
-            raise InfeasibleError(f"user {u!r}: {len(cands)} candidates for top-{n}")
-        per_user.append([combo for combo in itertools.combinations(cands, n)])
-    best_value = -np.inf
-    best = None
-    for assignment in itertools.product(*per_user):
-        lists = dict(zip(split.users, assignment))
-        value = collection_value(split, theta, arec, lists)
-        if value > best_value:
-            best_value = value
-            best = lists
-    return float(best_value), TopNCollection(n, best)
-
-
-def submodularity_check(split: SplitDataset, theta: PreferenceVector, arec,
-                        trials: int = 100, seed: int = 0) -> bool:
-    """Randomized check of diminishing, non-negative greedy gains.
-
-    The ground set is all feasible (user, item) pairs. For random chains
-    A within B and a pair outside B, the gain credited for adding the pair,
-    (1-theta_u)*a(u,i) + theta_u/sqrt(1 + count of the item in the set),
-    must not grow with the set and must stay non-negative.
-    """
-    pairs = [(u, i) for u in split.users
-             for i in sorted(set(split.items) - split.per_user_train_index[u])]
-    if len(pairs) < 2:
-        raise ValueError("need at least two feasible pairs")
-    rng = np.random.default_rng(seed)
-
-    def gain(user, item, members) -> float:
-        f = sum(1 for (_, j) in members if j == item)
-        return ((1.0 - theta.theta[user]) * arec.score(user, item)
-                + theta.theta[user] / math.sqrt(1.0 + f))
-
-    for _ in range(trials):
-        perm = rng.permutation(len(pairs))
-        b_size = int(rng.integers(0, len(pairs)))  # leaves at least one pair outside B
-        a_size = int(rng.integers(0, b_size + 1))
-        a_set = [pairs[k] for k in perm[:a_size]]
-        b_set = [pairs[k] for k in perm[:b_size]]
-        user, item = pairs[perm[b_size]]
-        d_a = gain(user, item, a_set)
-        d_b = gain(user, item, b_set)
-        if d_a < d_b - 1e-12 or d_b < -1e-12:
-            return False
-    return True
 
 
 def save_collection(coll: TopNCollection, directory) -> None:

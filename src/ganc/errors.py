@@ -42,6 +42,3 @@ class ContractViolationError(GancError):
 class UndefinedMetricError(GancError):
     """A metric is undefined for the given inputs (empty denominator)."""
 
-
-class InstanceTooLargeError(GancError):
-    """Exhaustive search refused an instance beyond its size guards."""

@@ -7,16 +7,17 @@ where the greedy may read any item) or only at the entries of a CSR
 (:class:`SparseScorer`: RSVD at each user's test items under
 rated_test_items, and the file's pairs). Coverage side: random and static
 popularity-based scores; dynamic frequency-based coverage is kept by OSLG itself
-(:mod:`ganc.core`). Every scorer emits values in [0, 1] and exposes both a
-scalar lookup and a vector aligned with the split's item universe. The
-accuracy scorers here also add their weighted scores straight into a block
-of gains (``add_accuracy``), which the greedy loops use in place of the
-per-user vectors when a scorer offers it.
+(:mod:`ganc.core`). Every scorer emits values in [0, 1] and is read
+through one vector aligned with the split's item universe
+(``score_vector``). The accuracy scorers here also add their weighted
+scores straight into a block of gains (``add_accuracy``), which the greedy
+loops use in place of the per-user vectors when a scorer offers it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,9 +53,6 @@ class PopScorer:
 
     def top_items(self, user) -> frozenset:
         return frozenset(map(self.split.items.__getitem__, self._top_indices(user).tolist()))
-
-    def score(self, user, item) -> float:
-        return 1.0 if item in self.top_items(user) else 0.0
 
     def score_vector(self, user) -> np.ndarray:
         out = np.zeros(len(self.split.items))
@@ -116,14 +114,6 @@ class MFModel:
     @cached_property
     def item_index(self) -> dict:
         return {i: k for k, i in enumerate(self.items)}
-
-    def predict_raw(self, user, item) -> float:
-        try:
-            u = self.user_index[user]
-            i = self.item_index[item]
-        except KeyError:
-            raise UnknownIdError(f"({user!r}, {item!r}) not in model") from None
-        return float(self.user_factors[u] @ self.item_factors[i])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,24 +325,12 @@ def rmse(model: MFModel, ratings) -> float:
     return math.sqrt(float(np.square(vals - pred).sum()) / n)
 
 
-def _pair_codes(split: SplitDataset, user, item) -> tuple:
-    """(user code, item code) of a pair in the split; UnknownIdError naming
-    the pair when either id is not in it."""
-    try:
-        return split.user_index[user], split.item_index[item]
-    except KeyError:
-        raise UnknownIdError(f"({user!r}, {item!r}) not in split") from None
-
-
 class MatrixScorer:
     """Accuracy scores held as one matrix over the split's users and items."""
 
     def __init__(self, split: SplitDataset, scores: np.ndarray):
         self.split = split
         self._scores = scores
-
-    def score(self, user, item) -> float:
-        return float(self._scores[_pair_codes(self.split, user, item)])
 
     def score_vector(self, user) -> np.ndarray:
         return self._scores[self.split.user_index[user]]
@@ -380,10 +358,6 @@ class SparseScorer:
         lo, hi = self.indptr[k], self.indptr[k + 1]
         out[self.items[lo:hi]] = self.values[lo:hi]
         return out
-
-    def score(self, user, item) -> float:
-        u, i = _pair_codes(self.split, user, item)
-        return float(self._row(u)[i])
 
     def score_vector(self, user) -> np.ndarray:
         return self._row(self.split.user_index[user])
@@ -454,6 +428,13 @@ def mf_accuracy_scorer(model: MFModel, split: SplitDataset,
     return SparseScorer(split, indptr, items, scores[users, items])
 
 
+def _codes(values: list, table: tuple, index: dict) -> np.ndarray:
+    """Positions in the split's id ``table`` of the id strings ``values``
+    (see :func:`~ganc.dataset.resolve_ids`), -1 for an id it lacks."""
+    return np.fromiter((index.get(x, -1) for x in resolve_ids(values, table)),
+                       dtype=np.int64, count=len(values))
+
+
 def load_external_scores(path, split: SplitDataset) -> SparseScorer:
     """Read a ``user,item,score`` CSV into an accuracy scorer, normalized per user.
 
@@ -463,7 +444,7 @@ def load_external_scores(path, split: SplitDataset) -> SparseScorer:
     occurrence. Each user's scores are min-max normalized over that user's
     pairs (all 0 when they are all equal), and only the pairs are kept.
     """
-    rows = []
+    users, items, scores = [], [], array("d")  # one column each, not a tuple per row
     for line, (user, item, raw) in read_table(path, ("user", "item", "score")):
         try:
             score = float(raw)
@@ -471,20 +452,19 @@ def load_external_scores(path, split: SplitDataset) -> SparseScorer:
             score = math.nan
         if not math.isfinite(score):
             raise ParseError(f"{path}:{line}: bad score {raw!r}")
-        rows.append((user.strip(), item.strip(), score))
-    users = resolve_ids([r[0] for r in rows], split.users)
-    items = resolve_ids([r[1] for r in rows], split.items)
-    u = np.fromiter((split.user_index.get(x, -1) for x in users), dtype=np.int64,
-                    count=len(rows))
-    i = np.fromiter((split.item_index.get(x, -1) for x in items), dtype=np.int64,
-                    count=len(rows))
+        users.append(user.strip())
+        items.append(item.strip())
+        scores.append(score)
+    u = _codes(users, split.users, split.user_index)
+    del users
+    i = _codes(items, split.items, split.item_index)
+    del items
     kept = np.flatnonzero((u >= 0) & (i >= 0))[::-1]  # last row first
     m = len(split.items)
     # each pair's first entry in kept is its last row; the pairs come out by
     # user, then item, so they form the CSR rows
     key, last = np.unique(u[kept] * m + i[kept], return_index=True)
-    values = np.fromiter((rows[k][2] for k in kept[last].tolist()), dtype=np.float64,
-                         count=len(key))
+    values = np.frombuffer(scores)[kept[last]]
     user, item = np.divmod(key, m)
     indptr = np.zeros(len(split.users) + 1, dtype=np.int64)
     np.cumsum(np.bincount(user, minlength=len(split.users)), out=indptr[1:])
@@ -501,12 +481,8 @@ def load_external_scores(path, split: SplitDataset) -> SparseScorer:
 class StaticCoverage:
     """Coverage scores fixed for a whole run, one per item of the split."""
 
-    def __init__(self, split: SplitDataset, scores: np.ndarray):
-        self.split = split
+    def __init__(self, scores: np.ndarray):
         self._scores = scores
-
-    def score(self, item) -> float:
-        return float(self._scores[self.split.item_index[item]])
 
     def score_vector(self) -> np.ndarray:
         return self._scores
@@ -514,12 +490,12 @@ class StaticCoverage:
 
 def stat_coverage(stats: ItemStats, split: SplitDataset) -> StaticCoverage:
     """Constant coverage scores 1/sqrt(train popularity + 1)."""
-    return StaticCoverage(split, 1.0 / np.sqrt(stats.counts + 1.0))
+    return StaticCoverage(1.0 / np.sqrt(stats.counts + 1.0))
 
 
 def rand_coverage(seed: int, split: SplitDataset) -> StaticCoverage:
     """Uniform [0, 1) coverage scores, drawn once per item and stable in a run."""
-    return StaticCoverage(split, np.random.default_rng(seed).random(len(split.items)))
+    return StaticCoverage(np.random.default_rng(seed).random(len(split.items)))
 
 
 def pop_scorer(split: SplitDataset, stats: ItemStats, n: int) -> PopScorer:

@@ -120,9 +120,6 @@ class DictAccuracy:
         self.scores = scores
         self.split = split
 
-    def score(self, user, item):
-        return float(self.scores.get((user, item), 0.0))
-
     def score_vector(self, user):
         return np.array([self.scores.get((user, i), 0.0) for i in self.split.items])
 
@@ -133,9 +130,6 @@ class DictCoverage:
     def __init__(self, scores, split):
         self.scores = scores
         self.split = split
-
-    def score(self, item):
-        return float(self.scores.get(item, 0.0))
 
     def score_vector(self):
         return np.array([self.scores.get(i, 0.0) for i in self.split.items])

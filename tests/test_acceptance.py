@@ -16,15 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ganc.core import (
-    TopNCollection,
-    brute_force_optimal,
-    collection_value,
-    independent_greedy,
-    locally_greedy_full,
-    oslg,
-    submodularity_check,
-)
+from ganc.core import TopNCollection, independent_greedy, locally_greedy_full, oslg
 from ganc.dataset import compute_item_stats, load_ratings, split_per_user
 from ganc.metrics import evaluate, gini
 from ganc.preference import (
@@ -41,6 +33,7 @@ from ganc.recommenders import (
 )
 
 from conftest import build_split, random_instance
+from oracles import brute_force_optimal, collection_value, submodularity_check
 
 ML100K_ENV = "GANC_ML100K"
 ML100K_DEFAULT = Path(__file__).resolve().parent.parent / "data" / "ml-100k" / "u.data"

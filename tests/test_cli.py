@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -901,6 +902,17 @@ class TestSeedFlagsNameThemselves:
         assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -3\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("crec", ["dyn", "stat", "rand"])
+    @pytest.mark.parametrize("s", [0, -2])
+    def test_sample_size_below_one_names_its_flag(self, tmp_path, capsys, crec, s):
+        # the inputs do not exist, so the flag is refused before any is read
+        capsys.readouterr()
+        assert main(["recommend", "--split", str(tmp_path / "no-split"),
+                     "--prefs", str(tmp_path / "no-prefs"), "--crec", crec, "--s", str(s),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: --s must be >= 1, got {s}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def _truncate_last_line(path):
     lines = path.read_text().splitlines()
@@ -1119,6 +1131,24 @@ def mf_dir(split_dir, tmp_path_factory):
     assert main(["train-rsvd", "--split", str(split_dir), "--g", "2", "--epochs", "1",
                  "--out", str(out)]) == 0
     return out
+
+
+@pytest.mark.parametrize("models", [["Pop"], ["Pop", "RSVD"]], ids=["pop", "pop-rsvd"])
+def test_compare_models_prints_one_row_per_model(split_dir, mf_dir, models):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_models.py"
+    mf = ["--mf", str(mf_dir)] if "RSVD" in models else []
+    env = {**os.environ, "PYTHONPATH": str(Path(ganc.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, str(script), "--split", str(split_dir),
+                           "--s", "10", "--reps", "1", *mf],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:6] == ["model", "f_measu", "strat_r", "lt_accu", "coverag", "gini"]
+    cells = [row.rsplit(maxsplit=5) for row in rows]
+    assert [name for name, *_ in cells] == [
+        variant for m in models for variant in
+        (m, *(f"GANC({m}, theta^G, {crec})" for crec in ("Dyn", "Stat", "Rand")))]
+    assert all(math.isfinite(float(v)) for _, *values in cells for v in values)
 
 
 def _copy_dir(src, dst):
@@ -1617,9 +1647,10 @@ class TestMixedIdSpellings:
             assert set(self._column(per_user, "user")) == set(users)
         # user 7 scores the items by position and user 07 against it
         scorer = load_external_scores(tmp_path / "scores.csv", split)
-        assert (scorer.score("7", "11"), scorer.score("07", "11")) == (1.0, 0.0)
-        assert (scorer.score("7", "7"), scorer.score("07", "7")) == (0.0, 1.0)
-        assert scorer.score("7", "07") == 1 / 9 and scorer.score("7", "7.0") == 2 / 9
+        score = {u: dict(zip(split.items, scorer.score_vector(u).tolist())) for u in ("7", "07")}
+        assert (score["7"]["11"], score["07"]["11"]) == (1.0, 0.0)
+        assert (score["7"]["7"], score["07"]["7"]) == (0.0, 1.0)
+        assert score["7"]["07"] == 1 / 9 and score["7"]["7.0"] == 2 / 9
 
 
 class TestUserWhoRatedEveryTrainItem:

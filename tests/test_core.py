@@ -1,4 +1,4 @@
-"""Greedy assignment, sampling, and the exhaustive/property oracles."""
+"""Greedy assignment, sampling, and the exhaustive/property oracles of tests/oracles.py."""
 
 import math
 import tracemalloc
@@ -15,30 +15,29 @@ from ganc.core import (
     PROTOCOLS,
     SnapshotStore,
     TopNCollection,
-    brute_force_optimal,
     candidate_pool_sizes,
-    collection_value,
     eligible_users,
-    greedy_topn_user,
     independent_greedy,
     kde_sample,
     load_collection,
     locally_greedy_full,
     oslg,
     save_collection,
-    submodularity_check,
-    user_value,
 )
 from ganc.dataset import compute_item_stats
-from ganc.errors import (
-    ContractViolationError,
-    InfeasibleError,
-    InstanceTooLargeError,
-)
+from ganc.errors import ContractViolationError, InfeasibleError
 from ganc.preference import PreferenceVector, theta_baseline, theta_generalized
 from ganc.recommenders import StaticCoverage, pop_scorer, rand_coverage, stat_coverage
 
 from conftest import DictAccuracy, DictCoverage, build_split, random_instance
+from oracles import (
+    InstanceTooLargeError,
+    brute_force_optimal,
+    collection_value,
+    greedy_topn_user,
+    submodularity_check,
+    user_value,
+)
 
 
 def const_theta(split, value):
@@ -74,7 +73,8 @@ class TestUserValue:
 def sort_oracle(split, user, theta, arec, crec, n):
     """Independent route: rank candidates by blended score, break ties by id."""
     cands = sorted(set(split.items) - split.per_user_train_index[user])
-    scored = [((1 - theta) * arec.score(user, i) + theta * crec.score(i), i)
+    acc, cov = arec.score_vector(user), crec.score_vector()
+    scored = [((1 - theta) * acc[split.item_index[i]] + theta * cov[split.item_index[i]], i)
               for i in cands]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return tuple(i for _, i in scored[:n])
@@ -129,8 +129,8 @@ class TestGreedyTopnUser:
             for user in split.users:
                 th = theta.theta[user]
                 picked = greedy_topn_user(split, user, th, arec, cov, 2)
-                gains = [(1 - th) * arec.score(user, i) + th * cov.score(i)
-                         for i in picked]
+                k = [split.item_index[i] for i in picked]
+                gains = (1 - th) * arec.score_vector(user)[k] + th * cov.score_vector()[k]
                 assert all(a >= b - 1e-12 for a, b in zip(gains, gains[1:]))
 
     def test_scaling_both_scorers_leaves_output_unchanged(self):
@@ -322,7 +322,7 @@ class TestOslg:
         assert run.snapshots_used == 1 and run.phase2_users > 0
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
         for user in run.sampled_users:  # the sequential greedy, one user at a time
-            crec = StaticCoverage(synth_split, 1 / np.sqrt(counts + 1.0))
+            crec = StaticCoverage(1 / np.sqrt(counts + 1.0))
             picked = greedy_topn_user(synth_split, user, theta.theta[user], arec, crec, 5)
             assert run.collection.lists[user] == picked
             counts[[synth_split.item_index[i] for i in picked]] += 1
@@ -442,7 +442,8 @@ class TestBruteForce:
         for user in split.users:
             greedy = greedy_topn_user(split, user, 0.0, arec, crec, 2)
             assert set(coll.lists[user]) == set(greedy)
-            expected_value += sum(arec.score(user, i) for i in greedy)
+            acc = arec.score_vector(user)
+            expected_value += sum(acc[split.item_index[i]] for i in greedy)
         assert optimum == pytest.approx(expected_value)
 
     def test_pure_coverage_prefers_splitting_items(self):

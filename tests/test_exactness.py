@@ -1,7 +1,7 @@
 """Fast paths against plain references.
 
 The greedy assignments are checked against the paper's rules, written with
-the public API only: ``_greedy_idx_reference`` rebuilds the blended gains
+the public API only: ``oracles.greedy_picks`` rebuilds the blended gains
 (and the coverage vector) at each of the n steps, ``_RecFrequency`` and
 ``_DynCoverage`` keep the recommendation counts and read coverage
 1/sqrt(f + 1) from them at call time, ``_SnapshotStoreReference`` keeps a
@@ -71,24 +71,10 @@ from ganc.recommenders import (MatrixScorer, SparseScorer, load_external_scores,
 
 from conftest import (DictAccuracy, DictCoverage, assert_same_split, build_split,
                       item_stats_reference)
+from oracles import greedy_picks
 
 
 # ---------------------------------------------------------------- references
-
-def _greedy_idx_reference(user, theta, arec, crec, n, cand_idx):
-    if len(cand_idx) < n:
-        raise InfeasibleError(f"user {user!r}: {len(cand_idx)} candidates for top-{n}")
-    acc = (1.0 - theta) * arec.score_vector(user)[cand_idx]
-    avail = np.ones(len(cand_idx), dtype=bool)
-    picked = []
-    for _ in range(n):
-        gains = acc + theta * crec.score_vector()[cand_idx]
-        gains[~avail] = -np.inf
-        k = int(np.argmax(gains))
-        picked.append(int(cand_idx[k]))
-        avail[k] = False
-    return picked
-
 
 class _RecFrequency:
     """Mutable per-item counts of recommendations assigned so far."""
@@ -165,7 +151,7 @@ def _oslg_reference(split, theta, arec, n, s, seed, protocol, phase4_order=None)
     store = _SnapshotStoreReference()
     lists = {}
     for u in sample:
-        picked = _ids(split, _greedy_idx_reference(u, theta.theta[u], arec, dyn, n, cands[u]))
+        picked = _ids(split, greedy_picks(u, theta.theta[u], arec, dyn, n, cands[u]))
         freq.increment(picked)
         store.add(theta.theta[u], _RecFrequency(split, freq.counts.copy()))
         lists[u] = picked
@@ -174,7 +160,7 @@ def _oslg_reference(split, theta, arec, n, s, seed, protocol, phase4_order=None)
     for u in rest:
         k = store.nearest(theta.theta[u])
         used.add(k)
-        lists[u] = _ids(split, _greedy_idx_reference(
+        lists[u] = _ids(split, greedy_picks(
             u, theta.theta[u], arec, _DynCoverage(store.freq(k)), n, cands[u]))
     return tuple(sample), lists, len(used)
 
@@ -187,7 +173,7 @@ def _locally_greedy_reference(split, theta, arec, n, user_order, protocol):
     dyn = _DynCoverage(freq)
     lists = {}
     for u in users:
-        picked = _ids(split, _greedy_idx_reference(u, theta.theta[u], arec, dyn, n, cands[u]))
+        picked = _ids(split, greedy_picks(u, theta.theta[u], arec, dyn, n, cands[u]))
         freq.increment(picked)
         lists[u] = picked
     return lists
@@ -195,7 +181,7 @@ def _locally_greedy_reference(split, theta, arec, n, user_order, protocol):
 
 def _independent_greedy_reference(split, theta, arec, crec, n, protocol):
     users, cands = _eligible_reference(split, n, protocol)
-    return {u: _ids(split, _greedy_idx_reference(u, theta.theta[u], arec, crec, n, cands[u]))
+    return {u: _ids(split, greedy_picks(u, theta.theta[u], arec, crec, n, cands[u]))
             for u in users}
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ganc import forked, recommenders
-from ganc.core import greedy_topn_user, locally_greedy_full
+from ganc.core import locally_greedy_full
 from ganc.dataset import Rating, compute_item_stats
 from ganc.errors import ParseError, TrainingDivergenceError, UnknownIdError
 from ganc.preference import PreferenceVector
@@ -31,6 +31,18 @@ from ganc.recommenders import (
 )
 
 from conftest import a_usable_cpu, assert_no_child_left, build_split, deadline
+from oracles import greedy_topn_user
+
+
+def _predict(model, user, item):
+    """The raw prediction p_u . q_i of a pair; KeyError for an id the model lacks."""
+    return float(model.user_factors[model.user_index[user]]
+                 @ model.item_factors[model.item_index[item]])
+
+
+def _score(scorer, split, user, item):
+    """One entry of ``scorer.score_vector(user)``, looked up by item id."""
+    return float(scorer.score_vector(user)[split.item_index[item]])
 
 
 def _rsvd_reference(split, g, lam, eta, epochs, seed):
@@ -66,8 +78,8 @@ def _rmse_reference(model, ratings):
     total = 0.0
     for r in ratings:
         try:
-            pred = model.predict_raw(r.user_id, r.item_id)
-        except UnknownIdError:
+            pred = _predict(model, r.user_id, r.item_id)
+        except KeyError:
             pred = model.global_mean
         total += (r.value - pred) ** 2
     return math.sqrt(total / len(ratings))
@@ -94,8 +106,8 @@ class TestPopScorer:
         train += [(2, "i3", 3)]
         split = build_split(train)
         scorer = pop_scorer(split, compute_item_stats(split), 2)
-        assert scorer.score(1, "i2") == 1.0
-        assert scorer.score(1, "i3") == 1.0
+        assert _score(scorer, split, 1, "i2") == 1.0
+        assert _score(scorer, split, 1, "i3") == 1.0
         assert scorer.top_items(1) == {"i2", "i3"}
         # user 5 saw only i1 as well
         assert scorer.top_items(5) == {"i2", "i3"}
@@ -105,16 +117,15 @@ class TestPopScorer:
         split = build_split(train)
         scorer = pop_scorer(split, compute_item_stats(split), 1)
         # user 3 saw only c; most popular item is a
-        assert scorer.score(3, "a") == 1.0
-        assert scorer.score(3, "b") == 0.0
+        assert _score(scorer, split, 3, "a") == 1.0
+        assert _score(scorer, split, 3, "b") == 0.0
 
     def test_full_cutoff_scores_everything(self):
         train = [(1, "a", 3), (2, "b", 3), (3, "c", 3)]
         split = build_split(train)
         scorer = pop_scorer(split, compute_item_stats(split), 3)
-        for i in split.items:
-            assert scorer.score(2, i) in (0.0, 1.0)
-        assert all(scorer.score(1, i) == 1.0 for i in ("b", "c"))
+        assert set(scorer.score_vector(2).tolist()) <= {0.0, 1.0}
+        assert all(_score(scorer, split, 1, i) == 1.0 for i in ("b", "c"))
 
     def test_n_out_of_range(self, synth_split, synth_stats):
         with pytest.raises(ValueError):
@@ -122,24 +133,17 @@ class TestPopScorer:
         with pytest.raises(ValueError):
             pop_scorer(synth_split, synth_stats, len(synth_split.items) + 1)
 
-    def test_vector_matches_scalar(self, synth_split, synth_stats):
-        scorer = pop_scorer(synth_split, synth_stats, 5)
-        user = synth_split.users[0]
-        vec = scorer.score_vector(user)
-        for k, item in enumerate(synth_split.items):
-            assert vec[k] == scorer.score(user, item)
-
 
 class TestRsvdTrain:
     def test_single_rating_unregularized_fit(self):
         split = build_split([(1, "a", 4)])
         model = rsvd_train(split, g=1, lam=0.0, eta=0.1, epochs=400, seed=0)
-        assert model.predict_raw(1, "a") == pytest.approx(4.0, abs=1e-3)
+        assert _predict(model, 1, "a") == pytest.approx(4.0, abs=1e-3)
         assert rmse(model, split.train) == pytest.approx(0.0, abs=1e-3)
 
     def test_heavy_regularization_shrinks_predictions(self, synth_split):
         model = rsvd_train(synth_split, g=4, lam=1e3, eta=0.001, epochs=3, seed=0)
-        preds = [model.predict_raw(r.user_id, r.item_id) for r in synth_split.train[:50]]
+        preds = [_predict(model, r.user_id, r.item_id) for r in synth_split.train[:50]]
         assert max(abs(p) for p in preds) < 0.05
 
     def test_deterministic(self, synth_split):
@@ -311,7 +315,7 @@ class TestRmse:
 
     def test_single_unit_error(self, synth_split):
         model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=2, seed=0)
-        pred = model.predict_raw(synth_split.users[0], synth_split.items[0])
+        pred = _predict(model, synth_split.users[0], synth_split.items[0])
         assert rmse(model, [Rating(synth_split.users[0], synth_split.items[0],
                                    pred + 1.0)]) == pytest.approx(1.0)
 
@@ -348,7 +352,7 @@ class TestMFScorer:
         scorer = mf_accuracy_scorer(model, synth_split)
         user = synth_split.users[0]
         cand_idx = np.flatnonzero(synth_split.candidate_mask(user))
-        raw = np.array([model.predict_raw(user, synth_split.items[k]) for k in cand_idx])
+        raw = np.array([_predict(model, user, synth_split.items[k]) for k in cand_idx])
         norm = scorer.score_vector(user)[cand_idx]
         assert np.array_equal(np.argsort(raw, kind="stable"),
                               np.argsort(norm, kind="stable"))
@@ -421,8 +425,8 @@ class TestMFScorer:
     def test_unknown_user_rejected(self, synth_split):
         model = rsvd_train(synth_split, g=2, lam=0.05, eta=0.03, epochs=1, seed=0)
         scorer = mf_accuracy_scorer(model, synth_split)
-        with pytest.raises(UnknownIdError):
-            scorer.score("nobody", synth_split.items[0])
+        with pytest.raises(KeyError):
+            scorer.score_vector("nobody")
 
     def test_degenerate_prediction_range_scores_zero(self):
         # constant factors make every raw prediction identical, which the
@@ -431,8 +435,7 @@ class TestMFScorer:
         model = MFModel(split.users, split.items,
                         np.ones((2, 2)), np.ones((3, 2)), 2, 3.0)
         scorer = mf_accuracy_scorer(model, split)
-        assert scorer.score(1, "a") == 0.0
-        assert scorer.score(1, "b") == 0.0
+        assert scorer.score_vector(1).tolist() == [0.0, 0.0, 0.0]
 
     def test_user_without_candidates_scores_zero(self):
         # user 1 has rated every train item: an all-zero row, not a crash
@@ -440,7 +443,7 @@ class TestMFScorer:
         model = rsvd_train(split, g=2, lam=0.05, eta=0.03, epochs=2, seed=0)
         scorer = mf_accuracy_scorer(model, split)
         assert np.array_equal(scorer.score_vector(1), [0.0, 0.0])
-        assert scorer.score(2, "b") == scorer.score(3, "a") == 0.0
+        assert _score(scorer, split, 2, "b") == _score(scorer, split, 3, "a") == 0.0
 
     def test_model_missing_split_user_rejected(self, synth_split):
         small = build_split([(1, "a", 3), (1, "b", 4), (2, "a", 2)])
@@ -455,15 +458,15 @@ class TestExternalScores:
         p = tmp_path / "scores.csv"
         p.write_text("user,item,score\nu1,i1,0.9\nu1,i2,0.1\n")
         scorer = load_external_scores(p, split)
-        assert scorer.score("u1", "i1") == 1.0
-        assert scorer.score("u1", "i2") == 0.0
+        assert _score(scorer, split, "u1", "i1") == 1.0
+        assert _score(scorer, split, "u1", "i2") == 0.0
 
     def test_missing_pair_scores_zero(self, tmp_path):
         split = build_split([("u1", "i1", 3), ("u1", "i2", 3), ("u2", "i1", 3)])
         p = tmp_path / "scores.csv"
         p.write_text("user,item,score\nu1,i1,0.5\nu1,i2,0.7\n")
         scorer = load_external_scores(p, split)
-        assert scorer.score("u2", "i2") == 0.0
+        assert _score(scorer, split, "u2", "i2") == 0.0
 
     def test_monotone_per_user(self, tmp_path):
         split = build_split([("u1", f"i{k}", 3) for k in range(6)] +
@@ -475,7 +478,7 @@ class TestExternalScores:
                      "".join(f"u2,{i},{v}\n" for i, v in raw.items()))
         scorer = load_external_scores(p, split)
         order_raw = sorted(raw, key=raw.get)
-        scores = {i: scorer.score("u2", i) for i in raw}
+        scores = {i: _score(scorer, split, "u2", i) for i in raw}
         assert order_raw == sorted(scores, key=scores.get)
 
     def test_duplicate_pair_keeps_last(self, tmp_path):
@@ -483,7 +486,7 @@ class TestExternalScores:
         p = tmp_path / "scores.csv"
         p.write_text("user,item,score\nu1,i1,0.2\nu1,i2,0.5\nu1,i1,0.9\n")
         scorer = load_external_scores(p, split)
-        assert scorer.score("u1", "i1") == 1.0
+        assert _score(scorer, split, "u1", "i1") == 1.0
 
     def test_malformed_row(self, tmp_path):
         split = build_split([("u1", "i1", 3)])
@@ -499,8 +502,8 @@ class TestExternalScores:
         p = tmp_path / "scores.csv"
         p.write_text("user,item,score\n2,1,0.9\n2,2,0.1\n2,99,0.5\n")
         scorer = load_external_scores(p, split)
-        assert scorer.score(2, "1") == 1.0
-        assert scorer.score(2, "2") == 0.0
+        assert _score(scorer, split, 2, "1") == 1.0
+        assert _score(scorer, split, 2, "2") == 0.0
         assert scorer.score_vector(2).tolist() == [1.0, 0.0, 0.0, 0.0]  # "99" is ignored
 
     def test_bad_header(self, tmp_path):
@@ -519,9 +522,10 @@ class TestCoverageScorers:
         split = build_split(train)
         stats = compute_item_stats(split)
         scorer = stat_coverage(stats, split)
-        assert scorer.score("zero3") == pytest.approx(0.5)        # 1/sqrt(4)
-        assert scorer.score("pop99") == pytest.approx(0.1)        # 1/sqrt(100)
-        assert scorer.score("fresh") == pytest.approx(1 / np.sqrt(2))
+        cov = dict(zip(split.items, scorer.score_vector().tolist()))
+        assert cov["zero3"] == pytest.approx(0.5)        # 1/sqrt(4)
+        assert cov["pop99"] == pytest.approx(0.1)        # 1/sqrt(100)
+        assert cov["fresh"] == pytest.approx(1 / np.sqrt(2))
 
     def test_dyn_tracks_live_frequency(self, synth_split, synth_stats):
         # dynamic coverage (kept inside the locally greedy pass) is
@@ -532,7 +536,7 @@ class TestCoverageScorers:
         coll = locally_greedy_full(synth_split, theta, arec, 5)
         counts = np.zeros(len(synth_split.items), dtype=np.int64)
         for user, picked in coll.lists.items():
-            crec = StaticCoverage(synth_split, 1 / np.sqrt(counts + 1.0))
+            crec = StaticCoverage(1 / np.sqrt(counts + 1.0))
             assert picked == greedy_topn_user(synth_split, user, 0.5, arec, crec, 5)
             counts[[synth_split.item_index[i] for i in picked]] += 1
         assert counts.max() > 1
@@ -545,8 +549,7 @@ class TestCoverageScorers:
 
     def test_rand_stable_within_run(self, synth_split):
         a = rand_coverage(9, synth_split)
-        item = synth_split.items[3]
-        assert a.score(item) == a.score(item)
+        assert np.array_equal(a.score_vector(), a.score_vector())
         b = rand_coverage(9, synth_split)
         assert np.array_equal(a.score_vector(), b.score_vector())
 
