@@ -257,8 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not s_values or min(s_values) < 1:
         raise ValueError(f"--s-values must be comma-separated sample sizes >= 1, "
                          f"got {args.s_values!r}")
-    if args.reps < 1:
-        raise ValueError(f"reps must be at least 1, got {args.reps}")
+    _check_at_least("--reps", args.reps, 1)
     _check_at_least("--run-seed", args.run_seed, 0)
     _check_at_least("--n", args.n, 1)
     metrics.check_beta_threshold(args.beta, args.threshold)

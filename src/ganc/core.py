@@ -224,9 +224,9 @@ def _add_accuracy(split: SplitDataset, arec, gains: np.ndarray, codes: np.ndarra
                   weights: np.ndarray) -> None:
     """``gains[r] += weights[r] * a(users[codes[r]])`` for every row r.
 
-    Scorers with an ``add_accuracy`` hook add their scores themselves (Pop
-    only at each user's top items); any other scorer is read one user at a
-    time through ``score_vector``.
+    Scorers with an ``add_accuracy`` hook add their scores themselves (the
+    CSR-held ones, Pop among them, only at their entries); any other scorer
+    is read one user at a time through ``score_vector``.
     """
     add = getattr(arec, "add_accuracy", None)
     if add is not None:

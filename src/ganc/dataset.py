@@ -198,9 +198,13 @@ class SplitDataset:
     """Immutable train/test partition over sorted user and item tables.
 
     ``train_columns`` and ``test_columns`` code their ratings against
-    ``users`` and ``items``, the train universe. ``train``/``test`` (tuples of
-    :class:`Rating`) and the ``per_*_index`` set views are built on first
-    use; the algorithms read the columns and the CSR views instead.
+    ``users`` and ``items``, the train universe. Per-user item sets have one
+    form, a CSR over user codes (``train_csr``, ``test_csr``,
+    ``relevant_csr``), which the algorithms read: a user's candidates are the
+    items outside its ``train_csr`` row under all_unrated and its
+    ``test_csr`` row under rated_test_items. ``train``/``test`` (tuples of
+    :class:`Rating`) and the ``per_*_index`` frozenset views are built on
+    first use, for callers that hold ids.
     """
 
     users: tuple
@@ -277,14 +281,6 @@ class SplitDataset:
     def user_test_counts(self) -> np.ndarray:
         """Test ratings per user, aligned with ``users``."""
         return np.diff(self.test_csr[0])
-
-    def candidate_mask(self, user) -> np.ndarray:
-        """Boolean mask over ``items``: True where the user has not rated in train."""
-        indptr, codes = self.train_csr
-        k = self.user_index[user]
-        mask = np.ones(len(self.items), dtype=bool)
-        mask[codes[indptr[k]:indptr[k + 1]]] = False
-        return mask
 
     def _cached(self, key: tuple, make):
         """``make()``, made on the first call with ``key`` and kept."""

@@ -1,17 +1,17 @@
 """Accuracy and coverage scorers.
 
-Accuracy side: a most-popular scorer, and the scores of an SGD-trained
-matrix factorization model or of an externally computed score file, held
+Accuracy side: most-popular scores, and the scores of an SGD-trained matrix
+factorization model or of an externally computed score file. They are held
 either as one dense matrix (:class:`MatrixScorer`: RSVD under all_unrated,
 where the greedy may read any item) or only at the entries of a CSR
-(:class:`SparseScorer`: RSVD at each user's test items under
-rated_test_items, and the file's pairs). Coverage side: random and static
-popularity-based scores; dynamic frequency-based coverage is kept by OSLG itself
-(:mod:`ganc.core`). Every scorer emits values in [0, 1] and is read
-through one vector aligned with the split's item universe
-(``score_vector``). The accuracy scorers here also add their weighted
-scores straight into a block of gains (``add_accuracy``), which the greedy
-loops use in place of the per-user vectors when a scorer offers it.
+(:class:`SparseScorer`: Pop's top-n unseen items per user, RSVD at each
+user's test items under rated_test_items, and the file's pairs). Coverage
+side: random and static popularity-based scores; dynamic frequency-based
+coverage is kept by OSLG itself (:mod:`ganc.core`). Every scorer emits
+values in [0, 1] and is read through one vector aligned with the split's
+item universe (``score_vector``). The accuracy scorers here also add their
+weighted scores straight into a block of gains (``add_accuracy``), which the
+greedy loops use in place of the per-user vectors when a scorer offers it.
 """
 
 from __future__ import annotations
@@ -25,74 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import forked
-from .dataset import ItemStats, RatingColumns, SplitDataset, csr_positions, resolve_ids
+from . import core, forked
+from .dataset import ItemStats, RatingColumns, SplitDataset, _csr, csr_positions, resolve_ids
 from .errors import ParseError, TrainingDivergenceError, UnknownIdError
 from .io_utils import NPZ_ERRORS, canonical_ids, read_json, read_table, write_json
-
-
-class PopScorer:
-    """Binary accuracy scores: 1 for a user's top-n most popular unseen items."""
-
-    def __init__(self, split: SplitDataset, stats: ItemStats, n: int):
-        if not 0 < n <= len(split.items):
-            raise ValueError(f"n must be in [1, {len(split.items)}], got {n}")
-        self.split = split
-        self.n = n
-        if len(stats.ranked) != len(split.items):
-            raise ValueError("stats must rank every item of the split")
-        self.top_matrix = _top_unseen(split, stats.ranked, n)
-        # True when some user has fewer than n unseen items, so -1 pads a row;
-        # a full matrix spares the one-row path a mask
-        self._ragged = bool((self.top_matrix < 0).any())
-
-    def _top_indices(self, user) -> np.ndarray:
-        """Indices into ``items`` of the user's top-n unseen items."""
-        top = self.top_matrix[self.split.user_index[user]]
-        return top[top >= 0]
-
-    def top_items(self, user) -> frozenset:
-        return frozenset(map(self.split.items.__getitem__, self._top_indices(user).tolist()))
-
-    def score_vector(self, user) -> np.ndarray:
-        out = np.zeros(len(self.split.items))
-        out[self._top_indices(user)] = 1.0
-        return out
-
-    def add_accuracy(self, gains: np.ndarray, codes: np.ndarray, weights: np.ndarray) -> None:
-        """``gains[r] += weights[r] * score_vector(users[codes[r]])`` for every
-        row r, adding ``weights[r]`` at the user's top-n items only: a weight
-        times 1.0 is the weight, and elsewhere the score is 0."""
-        if len(codes) == 1:  # the sequential pass; 1-D indexing costs a third of 2-D
-            top = self.top_matrix[codes[0]]
-            gains[0][top[top >= 0] if self._ragged else top] += weights[0]
-            return
-        top = self.top_matrix[codes]
-        r, j = np.nonzero(top >= 0)
-        gains[r, top[r, j]] += weights[r]
-
-
-def _top_unseen(split: SplitDataset, ranking: np.ndarray, n: int) -> np.ndarray:
-    """(|U|, n) item indices: row u lists user u's first n unseen items in
-    ``ranking`` order, padded with -1 past the user's unseen items.
-
-    With a user's seen ranks s_0 < s_1 < ... (positions in ``ranking``),
-    s_k - k unseen ranks come before s_k, so the j-th unseen rank is j plus
-    the count of k with s_k - k <= j: one searchsorted over every user's
-    gaps, each user offset past the previous one's.
-    """
-    m, n_users = len(ranking), len(split.users)
-    rank = np.empty(m, dtype=np.int64)
-    rank[ranking] = np.arange(m)
-    t = split.train_columns
-    key = np.sort(t.user_codes * m + rank[t.item_codes])  # by user, then rank
-    user, seen = np.divmod(key, m)
-    indptr = split.train_csr[0]
-    gaps = user * (m + 1) + seen - (np.arange(len(key)) - indptr[user])
-    j = np.arange(n)
-    below = np.searchsorted(gaps, np.arange(n_users)[:, None] * (m + 1) + j, side="right")
-    ranks = j + below - indptr[:-1, None]
-    return np.where(ranks < m, ranking[np.minimum(ranks, m - 1)], -1)
 
 
 @dataclass(frozen=True)
@@ -352,26 +288,74 @@ class SparseScorer:
                  values: np.ndarray):
         self.split = split
         self.indptr, self.items, self.values = indptr, items, values
-
-    def _row(self, k: int) -> np.ndarray:
-        out = np.zeros(len(self.split.items))
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        out[self.items[lo:hi]] = self.values[lo:hi]
-        return out
+        self._bounds = indptr.tolist()  # Python ints slice faster than numpy ints
 
     def score_vector(self, user) -> np.ndarray:
-        return self._row(self.split.user_index[user])
+        k = self.split.user_index[user]
+        lo, hi = self._bounds[k], self._bounds[k + 1]
+        out = np.zeros(len(self.split.items))
+        out[self.items[lo:hi]] = self.values[lo:hi]
+        return out
 
     def add_accuracy(self, gains: np.ndarray, codes: np.ndarray, weights: np.ndarray) -> None:
         """``gains[r] += weights[r] * score_vector(users[codes[r]])`` for every
         row r, adding ``weights[r] * value`` at the row's entries only: the
         same operations as the dense sum there, and elsewhere the score is 0."""
         if len(codes) == 1:  # the sequential pass; ~2 us against ~11 for the block path
-            lo, hi = self.indptr[codes[0]], self.indptr[codes[0] + 1]
+            k = codes.item()
+            lo, hi = self._bounds[k], self._bounds[k + 1]
             gains[0][self.items[lo:hi]] += weights[0] * self.values[lo:hi]
             return
         r, at = csr_positions(self.indptr, codes)
         gains[r, self.items[at]] += weights[r] * self.values[at]
+
+
+class PopScorer(SparseScorer):
+    """Binary accuracy scores: 1 for a user's top-n most popular unseen items.
+
+    CSR row k lists user k's top-n unseen items in popularity order, each at
+    1.0 (fewer when the user has fewer unseen items). A weight times 1.0 is
+    the weight, so the inherited hook adds each weight as it is.
+    """
+
+    def __init__(self, split: SplitDataset, stats: ItemStats, n: int):
+        if not 0 < n <= len(split.items):
+            raise ValueError(f"n must be in [1, {len(split.items)}], got {n}")
+        if len(stats.ranked) != len(split.items):
+            raise ValueError("stats must rank every item of the split")
+        indptr, items = _csr(*_top_unseen(split, stats.ranked, n), len(split.users))
+        super().__init__(split, indptr, items, np.ones(len(items)))
+        self.n = n
+
+    def top_items(self, user) -> frozenset:
+        k = self.split.user_index[user]
+        top = self.items[self._bounds[k]:self._bounds[k + 1]]
+        return frozenset(map(self.split.items.__getitem__, top.tolist()))
+
+
+def _top_unseen(split: SplitDataset, ranking: np.ndarray, n: int) -> tuple:
+    """(user codes, item indices) of each user's first n unseen items in
+    ``ranking`` order, by user and then rank; a user with fewer unseen items
+    has fewer pairs.
+
+    With a user's seen ranks s_0 < s_1 < ... (positions in ``ranking``),
+    s_k - k unseen ranks come before s_k, so the j-th unseen rank is j plus
+    the count of k with s_k - k <= j: one searchsorted over every user's
+    gaps, each user offset past the previous one's.
+    """
+    m, n_users = len(ranking), len(split.users)
+    rank = np.empty(m, dtype=np.int64)
+    rank[ranking] = np.arange(m)
+    t = split.train_columns
+    key = np.sort(t.user_codes * m + rank[t.item_codes])  # by user, then rank
+    user, seen = np.divmod(key, m)
+    indptr = split.train_csr[0]
+    gaps = user * (m + 1) + seen - (np.arange(len(key)) - indptr[user])
+    j = np.arange(n)
+    below = np.searchsorted(gaps, np.arange(n_users)[:, None] * (m + 1) + j, side="right")
+    ranks = j + below - indptr[:-1, None]
+    users, slot = np.nonzero(ranks < m)  # a row's ranks rise, so each keeps a prefix
+    return users, ranking[ranks[users, slot]]
 
 
 def _aligned(factors: np.ndarray, ids: tuple, table: tuple, what: str) -> np.ndarray:
@@ -489,8 +473,9 @@ class StaticCoverage:
 
 
 def stat_coverage(stats: ItemStats, split: SplitDataset) -> StaticCoverage:
-    """Constant coverage scores 1/sqrt(train popularity + 1)."""
-    return StaticCoverage(1.0 / np.sqrt(stats.counts + 1.0))
+    """Constant coverage scores 1/sqrt(train popularity + 1): OSLG's dynamic
+    coverage with the train counts in place of the recommendation counts."""
+    return StaticCoverage(core._coverage(stats.counts))
 
 
 def rand_coverage(seed: int, split: SplitDataset) -> StaticCoverage:

@@ -45,9 +45,17 @@ def greedy_picks(user, theta, arec, crec, n, cand_idx) -> list:
     return picked
 
 
+def unseen_items(split, user) -> np.ndarray:
+    """Ascending indices into ``split.items`` of the items outside the user's
+    ``split.train_csr`` row: its candidates under all_unrated."""
+    indptr, codes = split.train_csr
+    k = split.user_index[user]
+    return np.setdiff1d(np.arange(len(split.items)), codes[indptr[k]:indptr[k + 1]])
+
+
 def greedy_topn_user(split, user, theta, arec, crec, n) -> tuple:
     """One user's top-n ids over every unseen train item, by :func:`greedy_picks`."""
-    cands = np.flatnonzero(split.candidate_mask(user))
+    cands = unseen_items(split, user)
     return tuple(split.items[k] for k in greedy_picks(user, theta, arec, crec, n, cands))
 
 

@@ -29,6 +29,7 @@ from ganc.recommenders import load_external_scores, load_mf_model, pop_scorer
 from ganc.synthetic import generate_ratings
 
 from conftest import a_usable_cpu, assert_no_child_left, build_split
+from oracles import unseen_items
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +178,7 @@ class TestRecommendEvaluate:
         assert 1 <= manifest["snapshots_used"] <= 30
         split, _ = load_split(split_dir)
         assert "snapshot_bytes" not in manifest  # phase two holds no coverage of its own
-        pools = [int(split.candidate_mask(u).sum()) for u in split.users]
+        pools = [len(unseen_items(split, u)) for u in split.users]
         assert manifest["candidate_pool"] == {
             "total": sum(pools), "min": min(pools), "max": max(pools)}
 
@@ -582,7 +583,9 @@ class TestSweepFailsFast:
                                    ">= 1, got '10,abc'"),
         (["--s-values", "10,0"], "error: --s-values must be comma-separated sample sizes "
                                  ">= 1, got '10,0'"),
-    ], ids=["beta-1", "threshold-nan", "s-values-1e3", "s-values-abc", "s-values-0"])
+        (["--reps", "0"], "error: --reps must be >= 1, got 0"),
+    ], ids=["beta-1", "threshold-nan", "s-values-1e3", "s-values-abc", "s-values-0",
+            "reps-0"])
     def test_exit_1_before_the_first_run(self, split_dir, prefs_dir, tmp_path, capsys,
                                          extra, message):
         capsys.readouterr()

@@ -36,6 +36,7 @@ from oracles import (
     collection_value,
     greedy_topn_user,
     submodularity_check,
+    unseen_items,
     user_value,
 )
 
@@ -384,7 +385,7 @@ class TestCandidatePoolSizes:
     def test_match_the_masks_oslg_scores(self, synth_split, protocol):
         for n in (1, 5, 12):
             if protocol == "all_unrated":
-                pool = [int(np.count_nonzero(synth_split.candidate_mask(u)))
+                pool = [len(unseen_items(synth_split, u))
                         for u in eligible_users(synth_split, n, protocol)]
             else:
                 pool = [len(synth_split.per_user_test_index[u])

@@ -71,7 +71,7 @@ from ganc.recommenders import (MatrixScorer, SparseScorer, load_external_scores,
 
 from conftest import (DictAccuracy, DictCoverage, assert_same_split, build_split,
                       item_stats_reference)
-from oracles import greedy_picks
+from oracles import greedy_picks, unseen_items
 
 
 # ---------------------------------------------------------------- references
@@ -495,10 +495,10 @@ class TestBlockedScoringMatchesReference:
 # ------------------------------------------------ accuracy through the scorer
 #
 # The greedy loops add (1-theta)*a to theta*c through the scorer's
-# add_accuracy hook (Pop: only at each user's top items; SparseScorer: only
-# at its CSR entries) or, for a scorer with only score_vector, one user's
-# dense vector at a time. Picks through
-# the hook must equal the picks of the same scorer read as dense vectors.
+# add_accuracy hook (MatrixScorer: whole rows; SparseScorer, Pop among them:
+# only at its CSR entries) or, for a scorer with only score_vector, one
+# user's dense vector at a time. Picks through the hook must equal the picks
+# of the same scorer read as dense vectors.
 
 ZERO_ONE = (0.0, -0.0, 1.0)
 
@@ -514,7 +514,7 @@ class _VectorOnly:
 @st.composite
 def accuracy_scorers(draw, split, n):
     """Pop at a pop_n up to n, above n (above some users' unseen count, so
-    the top matrix is ragged) or at |I| (ragged for every user), a
+    some of its CSR rows are short) or at |I| (every row short), a
     MatrixScorer with tied values, a SparseScorer over a random CSR with
     empty rows and tied values, or a scorer with only score_vector."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -575,7 +575,7 @@ class TestSparseAccuracyMatchesDense:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("pop_n", [1, 5, 40, "all"])
     def test_synthetic_split(self, synth_split, synth_stats, protocol, pop_n):
-        # several full blocks; pop_n |I| leaves every row of the top matrix ragged
+        # several full blocks; pop_n |I| leaves every CSR row short of pop_n
         pop_n = len(synth_split.items) if pop_n == "all" else pop_n
         rng = np.random.default_rng(pop_n)
         theta = PreferenceVector("random", {u: ZERO_ONE[int(rng.integers(3))] if rng.random() < 0.5
@@ -604,22 +604,20 @@ class TestSparseAccuracyMatchesDense:
         want = gains + weights[:, None] * np.array([arec.score_vector(split.users[k])
                                                      for k in codes])
         arec.add_accuracy(gains, codes, weights)
-        if isinstance(arec, (MatrixScorer, SparseScorer)):  # the same operations: the same bits
-            assert np.array_equal(gains.view(np.int64), want.view(np.int64))
-        else:  # Pop adds nothing where the dense vector adds w * 0.0
-            assert np.array_equal(gains, want)
+        # the same operations, the same bits: Pop is a SparseScorer of 1.0s
+        assert np.array_equal(gains.view(np.int64), want.view(np.int64))
 
     def test_pop_user_without_unseen_items(self):
         # user 1 rated every item in train and three again in test, so under
-        # rated_test_items its candidates are seen items and its Pop row is
-        # empty; read as an index, its -1 padding would score the last item
+        # rated_test_items its candidates are seen items and its Pop CSR row
+        # is empty; the hook must add nothing to its gains
         items = list(range(101, 106))
         train = [(1, i, 3) for i in items] + [(u, items[u % 5], 4) for u in range(2, 9)]
         test = [(1, i, 5) for i in items[2:]] + [(u, i, 5) for u in range(2, 9)
                                                  for i in items if i != items[u % 5]]
         split = build_split(train, test)
         arec = pop_scorer(split, compute_item_stats(split), 3)
-        assert (arec.top_matrix[0] == -1).all()
+        assert arec.indptr[0] == arec.indptr[1] == 0
         theta = PreferenceVector("random", {u: ZERO_ONE[u % 3] for u in split.users})
         for s in (1, 4, 8):
             got = oslg(split, theta, arec, 2, s, 0, protocol="rated_test_items")
@@ -643,7 +641,7 @@ class TestStratRecallTables:
     def test_matches_dict_lookup(self, inst, betas, thresholds, keep, seed):
         split, n = inst[:2]
         rng = np.random.default_rng(seed)
-        lists = {u: _ids(split, rng.choice(np.flatnonzero(split.candidate_mask(u)), n,
+        lists = {u: _ids(split, rng.choice(unseen_items(split, u), n,
                                            replace=False))
                  for u in split.users if rng.random() < keep}
         assume(lists)
@@ -685,7 +683,7 @@ class TestCodedEvaluateMatchesReference:
         users = [u for u in split.users if rng.random() < keep]
         assume(users)
         rng.shuffle(users)  # list order is not code order
-        picks = np.array([rng.choice(np.flatnonzero(split.candidate_mask(u)), n, replace=False)
+        picks = np.array([rng.choice(unseen_items(split, u), n, replace=False)
                           for u in users])
         lists = {u: _ids(split, row) for u, row in zip(users, picks.tolist())}
         coded = TopNCollection.from_codes(
@@ -1382,13 +1380,13 @@ class TestPopScorerMatchesReference:
     def _check(split, n):
         stats = compute_item_stats(split)
         fast, ref = pop_scorer(split, stats, n), _PopScorerReference(split, n)
-        # the top matrix built from the CSR against each user's candidate mask
+        # each CSR row against the ranking filtered by the user's train row
         ranking = np.array([split.item_index[i] for i in ref._ranking])
-        assert fast.top_matrix.shape == (len(split.users), n)
+        assert len(fast.indptr) == len(split.users) + 1
+        assert fast.values.dtype == np.float64 and (fast.values == 1.0).all()
         for k, user in enumerate(split.users):
-            top = ranking[split.candidate_mask(user)[ranking]][:n]
-            assert np.array_equal(fast.top_matrix[k], np.pad(top, (0, n - len(top)),
-                                                             constant_values=-1))
+            top = ranking[np.isin(ranking, unseen_items(split, user))][:n]
+            assert np.array_equal(fast.items[fast.indptr[k]:fast.indptr[k + 1]], top)
         for user in split.users:
             for _ in range(2):  # a cached answer must equal the first one
                 assert fast.top_items(user) == ref.top_items(user)

@@ -13,6 +13,7 @@ from ganc.preference import theta_baseline, theta_generalized
 from ganc.recommenders import pop_scorer, stat_coverage
 
 from conftest import build_split
+from oracles import unseen_items
 
 
 def _padded_split(test_pairs, n_items=8):
@@ -278,7 +279,7 @@ class TestEvaluate:
 
     def test_declared_protocol_mismatch(self, synth_split, synth_stats):
         user = synth_split.users[0]
-        first_candidate = synth_split.items[np.flatnonzero(synth_split.candidate_mask(user))[0]]
+        first_candidate = synth_split.items[unseen_items(synth_split, user)[0]]
         coll = TopNCollection(1, {user: (first_candidate,)})
         with pytest.raises(ContractViolationError):
             evaluate(coll, synth_split, synth_stats, protocol="all_unrated",

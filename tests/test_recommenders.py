@@ -31,7 +31,7 @@ from ganc.recommenders import (
 )
 
 from conftest import a_usable_cpu, assert_no_child_left, build_split, deadline
-from oracles import greedy_topn_user
+from oracles import greedy_topn_user, unseen_items
 
 
 def _predict(model, user, item):
@@ -343,15 +343,14 @@ class TestMFScorer:
         model = rsvd_train(synth_split, g=4, lam=0.05, eta=0.03, epochs=3, seed=1)
         scorer = mf_accuracy_scorer(model, synth_split)
         for user in synth_split.users[:10]:
-            cand = synth_split.candidate_mask(user)
-            vec = scorer.score_vector(user)[cand]
+            vec = scorer.score_vector(user)[unseen_items(synth_split, user)]
             assert vec.min() == 0.0 and vec.max() == 1.0
 
     def test_ranking_preserved(self, synth_split):
         model = rsvd_train(synth_split, g=4, lam=0.05, eta=0.03, epochs=3, seed=1)
         scorer = mf_accuracy_scorer(model, synth_split)
         user = synth_split.users[0]
-        cand_idx = np.flatnonzero(synth_split.candidate_mask(user))
+        cand_idx = unseen_items(synth_split, user)
         raw = np.array([_predict(model, user, synth_split.items[k]) for k in cand_idx])
         norm = scorer.score_vector(user)[cand_idx]
         assert np.array_equal(np.argsort(raw, kind="stable"),
