@@ -2,14 +2,15 @@
 """Run the benchmark as alternating parent/change pairs and write a BENCH_*.json.
 
 For each workload and seed, runs ``python3 bench/run_bench.py --workload W
---seed S --seconds T`` once from each checkout, in that checkout, the
+--seed S --seconds 30`` once from each checkout, in that checkout, the
 parent first in even-numbered pairs and the change first in odd-numbered
 ones. A run is read from its last standard-output line (the runner's JSON
 result: ``correct``, ``attempted``, ``failed`` and the gated end-to-end
 metrics) and from ``.bench_results/<workload>-<shape>-seed<S>-trace0.json``
-in its checkout, for the unscaled ``raw.*`` seconds. The record holds, per
+in its checkout, for the unscaled ``raw.*`` seconds; a results file older
+than the run is another run's and is not read. The record holds, per
 metric, both medians, the parent's quartiles (``statistics.quantiles(n=4)``),
-the count of pairs whose change value is better and the pair count, then
+the count of pairs whose change value is lower and the pair count, then
 each run's failed operations and every pair::
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -17,11 +18,14 @@ each run's failed operations and every pair::
         --out BENCH_30.json
 
 Two verdicts are printed for each end-to-end metric of the change's
-``BENCHMARK.json``. ``claim`` holds when the change is better in at least
-nine of ten pairs and its median beats the parent's by more than the
-parent's quartile spread. ``bound`` holds when the change's median is worse
-than the parent's by no more than the metric's bound, read as a fraction of
-the parent's median. Standard library only.
+``BENCHMARK.json``, all of which are lower-is-better. ``claim`` holds when
+the change is lower in at least nine of ten pairs and its median beats the
+parent's by more than the parent's quartile spread. ``bound`` holds when
+the change's median is higher than the parent's by no more than the
+metric's bound, read as a fraction of the parent's median. Neither holds
+when a run is not ``correct``, when the change fails more operations than
+the parent, or for a metric missing from some run, which is printed as
+unresolved. Standard library only.
 """
 
 import argparse
@@ -32,19 +36,22 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
-CLAIM_SHARE = 0.9  # a claim needs the change better in this share of the pairs
+CLAIM_SHARE = 0.9  # a claim needs the change lower in this share of the pairs
+RUN_SECONDS = 30  # each run's --seconds, as in BENCH_26.json, BENCH_27.json and BENCH_30.json
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One runner result: its JSON line's counts and metric values, plus
-    every raw.* seconds value of its results file as raw_<name>."""
+    every raw.* seconds value of the results file it wrote as raw_<name>."""
+    started = time.time()
     proc = subprocess.run(
         [sys.executable, "bench/run_bench.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(RUN_SECONDS)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -53,9 +60,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     last = json.loads(lines[-1])
     row = {key: last[key] for key in ("correct", "attempted", "failed")}
     row |= {name: m["value"] for name, m in last["metrics"].items()}
-    # the newest results file of this workload and seed is the run just made
-    stored = max((checkout / ".bench_results").glob(f"{workload}-*-seed{seed}-trace0.json"),
-                 key=lambda p: p.stat().st_mtime, default=None)
+    # a run that fails in set-up writes no results file; an older one is another run's
+    written = [p for p in (checkout / ".bench_results").glob(
+        f"{workload}-*-seed{seed}-trace0.json") if p.stat().st_mtime >= started]
+    stored = max(written, key=lambda p: p.stat().st_mtime, default=None)
     if stored is not None:
         for name, m in json.loads(stored.read_text())["end_to_end"].items():
             if name.startswith("raw.") and m["unit"] == "s":
@@ -63,13 +71,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return row
 
 
-def run_pairs(checkouts: dict, workload: str, seeds: list, seconds: float) -> list:
+def run_pairs(checkouts: dict, workload: str, seeds: list) -> list:
     pairs = []
     for k, seed in enumerate(seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(checkouts[side], workload, seed, seconds)
+            pair[side] = run_once(checkouts[side], workload, seed)
         print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} pipeline_s {pair[side].get('pipeline_s', math.nan):.3f} "
             f"failed {pair[side]['failed']}" for side in SIDES), file=sys.stderr)
@@ -77,11 +85,10 @@ def run_pairs(checkouts: dict, workload: str, seeds: list, seconds: float) -> li
     return pairs
 
 
-def summary(pairs: list, better: dict) -> dict:
+def summary(pairs: list) -> dict:
     """Per metric present on both sides of every pair (two pairs at least):
-    medians, the parent's quartiles, the pairs where the change is better
-    (``change_lower_in``: lower, unless ``better`` maps the metric to
-    "higher") and the pair count."""
+    medians, the parent's quartiles, the pairs where the change is lower and
+    the pair count."""
     names = [name for name, value in pairs[0]["parent"].items()
              if isinstance(value, float) and all(
                  name in p[side] for p in pairs for side in SIDES)]
@@ -89,28 +96,40 @@ def summary(pairs: list, better: dict) -> dict:
     for name in names:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
         q1, _, q3 = statistics.quantiles(parent, n=4)
         out[name] = {
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
             "parent_quartiles": [q1, q3],
-            "change_lower_in": sum(sign * c < sign * p for p, c in zip(parent, change)),
+            "change_lower_in": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
     return out
 
 
-def verdicts(stats: dict, end_to_end: list) -> dict:
+def failed_ops(pairs: list) -> dict:
+    """side -> its runs' failed operations, summed."""
+    return {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+
+
+def sound(pairs: list) -> bool:
+    """Every run correct, and the change failing no more operations than the parent."""
+    failed = failed_ops(pairs)
+    return (all(p[side]["correct"] for p in pairs for side in SIDES)
+            and failed["change"] <= failed["parent"])
+
+
+def verdicts(pairs: list, stats: dict, end_to_end: list) -> dict:
     """metric -> (claim holds, within bound) for each of ``end_to_end`` (the
-    entries of BENCHMARK.json) that ``stats`` holds."""
-    out = {}
+    entries of BENCHMARK.json); both are false for a metric ``stats`` lacks
+    and for every metric when the pairs are not ``sound``."""
+    out, ok = {}, sound(pairs)
     for metric in end_to_end:
         s = stats.get(metric["name"])
-        if s is None:
+        if s is None or not ok:
+            out[metric["name"]] = (False, False)
             continue
-        sign = -1.0 if metric["better"] == "higher" else 1.0
-        gain = sign * (s["parent_median"] - s["change_median"])  # > 0: the change is better
+        gain = s["parent_median"] - s["change_median"]  # > 0: the change is lower
         spread = s["parent_quartiles"][1] - s["parent_quartiles"][0]
         claim = s["change_lower_in"] >= math.ceil(CLAIM_SHARE * s["pairs"]) and gain > spread
         bound = -gain <= metric["bound"] * abs(s["parent_median"])
@@ -118,12 +137,20 @@ def verdicts(stats: dict, end_to_end: list) -> dict:
     return out
 
 
-def report(workload: str, stats: dict, checks: dict) -> str:
-    lines = [workload]
+def report(workload: str, pairs: list, stats: dict, checks: dict) -> str:
+    failed = failed_ops(pairs)
+    wrong = sum(not p[side]["correct"] for p in pairs for side in SIDES)
+    lines = [f"{workload}  failed ops parent {failed['parent']} change {failed['change']}"
+             f"  runs not correct {wrong}" + ("" if sound(pairs) else "  (no verdict holds)")]
     for name, (claim, bound) in checks.items():
-        s = stats[name]
+        s = stats.get(name)
+        if s is None:
+            missing = sum(name not in p[side] for p in pairs for side in SIDES)
+            lines.append(f"  {name:12s} unresolved: missing from {missing} of "
+                         f"{2 * len(pairs)} runs")
+            continue
         lines.append(f"  {name:12s} {s['parent_median']:10.4f} -> {s['change_median']:10.4f}"
-                     f"  better in {s['change_lower_in']}/{s['pairs']}"
+                     f"  lower in {s['change_lower_in']}/{s['pairs']}"
                      f"  claim {'holds' if claim else 'not met'}"
                      f"  bound {'kept' if bound else 'EXCEEDED'}")
     return "\n".join(lines)
@@ -143,11 +170,9 @@ def host() -> dict:
 
 
 def seed_range(text: str) -> list:
-    """``"A-B"`` (inclusive) or ``"A,B,..."`` as a list of seeds."""
-    if "-" in text:
-        lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+    """``"A-B"`` as the list of seeds A to B inclusive."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def main(argv=None) -> int:
@@ -156,36 +181,36 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="the change's checkout")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_range, required=True,
-                    help="A-B or a comma-separated list; one pair per seed")
-    ap.add_argument("--seconds", type=float, default=30.0)
+                    help="A-B, inclusive; one pair per seed")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("--seeds must name two seeds at least, for the parent's quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    if any(m["better"] != "lower" for m in bench["end_to_end"]):
+        raise SystemExit("bench_pairs.py reads every end-to-end metric as lower-is-better")
     record = {
-        "command": f"python3 bench/run_bench.py --workload W --seed S --seconds {args.seconds:g}",
+        "command": f"python3 bench/run_bench.py --workload W --seed S --seconds {RUN_SECONDS}",
         "method": "alternating pairs run by scripts/bench_pairs.py: the parent commit and "
                   "the change, each from its own checkout; 'first' names the side that ran "
                   "first. Metrics are the runner's end-to-end values (times scaled by "
                   "bench/probe.py); raw_* are its unscaled raw.* seconds. Quartiles are "
                   "statistics.quantiles(n=4); change_lower_in counts pairs where the "
-                  "change is better.",
+                  "change is lower.",
         "host": host(),
         "claim": None,
         "workloads": {},
     }
     for workload in args.workload:
-        pairs = run_pairs(checkouts, workload, args.seeds, args.seconds)
-        stats = summary(pairs, better)
+        pairs = run_pairs(checkouts, workload, args.seeds)
+        stats = summary(pairs)
         record["workloads"][workload] = {
             "summary": stats,
             "failed_ops": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
             "pairs": pairs,
         }
-        print(report(workload, stats, verdicts(stats, bench["end_to_end"])))
+        print(report(workload, pairs, stats, verdicts(pairs, stats, bench["end_to_end"])))
         args.out.write_text(json.dumps(record, indent=1) + "\n")  # kept as each workload ends
     return 0
 
